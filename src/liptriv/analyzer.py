@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .catalog import LIPSCHITZ, NOT_LIPSCHITZ, normal_form, random_direction
 from .curves import (
+    AuditError,
     CurveSearchConfig,
     SearchReport,
     Witness,
@@ -75,10 +76,6 @@ __all__ = [
 INCONCLUSIVE = "Inconclusive"
 
 ASSUMED_PRECONDITIONS = ("unfolding is homeomorphism onto image",)
-
-
-class AuditError(RuntimeError):
-    """Two verdict computations contradict each other."""
 
 
 @dataclass(frozen=True)
@@ -409,8 +406,9 @@ def verify_witness_dense(witness: Witness, ideal: Ideal) -> bool:
     """Replay a witness through the dense substitution path.
 
     Recomputes every order from scratch by repeated polynomial
-    multiplication, bypassing the memoized fast path that found the
-    witness, and checks the recorded orders and the strict drop.
+    multiplication, sharing no code with the integer order kernel that
+    found the witness or with :func:`~liptriv.curves.pullback`, and
+    checks the recorded orders and the strict drop.
     """
     element_order = pullback_dense(
         witness.element, witness.curve

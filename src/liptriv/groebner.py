@@ -247,7 +247,7 @@ class Ideal:
     bigger budget.
     """
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "generators", "_basis", "_curve_orders")
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         generators = tuple(generators)
@@ -259,6 +259,9 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero)
         self._basis: GroebnerBasis | None = None
+        # The curve search's per-curve orders of this ideal, keyed by
+        # search config; see ``liptriv.curves.closure_test``.
+        self._curve_orders: dict = {}
 
     @property
     def is_zero(self) -> bool:

@@ -8,7 +8,6 @@ from liptriv import (
     CurveSearchConfig,
     RingContext,
     closure_test,
-    curve_obstruction,
     double_ideal,
     enumerate_test_curves,
     format_curve,
@@ -19,6 +18,7 @@ from liptriv import (
     pullback_dense,
     pullback_ideal,
 )
+from liptriv.curves import Witness
 
 DXY = RingContext(("x", "y")).doubled_extension()
 
@@ -87,8 +87,13 @@ class TestWitness:
              for t in ("x", "y^2")]
         )
         curve = parse_curve("s,2s,s,s", DXY)
-        witness = curve_obstruction(curve, poly("y - y'"), ideal)
-        assert witness is not None
+        element = poly("y - y'")
+        witness = Witness(
+            curve,
+            element,
+            pullback(element, curve).order_of_vanishing(),
+            pullback_ideal(curve, ideal).ideal_order,
+        )
         assert witness.element_order == 1
         assert witness.ideal_order == 2
         assert witness.margin == 1
@@ -98,12 +103,11 @@ class TestWitness:
             [parse_polynomial("y", RingContext(("x", "y")))]
         )
         curve = parse_curve("s,2s,s,s", DXY)
-        assert curve_obstruction(curve, poly("y - y'"), ideal) is None
+        element_order = pullback(poly("y - y'"), curve).order_of_vanishing()
+        assert not element_order < pullback_ideal(curve, ideal).ideal_order
 
     def test_witness_requires_strict_drop(self):
         with pytest.raises(Exception):
-            from liptriv.curves import Witness
-
             Witness(
                 parse_curve("s,s,s,s", DXY), poly("x - x'"), 2, 2
             )
