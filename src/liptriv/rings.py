@@ -11,6 +11,14 @@ jet-space linear algebra) rests on the two classes here:
   the leading term first, so leading-term queries are O(1) and equal
   polynomials have equal term tuples.
 
+The :class:`Polynomial` constructor is for outside input: it validates,
+merges and sorts whatever term stream it is given.  Arithmetic never
+goes back through it.  Its operands are already canonical, so a sum or
+difference is a linear merge of two sorted term tuples, a product with
+a single term is an exponent shift that keeps the order (grevlex and
+lex are monomial orders), and only a general product sorts, once.  The
+one check left on these paths is the ring's exponent cap.
+
 Coefficients are exact by construction; float inputs are rejected rather
 than coerced.  A small univariate companion type (:class:`UnivariatePoly`)
 backs arc pullbacks, where only orders of vanishing matter.
@@ -22,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -131,7 +140,7 @@ class RingContext:
     def sort_key(self, exps: Monomial):
         """Key that sorts monomials ascending in this ring's order."""
         if self.order == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
+            return (sum(exps), tuple(map(neg, exps[::-1])))
         return exps
 
     def doubled_extension(self) -> "RingContext":
@@ -151,7 +160,7 @@ class RingContext:
     # -- convenience constructors ------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
+        return Polynomial._raw(self, ())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -173,9 +182,12 @@ class Polynomial:
 
     ``terms`` is a tuple of ``(exponents, coefficient)`` pairs sorted so
     the leading term (largest in the ring's monomial order) comes first.
-    The constructor canonicalises arbitrary term streams: it merges
-    duplicate monomials, drops zero coefficients, and validates every
-    exponent vector against the ring.
+    The constructor is the entry point for outside input: it merges
+    duplicate monomials, drops zero coefficients, validates every
+    exponent vector against the ring and sorts.  Arithmetic results are
+    built canonical directly (a merge for ``+``/``-``, an exponent shift
+    for a product with one term, one sort for a general product) and
+    are checked only against the exponent cap.
     """
 
     __slots__ = ("ring", "terms")
@@ -204,9 +216,8 @@ class Polynomial:
                     acc[exps] = total
                 elif prev is not None:
                     del acc[exps]
-        ordered = sorted(acc.items(), key=lambda item: ring.sort_key(item[0]), reverse=True)
         self.ring = ring
-        self.terms = tuple(ordered)
+        self.terms = _sorted_terms(ring, acc.items())
 
     @classmethod
     def _raw(cls, ring: RingContext, terms: tuple) -> "Polynomial":
@@ -270,7 +281,7 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError(
                     f"mixed rings: {self.ring.variables} vs {other.ring.variables}"
                 )
@@ -283,7 +294,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial(self.ring, self.terms + other.terms)
+        return Polynomial._raw(self.ring, _merge(self.ring, self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -312,23 +323,27 @@ class Polynomial:
             return Polynomial._raw(
                 self.ring, tuple((e, k * c) for e, k in self.terms)
             )
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if other.ring != self.ring:
-            raise RingError(
-                f"mixed rings: {self.ring.variables} vs {other.ring.variables}"
-            )
+        ring = self.ring
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            return Polynomial._raw(ring, _shift(ring, a, *b[0]))
+        if len(a) == 1:
+            return Polynomial._raw(ring, _shift(ring, b, *a[0]))
         acc: dict[Monomial, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in a:
+            for e2, c2 in b:
+                exps = tuple(map(add, e1, e2))
                 prev = acc.get(exps)
                 total = c1 * c2 if prev is None else prev + c1 * c2
                 if total:
                     acc[exps] = total
                 elif prev is not None:
                     del acc[exps]
-        return Polynomial(self.ring, acc.items())
+        _check_cap(ring, acc)
+        return Polynomial._raw(ring, _sorted_terms(ring, acc.items()))
 
     __rmul__ = __mul__
 
@@ -373,6 +388,58 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
+
+
+def _merge(ring: RingContext, a: tuple, b: tuple) -> tuple:
+    """Canonical terms of the sum of two canonical term tuples.
+
+    One linear pass in the ring's order; coefficients that cancel are
+    dropped.
+    """
+    key = ring.sort_key
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, kb = key(a[i][0]), key(b[j][0])
+        if ka > kb:
+            out.append(a[i])
+            i += 1
+        elif ka < kb:
+            out.append(b[j])
+            j += 1
+        else:
+            c = a[i][1] + b[j][1]
+            if c:
+                out.append((a[i][0], c))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _sorted_terms(ring: RingContext, items: Iterable) -> tuple:
+    """Distinct-monomial terms sorted leading first."""
+    key = ring.sort_key
+    return tuple(sorted(items, key=lambda item: key(item[0]), reverse=True))
+
+
+def _shift(ring: RingContext, terms: tuple, exps: Monomial, coeff: Fraction) -> tuple:
+    """Canonical terms of ``terms`` times the single term ``coeff * exps``.
+
+    Multiplying by a monomial keeps a monomial order, so the terms stay
+    sorted; nonzero coefficients stay nonzero.
+    """
+    shifted = tuple((tuple(map(add, e, exps)), c * coeff) for e, c in terms)
+    _check_cap(ring, (e for e, _ in shifted))
+    return shifted
+
+
+def _check_cap(ring: RingContext, monomials: Iterable[Monomial]) -> None:
+    cap = ring.exponent_cap
+    for exps in monomials:
+        if max(exps) > cap:
+            raise ExponentOverflow(
+                f"exponents {exps} exceed cap {cap} in ring {ring.variables}"
+            )
 
 
 # -- formatting -------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 
 from .doubling import MatrixGerm
 from .rings import Monomial, Polynomial, RingContext, RingError
@@ -125,21 +125,24 @@ def _class_group(pos: tuple[int, int], nrows: int) -> int:
     return 1 + (nrows - 1 - i)
 
 
-def _insert_row(pivots: dict, row: dict, col_key) -> bool:
+def _insert_row(pivots: dict, row: dict) -> bool:
     """Echelon insertion; returns whether the row added a pivot.
 
-    The pivot column set depends only on the row space and the column
-    order, never on the order rows arrive in, so streaming is safe.
+    Rows map integer column numbers to nonzero coefficients, and the
+    columns are numbered in elimination order, so the pivot is simply
+    the smallest column of the row.  The pivot column set depends only
+    on the row space and the column order, never on the order rows
+    arrive in, so streaming is safe.
     """
     while row:
-        lead = min(row, key=col_key)
+        lead = min(row)
         if lead not in pivots:
             inv = 1 / row[lead]
             pivots[lead] = {c: v * inv for c, v in row.items()}
             return True
         coeff = row[lead]
         for c, v in pivots[lead].items():
-            nv = row.get(c, Fraction(0)) - coeff * v
+            nv = row.get(c, 0) - coeff * v
             if nv:
                 row[c] = nv
             else:
@@ -147,62 +150,74 @@ def _insert_row(pivots: dict, row: dict, col_key) -> bool:
     return False
 
 
+def _columns(F: MatrixGerm, degree: int):
+    """Number the jet's columns once, in elimination order.
+
+    A column is a matrix position together with a jet monomial.  Columns
+    are numbered by ``(class group, -monomial rank, position rank)``, a
+    total order, so the smallest number is the column pivots eat first.
+    Returns the monomial list, the position list and, per position, a
+    map from monomial to column number.
+    """
+    monos = jet_monomials(F.ring, degree)
+    positions = F.component_positions()
+    n = F.nrows
+    order = sorted(
+        ((p, mi) for p in range(len(positions)) for mi in range(len(monos))),
+        key=lambda col: (_class_group(positions[col[0]], n), -col[1], col[0]),
+    )
+    column = [{} for _ in positions]
+    for number, (p, mi) in enumerate(order):
+        column[p][monos[mi]] = number
+    return monos, positions, column
+
+
 def _eliminate(F: MatrixGerm, action: str, degree: int):
     """Echelonize the tangent module inside the jet.
 
-    Returns the pivot table plus the column bookkeeping every caller
-    needs: the monomial list, rank maps for monomials and matrix
-    positions, the column order, and the achieved rank.
+    Returns the pivot table (integer column number to normalized row),
+    the column numbering of :func:`_columns` and the achieved rank.
+    Each row is a jet monomial times a tangent generator, built by
+    adding exponent vectors; terms above the jet degree are skipped.
     """
-    ring = F.ring
-    gens = tangent_generators(F, action)
-    monos = jet_monomials(ring, degree)
-    mono_rank = {mono: i for i, mono in enumerate(monos)}
-    positions = F.component_positions()
-    pos_rank = {pos: i for i, pos in enumerate(positions)}
-    n = F.nrows
-
-    def col_key(col):
-        pos, mi = col
-        return (_class_group(pos, n), -mi, pos_rank[pos])
-
+    monos, positions, column = _columns(F, degree)
     pivots: dict = {}
     rank = 0
-    for g in gens:
-        entries = [e for row in g.entries for e in row if not e.is_zero]
+    for g in tangent_generators(F, action):
+        entries = []
+        for p, (i, j) in enumerate(positions):
+            terms = [(exps, sum(exps), c) for exps, c in g.entries[i][j].terms]
+            if terms:
+                entries.append((column[p], terms))
         if not entries:
             continue
-        g_order = min(e.min_degree() for e in entries)
+        g_order = min(d for _, terms in entries for _, d, _ in terms)
         for mono in monos:
-            if sum(mono) + g_order > degree:
+            room = degree - sum(mono)
+            if g_order > room:
                 continue
-            shifted = ring.monomial(mono)
-            row: dict = {}
-            for pos in positions:
-                entry = g.entries[pos[0]][pos[1]]
-                if entry.is_zero:
-                    continue
-                for exps, coeff in (shifted * entry).terms:
-                    if sum(exps) <= degree:
-                        key = (pos, mono_rank[exps])
-                        row[key] = row.get(key, Fraction(0)) + coeff
-            row = {k: v for k, v in row.items() if v}
-            if row and _insert_row(pivots, row, col_key):
+            # One contribution per column: positions differ, and a shift
+            # keeps the monomials of one entry distinct.
+            row = {
+                cols[tuple(map(add, exps, mono))]: c
+                for cols, terms in entries
+                for exps, d, c in terms
+                if d <= room
+            }
+            if _insert_row(pivots, row):
                 rank += 1
-    return pivots, monos, mono_rank, positions, pos_rank, col_key, rank
+    return pivots, monos, positions, column, rank
 
 
-def _germ_jet_row(g: MatrixGerm, mono_rank: dict, degree: int) -> dict:
-    row: dict = {}
-    for pos in g.component_positions():
-        entry = g.entries[pos[0]][pos[1]]
-        if entry.is_zero:
-            continue
-        for exps, coeff in entry.terms:
-            if sum(exps) <= degree:
-                key = (pos, mono_rank[exps])
-                row[key] = row.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in row.items() if v}
+def _germ_jet_row(g: MatrixGerm, positions: list, column: list) -> dict:
+    row = {}
+    for p, (i, j) in enumerate(positions):
+        cols = column[p]
+        for exps, coeff in g.entries[i][j].terms:
+            col = cols.get(exps)
+            if col is not None:
+                row[col] = coeff
+    return row
 
 
 def quotient_image_rank(
@@ -224,7 +239,7 @@ def quotient_image_rank(
         action = "congruence" if F.symmetric else "two-sided"
     if jet_degree is None:
         jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
-    pivots, _, mono_rank, _, _, col_key, _ = _eliminate(F, action, jet_degree)
+    pivots, _, positions, column, _ = _eliminate(F, action, jet_degree)
     added = 0
     for g in germs:
         if (
@@ -234,32 +249,29 @@ def quotient_image_rank(
             or g.symmetric != F.symmetric
         ):
             raise RingError("direction does not match the germ")
-        row = _germ_jet_row(g, mono_rank, jet_degree)
-        if row and _insert_row(pivots, row, col_key):
+        if _insert_row(pivots, _germ_jet_row(g, positions, column)):
             added += 1
     return added
 
 
 def _normal_space_at(F: MatrixGerm, action: str, degree: int):
     ring = F.ring
-    pivots, monos, _, positions, pos_rank, _, rank = _eliminate(
-        F, action, degree
-    )
+    pivots, monos, positions, column, rank = _eliminate(F, action, degree)
     column_count = len(positions) * len(monos)
     reps = [
-        (pos, mi)
-        for pos in positions
-        for mi in range(len(monos))
-        if (pos, mi) not in pivots
+        (p, mi)
+        for p in range(len(positions))
+        for mi, mono in enumerate(monos)
+        if column[p][mono] not in pivots
     ]
-    reps.sort(key=lambda col: (sum(monos[col[1]]), pos_rank[col[0]], col[1]))
+    reps.sort(key=lambda col: (sum(monos[col[1]]), col[0], col[1]))
 
     basis = []
     labels = []
-    for pos, mi in reps:
+    for p, mi in reps:
         mono = monos[mi]
         mono_poly = ring.monomial(mono)
-        i, j = pos
+        i, j = positions[p]
         rows = [[ring.zero()] * F.ncols for _ in range(F.nrows)]
         rows[i][j] = mono_poly
         if F.symmetric and i != j:
@@ -315,33 +327,6 @@ def normal_space_basis(
     )
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rank = 0
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    pivot_row = 0
-    for col in range(cols):
-        hit = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [v * inv for v in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(work):
-            break
-    return rank
-
-
 def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
     """Whether the scalar entries of ``F`` generate the maximal ideal.
 
@@ -350,17 +335,13 @@ def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
     precondition for treating the family's separation behaviour through
     the diagonal alone.
     """
-    ring = F.ring
-    arity = ring.arity
-    rows = []
-    units = []
-    for i in range(arity):
-        e = [0] * arity
-        e[i] = 1
-        units.append(tuple(e))
+    pivots: dict = {}
+    rank = 0
     for matrix_row in F.entries:
         for entry in matrix_row:
             if entry.constant_term():
                 return False
-            rows.append([entry.coefficient(u) for u in units])
-    return _rational_rank(rows) == arity
+            # Column i holds the coefficient of the i-th variable.
+            linear = {e.index(1): c for e, c in entry.terms if sum(e) == 1}
+            rank += _insert_row(pivots, linear)
+    return rank == F.ring.arity

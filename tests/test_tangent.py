@@ -1,5 +1,8 @@
 """Tangent modules, normal space bases, and span ranks in the quotient."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from liptriv import (
@@ -122,6 +125,37 @@ class TestQuotientImageRank:
         nf = normal_form(3, k=3)
         partial = nf.matrix.derivative("x")
         assert quotient_image_rank(nf.matrix, [partial]) == 0
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            normal_form(6).matrix,
+            normal_form(1, k=3, l=2).matrix,
+            parse_matrix_germ(
+                "sym: x, y, z ; y, z, x^2 ; z, x^2, y^2", RingContext(("x", "y", "z"))
+            ),
+        ],
+        ids=["family 6", "family 1", "3x3"],
+    )
+    def test_tangent_combinations_have_zero_class(self, F):
+        # Built through Polynomial arithmetic, independently of the jet
+        # rows: monomial multiples of tangent generators must reduce to
+        # zero against the elimination's pivot rows, and adding them to a
+        # normal-space representative must not change its class.
+        ring = F.ring
+        gens = tangent_generators(F)
+        rng = random.Random(1)
+        zero = F.map_entries(lambda e: ring.zero())
+        basis = normal_space_basis(F).basis
+        for _ in range(6):
+            combo = zero
+            for g in gens:
+                exps = [rng.randint(0, 2) for _ in ring.variables]
+                weight = ring.monomial(exps, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                combo = combo + g.map_entries(lambda e: e * weight)
+            assert quotient_image_rank(F, [combo]) == 0
+            rep = rng.choice(basis)
+            assert quotient_image_rank(F, [rep + combo]) == 1
 
     def test_ring_mismatch_rejected(self):
         nf = normal_form(3, k=3)
