@@ -11,15 +11,34 @@ element may grow; exceeding either raises :class:`BudgetExceeded`, a
 recoverable condition that callers degrade on rather than report as a
 mathematical answer.  Membership tests through a completed basis are
 exact in both directions.
+
+Every membership test, S-polynomial reduction and autoreduction goes
+through :func:`divide`, which is a single-pass kernel in the style of
+Monagan and Pearce's accumulator division: the polynomial under
+reduction is a mutable dict of integer coefficients over one running
+denominator, its monomials are kept in a list ordered by the ring's
+``sort_key`` (each key computed once), and ``Fraction`` objects are
+made only for the cofactor and remainder terms it returns.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .rings import ExponentOverflow, Monomial, Polynomial, RingContext, RingError
+from .rings import (
+    ExponentOverflow,
+    Monomial,
+    Polynomial,
+    RingContext,
+    RingError,
+    _check_cap,
+)
 
 __all__ = [
     "BudgetExceeded",
@@ -28,10 +47,8 @@ __all__ = [
     "Ideal",
     "buchberger",
     "divide",
-    "ideal_contains",
     "ideal_member",
     "membership_certificate",
-    "reduce",
     "s_polynomial",
 ]
 
@@ -52,10 +69,6 @@ class BudgetExceeded(RuntimeError):
     """The computation outgrew its budget; no partial answer is usable."""
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -72,6 +85,13 @@ def _mono_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+def _integer_terms(terms: tuple) -> tuple[int, list]:
+    """``(D, [(exponents, int)])`` with ``terms == [(e, n / D)]``, ``D`` the lcm
+    of the denominators."""
+    denom = math.lcm(*(c.denominator for _, c in terms))
+    return denom, [(e, c.numerator * (denom // c.denominator)) for e, c in terms]
+
+
 def divide(
     p: Polynomial, divisors: Sequence[Polynomial]
 ) -> tuple[list[Polynomial], Polynomial]:
@@ -81,37 +101,81 @@ def divide(
     ``p == sum(c * d for c, d in zip(cofactors, divisors)) + remainder``
     and no remainder term divisible by any divisor's leading monomial.
     The identity is what certificate replay checks, so the cofactors are
-    returned in full rather than discarded.
+    returned in full rather than discarded.  Each step divides the
+    leading term by the first divisor whose leading monomial divides it.
+
+    The polynomial under reduction is held as integers: a dict ``H`` from
+    monomial to ``int`` and a nonzero ``scale`` with ``h == H / scale``.
+    Each divisor ``d`` is written once as integer terms ``G`` over the
+    lcm ``D`` of its denominators, with leading integer ``a``.  A step
+    that cancels the leading term ``c / scale`` of ``h`` records the
+    cofactor term ``c*D / (a*scale)`` and sets ``H = a'*H - c'*x^shift*G``
+    and ``scale = a'*scale``, where ``t = gcd(a, c)``, ``a' = a/t`` and
+    ``c' = c/t``.  ``scale`` stays exact because
+    ``(a'*H - c'*x^shift*G) / (a'*scale)`` is
+    ``h - (c*D / (a*scale)) * x^shift * d``, the step the rational
+    algorithm takes.  When ``a'`` is 1 nothing is rescaled; otherwise
+    ``H`` and ``scale`` are divided by their gcd so the integers stay
+    bounded.  The leading monomial of ``h`` only falls, so cofactor and
+    remainder terms come out in canonical order.  A new monomial over
+    the ring's exponent cap raises ``ExponentOverflow``, as the product
+    ``x^shift * d`` would.
     """
     ring = p.ring
     for d in divisors:
-        if d.ring != ring:
+        if d.ring is not ring and d.ring != ring:
             raise RingError("divisors must share the dividend's ring")
         if d.is_zero:
             raise RingError("cannot divide by the zero polynomial")
-    leading = [(d.leading_monomial(), d.leading_coefficient()) for d in divisors]
-    cofactors = [ring.zero() for _ in divisors]
-    remainder_terms: list = []
-    h = p
-    while not h.is_zero:
-        lm, lc = h.terms[0]
-        for i, (dlm, dlc) in enumerate(leading):
-            if _mono_divides(dlm, lm):
-                factor = ring.monomial(_mono_div(lm, dlm), lc / dlc)
-                cofactors[i] = cofactors[i] + factor
-                h = h - factor * divisors[i]
+    key = ring.sort_key
+    leading = [d.terms[0][0] for d in divisors]
+    forms: list = [None] * len(divisors)  # integer terms, built at first use
+    steps: list[list] = [[] for _ in divisors]
+    remainder: list = []
+    scale, initial = _integer_terms(p.terms)
+    acc = dict(initial)
+    # Ascending; a zero left in ``acc`` keeps its entry here until popped.
+    order = [(key(m), m) for m, _ in reversed(initial)]
+    while order:
+        m = order.pop()[1]
+        c = acc.pop(m)
+        if not c:
+            continue
+        for i, dlm in enumerate(leading):
+            if all(map(le, dlm, m)):
                 break
         else:
-            remainder_terms.append((lm, lc))
-            h = Polynomial._raw(ring, h.terms[1:])
-    return cofactors, Polynomial(ring, remainder_terms)
-
-
-def reduce(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of ``p`` on division by ``divisors``."""
-    if not divisors:
-        return p
-    return divide(p, divisors)[1]
+            remainder.append((m, Fraction(c, scale)))
+            continue
+        if forms[i] is None:
+            denom, terms = _integer_terms(divisors[i].terms)
+            forms[i] = (denom, terms[0][1], terms[1:])
+        denom, a, tail = forms[i]
+        shift = tuple(map(sub, m, dlm))
+        steps[i].append((shift, Fraction(c * denom, scale * a)))
+        t = math.gcd(a, c)
+        a1, c1 = a // t, c // t
+        if a1 != 1:
+            scale *= a1
+            for mono in acc:
+                acc[mono] *= a1
+        for e, g in tail:
+            mono = tuple(map(add, e, shift))
+            prev = acc.get(mono)
+            if prev is None:
+                _check_cap(ring, (mono,))
+                acc[mono] = -c1 * g
+                insort(order, (key(mono), mono))
+            else:
+                acc[mono] = prev - c1 * g
+        if a1 != 1:
+            content = math.gcd(scale, *acc.values())
+            if content > 1:
+                scale //= content
+                for mono in acc:
+                    acc[mono] //= content
+    cofactors = [Polynomial._raw(ring, tuple(terms)) for terms in steps]
+    return cofactors, Polynomial._raw(ring, tuple(remainder))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -136,7 +200,7 @@ def _autoreduce(basis: list[Polynomial]) -> list[Polynomial]:
     reduced = []
     for i, f in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = reduce(f, others) if others else f
+        r = divide(f, others)[1] if others else f
         reduced.append(r.monic())
     reduced.sort(key=lambda f: ring.sort_key(f.leading_monomial()))
     return reduced
@@ -203,7 +267,7 @@ def buchberger(
                     break
             if skip:
                 continue
-            h = reduce(s_polynomial(basis[i], basis[j]), basis)
+            h = divide(s_polynomial(basis[i], basis[j]), basis)[1]
             if h.is_zero:
                 continue
             if h.degree() > budget.max_degree:
@@ -234,7 +298,7 @@ class GroebnerBasis:
     def reduce(self, p: Polynomial) -> Polynomial:
         if not self.polys:
             return p
-        return reduce(p, self.polys)
+        return divide(p, self.polys)[1]
 
 
 class Ideal:
@@ -308,12 +372,3 @@ def membership_certificate(
     if not remainder.is_zero:
         return None
     return [(c, b) for c, b in zip(cofactors, basis.polys) if not c.is_zero]
-
-
-def ideal_contains(
-    outer: Ideal, inner: Ideal, budget: GroebnerBudget | None = None
-) -> bool:
-    """Whether every generator of ``inner`` lies in ``outer``."""
-    if outer.ring != inner.ring:
-        raise RingError("containment test across different rings")
-    return all(ideal_member(g, outer, budget) for g in inner.generators)

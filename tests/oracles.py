@@ -8,12 +8,17 @@ linear system over the rationals with dense Gaussian elimination.  A
 returned certificate is a proof of membership that any reader can
 check by multiplying out; ``None`` only means no certificate exists
 within the degree cap.
+
+:func:`reference_divide` is the textbook multivariate division the
+engine used before its integer accumulator kernel: it rebuilds the
+remainder with ``Polynomial`` arithmetic at every step.  It is kept as
+the independent replay that ``groebner.divide`` must agree with.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from liptriv import Polynomial
+from liptriv import Polynomial, RingError
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -116,3 +121,42 @@ def recombine(cofactors, generators):
     for q, g in zip(cofactors, gens):
         total = total + q * g
     return total
+
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def reference_divide(p, divisors):
+    """Multivariate division of ``p`` by an ordered list of divisors.
+
+    Returns ``(cofactors, remainder)`` with
+    ``p == sum(c * d for c, d in zip(cofactors, divisors)) + remainder``
+    and no remainder term divisible by any divisor's leading monomial.
+    """
+    ring = p.ring
+    for d in divisors:
+        if d.ring != ring:
+            raise RingError("divisors must share the dividend's ring")
+        if d.is_zero:
+            raise RingError("cannot divide by the zero polynomial")
+    leading = [(d.leading_monomial(), d.leading_coefficient()) for d in divisors]
+    cofactors = [ring.zero() for _ in divisors]
+    remainder_terms: list = []
+    h = p
+    while not h.is_zero:
+        lm, lc = h.terms[0]
+        for i, (dlm, dlc) in enumerate(leading):
+            if _mono_divides(dlm, lm):
+                factor = ring.monomial(_mono_div(lm, dlm), lc / dlc)
+                cofactors[i] = cofactors[i] + factor
+                h = h - factor * divisors[i]
+                break
+        else:
+            remainder_terms.append((lm, lc))
+            h = Polynomial._raw(ring, h.terms[1:])
+    return cofactors, Polynomial(ring, remainder_terms)

@@ -1,6 +1,7 @@
 """Cross-checks of the basis engine against two independent arbiters:
 the brute-force cofactor oracle in :mod:`tests.oracles` and sympy's
-Groebner machinery."""
+Groebner machinery, which must agree on membership and on the reduced
+basis itself."""
 
 import random
 from fractions import Fraction
@@ -29,6 +30,11 @@ def to_sympy(p):
             term *= var**e
         expr += term
     return sympy.expand(expr)
+
+
+def from_sympy(expr):
+    terms = sympy.Poly(expr, *SYMPY_VARS).terms()
+    return Polynomial(RING, [(e, Fraction(int(c.p), int(c.q))) for e, c in terms])
 
 
 def random_poly(rng, degree, arity=3, sparsity=4):
@@ -94,6 +100,13 @@ def check_instance(kind, p, gens, cap):
     basis = sympy.groebner(sympy_gens, *SYMPY_VARS, order="grevlex")
     sympy_says = basis.reduce(to_sympy(p))[1] == 0
     assert engine_says == sympy_says
+
+    # the reduced basis itself: sympy's, made monic, in ascending order
+    theirs = sorted(
+        (from_sympy(q).monic() for q in basis.exprs),
+        key=lambda q: RING.sort_key(q.leading_monomial()),
+    )
+    assert list(ideal.groebner_basis().polys) == theirs
 
     # the bounded oracle can only certify membership, never refute it
     cert = brute_force_certificate(p, gens, cap)
