@@ -14,169 +14,43 @@ trusting the solver that produced it.
 Entry points: :func:`analyze` for one family, :func:`normal_space_basis`
 for miniversal data, :func:`reproduce_catalog_table` for the bundled
 catalog of simple symmetric germs, and the ``liptriv`` command line.
+The package re-exports only these and the names they take and return;
+everything else is imported from its submodule (``liptriv.rings``,
+``groebner``, ``doubling``, ``curves``, ``tangent``, ``catalog``,
+``analyzer``).
 """
 
 from .analyzer import (
-    ASSUMED_PRECONDITIONS,
+    INCONCLUSIVE,
     AnalyzeOptions,
     AuditError,
-    INCONCLUSIVE,
-    TableCell,
-    TableReport,
     Verdict,
     analyze,
     reproduce_catalog_table,
     verify_inclusion_certificate,
     verify_witness_dense,
 )
-from .catalog import (
-    CATALOG_INDICES,
-    CatalogError,
-    CoefficientSlot,
-    LIPSCHITZ,
-    NOT_LIPSCHITZ,
-    NormalForm,
-    family_parameters,
-    normal_form,
-    random_direction,
-    theta_from_coefficients,
-)
-from .curves import (
-    CurveSearchConfig,
-    PullbackSummary,
-    SearchReport,
-    TestCurve,
-    Witness,
-    closure_test,
-    enumerate_test_curves,
-    format_curve,
-    parse_curve,
-    pullback,
-    pullback_dense,
-    pullback_ideal,
-)
-from .doubling import (
-    DoubledIdeal,
-    MatrixGerm,
-    Unfolding,
-    build_unfolding,
-    diagonal_collapse,
-    diagonal_ideal,
-    double_ideal,
-    double_of,
-    format_matrix_germ,
-    merged_parameter_view,
-    parse_matrix_germ,
-    unfolding_components,
-    unfolding_double_ideal,
-)
-from .groebner import (
-    BudgetExceeded,
-    GroebnerBasis,
-    GroebnerBudget,
-    Ideal,
-    buchberger,
-    divide,
-    ideal_member,
-    membership_certificate,
-    s_polynomial,
-)
-from .rings import (
-    DEFAULT_EXPONENT_CAP,
-    ExponentOverflow,
-    Monomial,
-    ParseError,
-    Polynomial,
-    RingContext,
-    RingError,
-    UnivariatePoly,
-    format_polynomial,
-    parse_polynomial,
-    partial_derivative,
-    primed,
-    substitute,
-)
-from .tangent import (
-    TangentSpaceResult,
-    entries_cut_reduced_origin,
-    normal_space_basis,
-    quotient_image_rank,
-    tangent_generators,
-)
+from .catalog import LIPSCHITZ, NOT_LIPSCHITZ, normal_form, random_direction
+from .doubling import parse_matrix_germ, unfolding_double_ideal
+from .rings import RingContext
+from .tangent import normal_space_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASSUMED_PRECONDITIONS",
+    "INCONCLUSIVE",
+    "LIPSCHITZ",
+    "NOT_LIPSCHITZ",
     "AnalyzeOptions",
     "AuditError",
-    "BudgetExceeded",
-    "CATALOG_INDICES",
-    "CatalogError",
-    "CoefficientSlot",
-    "CurveSearchConfig",
-    "DEFAULT_EXPONENT_CAP",
-    "DoubledIdeal",
-    "ExponentOverflow",
-    "GroebnerBasis",
-    "GroebnerBudget",
-    "INCONCLUSIVE",
-    "Ideal",
-    "LIPSCHITZ",
-    "MatrixGerm",
-    "Monomial",
-    "NOT_LIPSCHITZ",
-    "NormalForm",
-    "ParseError",
-    "Polynomial",
-    "PullbackSummary",
     "RingContext",
-    "RingError",
-    "SearchReport",
-    "TableCell",
-    "TableReport",
-    "TangentSpaceResult",
-    "TestCurve",
-    "Unfolding",
-    "UnivariatePoly",
     "Verdict",
-    "Witness",
     "analyze",
-    "buchberger",
-    "build_unfolding",
-    "closure_test",
-    "diagonal_collapse",
-    "diagonal_ideal",
-    "divide",
-    "double_ideal",
-    "double_of",
-    "entries_cut_reduced_origin",
-    "enumerate_test_curves",
-    "family_parameters",
-    "format_curve",
-    "format_matrix_germ",
-    "format_polynomial",
-    "ideal_member",
-    "membership_certificate",
-    "merged_parameter_view",
     "normal_form",
     "normal_space_basis",
-    "parse_curve",
     "parse_matrix_germ",
-    "parse_polynomial",
-    "partial_derivative",
-    "primed",
-    "pullback",
-    "pullback_dense",
-    "pullback_ideal",
-    "quotient_image_rank",
     "random_direction",
     "reproduce_catalog_table",
-    "s_polynomial",
-    "substitute",
-    "tangent_generators",
-    "theta_from_coefficients",
-    "unfolding_components",
     "unfolding_double_ideal",
     "verify_inclusion_certificate",
     "verify_witness_dense",

@@ -46,17 +46,18 @@ from .curves import (
     pullback_dense,
 )
 from .doubling import (
+    PARAMETER,
     DoubledIdeal,
     MatrixGerm,
     Unfolding,
     build_unfolding,
     diagonal_ideal,
-    double_ideal,
+    direction_double_ideal,
     format_matrix_germ,
     unfolding_double_ideal,
 )
 from .groebner import BudgetExceeded, GroebnerBudget, Ideal, membership_certificate
-from .rings import Polynomial, parse_polynomial, primed
+from .rings import Polynomial, RingError, parse_polynomial, primed
 from .tangent import entries_cut_reduced_origin
 
 __all__ = [
@@ -80,9 +81,14 @@ ASSUMED_PRECONDITIONS = ("unfolding is homeomorphism onto image",)
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    """Dials for the pipeline; the defaults fit the bundled catalog."""
+    """Dials for the pipeline; the defaults fit the bundled catalog.
 
-    parameter: str = "t"
+    Two budgets (Groebner, curves per generator), the search depth
+    ``max_exponent`` (``None``: entry degree + 2, at least 4), ``audit``
+    and the ``field`` label.  The parameter is ``doubling.PARAMETER``
+    and the arc coefficients are the :class:`CurveSearchConfig` default.
+    """
+
     groebner_budget: GroebnerBudget = GroebnerBudget(
         max_pairs=20_000, max_degree=48
     )
@@ -91,8 +97,6 @@ class AnalyzeOptions:
     # enumeration; 4000 covers the bundled catalog through k = 4.
     curve_budget: int = 4000
     max_exponent: int | None = None
-    coefficients: tuple = (1, 2)
-    share_parameter: bool = True
     audit: bool = False
     field: str = "real"
 
@@ -101,6 +105,8 @@ class AnalyzeOptions:
             raise ValueError("field is a label: 'real' or 'complex'")
         if self.curve_budget < 1:
             raise ValueError("curve_budget must be positive")
+        if self.max_exponent is not None and self.max_exponent < 1:
+            raise ValueError("max_exponent must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,15 +159,6 @@ def _membership_json(generator: Polynomial, pairs) -> dict:
     }
 
 
-def _theta_double_ideal(u: Unfolding) -> DoubledIdeal | None:
-    """Difference ideal of the direction, or ``None`` when it is zero."""
-    theta = u.total.derivative(u.parameter)
-    components = [c for c in theta.component_list() if not c.is_zero]
-    if not components:
-        return None
-    return double_ideal(components, source=u.extended_ring)
-
-
 def _diagonal_route(
     u: Unfolding,
     total: DoubledIdeal,
@@ -195,7 +192,7 @@ def _diagonal_route(
         "route": "diagonal",
         "direction_into_diagonal": into_diagonal,
         "diagonal_into_family": differences,
-        "groebner_basis": [str(p) for p in total.groebner_basis(budget).polys],
+        "groebner_basis": [str(p) for p in total.groebner_basis(budget)],
     }
 
 
@@ -211,28 +208,20 @@ def _inclusion_route(
     return {
         "route": "inclusion",
         "memberships": memberships,
-        "groebner_basis": [str(p) for p in total.groebner_basis(budget).polys],
+        "groebner_basis": [str(p) for p in total.groebner_basis(budget)],
     }
 
 
 def _search_route(
     total: DoubledIdeal,
     theta: DoubledIdeal,
-    options: AnalyzeOptions,
-    max_exponent: int,
+    config: CurveSearchConfig,
+    budget: int,
 ):
     """First verified witness, else the per-generator search reports."""
-    config = CurveSearchConfig(
-        max_exponent=max_exponent,
-        coefficients=options.coefficients,
-        share_parameter=options.share_parameter,
-        parameter=options.parameter,
-    )
     reports = []
     for g in theta.generators:
-        found = closure_test(
-            g, total, budget=options.curve_budget, config=config
-        )
+        found = closure_test(g, total, budget=budget, config=config)
         if isinstance(found, Witness):
             if not verify_witness_dense(found, total):
                 raise AuditError(
@@ -260,7 +249,7 @@ def analyze(
     options = options or AnalyzeOptions()
     started = time.perf_counter()
     timings: dict = {}
-    u = build_unfolding(base, direction, options.parameter)
+    u = build_unfolding(base, direction)
     labels = (
         {k: Fraction(v) for k, v in coefficient_labels.items()}
         if coefficient_labels is not None
@@ -296,7 +285,7 @@ def analyze(
         return verdict(LIPSCHITZ, "constant", cert, audit=audit_info)
 
     total = unfolding_double_ideal(u)
-    theta = _theta_double_ideal(u)
+    theta = direction_double_ideal(u)
     assert theta is not None  # nonconstant direction has a nonzero double
 
     inclusion_data: dict | None = None
@@ -320,15 +309,18 @@ def analyze(
 
     witness = None
     searches: tuple[SearchReport, ...] = ()
-    max_exponent = options.max_exponent or max(
-        4, base.entry_max_degree() + 2
+    config = CurveSearchConfig(
+        max_exponent=options.max_exponent or max(4, base.entry_max_degree() + 2),
+        parameter=PARAMETER,
     )
     need_search = options.audit or (
         diagonal_data is None and inclusion_data is None
     )
     if need_search:
         clock = time.perf_counter()
-        witness, searches = _search_route(total, theta, options, max_exponent)
+        witness, searches = _search_route(
+            total, theta, config, options.curve_budget
+        )
         timings["search"] = time.perf_counter() - clock
 
     audit_info = None
@@ -385,8 +377,8 @@ def analyze(
     cert = {
         "type": "search",
         "data": {
-            "max_exponent": max_exponent,
-            "coefficients": list(options.coefficients),
+            "max_exponent": config.max_exponent,
+            "coefficients": list(config.coefficients),
             "generators": [
                 {
                     "element": str(g),
@@ -432,29 +424,34 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
 
     Every recorded membership is re-parsed from strings and recombined
     with plain ring arithmetic; nothing of the original computation is
-    trusted except the text of the certificate itself.
+    trusted except the text of the certificate itself.  Malformed text
+    (a missing block or field, an unparsable polynomial, a variable
+    outside the doubled ring) fails the replay.
     """
     if verdict.certificate.get("type") != "inclusion":
         return False
     ring = verdict.unfolding.extended_ring.doubled_extension()
-    data = verdict.certificate["data"]
-    if data.get("route") == "constant":
-        return verdict.unfolding.direction.is_constant
-    blocks = (
-        [data["memberships"]]
-        if "memberships" in data
-        else [data["direction_into_diagonal"], data["diagonal_into_family"]]
-    )
-    for block in blocks:
-        for membership in block:
-            target = parse_polynomial(membership["generator"], ring)
-            total = ring.zero()
-            for pair in membership["cofactors"]:
-                cofactor = parse_polynomial(pair["cofactor"], ring)
-                basis = parse_polynomial(pair["basis"], ring)
-                total = total + cofactor * basis
-            if total != target:
-                return False
+    try:
+        data = verdict.certificate["data"]
+        if data.get("route") == "constant":
+            return verdict.unfolding.direction.is_constant
+        blocks = (
+            [data["memberships"]]
+            if "memberships" in data
+            else [data["direction_into_diagonal"], data["diagonal_into_family"]]
+        )
+        for block in blocks:
+            for membership in block:
+                target = parse_polynomial(membership["generator"], ring)
+                total = ring.zero()
+                for pair in membership["cofactors"]:
+                    cofactor = parse_polynomial(pair["cofactor"], ring)
+                    basis = parse_polynomial(pair["basis"], ring)
+                    total = total + cofactor * basis
+                if total != target:
+                    return False
+    except (KeyError, TypeError, RingError):
+        return False
     return True
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .curves import TestCurve, parse_curve
-from .doubling import MatrixGerm, parse_matrix_germ
+from .doubling import PARAMETER, MatrixGerm, parse_matrix_germ
 from .rings import RingContext
 
 __all__ = [
@@ -43,14 +43,12 @@ __all__ = [
     "family_parameters",
     "normal_form",
     "random_direction",
-    "theta_from_coefficients",
 ]
 
 LIPSCHITZ = "Lipschitz"
 NOT_LIPSCHITZ = "NotLipschitz"
 
 SOURCE_RING = RingContext(("x", "y"))
-PARAMETER = "t"
 
 CATALOG_INDICES = (1, 2, 3, 4, 5, 6)
 
@@ -372,13 +370,6 @@ def normal_form(index: int, k: int | None = None, l: int | None = None) -> Norma
     if index == 5:
         return _row5()
     return _row6()
-
-
-def theta_from_coefficients(
-    nf: NormalForm, coeffs: Mapping[str, object]
-) -> MatrixGerm:
-    """Direction matrix for named coefficients (unnamed ones are 0)."""
-    return nf.theta(coeffs)
 
 
 def random_direction(nf: NormalForm, seed: int = 0) -> dict[str, Fraction]:

@@ -49,7 +49,7 @@ from .curves import parse_curve, pullback_ideal
 from .doubling import (
     MatrixGerm,
     build_unfolding,
-    double_ideal,
+    direction_double_ideal,
     format_matrix_germ,
     merged_parameter_view,
     parse_matrix_germ,
@@ -76,6 +76,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the budgets and caps: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="liptriv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,8 +107,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="run the verdict pipeline")
     germ_flags(p)
-    p.add_argument("--max-exponent", type=int)
-    p.add_argument("--budget", type=int, help="curve search budget")
+    p.add_argument("--max-exponent", type=_positive_int)
+    p.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=AnalyzeOptions.curve_budget,
+        help="curve search budget",
+    )
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--json", type=Path)
@@ -137,13 +149,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-inclusion", help="inclusion route alone")
     germ_flags(p)
-    p.add_argument("--max-pairs", type=int, default=20_000)
-    p.add_argument("--max-degree", type=int, default=48)
+    p.add_argument("--max-pairs", type=_positive_int, default=20_000)
+    p.add_argument("--max-degree", type=_positive_int, default=48)
 
     p = sub.add_parser("reproduce-table", help="grade the whole catalog")
     p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--max-l", type=int, default=4)
-    p.add_argument("--budget", type=int, help="curve search budget")
+    p.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=AnalyzeOptions.curve_budget,
+        help="curve search budget",
+    )
     p.add_argument("--json", type=Path)
     return parser
 
@@ -250,9 +267,9 @@ def _cmd_analyze(args) -> int:
         max_exponent = nf.max_exponent
     options = AnalyzeOptions(
         max_exponent=max_exponent,
+        curve_budget=args.budget,
         field=args.field,
         audit=args.audit,
-        **({"curve_budget": args.budget} if args.budget else {}),
     )
     verdict = analyze(base, direction, options, coefficient_labels=labels)
     print(f"germ:      {format_matrix_germ(base)}")
@@ -341,14 +358,10 @@ def _cmd_check_inclusion(args) -> int:
         return _EXIT_OK
     unfolding = build_unfolding(base, direction)
     total = unfolding_double_ideal(unfolding)
-    theta = unfolding.total.derivative(unfolding.parameter)
     budget = GroebnerBudget(args.max_pairs, args.max_degree)
-    theta_ideal = double_ideal(
-        [c for c in theta.component_list() if not c.is_zero],
-        source=unfolding.extended_ring,
-    )
     failed = []
-    for g in theta_ideal.generators:
+    # Reports every generator; the analyzer's route stops at the first failure.
+    for g in direction_double_ideal(unfolding).generators:
         pairs = membership_certificate(g, total, budget)
         if pairs is None:
             failed.append(g)
@@ -363,9 +376,7 @@ def _cmd_check_inclusion(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    options = AnalyzeOptions(
-        **({"curve_budget": args.budget} if args.budget else {})
-    )
+    options = AnalyzeOptions(curve_budget=args.budget)
     report = reproduce_catalog_table(args.max_k, args.max_l, options)
     for cell in report.cells:
         params = "".join(

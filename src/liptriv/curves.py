@@ -157,21 +157,19 @@ class PullbackSummary:
     """Orders of vanishing of an ideal's generators along one curve."""
 
     curve: TestCurve
-    generator_pullbacks: tuple[UnivariatePoly, ...]
     generator_orders: tuple
 
     @property
     def ideal_order(self):
         """Smallest generator order; ``math.inf`` when nothing survives."""
-        finite = [o for o in self.generator_orders if o is not math.inf]
-        if not self.generator_orders:
-            return math.inf
-        return min(self.generator_orders) if finite else math.inf
+        return min(self.generator_orders, default=math.inf)
 
 
 def pullback_ideal(curve: TestCurve, ideal: Ideal) -> PullbackSummary:
-    pulls = tuple(pullback(g, curve) for g in ideal.generators)
-    return PullbackSummary(curve, pulls, tuple(u.order_of_vanishing() for u in pulls))
+    return PullbackSummary(
+        curve,
+        tuple(pullback(g, curve).order_of_vanishing() for g in ideal.generators),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,14 +205,13 @@ class CurveSearchConfig:
 
     Arcs are monomials ``c * s^e`` with ``1 <= e <= max_exponent`` and
     ``c`` drawn from ``coefficients``.  When ``parameter`` names a
-    doubled variable and ``share_parameter`` is set, the primed copy of
-    the parameter is forced onto the same arc as the original and the
-    pair counts twice toward the enumeration degree.
+    doubled variable, the primed copy of the parameter is forced onto
+    the same arc as the original and the pair counts twice toward the
+    enumeration degree.
     """
 
     max_exponent: int
     coefficients: tuple = (1, 2)
-    share_parameter: bool = True
     parameter: str | None = None
 
     def __post_init__(self) -> None:
@@ -263,7 +260,7 @@ def _profiles(
     """
     names = ring.variables
     tied_source = tied_mirror = None
-    if config.share_parameter and config.parameter is not None:
+    if config.parameter is not None:
         if config.parameter not in names:
             raise RingError(f"parameter {config.parameter!r} not in ring")
         mirror = primed(config.parameter)

@@ -36,10 +36,12 @@ from .rings import (
 __all__ = [
     "DoubledIdeal",
     "MatrixGerm",
+    "PARAMETER",
     "Unfolding",
     "build_unfolding",
     "diagonal_collapse",
     "diagonal_ideal",
+    "direction_double_ideal",
     "double_ideal",
     "double_of",
     "format_matrix_germ",
@@ -48,6 +50,9 @@ __all__ = [
     "unfolding_components",
     "unfolding_double_ideal",
 ]
+
+#: Name of the deformation parameter every unfolding adjoins.
+PARAMETER = "t"
 
 
 @dataclass(frozen=True)
@@ -292,35 +297,30 @@ class Unfolding:
     total: MatrixGerm
 
     @property
-    def source_ring(self) -> RingContext:
-        return self.base.ring
-
-    @property
     def extended_ring(self) -> RingContext:
         return self.total.ring
 
 
-def build_unfolding(
-    base: MatrixGerm, direction: MatrixGerm, parameter: str = "t"
-) -> Unfolding:
+def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
+    """``base + t * direction`` with the parameter :data:`PARAMETER`."""
     if base.ring != direction.ring:
         raise RingError("germ and direction must share a ring")
     if (base.nrows, base.ncols) != (direction.nrows, direction.ncols):
         raise RingError("germ and direction shapes differ")
     if base.symmetric != direction.symmetric:
         raise RingError("germ and direction must agree on symmetry")
-    if parameter in base.ring.variables:
+    if PARAMETER in base.ring.variables:
         raise RingError(
-            f"parameter {parameter!r} collides with a ring variable"
+            f"parameter {PARAMETER!r} collides with a ring variable"
         )
     ring = base.ring
     extended = RingContext(
-        (parameter,) + ring.variables, ring.order, False, ring.exponent_cap
+        (PARAMETER,) + ring.variables, ring.order, False, ring.exponent_cap
     )
-    t = extended.variable(parameter)
+    t = extended.variable(PARAMETER)
     lifted_base = base.map_entries(lambda e: inject_into(e, extended))
     lifted_dir = direction.map_entries(lambda e: inject_into(e, extended))
-    return Unfolding(parameter, base, direction, lifted_base + lifted_dir.scale(t))
+    return Unfolding(PARAMETER, base, direction, lifted_base + lifted_dir.scale(t))
 
 
 def unfolding_components(u: Unfolding) -> list[Polynomial]:
@@ -336,6 +336,15 @@ def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
     than assuming them equal.
     """
     return double_ideal(unfolding_components(u), source=u.extended_ring)
+
+
+def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
+    """Doubles of the nonzero components of ``d(total)/dt``, or ``None``."""
+    theta = u.total.derivative(u.parameter)
+    components = [c for c in theta.component_list() if not c.is_zero]
+    if not components:
+        return None
+    return double_ideal(components, source=u.extended_ring)
 
 
 def merged_parameter_view(

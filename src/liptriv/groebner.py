@@ -42,7 +42,6 @@ from .rings import (
 
 __all__ = [
     "BudgetExceeded",
-    "GroebnerBasis",
     "GroebnerBudget",
     "Ideal",
     "buchberger",
@@ -282,25 +281,6 @@ def buchberger(
     return _autoreduce(basis)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A completed reduced basis, frozen for reuse."""
-
-    ring: RingContext
-    polys: tuple[Polynomial, ...]
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        if not self.polys:
-            return p
-        return divide(p, self.polys)[1]
-
-
 class Ideal:
     """Finitely generated ideal with a lazily cached reduced basis.
 
@@ -322,7 +302,7 @@ class Ideal:
                 raise RingError("every generator must be a polynomial of the ideal's ring")
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero)
-        self._basis: GroebnerBasis | None = None
+        self._basis: tuple[Polynomial, ...] | None = None
         # The curve search's per-curve orders of this ideal, keyed by
         # search config; see ``liptriv.curves.closure_test``.
         self._curve_orders: dict = {}
@@ -331,10 +311,11 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner_basis(self, budget: GroebnerBudget | None = None) -> GroebnerBasis:
+    def groebner_basis(
+        self, budget: GroebnerBudget | None = None
+    ) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            polys = buchberger(self.generators, budget)
-            self._basis = GroebnerBasis(self.ring, tuple(polys))
+            self._basis = tuple(buchberger(self.generators, budget))
         return self._basis
 
     def __repr__(self):
@@ -350,7 +331,7 @@ def ideal_member(
         raise RingError("membership test across different rings")
     if ideal.is_zero:
         return p.is_zero
-    return ideal.groebner_basis(budget).reduce(p).is_zero
+    return divide(p, ideal.groebner_basis(budget))[1].is_zero
 
 
 def membership_certificate(
@@ -368,7 +349,7 @@ def membership_certificate(
     if ideal.is_zero:
         return [] if p.is_zero else None
     basis = ideal.groebner_basis(budget)
-    cofactors, remainder = divide(p, basis.polys)
+    cofactors, remainder = divide(p, basis)
     if not remainder.is_zero:
         return None
-    return [(c, b) for c, b in zip(cofactors, basis.polys) if not c.is_zero]
+    return [(c, b) for c, b in zip(cofactors, basis) if not c.is_zero]

@@ -243,12 +243,6 @@ class Polynomial:
             return -1
         return max(sum(exps) for exps, _ in self.terms)
 
-    def min_degree(self):
-        """Smallest total degree of a term; ``math.inf`` for zero."""
-        if not self.terms:
-            return math.inf
-        return min(sum(exps) for exps, _ in self.terms)
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise RingError("zero polynomial has no leading monomial")

@@ -38,24 +38,19 @@ __all__ = [
 ]
 
 
-def tangent_generators(F: MatrixGerm, action: str | None = None) -> list[MatrixGerm]:
+def tangent_generators(F: MatrixGerm) -> list[MatrixGerm]:
     """Module generators of the tangent space at ``F``.
 
-    ``action`` is ``"congruence"`` (symmetric germs) or ``"two-sided"``
-    (anything else); by default it is inferred from the germ.  The list
-    holds the partial derivative of ``F`` along every source variable,
-    then the image of every elementary matrix under the linearised
-    matrix action.
+    The action follows the germ's symmetry: congruence ``A F A^T`` if
+    it is symmetric, ``A F B`` otherwise.  The list holds the partial
+    derivative of ``F`` along every source variable, then the image of
+    every elementary matrix under the linearised matrix action.
     """
-    if action is None:
-        action = "congruence" if F.symmetric else "two-sided"
     ring = F.ring
     gens = [F.derivative(name) for name in ring.variables]
     n, m = F.nrows, F.ncols
     zero = ring.zero()
-    if action == "congruence":
-        if not F.symmetric:
-            raise RingError("congruence action needs a symmetric germ")
+    if F.symmetric:
         for a in range(n):
             for b in range(n):
                 rows = []
@@ -70,25 +65,21 @@ def tangent_generators(F: MatrixGerm, action: str | None = None) -> list[MatrixG
                         row.append(e)
                     rows.append(tuple(row))
                 gens.append(MatrixGerm(tuple(rows), symmetric=True))
-    elif action == "two-sided":
-        if F.symmetric:
-            raise RingError("two-sided action does not preserve symmetry")
-        for a in range(n):
-            for b in range(n):
-                rows = tuple(
-                    tuple(F.entries[b][j] if i == a else zero for j in range(m))
-                    for i in range(n)
-                )
-                gens.append(MatrixGerm(rows))
-        for a in range(m):
-            for b in range(m):
-                rows = tuple(
-                    tuple(F.entries[i][a] if j == b else zero for j in range(m))
-                    for i in range(n)
-                )
-                gens.append(MatrixGerm(rows))
-    else:
-        raise RingError(f"unknown action {action!r}")
+        return gens
+    for a in range(n):
+        for b in range(n):
+            rows = tuple(
+                tuple(F.entries[b][j] if i == a else zero for j in range(m))
+                for i in range(n)
+            )
+            gens.append(MatrixGerm(rows))
+    for a in range(m):
+        for b in range(m):
+            rows = tuple(
+                tuple(F.entries[i][a] if j == b else zero for j in range(m))
+                for i in range(n)
+            )
+            gens.append(MatrixGerm(rows))
     return gens
 
 
@@ -105,17 +96,20 @@ def jet_monomials(ring: RingContext, degree: int) -> list[Monomial]:
 
 @dataclass(frozen=True)
 class TangentSpaceResult:
-    """Normal space of a germ inside one jet level."""
+    """Normal space of a germ inside one jet level.
+
+    The action is the one :func:`tangent_generators` derives from the
+    germ's symmetry; ``stable`` says the labels agree one level higher.
+    """
 
     germ: MatrixGerm
-    action: str
     jet_degree: int
     column_count: int
     rank: int
     codimension: int
     basis: tuple[MatrixGerm, ...]
     basis_labels: tuple[str, ...]
-    stable: bool | None  # None when the next jet level was not checked
+    stable: bool
 
 
 def _class_group(pos: tuple[int, int], nrows: int) -> int:
@@ -172,7 +166,7 @@ def _columns(F: MatrixGerm, degree: int):
     return monos, positions, column
 
 
-def _eliminate(F: MatrixGerm, action: str, degree: int):
+def _eliminate(F: MatrixGerm, degree: int):
     """Echelonize the tangent module inside the jet.
 
     Returns the pivot table (integer column number to normalized row),
@@ -183,7 +177,7 @@ def _eliminate(F: MatrixGerm, action: str, degree: int):
     monos, positions, column = _columns(F, degree)
     pivots: dict = {}
     rank = 0
-    for g in tangent_generators(F, action):
+    for g in tangent_generators(F):
         entries = []
         for p, (i, j) in enumerate(positions):
             terms = [(exps, sum(exps), c) for exps, c in g.entries[i][j].terms]
@@ -223,7 +217,6 @@ def _germ_jet_row(g: MatrixGerm, positions: list, column: list) -> dict:
 def quotient_image_rank(
     F: MatrixGerm,
     germs: Sequence[MatrixGerm],
-    action: str | None = None,
     jet_degree: int | None = None,
 ) -> int:
     """Rank of the span of ``germs`` in the normal space of ``F``.
@@ -235,11 +228,9 @@ def quotient_image_rank(
     basis check for a proposed list of representatives; a single germ
     gives 0 or 1 according to whether its class vanishes.
     """
-    if action is None:
-        action = "congruence" if F.symmetric else "two-sided"
     if jet_degree is None:
         jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
-    pivots, _, positions, column, _ = _eliminate(F, action, jet_degree)
+    pivots, _, positions, column, _ = _eliminate(F, jet_degree)
     added = 0
     for g in germs:
         if (
@@ -254,9 +245,9 @@ def quotient_image_rank(
     return added
 
 
-def _normal_space_at(F: MatrixGerm, action: str, degree: int):
+def _normal_space_at(F: MatrixGerm, degree: int):
     ring = F.ring
-    pivots, monos, positions, column, rank = _eliminate(F, action, degree)
+    pivots, monos, positions, column, rank = _eliminate(F, degree)
     column_count = len(positions) * len(monos)
     reps = [
         (p, mi)
@@ -287,43 +278,35 @@ def _normal_space_at(F: MatrixGerm, action: str, degree: int):
 
 
 def normal_space_basis(
-    F: MatrixGerm,
-    action: str | None = None,
-    jet_degree: int | None = None,
-    check_stability: bool = True,
+    F: MatrixGerm, jet_degree: int | None = None
 ) -> TangentSpaceResult:
     """Basis of the normal space of ``F`` in a truncating jet.
 
-    The default jet degree is twice the largest entry degree plus two,
-    which is past saturation for every finite-codimension germ in the
-    bundled catalog.  With ``check_stability`` the computation is
-    repeated one level higher and ``stable`` records whether the basis
-    labels agreed; an unstable answer means the jet was too small (or
-    the codimension is not finite).
+    The tangent space is that of the action :func:`tangent_generators`
+    derives from the germ's symmetry.  The default jet degree is twice
+    the largest entry degree plus two, which is past saturation for
+    every finite-codimension germ in the bundled catalog.  The
+    computation is repeated one level higher and ``stable`` records
+    whether the basis labels agreed; an unstable answer means the jet
+    was too small (or the codimension is not finite).
     """
-    if action is None:
-        action = "congruence" if F.symmetric else "two-sided"
     if jet_degree is None:
         jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
     if jet_degree < 1:
         raise RingError("jet degree must be positive")
-    rank, ncols, labels, basis = _normal_space_at(F, action, jet_degree)
+    rank, ncols, labels, basis = _normal_space_at(F, jet_degree)
     if rank + len(basis) != ncols:
         raise RingError("rank bookkeeping violated")  # defensive; never expected
-    stable = None
-    if check_stability:
-        _, _, labels_next, _ = _normal_space_at(F, action, jet_degree + 1)
-        stable = labels == labels_next
+    _, _, labels_next, _ = _normal_space_at(F, jet_degree + 1)
     return TangentSpaceResult(
         germ=F,
-        action=action,
         jet_degree=jet_degree,
         column_count=ncols,
         rank=rank,
         codimension=ncols - rank,
         basis=basis,
         basis_labels=labels,
-        stable=stable,
+        stable=labels == labels_next,
     )
 
 

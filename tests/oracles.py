@@ -18,7 +18,7 @@ the independent replay that ``groebner.divide`` must agree with.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from liptriv import Polynomial, RingError
+from liptriv.rings import Polynomial, RingError
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:

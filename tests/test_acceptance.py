@@ -17,24 +17,20 @@ import pytest
 
 from liptriv import (
     AnalyzeOptions,
-    Polynomial,
     RingContext,
-    UnivariatePoly,
     analyze,
-    double_of,
-    entries_cut_reduced_origin,
     normal_form,
     normal_space_basis,
     parse_matrix_germ,
-    pullback_ideal,
-    quotient_image_rank,
     reproduce_catalog_table,
-    substitute,
     unfolding_double_ideal,
+    verify_inclusion_certificate,
+    verify_witness_dense,
 )
-from liptriv.analyzer import verify_inclusion_certificate, verify_witness_dense
-from liptriv.doubling import build_unfolding
-from liptriv.rings import inject_into
+from liptriv.curves import pullback_ideal
+from liptriv.doubling import build_unfolding, double_of
+from liptriv.rings import Polynomial, UnivariatePoly, inject_into, substitute
+from liptriv.tangent import entries_cut_reduced_origin, quotient_image_rank
 
 from tests.test_oracles import INSTANCES, check_instance
 

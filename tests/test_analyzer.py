@@ -1,5 +1,6 @@
 """Verdict pipeline: route selection, certificates, replay, audit."""
 
+import copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from liptriv import (
     LIPSCHITZ,
     NOT_LIPSCHITZ,
     AnalyzeOptions,
-    GroebnerBudget,
     RingContext,
     analyze,
     normal_form,
@@ -20,6 +20,7 @@ from liptriv import (
     verify_inclusion_certificate,
     verify_witness_dense,
 )
+from liptriv.groebner import GroebnerBudget
 
 
 def run(index, coeffs, options=None, **params):
@@ -79,6 +80,32 @@ class TestRoutes:
         assert all(g["curves_tried"] > 0 for g in data["generators"])
 
 
+class TestMalformedCertificates:
+    """Certificate text that does not parse fails replay, never raises."""
+
+    @staticmethod
+    def tampered(verdict, edit):
+        certificate = copy.deepcopy(verdict.certificate)
+        edit(certificate["data"])
+        return replace(verdict, certificate=certificate)
+
+    def test_missing_block(self):
+        verdict = run(1, {"b1": 1}, k=1, l=3)
+        forged = self.tampered(
+            verdict, lambda data: data.pop("direction_into_diagonal")
+        )
+        assert not verify_inclusion_certificate(forged)
+
+    @pytest.mark.parametrize("text", ["x +* y", "q"])
+    def test_unparsable_cofactor(self, text):
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+
+        def edit(data):
+            data["memberships"][0]["cofactors"][0]["cofactor"] = text
+
+        assert not verify_inclusion_certificate(self.tampered(verdict, edit))
+
+
 class TestSpecializationCoherence:
     @pytest.mark.parametrize(
         "index,params",
@@ -108,6 +135,11 @@ class TestOptions:
     def test_field_validated(self):
         with pytest.raises(ValueError):
             AnalyzeOptions(field="padic")
+
+    @pytest.mark.parametrize("bad", [{"max_exponent": 0}, {"curve_budget": 0}])
+    def test_limits_validated(self, bad):
+        with pytest.raises(ValueError):
+            AnalyzeOptions(**bad)
 
     def test_complex_field_accepted_and_reported(self):
         verdict = run(3, {"b1": 1}, k=2, options=AnalyzeOptions(field="complex"))

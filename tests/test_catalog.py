@@ -4,17 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from liptriv import (
-    CATALOG_INDICES,
-    CatalogError,
-    LIPSCHITZ,
-    NOT_LIPSCHITZ,
-    family_parameters,
-    format_matrix_germ,
-    normal_form,
-    random_direction,
-    theta_from_coefficients,
-)
+from liptriv import LIPSCHITZ, NOT_LIPSCHITZ, normal_form, random_direction
+from liptriv.catalog import CATALOG_INDICES, CatalogError, family_parameters
+from liptriv.doubling import format_matrix_germ
 
 
 class TestConstruction:
@@ -100,11 +92,6 @@ class TestTheta:
         nf = normal_form(5)
         theta = nf.theta({"a3": "2/3"})
         assert format_matrix_germ(theta) == "sym: 2/3*y, 0 ; 0, 0"
-
-    def test_module_level_helper_matches_method(self):
-        nf = normal_form(6)
-        coeffs = {"a4": 2, "a7": 1}
-        assert theta_from_coefficients(nf, coeffs) == nf.theta(coeffs)
 
     def test_zero_theta_is_constant_zero(self):
         nf = normal_form(2, k=2)

@@ -107,6 +107,32 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestLimits:
+    """Budgets and caps must be positive integers; anything else is a
+    usage error, never a silent default or a traceback."""
+
+    CATALOG = ("--catalog", "2", "--k", "2", "--theta", "c=1")
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("analyze", "--budget", "0"),
+            ("analyze", "--budget", "-3"),
+            ("analyze", "--max-exponent", "0"),
+            ("analyze", "--max-exponent", "-1"),
+            ("check-inclusion", "--max-pairs", "0"),
+            ("check-inclusion", "--max-degree", "0"),
+            ("reproduce-table", "--budget", "0"),
+        ],
+    )
+    def test_non_positive_rejected(self, capsys, command, flag, value):
+        catalog = () if command == "reproduce-table" else self.CATALOG
+        code, out, err = run(capsys, command, *catalog, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
+
 class TestNormalSpace:
     def test_basis_matrices_listed(self, capsys):
         code, out, _ = run(
@@ -120,6 +146,15 @@ class TestNormalSpace:
             if "sym:" in line and not line.startswith("germ:")
         ]
         assert len(matrices) == 4
+
+    def test_general_germ_file(self, capsys, tmp_path):
+        germ = tmp_path / "germ.txt"
+        germ.write_text("vars: x, y\ngen: x, y^2 ; y, x\n")
+        code, out, err = run(capsys, "normal-space", "--germ-file", str(germ))
+        assert code == 0
+        assert "normal space dimension: 3" in out
+        assert "E(2,1): gen: 0, 0 ; 1, 0" in out
+        assert err == ""
 
     def test_json_payload(self, capsys, tmp_path):
         out_path = tmp_path / "ns.json"

@@ -4,21 +4,20 @@ import math
 
 import pytest
 
-from liptriv import (
+from liptriv import RingContext, normal_form
+from liptriv.curves import (
     CurveSearchConfig,
-    RingContext,
+    Witness,
     closure_test,
-    double_ideal,
     enumerate_test_curves,
     format_curve,
-    normal_form,
     parse_curve,
-    parse_polynomial,
     pullback,
     pullback_dense,
     pullback_ideal,
 )
-from liptriv.curves import Witness
+from liptriv.doubling import double_ideal
+from liptriv.rings import parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
 
@@ -142,7 +141,8 @@ class TestEnumeration:
             assert t_arc.coeffs == t_mirror.coeffs
 
     def test_closure_test_finds_catalog_witness(self):
-        from liptriv import Witness, build_unfolding, unfolding_double_ideal
+        from liptriv import unfolding_double_ideal
+        from liptriv.doubling import build_unfolding
 
         nf = normal_form(3, k=2)
         u = build_unfolding(nf.matrix, nf.theta({"b1": 1}))
@@ -153,7 +153,7 @@ class TestEnumeration:
         assert result.element_order < result.ideal_order
 
     def test_closure_test_zero_element_trivial(self):
-        from liptriv import SearchReport
+        from liptriv.curves import SearchReport
 
         ideal = double_ideal(
             [parse_polynomial("x", RingContext(("x", "y")))]
@@ -164,7 +164,9 @@ class TestEnumeration:
         assert not report.budget_exhausted
 
     def test_budget_exhaustion_reported(self):
-        from liptriv import SearchReport, build_unfolding, unfolding_double_ideal
+        from liptriv import unfolding_double_ideal
+        from liptriv.curves import SearchReport
+        from liptriv.doubling import build_unfolding
 
         nf = normal_form(1, k=4, l=2)
         u = build_unfolding(nf.matrix, nf.theta({"a3": 1}))
@@ -208,7 +210,8 @@ class TestCatalogProbeCurves:
 
     @pytest.mark.parametrize("index,params,expected", EXPECTED_PROBE_ORDERS)
     def test_probe_curve_ideal_order(self, index, params, expected):
-        from liptriv import build_unfolding, unfolding_double_ideal
+        from liptriv import unfolding_double_ideal
+        from liptriv.doubling import build_unfolding
 
         nf = normal_form(index, **params)
         ones = {name: 1 for name in nf.coefficient_names()}

@@ -17,7 +17,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import ExponentOverflow, Polynomial, RingContext, divide
+from liptriv import RingContext
+from liptriv.groebner import divide
+from liptriv.rings import ExponentOverflow, Polynomial
 from tests.oracles import reference_divide
 
 RINGS = [

@@ -42,7 +42,7 @@ def _search_record(report):
         else {
             "max_exponent": config.max_exponent,
             "coefficients": [str(c) for c in config.coefficients],
-            "share_parameter": config.share_parameter,
+            "share_parameter": config.parameter is not None,
             "parameter": config.parameter,
         },
     }

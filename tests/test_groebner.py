@@ -2,19 +2,18 @@
 
 import pytest
 
-from liptriv import (
+from liptriv import RingContext
+from liptriv.groebner import (
     BudgetExceeded,
-    ExponentOverflow,
     GroebnerBudget,
     Ideal,
-    RingContext,
     buchberger,
     divide,
     ideal_member,
     membership_certificate,
-    parse_polynomial,
     s_polynomial,
 )
+from liptriv.rings import ExponentOverflow, parse_polynomial
 
 XY = RingContext(("x", "y"))
 

@@ -14,8 +14,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liptriv import buchberger, normal_form, random_direction  # noqa: E402
+from liptriv import normal_form, random_direction  # noqa: E402
 from liptriv.doubling import build_unfolding, unfolding_double_ideal  # noqa: E402
+from liptriv.groebner import buchberger  # noqa: E402
 
 
 def cells():

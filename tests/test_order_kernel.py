@@ -14,23 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import (
+from liptriv import RingContext, normal_form, unfolding_double_ideal
+from liptriv.curves import (
     CurveSearchConfig,
-    Polynomial,
-    RingContext,
     SearchReport,
     Witness,
-    build_unfolding,
     closure_test,
     enumerate_test_curves,
     format_curve,
-    normal_form,
-    parse_polynomial,
     pullback_dense,
-    unfolding_double_ideal,
 )
-from liptriv.analyzer import _theta_double_ideal
 from liptriv.curves import _monomial_curve, _OrderKernel
+from liptriv.doubling import build_unfolding, direction_double_ideal
+from liptriv.rings import Polynomial, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
 ARC_COEFFICIENTS = (-2, -1, 0, Fraction(1, 2), Fraction(-3, 2), 1, 2)
@@ -144,7 +140,7 @@ def test_closure_test_matches_reference_search(
     config = CurveSearchConfig(
         max_exponent=max_exponent, coefficients=coefficients, parameter="t"
     )
-    elements = list(_theta_double_ideal(u).generators) + [
+    elements = list(direction_double_ideal(u).generators) + [
         parse_polynomial(text, ideal.ring)
         for text in ("x - x'", "x*y - x'*y'", "y^2 - y'^2")
     ]

@@ -8,8 +8,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import Polynomial, RingContext, UnivariatePoly, double_of, substitute
-from liptriv.rings import inject_into
+from liptriv import RingContext
+from liptriv.doubling import double_of
+from liptriv.rings import Polynomial, UnivariatePoly, inject_into, substitute
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()

@@ -14,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import (
-    BudgetExceeded,
-    ExponentOverflow,
-    Polynomial,
-    RingContext,
-    buchberger,
-    parse_polynomial,
-)
+from liptriv import RingContext
+from liptriv.groebner import BudgetExceeded, buchberger
+from liptriv.rings import ExponentOverflow, Polynomial, parse_polynomial
 
 RINGS = [
     RingContext(("x", "y", "z")),

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from liptriv import (
+from liptriv import RingContext
+from liptriv.rings import (
     DEFAULT_EXPONENT_CAP,
     ExponentOverflow,
     ParseError,
     Polynomial,
-    RingContext,
     RingError,
     parse_polynomial,
     partial_derivative,

@@ -7,11 +7,13 @@ import pytest
 
 from liptriv import (
     RingContext,
-    RingError,
-    entries_cut_reduced_origin,
     normal_form,
     normal_space_basis,
     parse_matrix_germ,
+)
+from liptriv.rings import RingError
+from liptriv.tangent import (
+    entries_cut_reduced_origin,
     quotient_image_rank,
     tangent_generators,
 )
@@ -45,10 +47,36 @@ class TestTangentGenerators:
         for g in tangent_generators(F):
             assert g.symmetric
 
-    def test_two_sided_on_symmetric_rejected(self):
-        F = germ("sym: y^2, x ; x, y^3")
-        with pytest.raises(RingError):
-            tangent_generators(F, action="two-sided")
+
+class TestTwoSidedAction:
+    """General (``gen:``) germs get the two-sided action ``A F B``."""
+
+    def test_generator_count(self):
+        # 2 partials + n^2 left + m^2 right elementary directions
+        F = germ("gen: x, y^2 ; y, x")
+        assert len(tangent_generators(F)) == 2 + 4 + 4
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_by_one_power(self, k):
+        result = normal_space_basis(germ(f"gen: x^{k}", RingContext(("x",))))
+        assert result.codimension == k - 1
+        expected = ["E(1,1)"] + [
+            f"{'x' if i == 1 else f'x^{i}'}*E(1,1)" for i in range(1, k - 1)
+        ]
+        assert list(result.basis_labels) == expected
+        assert result.stable is True
+
+    @pytest.mark.parametrize(
+        "text,labels",
+        [
+            ("gen: x^2 + y^3", ("E(1,1)", "y*E(1,1)")),
+            ("gen: x, y^2 ; y, x", ("E(1,1)", "E(1,2)", "E(2,1)")),
+        ],
+    )
+    def test_labels(self, text, labels):
+        result = normal_space_basis(germ(text))
+        assert result.basis_labels == labels
+        assert result.stable is True
 
 
 class TestNormalSpaceBasis:
