@@ -35,7 +35,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .catalog import LIPSCHITZ, NOT_LIPSCHITZ, normal_form, random_direction
+from .catalog import (
+    LIPSCHITZ,
+    NOT_LIPSCHITZ,
+    catalog_parameters,
+    normal_form,
+    random_direction,
+)
 from .curves import (
     AuditError,
     CurveSearchConfig,
@@ -159,13 +165,24 @@ def _membership_json(generator: Polynomial, pairs) -> dict:
     }
 
 
+def _memberships(generators, ideal: Ideal, budget: GroebnerBudget) -> list | None:
+    """Certified memberships of every generator, or None at the first miss."""
+    shown = []
+    for g in generators:
+        pairs = membership_certificate(g, ideal, budget)
+        if pairs is None:
+            return None
+        shown.append(_membership_json(g, pairs))
+    return shown
+
+
 def _diagonal_route(
     u: Unfolding,
     total: DoubledIdeal,
     theta: DoubledIdeal,
     budget: GroebnerBudget,
 ) -> dict | None:
-    """Certificates for the chain through the diagonal ideal, or None.
+    """Membership blocks for the chain through the diagonal ideal, or None.
 
     Both steps are exact memberships: every generator of the direction
     ideal falls in the diagonal ideal, and every variable difference of
@@ -174,41 +191,23 @@ def _diagonal_route(
     certificate stands on division alone.
     """
     ring = total.ring
-    diagonal = diagonal_ideal(ring)
-    into_diagonal = []
-    for g in theta.generators:
-        pairs = membership_certificate(g, diagonal, budget)
-        if pairs is None:
-            return None
-        into_diagonal.append(_membership_json(g, pairs))
-    differences = []
-    for name in u.extended_ring.variables:
-        diff = ring.variable(name) - ring.variable(primed(name))
-        pairs = membership_certificate(diff, total, budget)
-        if pairs is None:
-            return None
-        differences.append(_membership_json(diff, pairs))
+    into_diagonal = _memberships(theta.generators, diagonal_ideal(ring), budget)
+    if into_diagonal is None:
+        return None
+    differences = _memberships(
+        (
+            ring.variable(name) - ring.variable(primed(name))
+            for name in u.extended_ring.variables
+        ),
+        total,
+        budget,
+    )
+    if differences is None:
+        return None
     return {
         "route": "diagonal",
         "direction_into_diagonal": into_diagonal,
         "diagonal_into_family": differences,
-        "groebner_basis": [str(p) for p in total.groebner_basis(budget)],
-    }
-
-
-def _inclusion_route(
-    total: DoubledIdeal, theta: DoubledIdeal, budget: GroebnerBudget
-) -> dict | None:
-    memberships = []
-    for g in theta.generators:
-        pairs = membership_certificate(g, total, budget)
-        if pairs is None:
-            return None
-        memberships.append(_membership_json(g, pairs))
-    return {
-        "route": "inclusion",
-        "memberships": memberships,
-        "groebner_basis": [str(p) for p in total.groebner_basis(budget)],
     }
 
 
@@ -288,23 +287,21 @@ def analyze(
     theta = direction_double_ideal(u)
     assert theta is not None  # nonconstant direction has a nonzero double
 
-    inclusion_data: dict | None = None
-    inclusion_known: bool | None = None  # None: budget ran out
-    diagonal_data: dict | None = None
-
+    proof: dict | None = None  # the first route that certified inclusion
+    budget_out = False
+    budget = options.groebner_budget
     clock = time.perf_counter()
     try:
         if entries_cut_reduced_origin(base):
-            diagonal_data = _diagonal_route(
-                u, total, theta, options.groebner_budget
-            )
-        if diagonal_data is None:
-            inclusion_data = _inclusion_route(
-                total, theta, options.groebner_budget
-            )
-            inclusion_known = inclusion_data is not None
+            proof = _diagonal_route(u, total, theta, budget)
+        if proof is None:
+            memberships = _memberships(theta.generators, total, budget)
+            if memberships is not None:
+                proof = {"route": "inclusion", "memberships": memberships}
+        if proof is not None:
+            proof["groebner_basis"] = [str(p) for p in total.groebner_basis(budget)]
     except BudgetExceeded:
-        pass  # Inconclusive is the worst case, never a crash
+        budget_out = True  # Inconclusive is the worst case, never a crash
     timings["groebner"] = time.perf_counter() - clock
 
     witness = None
@@ -313,10 +310,7 @@ def analyze(
         max_exponent=options.max_exponent or max(4, base.entry_max_degree() + 2),
         parameter=PARAMETER,
     )
-    need_search = options.audit or (
-        diagonal_data is None and inclusion_data is None
-    )
-    if need_search:
+    if options.audit or proof is None:
         clock = time.perf_counter()
         witness, searches = _search_route(
             total, theta, config, options.curve_budget
@@ -327,30 +321,22 @@ def analyze(
     if options.audit:
         audit_info = {
             "inclusion_shown": (
-                True if (diagonal_data or inclusion_data) else inclusion_known
+                True if proof is not None else (None if budget_out else False)
             ),
             "witness_found": witness is not None,
         }
-        if audit_info["inclusion_shown"] and witness is not None:
+        if proof is not None and witness is not None:
             raise AuditError(
                 "inclusion certificate and closure witness for the same "
                 "family: membership implies closure membership, so one "
                 "of the two computations is wrong"
             )
 
-    if diagonal_data is not None:
+    if proof is not None:
         return verdict(
             LIPSCHITZ,
-            "diagonal",
-            {"type": "inclusion", "data": diagonal_data},
-            searches=searches,
-            audit=audit_info,
-        )
-    if inclusion_data is not None:
-        return verdict(
-            LIPSCHITZ,
-            "inclusion",
-            {"type": "inclusion", "data": inclusion_data},
+            proof["route"],
+            {"type": "inclusion", "data": proof},
             searches=searches,
             audit=audit_info,
         )
@@ -388,7 +374,7 @@ def analyze(
                 }
                 for g, rep in zip(theta.generators, searches)
             ],
-            "inclusion_budget_exhausted": inclusion_known is None,
+            "inclusion_budget_exhausted": budget_out,
         },
     }
     return verdict(INCONCLUSIVE, "search", cert, searches=searches, audit=audit_info)
@@ -521,17 +507,6 @@ class TableReport:
         }
 
 
-def _cell_parameters(max_k: int, max_l: int):
-    for k in range(1, max_k + 1):
-        for l in range(2, max_l + 1):
-            yield 1, k, l
-    for index in (2, 3, 4):
-        for k in range(2, max_k + 1):
-            yield index, k, None
-    yield 5, None, None
-    yield 6, None, None
-
-
 def _cell_directions(nf):
     for name in nf.coefficient_names():
         yield f"{name}=1", {name: Fraction(1)}
@@ -551,12 +526,14 @@ def reproduce_catalog_table(
     passes when the pipeline verdict matches the classification rule;
     directions the classification leaves open are recorded with
     ``passed=None`` and never count as failures.  Grading is exact:
-    an Inconclusive outcome on a decided direction is a failure.
+    an Inconclusive outcome on a decided direction is a failure.  The
+    grid is :func:`~liptriv.catalog.catalog_parameters` (``max_k`` and
+    ``max_l`` at least 2).
     """
     options = options or AnalyzeOptions()
     started = time.perf_counter()
     cells = []
-    for index, k, l in _cell_parameters(max_k, max_l):
+    for index, k, l in catalog_parameters(max_k, max_l):
         nf = normal_form(index, k=k, l=l)
         cell_options = options
         if options.max_exponent is None:

@@ -21,6 +21,7 @@ verdict.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ __all__ = [
     "PARAMETER",
     "SOURCE_RING",
     "CatalogError",
+    "catalog_parameters",
     "family_parameters",
     "normal_form",
     "random_direction",
@@ -50,16 +52,11 @@ NOT_LIPSCHITZ = "NotLipschitz"
 
 SOURCE_RING = RingContext(("x", "y"))
 
-CATALOG_INDICES = (1, 2, 3, 4, 5, 6)
+# Per family, the smallest value of each integer parameter it takes, in
+# the order the parameters vary in the catalog grid.
+_MINIMUMS = {1: {"k": 1, "l": 2}, 2: {"k": 2}, 3: {"k": 2}, 4: {"k": 2}, 5: {}, 6: {}}
 
-_FAMILY_PARAMETERS = {
-    1: ("k", "l"),
-    2: ("k",),
-    3: ("k",),
-    4: ("k",),
-    5: (),
-    6: (),
-}
+CATALOG_INDICES = tuple(_MINIMUMS)
 
 
 class CatalogError(ValueError):
@@ -157,9 +154,38 @@ class NormalForm:
 
 def family_parameters(index: int) -> tuple[str, ...]:
     """Names of the integer parameters the family takes ("k", "l")."""
-    if index not in _FAMILY_PARAMETERS:
+    if index not in _MINIMUMS:
         raise CatalogError(f"catalog index must be 1..6, got {index}")
-    return _FAMILY_PARAMETERS[index]
+    return tuple(_MINIMUMS[index])
+
+
+def _requirement(index: int) -> str:
+    bounds = " and ".join(f"{n} >= {low}" for n, low in _MINIMUMS[index].items())
+    return f"family {index} needs {bounds}"
+
+
+def catalog_parameters(max_k: int, max_l: int) -> list[tuple]:
+    """Every ``(family, k, l)`` of the catalog grid, in table order.
+
+    Families in index order; inside a family each parameter runs from
+    its minimum up to ``max_k`` or ``max_l``, ``k`` in the outer loop.
+    Parameters a family does not take are ``None``.  A limit that leaves
+    some family without cells is a :class:`CatalogError`, raised before
+    any cell is returned.
+    """
+    limits = {"k": max_k, "l": max_l}
+    cells = []
+    for index, minimums in _MINIMUMS.items():
+        ranges = [range(low, limits[n] + 1) for n, low in minimums.items()]
+        if not all(ranges):
+            raise CatalogError(
+                f"max_k = {max_k}, max_l = {max_l} leave no cells: "
+                + _requirement(index)
+            )
+        for values in itertools.product(*ranges):
+            given = dict(zip(minimums, values))
+            cells.append((index, given.get("k"), given.get("l")))
+    return cells
 
 
 def _germ(text: str) -> MatrixGerm:
@@ -172,8 +198,6 @@ def _diag(name: str, i: int, power_of: str, exp: int) -> CoefficientSlot:
 
 
 def _row1(k: int, l: int) -> NormalForm:
-    if k < 1 or l < 2:
-        raise CatalogError("family 1 needs k >= 1 and l >= 2")
     slots = [_diag(f"a{i}", 0, "y", i) for i in range(k)]
     slots += [_diag(f"b{j}", 1, "y", j) for j in range(l - 1)]
     r = min(k, l)
@@ -208,8 +232,6 @@ def _row1(k: int, l: int) -> NormalForm:
 
 
 def _row2(k: int) -> NormalForm:
-    if k < 2:
-        raise CatalogError("family 2 needs k >= 2")
     slots = [
         CoefficientSlot("a", (0, 0), (0, 0)),
         CoefficientSlot("b", (0, 1), (0, 0)),
@@ -235,8 +257,6 @@ def _row2(k: int) -> NormalForm:
 
 
 def _row3(k: int) -> NormalForm:
-    if k < 2:
-        raise CatalogError("family 3 needs k >= 2")
     slots = [CoefficientSlot("a", (0, 1), (0, 0))]
     slots += [_diag(f"a{i}", 0, "y", i) for i in range(k - 1)]
     slots += [_diag(f"b{j}", 1, "y", j) for j in range(k)]
@@ -262,8 +282,6 @@ def _row3(k: int) -> NormalForm:
 
 
 def _row4(k: int) -> NormalForm:
-    if k < 2:
-        raise CatalogError("family 4 needs k >= 2")
     slots = [CoefficientSlot("a", (0, 0), (0, 0))]
     slots += [_diag(f"a{i}", 0, "y", i) for i in range(1, k)]
     slots += [CoefficientSlot("b", (0, 1), (0, 0))]
@@ -343,6 +361,9 @@ def _row6() -> NormalForm:
     )
 
 
+_ROWS = {1: _row1, 2: _row2, 3: _row3, 4: _row4, 5: _row5, 6: _row6}
+
+
 def normal_form(index: int, k: int | None = None, l: int | None = None) -> NormalForm:
     """Catalog entry ``index`` (1..6) at parameters ``k`` and ``l``.
 
@@ -359,17 +380,10 @@ def normal_form(index: int, k: int | None = None, l: int | None = None) -> Norma
             raise CatalogError(
                 f"catalog entry {index} takes no parameter {name}"
             )
-    if index == 1:
-        return _row1(k, l)
-    if index == 2:
-        return _row2(k)
-    if index == 3:
-        return _row3(k)
-    if index == 4:
-        return _row4(k)
-    if index == 5:
-        return _row5()
-    return _row6()
+    params = {name: given[name] for name in wanted}
+    if any(params[n] < low for n, low in _MINIMUMS[index].items()):
+        raise CatalogError(_requirement(index))
+    return _ROWS[index](**params)
 
 
 def random_direction(nf: NormalForm, seed: int = 0) -> dict[str, Fraction]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +36,7 @@ from pathlib import Path
 from .analyzer import (
     INCONCLUSIVE,
     AnalyzeOptions,
+    _order_json,
     analyze,
     reproduce_catalog_table,
 )
@@ -149,8 +149,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-inclusion", help="inclusion route alone")
     germ_flags(p)
-    p.add_argument("--max-pairs", type=_positive_int, default=20_000)
-    p.add_argument("--max-degree", type=_positive_int, default=48)
+    budget = AnalyzeOptions.groebner_budget
+    p.add_argument("--max-pairs", type=_positive_int, default=budget.max_pairs)
+    p.add_argument("--max-degree", type=_positive_int, default=budget.max_degree)
 
     p = sub.add_parser("reproduce-table", help="grade the whole catalog")
     p.add_argument("--max-k", type=int, default=4)
@@ -217,31 +218,22 @@ def _resolve_inputs(args, need_direction=True):
     if not need_direction:
         return base, None, nf, None
 
-    theta_sources = [
-        s
-        for s in (
-            getattr(args, "theta", None),
-            getattr(args, "theta_file", None),
-            getattr(args, "random_direction", False) or None,
-        )
-        if s
-    ]
-    if len(theta_sources) > 1:
+    if sum(map(bool, (args.theta, args.theta_file, args.random_direction))) > 1:
         raise _UsageError(
             "--theta, --theta-file, and --random-direction are exclusive"
         )
     labels = None
-    if getattr(args, "theta", None):
+    if args.theta:
         if nf is None:
             raise _UsageError("--theta names catalog coefficients; use "
                               "--theta-file with --germ-file")
         labels = _parse_theta_text(args.theta)
         direction = nf.theta(labels)
-    elif getattr(args, "theta_file", None):
+    elif args.theta_file:
         direction = _read_germ_file(args.theta_file)
         if direction.ring != base.ring:
             raise _UsageError("direction file must use the germ's variables")
-    elif getattr(args, "random_direction", False):
+    elif args.random_direction:
         if nf is None:
             raise _UsageError("--random-direction needs --catalog")
         labels = random_direction(nf)
@@ -254,10 +246,6 @@ def _resolve_inputs(args, need_direction=True):
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _order_text(order) -> str:
-    return "infinity" if order == math.inf else str(order)
 
 
 def _cmd_analyze(args) -> int:
@@ -334,8 +322,8 @@ def _cmd_pullback(args) -> int:
     curve = parse_curve(args.curve, ideal.ring)
     summary = pullback_ideal(curve, ideal)
     for generator, order in zip(ideal.generators, summary.generator_orders):
-        print(f"generator: {generator} -> order {_order_text(order)}")
-    print(f"ideal order: {_order_text(summary.ideal_order)}")
+        print(f"generator: {generator} -> order {_order_json(order)}")
+    print(f"ideal order: {_order_json(summary.ideal_order)}")
     return _EXIT_OK
 
 

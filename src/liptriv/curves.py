@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .groebner import Ideal
+from .groebner import Ideal, _integer_terms
 from .rings import (
     ParseError,
     Polynomial,
@@ -323,8 +323,7 @@ class _OrderKernel:
     __slots__ = ("terms", "top", "_groups", "_values")
 
     def __init__(self, p: Polynomial):
-        scale = math.lcm(*(c.denominator for _, c in p.terms))
-        self.terms = [(exps, int(c * scale)) for exps, c in p.terms]
+        _, self.terms = _integer_terms(p.terms)
         self.top = [max(col) for col in zip(*(exps for exps, _ in p.terms))]
         self._groups: dict = {}
         self._values: dict = {}

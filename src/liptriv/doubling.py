@@ -47,7 +47,6 @@ __all__ = [
     "format_matrix_germ",
     "merged_parameter_view",
     "parse_matrix_germ",
-    "unfolding_components",
     "unfolding_double_ideal",
 ]
 
@@ -103,24 +102,13 @@ class MatrixGerm:
     def ncols(self) -> int:
         return len(self.entries[0])
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
     def component_list(self) -> list[Polynomial]:
-        """The independent scalar components, in row-major order.
-
-        For a symmetric germ that is the upper triangle including the
-        diagonal; otherwise every entry.
-        """
-        if self.symmetric:
-            return [
-                self.entries[i][j]
-                for i in range(self.nrows)
-                for j in range(i, self.ncols)
-            ]
-        return [e for row in self.entries for e in row]
+        """The independent scalar components, at :meth:`component_positions`."""
+        return [self.entries[i][j] for i, j in self.component_positions()]
 
     def component_positions(self) -> list[tuple[int, int]]:
+        """Row-major positions of the independent components: the upper
+        triangle with the diagonal for a symmetric germ, else every entry."""
         if self.symmetric:
             return [
                 (i, j) for i in range(self.nrows) for j in range(i, self.ncols)
@@ -233,21 +221,16 @@ class DoubledIdeal(Ideal):
     """Ideal on a doubled ring whose generators vanish on the diagonal.
 
     The diagonal condition is structural for difference ideals, so it is
-    validated once at construction instead of trusted.
+    validated once at construction instead of trusted.  The undoubled
+    ring is ``ring.half()``.
     """
 
-    __slots__ = ("source",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        ring: RingContext,
-        generators: Iterable[Polynomial],
-        source: RingContext | None = None,
-    ):
+    def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         if not ring.doubled:
             raise RingError("a doubled ideal needs a doubled ring")
         super().__init__(ring, generators)
-        self.source = source or ring.half()
         for g in self.generators:
             if not diagonal_collapse(g).is_zero:
                 raise RingError(
@@ -255,31 +238,30 @@ class DoubledIdeal(Ideal):
                 )
 
 
-def double_ideal(
-    components: Sequence[Polynomial], source: RingContext | None = None
-) -> DoubledIdeal:
-    """The ideal generated by the doubles of the given components."""
+def double_ideal(components: Sequence[Polynomial]) -> DoubledIdeal:
+    """The ideal generated by the doubles of the given components.
+
+    The components must share one undoubled ring; the ideal lives on its
+    doubled extension.
+    """
     components = list(components)
     if not components:
         raise RingError("need at least one component to double")
-    src = source or components[0].ring
+    src = components[0].ring
     for c in components:
         if c.ring != src:
             raise RingError("components must share the source ring")
-    return DoubledIdeal(
-        src.doubled_extension(), [double_of(c) for c in components], source=src
-    )
+    return DoubledIdeal(src.doubled_extension(), [double_of(c) for c in components])
 
 
 def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
     """The ideal of the diagonal, generated by ``v - v'`` per variable."""
     if not ring.doubled:
         raise RingError("the diagonal lives in a doubled ring")
-    source = ring.half()
     gens = [
-        ring.variable(v) - ring.variable(primed(v)) for v in source.variables
+        ring.variable(v) - ring.variable(primed(v)) for v in ring.half().variables
     ]
-    return DoubledIdeal(ring, gens, source=source)
+    return DoubledIdeal(ring, gens)
 
 
 @dataclass(frozen=True)
@@ -323,19 +305,16 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
     return Unfolding(PARAMETER, base, direction, lifted_base + lifted_dir.scale(t))
 
 
-def unfolding_components(u: Unfolding) -> list[Polynomial]:
-    """The parameter itself, then every matrix component of the family."""
-    return [u.extended_ring.variable(u.parameter)] + u.total.component_list()
-
-
 def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
     """Difference ideal of the family, parameter included.
 
-    The parameter contributes its own difference, so the doubled ring
-    always carries the relation between the two parameter copies rather
-    than assuming them equal.
+    The generators are the doubles of the parameter itself and then of
+    every matrix component of the family.  The parameter contributes
+    its own difference, so the doubled ring always carries the relation
+    between the two parameter copies rather than assuming them equal.
     """
-    return double_ideal(unfolding_components(u), source=u.extended_ring)
+    parameter = u.extended_ring.variable(u.parameter)
+    return double_ideal([parameter] + u.total.component_list())
 
 
 def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
@@ -344,7 +323,7 @@ def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
     components = [c for c in theta.component_list() if not c.is_zero]
     if not components:
         return None
-    return double_ideal(components, source=u.extended_ring)
+    return double_ideal(components)
 
 
 def merged_parameter_view(

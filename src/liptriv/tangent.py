@@ -44,43 +44,28 @@ def tangent_generators(F: MatrixGerm) -> list[MatrixGerm]:
     The action follows the germ's symmetry: congruence ``A F A^T`` if
     it is symmetric, ``A F B`` otherwise.  The list holds the partial
     derivative of ``F`` along every source variable, then the image of
-    every elementary matrix under the linearised matrix action.
+    every elementary matrix under the linearised matrix action: for
+    ``A F B`` the left products ``E(a,b)·F`` and then the right products
+    ``F·E(a,b)``; for congruence ``E(a,b)·F + F·E(b,a)``, the derivative
+    of ``(1 + sE) F (1 + sE)^T`` at ``s = 0``.
     """
-    ring = F.ring
-    gens = [F.derivative(name) for name in ring.variables]
     n, m = F.nrows, F.ncols
-    zero = ring.zero()
+    zero = F.ring.zero()
+
+    def left(a: int, b: int) -> list:  # rows of E(a,b)·F, E(a,b) of size n
+        return [[F.entries[b][j] if i == a else zero for j in range(m)] for i in range(n)]
+
+    def right(a: int, b: int) -> list:  # rows of F·E(a,b), E(a,b) of size m
+        return [[F.entries[i][a] if j == b else zero for j in range(m)] for i in range(n)]
+
+    gens = [F.derivative(name) for name in F.ring.variables]
     if F.symmetric:
-        for a in range(n):
-            for b in range(n):
-                rows = []
-                for i in range(n):
-                    row = []
-                    for j in range(n):
-                        e = zero
-                        if i == a:
-                            e = e + F.entries[b][j]
-                        if j == a:
-                            e = e + F.entries[i][b]
-                        row.append(e)
-                    rows.append(tuple(row))
-                gens.append(MatrixGerm(tuple(rows), symmetric=True))
+        for a, b in itertools.product(range(n), repeat=2):
+            rows = [list(map(add, *pair)) for pair in zip(left(a, b), right(b, a))]
+            gens.append(MatrixGerm(rows, symmetric=True))
         return gens
-    for a in range(n):
-        for b in range(n):
-            rows = tuple(
-                tuple(F.entries[b][j] if i == a else zero for j in range(m))
-                for i in range(n)
-            )
-            gens.append(MatrixGerm(rows))
-    for a in range(m):
-        for b in range(m):
-            rows = tuple(
-                tuple(F.entries[i][a] if j == b else zero for j in range(m))
-                for i in range(n)
-            )
-            gens.append(MatrixGerm(rows))
-    return gens
+    gens += [MatrixGerm(left(a, b)) for a in range(n) for b in range(n)]
+    return gens + [MatrixGerm(right(a, b)) for a in range(m) for b in range(m)]
 
 
 def jet_monomials(ring: RingContext, degree: int) -> list[Monomial]:

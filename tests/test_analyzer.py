@@ -20,6 +20,7 @@ from liptriv import (
     verify_inclusion_certificate,
     verify_witness_dense,
 )
+from liptriv.catalog import CatalogError
 from liptriv.groebner import GroebnerBudget
 
 
@@ -172,6 +173,23 @@ class TestAudit:
         assert verdict.audit is not None
         assert verdict.audit["witness_found"] is False
 
+    def test_audit_records_exhausted_budget_as_unknown(self):
+        options = AnalyzeOptions(
+            groebner_budget=GroebnerBudget(max_pairs=1, max_degree=48),
+            curve_budget=50,
+            max_exponent=2,
+            audit=True,
+        )
+        verdict = run(2, {"d1": 1}, k=4, options=options)
+        assert verdict.route == "search"
+        assert verdict.audit["inclusion_shown"] is None
+        assert verdict.certificate["data"]["inclusion_budget_exhausted"] is True
+
+    def test_audit_records_failed_inclusion_as_false(self):
+        verdict = run(2, {"c": 1}, k=3, options=AnalyzeOptions(audit=True))
+        assert verdict.outcome == NOT_LIPSCHITZ
+        assert verdict.audit == {"inclusion_shown": False, "witness_found": True}
+
     def test_audit_off_by_default(self):
         verdict = run(2, {"d1": 1}, k=3)
         assert verdict.audit is None
@@ -208,6 +226,11 @@ class TestTableReproduction:
         assert report.all_passed
         assert report.counts["failed"] == 0
         assert len(report.cells) == 45
+
+    @pytest.mark.parametrize("max_k,max_l", [(-2, 1), (1, 4), (4, 1)])
+    def test_limits_that_drop_a_family_rejected(self, max_k, max_l):
+        with pytest.raises(CatalogError):
+            reproduce_catalog_table(max_k, max_l)
 
     def test_cells_in_deterministic_order(self):
         first = reproduce_catalog_table(2, 2)

@@ -1,11 +1,18 @@
 """Catalog construction, coefficient handling, and verdict rules."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liptriv import LIPSCHITZ, NOT_LIPSCHITZ, normal_form, random_direction
-from liptriv.catalog import CATALOG_INDICES, CatalogError, family_parameters
+from liptriv.catalog import (
+    CATALOG_INDICES,
+    CatalogError,
+    catalog_parameters,
+    family_parameters,
+)
 from liptriv.doubling import format_matrix_germ
 
 
@@ -55,6 +62,12 @@ class TestConstruction:
         for index in (2, 3, 4):
             with pytest.raises(CatalogError):
                 normal_form(index, k=1)
+
+    def test_range_error_names_every_minimum(self):
+        with pytest.raises(CatalogError, match="family 1 needs k >= 1 and l >= 2"):
+            normal_form(1, k=1, l=1)
+        with pytest.raises(CatalogError, match="family 3 needs k >= 2"):
+            normal_form(3, k=0)
 
     def test_discriminant_labels(self):
         assert normal_form(1, k=2, l=3).discriminant == "A6"
@@ -183,3 +196,28 @@ class TestRandomDirection:
         for seed in range(12):
             for v in random_direction(nf, seed=seed).values():
                 assert -2 <= v <= 2
+
+
+class TestGrid:
+    def test_order_matches_golden_table(self):
+        fixture = Path(__file__).with_name("golden_table.json")
+        cells = json.loads(fixture.read_text())["plain"]
+        seen = []
+        for entry in cells:
+            key = (entry["cell"]["family"], entry["cell"]["k"], entry["cell"]["l"])
+            if key not in seen:
+                seen.append(key)
+        assert catalog_parameters(4, 4) == seen
+
+    def test_smallest_grid(self):
+        assert catalog_parameters(2, 2) == [
+            (1, 1, 2), (1, 2, 2), (2, 2, None), (3, 2, None), (4, 2, None),
+            (5, None, None), (6, None, None),
+        ]
+
+    @pytest.mark.parametrize(
+        "max_k,max_l,family", [(-2, 1, 1), (0, 4, 1), (1, 4, 2), (4, 1, 1)]
+    )
+    def test_limit_below_a_minimum_rejected(self, max_k, max_l, family):
+        with pytest.raises(CatalogError, match=f"family {family} needs"):
+            catalog_parameters(max_k, max_l)

@@ -132,6 +132,19 @@ class TestLimits:
         assert out == ""
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize(
+        "max_k,max_l",
+        [("-2", "1"), ("1", "4"), ("4", "1"), ("0", "0")],
+    )
+    def test_table_limits_below_a_family_rejected(self, capsys, max_k, max_l):
+        # a limit under some family's minimum would drop it without a trace
+        code, out, err = run(
+            capsys, "reproduce-table", "--max-k", max_k, "--max-l", max_l
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "leave no cells" in err
+
 
 class TestNormalSpace:
     def test_basis_matrices_listed(self, capsys):

@@ -116,7 +116,7 @@ def theta_double_strings(nf, coeffs):
     u = build_unfolding(nf.matrix, nf.theta(coeffs))
     theta = u.total.derivative(u.parameter)
     components = [c for c in theta.component_list() if not c.is_zero]
-    ideal = double_ideal(components, source=u.extended_ring)
+    ideal = double_ideal(components)
     return {str(g) for g in ideal.generators}
 
 

@@ -48,6 +48,51 @@ class TestTangentGenerators:
             assert g.symmetric
 
 
+def elementary(size, a, b):
+    """The ``size`` x ``size`` matrix unit E(a,b), as rows of polynomials."""
+    return [
+        [XY.one() if (i, j) == (a, b) else XY.zero() for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def product(A, B):
+    """Plain matrix product of two lists of polynomial rows."""
+    inner, width = range(len(B)), range(len(B[0]))
+    return [
+        [sum((A[i][r] * B[r][j] for r in inner), XY.zero()) for j in width]
+        for i in range(len(A))
+    ]
+
+
+def rows(g):
+    return [list(row) for row in g.entries]
+
+
+class TestElementaryActions:
+    """Each generator after the partials is an explicit matrix product."""
+
+    def test_rectangular_germ_left_then_right_products(self):
+        # 2 x 3: the left units are 2 x 2, the right units 3 x 3
+        F = germ("gen: x, y^2, x*y ; y, x, y")
+        gens = tangent_generators(F)
+        assert len(gens) == 2 + 4 + 9
+        left = [product(elementary(2, a, b), rows(F)) for a in range(2) for b in range(2)]
+        right = [product(rows(F), elementary(3, a, b)) for a in range(3) for b in range(3)]
+        assert [rows(g) for g in gens[2:]] == left + right
+        assert not any(g.symmetric for g in gens)
+
+    def test_symmetric_generator_is_left_plus_transposed_right(self):
+        F = germ("sym: y^2, x ; x, y^3")
+        gens = tangent_generators(F)
+        for a in range(2):
+            for b in range(2):
+                EF = product(elementary(2, a, b), rows(F))
+                FEt = product(rows(F), elementary(2, b, a))
+                expected = [[p + q for p, q in zip(r, s)] for r, s in zip(EF, FEt)]
+                assert rows(gens[2 + 2 * a + b]) == expected
+
+
 class TestTwoSidedAction:
     """General (``gen:``) germs get the two-sided action ``A F B``."""
 
