@@ -16,8 +16,10 @@ By construction everything in such an ideal vanishes on the diagonal
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence, Union
 
 from .groebner import Ideal
@@ -26,6 +28,8 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
+    _check_cap,
+    _sorted_terms,
     inject_into,
     parse_polynomial,
     partial_derivative,
@@ -188,7 +192,9 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 def double_of(p: Polynomial) -> Polynomial:
     """``h(z) - h(z')`` on the doubled extension of ``p``'s ring.
 
-    Built directly on exponent vectors; constants cancel to zero.
+    Built canonical directly on exponent vectors: constants cancel and
+    are skipped, every other term gives two distinct monomials with the
+    exponents it had, and the terms are sorted once.
     """
     ring = p.ring
     if ring.doubled:
@@ -197,9 +203,10 @@ def double_of(p: Polynomial) -> Polynomial:
     zeros = (0,) * ring.arity
     terms = []
     for exps, coeff in p.terms:
-        terms.append((exps + zeros, coeff))
-        terms.append((zeros + exps, -coeff))
-    return Polynomial(doubled, terms)
+        if any(exps):
+            terms.append((exps + zeros, coeff))
+            terms.append((zeros + exps, -coeff))
+    return Polynomial._raw(doubled, _sorted_terms(doubled, terms))
 
 
 def diagonal_collapse(p: Polynomial) -> Polynomial:
@@ -210,11 +217,16 @@ def diagonal_collapse(p: Polynomial) -> Polynomial:
         raise RingError("diagonal collapse needs a doubled ring")
     source = ring.half()
     n = source.arity
-    terms = []
+    acc: dict = {}
     for exps, coeff in p.terms:
-        folded = tuple(exps[i] + exps[n + i] for i in range(n))
-        terms.append((folded, coeff))
-    return Polynomial(source, terms)
+        folded = tuple(map(add, exps[:n], exps[n:]))
+        total = acc.get(folded, 0) + coeff
+        if total:
+            acc[folded] = total
+        else:
+            acc.pop(folded, None)
+    _check_cap(source, acc)
+    return Polynomial._raw(source, _sorted_terms(source, acc.items()))
 
 
 class DoubledIdeal(Ideal):
@@ -255,9 +267,18 @@ def double_ideal(components: Sequence[Polynomial]) -> DoubledIdeal:
 
 
 def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
-    """The ideal of the diagonal, generated by ``v - v'`` per variable."""
+    """The ideal of the diagonal, generated by ``v - v'`` per variable.
+
+    Equal rings share one ideal, so its reduced basis is computed once
+    per process; a budget failure leaves it unset, like any ideal's.
+    """
     if not ring.doubled:
         raise RingError("the diagonal lives in a doubled ring")
+    return _diagonal_ideal(ring)
+
+
+@functools.cache
+def _diagonal_ideal(ring: RingContext) -> DoubledIdeal:
     gens = [
         ring.variable(v) - ring.variable(primed(v)) for v in ring.half().variables
     ]

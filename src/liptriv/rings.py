@@ -26,6 +26,7 @@ backs arc pullbacks, where only orders of vanishing matter.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -144,18 +145,21 @@ class RingContext:
         return exps
 
     def doubled_extension(self) -> "RingContext":
-        """The ring with a primed mirror appended for every variable."""
+        """The ring with a primed mirror appended for every variable.
+
+        Equal rings share one doubled extension, so the ring checks
+        downstream meet identical objects.
+        """
         if self.doubled:
             raise RingError("ring is already doubled")
-        mirror = tuple(primed(v) for v in self.variables)
-        return RingContext(self.variables + mirror, self.order, True, self.exponent_cap)
+        return _doubled_extension(self)
 
     def half(self) -> "RingContext":
-        """The original ring a doubled ring was built from."""
+        """The original ring a doubled ring was built from; equal doubled
+        rings share one."""
         if not self.doubled:
             raise RingError("ring is not doubled")
-        n = self.arity // 2
-        return RingContext(self.variables[:n], self.order, False, self.exponent_cap)
+        return _half(self)
 
     # -- convenience constructors ------------------------------------
 
@@ -171,10 +175,22 @@ class RingContext:
     def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.arity
         exps[self.index(name)] = 1
-        return Polynomial(self, [(tuple(exps), 1)])
+        return Polynomial._raw(self, ((tuple(exps), Fraction(1)),))
 
     def monomial(self, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial(self, [(tuple(exps), coeff)])
+
+
+@functools.cache
+def _doubled_extension(ring: RingContext) -> RingContext:
+    mirror = tuple(primed(v) for v in ring.variables)
+    return RingContext(ring.variables + mirror, ring.order, True, ring.exponent_cap)
+
+
+@functools.cache
+def _half(ring: RingContext) -> RingContext:
+    n = ring.arity // 2
+    return RingContext(ring.variables[:n], ring.order, False, ring.exponent_cap)
 
 
 class Polynomial:
@@ -182,12 +198,21 @@ class Polynomial:
 
     ``terms`` is a tuple of ``(exponents, coefficient)`` pairs sorted so
     the leading term (largest in the ring's monomial order) comes first.
-    The constructor is the entry point for outside input: it merges
-    duplicate monomials, drops zero coefficients, validates every
-    exponent vector against the ring and sorts.  Arithmetic results are
-    built canonical directly (a merge for ``+``/``-``, an exponent shift
-    for a product with one term, one sort for a general product) and
-    are checked only against the exponent cap.
+    The constructor is the entry point for outside input (the parser
+    among it): it merges duplicate monomials, drops zero coefficients,
+    validates every exponent vector against the ring and sorts.
+    Results computed from canonical polynomials are built canonical
+    directly through ``_raw`` and checked only against the exponent cap
+    where an exponent can grow:
+
+    * arithmetic: a merge for ``+``/``-``, an exponent shift for a
+      product with one term, one sort for a general product;
+    * :meth:`RingContext.variable` and :func:`partial_derivative`,
+      which keep the order as they are;
+    * :func:`inject_into`, one sort for the target order, cap checked;
+    * ``doubling.double_of``, one sort, and
+      ``doubling.diagonal_collapse``, folded monomials merged in a dict,
+      one sort, cap checked.
     """
 
     __slots__ = ("ring", "terms")
@@ -588,7 +613,12 @@ def _parse_term(stream: _TokenStream, ring: RingContext) -> tuple[Monomial, Frac
 
 
 def partial_derivative(p: Polynomial, name: str) -> Polynomial:
-    """Formal partial derivative with respect to the named variable."""
+    """Formal partial derivative with respect to the named variable.
+
+    Built canonical directly: lowering one exponent of every surviving
+    term keeps a monomial order and keeps the monomials distinct, and
+    ``coeff * e`` is nonzero over the rationals.
+    """
     idx = p.ring.index(name)
     terms = []
     for exps, coeff in p.terms:
@@ -596,7 +626,7 @@ def partial_derivative(p: Polynomial, name: str) -> Polynomial:
         if e:
             lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
             terms.append((lowered, coeff * e))
-    return Polynomial(p.ring, terms)
+    return Polynomial._raw(p.ring, tuple(terms))
 
 
 def substitute(
@@ -654,7 +684,9 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
     """Re-express ``p`` in ``target``, matching variables by name.
 
     Only variables that actually occur need to exist in the target, so a
-    polynomial can move into any ring that contains its support.
+    polynomial can move into any ring that contains its support.  The
+    renaming keeps monomials distinct, so the terms are only re-sorted
+    for the target's order and checked against its exponent cap.
     """
     if p.ring == target:
         return p
@@ -674,7 +706,8 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
                 )
             new[position[i]] = e
         terms.append((tuple(new), coeff))
-    return Polynomial(target, terms)
+    _check_cap(target, (e for e, _ in terms))
+    return Polynomial._raw(target, _sorted_terms(target, terms))
 
 
 # -- univariate arcs ---------------------------------------------------

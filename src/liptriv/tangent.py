@@ -21,11 +21,13 @@ the shape normal-form tables are written in.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
 
 from .doubling import MatrixGerm
+from .groebner import _integer_terms
 from .rings import Monomial, Polynomial, RingContext, RingError
 
 __all__ = [
@@ -107,26 +109,47 @@ def _class_group(pos: tuple[int, int], nrows: int) -> int:
 def _insert_row(pivots: dict, row: dict) -> bool:
     """Echelon insertion; returns whether the row added a pivot.
 
-    Rows map integer column numbers to nonzero coefficients, and the
-    columns are numbered in elimination order, so the pivot is simply
-    the smallest column of the row.  The pivot column set depends only
-    on the row space and the column order, never on the order rows
-    arrive in, so streaming is safe.
+    Rows map integer column numbers to nonzero integer coefficients, and
+    the columns are numbered in elimination order, so the pivot is
+    simply the smallest column of the row.  Elimination is fraction
+    free: against a pivot row with leading ``a``, a row with leading
+    ``b`` becomes ``a'·row - b'·pivot`` with ``a' = a/g``, ``b' = b/g``
+    and ``g = gcd(a, b)``, and a new pivot row is stored primitive
+    (divided by the gcd of its entries, leading entry positive).  Each
+    step multiplies the row by a nonzero scalar and subtracts a multiple
+    of a row already in the span, so the row space, and with it every
+    pivot column, is exactly that of the rational elimination.  The
+    pivot column set depends only on the row space and the column
+    order, never on the order rows arrive in, so streaming is safe.
     """
     while row:
         lead = min(row)
-        if lead not in pivots:
-            inv = 1 / row[lead]
-            pivots[lead] = {c: v * inv for c, v in row.items()}
+        pivot = pivots.get(lead)
+        if pivot is None:
+            content = math.gcd(*row.values())
+            if row[lead] < 0:
+                content = -content
+            pivots[lead] = {c: v // content for c, v in row.items()}
             return True
-        coeff = row[lead]
-        for c, v in pivots[lead].items():
-            nv = row.get(c, 0) - coeff * v
+        a, b = pivot[lead], row[lead]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in pivot.items():
+            nv = row.get(c, 0) - b * v
             if nv:
                 row[c] = nv
             else:
                 row.pop(c, None)
     return False
+
+
+def _integer_row(row: dict) -> dict:
+    """``row`` times the lcm of its denominators: an integer row with
+    the same span."""
+    return dict(_integer_terms(row.items())[1])
 
 
 def _columns(F: MatrixGerm, degree: int):
@@ -154,23 +177,29 @@ def _columns(F: MatrixGerm, degree: int):
 def _eliminate(F: MatrixGerm, degree: int):
     """Echelonize the tangent module inside the jet.
 
-    Returns the pivot table (integer column number to normalized row),
-    the column numbering of :func:`_columns` and the achieved rank.
-    Each row is a jet monomial times a tangent generator, built by
-    adding exponent vectors; terms above the jet degree are skipped.
+    Returns the pivot table (integer column number to primitive integer
+    row, see :func:`_insert_row`), the column numbering of
+    :func:`_columns` and the achieved rank.  Each row is a jet monomial
+    times a tangent generator, built by adding exponent vectors; terms
+    above the jet degree are skipped.  A generator's coefficients are
+    scaled to integers once, by the lcm of their denominators, which
+    changes none of the spans its rows contribute.
     """
     monos, positions, column = _columns(F, degree)
     pivots: dict = {}
     rank = 0
     for g in tangent_generators(F):
-        entries = []
-        for p, (i, j) in enumerate(positions):
-            terms = [(exps, sum(exps), c) for exps, c in g.entries[i][j].terms]
-            if terms:
-                entries.append((column[p], terms))
-        if not entries:
+        coeffs = _integer_row(
+            {
+                (p, exps): c
+                for p, (i, j) in enumerate(positions)
+                for exps, c in g.entries[i][j].terms
+            }
+        )
+        if not coeffs:
             continue
-        g_order = min(d for _, terms in entries for _, d, _ in terms)
+        terms = [(column[p], exps, sum(exps), c) for (p, exps), c in coeffs.items()]
+        g_order = min(d for _, _, d, _ in terms)
         for mono in monos:
             room = degree - sum(mono)
             if g_order > room:
@@ -179,8 +208,7 @@ def _eliminate(F: MatrixGerm, degree: int):
             # keeps the monomials of one entry distinct.
             row = {
                 cols[tuple(map(add, exps, mono))]: c
-                for cols, terms in entries
-                for exps, d, c in terms
+                for cols, exps, d, c in terms
                 if d <= room
             }
             if _insert_row(pivots, row):
@@ -196,7 +224,16 @@ def _germ_jet_row(g: MatrixGerm, positions: list, column: list) -> dict:
             col = cols.get(exps)
             if col is not None:
                 row[col] = coeff
-    return row
+    return _integer_row(row)
+
+
+def _jet_degree(F: MatrixGerm, jet_degree: int | None) -> int:
+    """The requested jet degree, or the default one; never below 1."""
+    if jet_degree is None:
+        jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
+    if jet_degree < 1:
+        raise RingError("jet degree must be positive")
+    return jet_degree
 
 
 def quotient_image_rank(
@@ -213,9 +250,7 @@ def quotient_image_rank(
     basis check for a proposed list of representatives; a single germ
     gives 0 or 1 according to whether its class vanishes.
     """
-    if jet_degree is None:
-        jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
-    pivots, _, positions, column, _ = _eliminate(F, jet_degree)
+    pivots, _, positions, column, _ = _eliminate(F, _jet_degree(F, jet_degree))
     added = 0
     for g in germs:
         if (
@@ -275,10 +310,7 @@ def normal_space_basis(
     whether the basis labels agreed; an unstable answer means the jet
     was too small (or the codimension is not finite).
     """
-    if jet_degree is None:
-        jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
-    if jet_degree < 1:
-        raise RingError("jet degree must be positive")
+    jet_degree = _jet_degree(F, jet_degree)
     rank, ncols, labels, basis = _normal_space_at(F, jet_degree)
     if rank + len(basis) != ncols:
         raise RingError("rank bookkeeping violated")  # defensive; never expected
@@ -311,5 +343,5 @@ def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
                 return False
             # Column i holds the coefficient of the i-th variable.
             linear = {e.index(1): c for e, c in entry.terms if sum(e) == 1}
-            rank += _insert_row(pivots, linear)
+            rank += _insert_row(pivots, _integer_row(linear))
     return rank == F.ring.arity

@@ -13,6 +13,11 @@ within the degree cap.
 engine used before its integer accumulator kernel: it rebuilds the
 remainder with ``Polynomial`` arithmetic at every step.  It is kept as
 the independent replay that ``groebner.divide`` must agree with.
+
+:func:`reference_insert_row` is the echelon insertion jet elimination
+used before it went fraction free: it normalises every pivot row to a
+leading ``1`` with ``Fraction`` arithmetic.  ``tangent._insert_row``
+must report the same pivots for every row stream.
 """
 
 from fractions import Fraction
@@ -160,3 +165,28 @@ def reference_divide(p, divisors):
             remainder_terms.append((lm, lc))
             h = Polynomial._raw(ring, h.terms[1:])
     return cofactors, Polynomial(ring, remainder_terms)
+
+
+def reference_insert_row(pivots: dict, row: dict) -> bool:
+    """Echelon insertion; returns whether the row added a pivot.
+
+    Rows map integer column numbers to nonzero coefficients, and the
+    columns are numbered in elimination order, so the pivot is simply
+    the smallest column of the row.  The pivot column set depends only
+    on the row space and the column order, never on the order rows
+    arrive in, so streaming is safe.
+    """
+    while row:
+        lead = min(row)
+        if lead not in pivots:
+            inv = 1 / row[lead]
+            pivots[lead] = {c: v * inv for c, v in row.items()}
+            return True
+        coeff = row[lead]
+        for c, v in pivots[lead].items():
+            nv = row.get(c, 0) - coeff * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    return False

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liptriv import (
     RingContext,
@@ -13,10 +15,13 @@ from liptriv import (
 )
 from liptriv.rings import RingError
 from liptriv.tangent import (
+    _insert_row,
+    _integer_row,
     entries_cut_reduced_origin,
     quotient_image_rank,
     tangent_generators,
 )
+from tests.oracles import reference_insert_row
 
 XY = RingContext(("x", "y"))
 
@@ -237,3 +242,125 @@ class TestQuotientImageRank:
             quotient_image_rank(
                 nf.matrix, [parse_matrix_germ("sym: u, 0 ; 0, 0", other)]
             )
+
+
+class TestJetDegree:
+    """Both entry points share one jet-degree check."""
+
+    F = germ("sym: x, y ; y, x^2")
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_quotient_image_rank_rejects(self, degree):
+        with pytest.raises(RingError, match="jet degree must be positive"):
+            quotient_image_rank(self.F, [germ("sym: 1, 0 ; 0, 0")], jet_degree=degree)
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_normal_space_basis_rejects(self, degree):
+        with pytest.raises(RingError, match="jet degree must be positive"):
+            normal_space_basis(self.F, jet_degree=degree)
+
+    def test_smallest_jet_accepted(self):
+        result = normal_space_basis(self.F, jet_degree=1)
+        assert quotient_image_rank(self.F, result.basis, jet_degree=1) == result.codimension
+
+
+COLUMNS = 8
+
+rationals = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 6),
+)
+sparse_rows = st.dictionaries(st.integers(0, COLUMNS - 1), rationals, max_size=COLUMNS)
+
+
+def combine(weights, rows):
+    """``sum(w * row)`` with zero entries dropped."""
+    out: dict = {}
+    for w, row in zip(weights, rows):
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + w * v
+    return {c: v for c, v in out.items() if v}
+
+
+@st.composite
+def row_streams(draw):
+    """Rows to insert in order: fresh rows, and combinations of rows
+    already drawn (which lie in the span, and often reduce to zero)."""
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        if stream and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(stream), min_size=1, max_size=3))
+            weights = draw(st.lists(rationals, min_size=len(picks), max_size=len(picks)))
+            stream.append(combine(weights, picks))
+        else:
+            stream.append(draw(sparse_rows))
+    return stream
+
+
+class TestIntegerElimination:
+    """The fraction-free insertion against the ``Fraction`` reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(row_streams())
+    def test_matches_reference_after_every_insertion(self, stream):
+        pivots: dict = {}
+        reference: dict = {}
+        for row in stream:
+            added = _insert_row(pivots, _integer_row(dict(row)))
+            assert added == reference_insert_row(reference, dict(row))
+            assert pivots.keys() == reference.keys()
+        for pivot in pivots.values():
+            assert all(type(v) is int for v in pivot.values())
+
+    def test_rows_in_the_span_add_nothing(self):
+        rows = [
+            {0: Fraction(1, 2), 3: Fraction(-5, 6)},
+            {1: Fraction(-3), 3: Fraction(2, 5)},
+        ]
+        pivots: dict = {}
+        assert all(_insert_row(pivots, _integer_row(dict(r))) for r in rows)
+        span = combine([Fraction(-4, 3), Fraction(5, 2)], rows)
+        assert not _insert_row(pivots, _integer_row(span))
+        assert not _insert_row(pivots, _integer_row(dict(rows[0])))
+        assert sorted(pivots) == [0, 1]
+
+    def test_pivot_rows_are_primitive(self):
+        pivots: dict = {}
+        _insert_row(pivots, _integer_row({2: Fraction(-4, 3), 5: Fraction(2, 9)}))
+        assert pivots == {2: {2: 6, 5: -1}}
+
+
+class TestRationalWeights:
+    """Directions with non-integer coefficients go through the integer
+    rows unchanged in meaning."""
+
+    def test_fractional_combination_of_basis_has_full_rank(self):
+        nf = normal_form(3, k=3)
+        basis = normal_space_basis(nf.matrix).basis
+        weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 6), 3, Fraction(-1, 5)]
+        assert quotient_image_rank(nf.matrix, [b.scale(w) for b, w in zip(basis, weights)]) == 6
+        combo = basis[0].scale(Fraction(1, 2)) + basis[1].scale(Fraction(-2, 3))
+        assert quotient_image_rank(nf.matrix, [combo]) == 1
+        assert quotient_image_rank(nf.matrix, [combo, combo.scale(Fraction(3, 7))]) == 1
+
+    def test_fractional_tangent_combination_has_zero_class(self):
+        F = normal_form(1, k=3, l=2).matrix
+        gens = tangent_generators(F)
+        combo = gens[0].scale(Fraction(1, 2)) + gens[-1].scale(Fraction(-5, 3))
+        assert quotient_image_rank(F, [combo]) == 0
+        rep = normal_space_basis(F).basis[0].scale(Fraction(1, 2))
+        assert quotient_image_rank(F, [rep + combo]) == 1
+
+    def test_entries_with_fractional_linear_parts(self):
+        ring = RingContext(("x", "y", "z"))
+        cut = parse_matrix_germ(
+            "sym: 1/2x, 2/3y - 1/4z, z ; 2/3y - 1/4z, 3/5z, x^2 ; z, x^2, y^2", ring
+        )
+        assert entries_cut_reduced_origin(cut)
+        # 1/2x + 1/3y and 3/2x + y are proportional: the linear parts
+        # span only a plane.
+        flat = parse_matrix_germ(
+            "sym: 1/2x + 1/3y, z^2 ; z^2, 3/2x + y", ring
+        )
+        assert not entries_cut_reduced_origin(flat)

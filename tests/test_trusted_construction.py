@@ -1,0 +1,148 @@
+"""Builders that skip the validating ``Polynomial`` constructor, and the
+objects shared per ring.
+
+Each trusted builder must produce exactly the terms the validating
+constructor makes from the same term stream.  Shared rings and diagonal
+ideals must be one object per ring, and a budget failure on the shared
+diagonal ideal must leave it computable later.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liptriv import RingContext
+from liptriv.doubling import diagonal_collapse, diagonal_ideal, double_of
+from liptriv.groebner import BudgetExceeded, GroebnerBudget, ideal_member
+from liptriv.rings import (
+    ExponentOverflow,
+    Polynomial,
+    inject_into,
+    partial_derivative,
+)
+
+XY = RingContext(("x", "y"))
+DXY = XY.doubled_extension()
+EXTENDED = RingContext(("t", "x", "y"))  # parameter first, as in an unfolding
+LEX = RingContext(("y", "z", "x"), order="lex")
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def term_lists(arity, max_exp=4, max_terms=6):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in range(arity)))
+    return st.lists(st.tuples(exps, coefficients), max_size=max_terms)
+
+
+def polys(ring, **kw):
+    return term_lists(ring.arity, **kw).map(lambda ts: Polynomial(ring, ts))
+
+
+def assert_canonical(p, expected_terms):
+    assert p.terms == Polynomial(p.ring, expected_terms).terms
+    assert all(type(c) is Fraction and c for _, c in p.terms)
+
+
+class TestTrustedBuilders:
+    @settings(max_examples=300, deadline=None)
+    @given(polys(XY), st.sampled_from(XY.variables))
+    def test_partial_derivative(self, p, name):
+        i = XY.index(name)
+        expected = [
+            (e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms if e[i]
+        ]
+        assert_canonical(partial_derivative(p, name), expected)
+
+    @pytest.mark.parametrize("ring", [XY, DXY, LEX], ids=["grevlex", "doubled", "lex"])
+    def test_variable(self, ring):
+        for i, name in enumerate(ring.variables):
+            exps = tuple(int(j == i) for j in range(ring.arity))
+            assert_canonical(ring.variable(name), [(exps, 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(XY), coefficients)
+    def test_double_of_with_constant_terms(self, p, constant):
+        p = p + constant
+        zeros = (0,) * XY.arity
+        expected = [(e + zeros, c) for e, c in p.terms]
+        expected += [(zeros + e, -c) for e, c in p.terms]
+        double = double_of(p)
+        assert double.ring is DXY
+        assert_canonical(double, expected)
+        assert all(any(e) for e, _ in double.terms)
+
+    def test_double_of_constant_is_zero(self):
+        assert double_of(XY.constant(Fraction(7, 2))).is_zero
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(DXY, max_exp=3))
+    def test_diagonal_collapse(self, p):
+        expected = [(tuple(a + b for a, b in zip(e[:2], e[2:])), c) for e, c in p.terms]
+        assert_canonical(diagonal_collapse(p), expected)
+
+    def test_diagonal_collapse_merges_colliding_monomials(self):
+        x, y = DXY.variable("x"), DXY.variable("y")
+        xp, yp = DXY.variable("x'"), DXY.variable("y'")
+        p = x * yp * 3 + xp * y * Fraction(1, 2) - x * y + xp * yp * 2 + x
+        got = diagonal_collapse(p)
+        assert got.terms == Polynomial(XY, [((1, 1), Fraction(9, 2)), ((1, 0), 1)]).terms
+
+    def test_diagonal_collapse_full_cancellation(self):
+        x, xp, yp = DXY.variable("x"), DXY.variable("x'"), DXY.variable("y'")
+        p = (x - xp) * (x - xp) * yp  # three monomials that all fold to x^2*y
+        assert diagonal_collapse(p).is_zero
+        assert diagonal_collapse(double_of(Polynomial(XY, [((2, 3), 5), ((0, 1), -1)]))).is_zero
+
+    def test_diagonal_collapse_keeps_the_cap(self):
+        ring = RingContext(("x",), exponent_cap=3).doubled_extension()
+        p = Polynomial(ring, [((2, 2), 1)])
+        with pytest.raises(ExponentOverflow):
+            diagonal_collapse(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(XY))
+    def test_inject_into_parameter_first_ring(self, p):
+        expected = [((0,) + e, c) for e, c in p.terms]
+        assert_canonical(inject_into(p, EXTENDED), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(XY))
+    def test_inject_into_lex_ring(self, p):
+        expected = [((e[1], 0, e[0]), c) for e, c in p.terms]
+        assert_canonical(inject_into(p, LEX), expected)
+
+    def test_inject_into_smaller_cap_overflows(self):
+        small = RingContext(("x", "y"), exponent_cap=3)
+        p = Polynomial(XY, [((4, 0), 1), ((0, 1), 2)])
+        with pytest.raises(ExponentOverflow):
+            inject_into(p, small)
+        q = Polynomial(XY, [((3, 0), 1)])
+        assert inject_into(q, small).terms == q.terms
+
+
+class TestSharedPerRing:
+    def test_doubled_extension_is_shared(self):
+        assert XY.doubled_extension() is XY.doubled_extension()
+        assert RingContext(("u", "v")).doubled_extension() is RingContext(("u", "v")).doubled_extension()
+
+    def test_half_is_shared(self):
+        doubled = RingContext(("u", "w")).doubled_extension()
+        assert doubled.half() is doubled.half()
+        assert doubled.half() == RingContext(("u", "w"))
+
+    def test_diagonal_ideal_is_shared(self):
+        assert diagonal_ideal(DXY) is diagonal_ideal(DXY)
+        assert diagonal_ideal(DXY) is diagonal_ideal(XY.doubled_extension())
+
+    def test_budget_failure_leaves_the_shared_basis_unset(self):
+        # A ring no other test doubles, so the shared ideal starts fresh.
+        ring = RingContext(("p", "q", "r")).doubled_extension()
+        ideal = diagonal_ideal(ring)
+        difference = ring.variable("q") - ring.variable("q'")
+        with pytest.raises(BudgetExceeded):
+            ideal_member(difference, ideal, GroebnerBudget(max_pairs=1))
+        assert ideal._basis is None
+        assert ideal_member(difference, diagonal_ideal(ring), GroebnerBudget())
+        assert diagonal_ideal(ring)._basis is not None
