@@ -59,11 +59,12 @@ from .doubling import (
     build_unfolding,
     diagonal_ideal,
     direction_double_ideal,
+    double_of,
     format_matrix_germ,
     unfolding_double_ideal,
 )
 from .groebner import BudgetExceeded, GroebnerBudget, Ideal, membership_certificate
-from .rings import Polynomial, RingError, parse_polynomial, primed
+from .rings import Polynomial, RingError, inject_into, parse_polynomial, primed
 from .tangent import entries_cut_reduced_origin
 
 __all__ = [
@@ -413,28 +414,57 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     trusted except the text of the certificate itself.  Malformed text
     (a missing block or field, an unparsable polynomial, a variable
     outside the doubled ring) fails the replay.
+
+    Coverage is checked against the verdict's germ and direction: a
+    membership list must name, in order, exactly the direction's
+    difference generators (the doubles of its nonzero components, lifted
+    to the unfolding ring), and the diagonal route's second list exactly
+    ``v - v'`` for every variable of that ring.  Whether each ``basis``
+    polynomial lies in the target ideal is not checked.  Each distinct
+    polynomial text is parsed once per call.
     """
     if verdict.certificate.get("type") != "inclusion":
         return False
-    ring = verdict.unfolding.extended_ring.doubled_extension()
+    u = verdict.unfolding
+    extended = u.extended_ring
+    ring = extended.doubled_extension()
+    parsed: dict[str, Polynomial] = {}
+
+    def parse(text) -> Polynomial:
+        p = parsed.get(text)
+        if p is None:
+            p = parsed[text] = parse_polynomial(text, ring)
+        return p
+
     try:
         data = verdict.certificate["data"]
         if data.get("route") == "constant":
-            return verdict.unfolding.direction.is_constant
-        blocks = (
-            [data["memberships"]]
-            if "memberships" in data
-            else [data["direction_into_diagonal"], data["diagonal_into_family"]]
+            return u.direction.is_constant
+        doubles = (
+            double_of(inject_into(c, extended))
+            for c in u.direction.component_list()
+            if not c.is_zero
         )
-        for block in blocks:
+        direction = [d for d in doubles if not d.is_zero]
+        if "memberships" in data:
+            blocks = [(data["memberships"], direction)]
+        else:
+            differences = [
+                ring.variable(v) - ring.variable(primed(v))
+                for v in extended.variables
+            ]
+            blocks = [
+                (data["direction_into_diagonal"], direction),
+                (data["diagonal_into_family"], differences),
+            ]
+        for block, required in blocks:
+            if [parse(m["generator"]) for m in block] != required:
+                return False
             for membership in block:
-                target = parse_polynomial(membership["generator"], ring)
                 total = ring.zero()
                 for pair in membership["cofactors"]:
-                    cofactor = parse_polynomial(pair["cofactor"], ring)
-                    basis = parse_polynomial(pair["basis"], ring)
-                    total = total + cofactor * basis
-                if total != target:
+                    total = total + parse(pair["cofactor"]) * parse(pair["basis"])
+                if total != parse(membership["generator"]):
                     return False
     except (KeyError, TypeError, RingError):
         return False

@@ -17,6 +17,19 @@ nonzero sum.  A witness it finds is rebuilt as a :class:`TestCurve` and
 its orders are re-derived through :func:`pullback`.  The analyzer then
 replays it through :func:`pullback_dense`, which recomputes everything
 by plain repeated multiplication and shares no code with the kernel.
+
+The enumeration comes in *blocks*: one exponent tuple with every
+coefficient pattern.  Degrees depend only on the exponents, so the
+kernel groups terms by degree once per block; values depend only on the
+pattern, so they are computed once per pattern and kept by its index.
+Within a block the ideal's order often needs one term only: no
+generator vanishes below its lowest degree, so when the lowest degree
+over all generators, ``d_min``, is reached by a generator whose lowest
+group is a single term, and that term's value is nonzero, the ideal's
+order is ``d_min`` and no other generator is evaluated.  Without such
+a lead, or when a zero arc coefficient makes its term vanish, the
+generators are summed in order of their lowest degree, until none left
+can go lower.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .groebner import Ideal, _integer_terms
@@ -250,13 +264,12 @@ def _weighted_compositions(
 
 def _profiles(
     ring: RingContext, config: CurveSearchConfig
-) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """The search's curves as ``(exponents, coefficients)``, one entry
+) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+    """The search's curves in blocks ``(exponents, patterns)``, one entry
     per ring variable, in the order of :func:`enumerate_test_curves`.
 
-    All coefficient patterns of one exponent tuple come out together,
-    sharing that tuple object, and each pattern object is reused for
-    every exponent tuple.
+    A block is one exponent tuple with every coefficient pattern; all
+    blocks share one list of patterns.
     """
     names = ring.variables
     tied_source = tied_mirror = None
@@ -286,9 +299,7 @@ def _profiles(
     high = config.max_exponent * sum(weights)
     for total in range(low, high + 1):
         for exps in _weighted_compositions(weights, total, config.max_exponent):
-            full_exps = spread(exps)
-            for pattern in patterns:
-                yield full_exps, pattern
+            yield spread(exps), patterns
 
 
 def _monomial_curve(ring: RingContext, exps: Sequence[int], coeffs: Sequence) -> TestCurve:
@@ -306,8 +317,9 @@ def enumerate_test_curves(
     then by coefficient pattern, so the stream is deterministic and the
     small witnesses that tend to exist come out early.
     """
-    for exps, coeffs in _profiles(ring, config):
-        yield _monomial_curve(ring, exps, coeffs)
+    for exps, patterns in _profiles(ring, config):
+        for coeffs in patterns:
+            yield _monomial_curve(ring, exps, coeffs)
 
 
 class _OrderKernel:
@@ -316,28 +328,34 @@ class _OrderKernel:
     Coefficients are scaled to integers once (by the lcm of their
     denominators, which leaves every order unchanged).  A term's degree
     depends only on the arc exponents and its value only on the arc
-    coefficients, so the terms grouped by degree are cached per exponent
-    tuple and the term values per coefficient pattern.
+    coefficients.  So the terms are grouped by degree once per block
+    and only the current block's groups are kept, recognised by the
+    identity of its exponent tuple; term values are kept per coefficient
+    pattern, by the pattern's index in the block.
     """
 
-    __slots__ = ("terms", "top", "_groups", "_values")
+    __slots__ = ("terms", "top", "_groups", "_exps", "_values")
 
     def __init__(self, p: Polynomial):
         _, self.terms = _integer_terms(p.terms)
         self.top = [max(col) for col in zip(*(exps for exps, _ in p.terms))]
-        self._groups: dict = {}
-        self._values: dict = {}
+        self._groups: list[tuple[int, tuple[int, ...]]] = []
+        self._exps: tuple | None = None
+        self._values: list[list[int] | None] = []
 
-    def _group(self, arc_exps: tuple) -> list[tuple[int, list[int]]]:
-        by_degree: dict[int, list[int]] = {}
-        for index, (exps, _) in enumerate(self.terms):
-            degree = sum(e * a for e, a in zip(arc_exps, exps))
-            by_degree.setdefault(degree, []).append(index)
-        groups = sorted(by_degree.items())
-        self._groups[arc_exps] = groups
-        return groups
+    def enter(self, arc_exps: tuple) -> list[tuple[int, tuple[int, ...]]]:
+        """Make ``arc_exps`` the current block; its ``(degree, term
+        indices)`` groups, lowest degree first."""
+        if arc_exps is not self._exps:
+            by_degree: dict[int, list[int]] = {}
+            for index, (exps, _) in enumerate(self.terms):
+                degree = sum(map(mul, arc_exps, exps))
+                by_degree.setdefault(degree, []).append(index)
+            self._groups = [(d, tuple(m)) for d, m in sorted(by_degree.items())]
+            self._exps = arc_exps
+        return self._groups
 
-    def _value(self, arc_coeffs: tuple) -> list[int]:
+    def _term_values(self, arc_coeffs: tuple) -> list[int]:
         # An arc coefficient n/d contributes n^a * d^(top - a): the term
         # values are all scaled by the same prod d^top, and stay integers.
         arcs = [Fraction(c) for c in arc_coeffs]
@@ -346,26 +364,62 @@ class _OrderKernel:
             for c, a, top in zip(arcs, exps, self.top):
                 q *= c.numerator**a * c.denominator ** (top - a)
             values.append(q)
-        self._values[arc_coeffs] = values
         return values
+
+    def values_at(self, index: int, arc_coeffs: tuple) -> list[int]:
+        """Term values at the block's ``index``-th pattern, computed once."""
+        cache = self._values
+        if index >= len(cache):
+            cache.extend([None] * (index + 1 - len(cache)))
+        values = cache[index]
+        if values is None:
+            values = cache[index] = self._term_values(arc_coeffs)
+        return values
+
+    def _first_nonzero(self, values: list[int], limit):
+        # The one summation loop: the lowest degree of the current block
+        # whose terms do not cancel, or ``limit``.
+        for degree, members in self._groups:
+            if degree >= limit:
+                return limit
+            if sum(map(values.__getitem__, members)):
+                return degree
+        return limit
+
+    def order_at(self, index: int, arc_coeffs: tuple, limit=math.inf):
+        """Order along the current block's ``index``-th pattern, or
+        ``limit`` if that is lower."""
+        return self._first_nonzero(self.values_at(index, arc_coeffs), limit)
 
     def order(self, arc_exps: tuple, arc_coeffs: tuple, limit=math.inf):
         """Order along the arcs ``c_i * s^e_i``, or ``limit`` if that is lower.
 
         Degrees at or above ``limit`` are never summed.
         """
-        groups = self._groups.get(arc_exps)
-        if groups is None:
-            groups = self._group(arc_exps)
-        values = self._values.get(arc_coeffs)
-        if values is None:
-            values = self._value(arc_coeffs)
-        for degree, members in groups:
-            if degree >= limit:
-                return limit
-            if sum(map(values.__getitem__, members)):
-                return degree
-        return limit
+        self.enter(arc_exps)
+        return self._first_nonzero(self._term_values(arc_coeffs), limit)
+
+
+def _block_leads(family: list[_OrderKernel], arc_exps: tuple):
+    """``(d_min, leads, ordered)`` for one block.
+
+    ``ordered`` holds ``(first-group degree, kernel)`` for every
+    generator with terms, lowest degree first; ``d_min`` is the lowest
+    of those degrees, and ``leads`` holds ``(kernel, term)`` for each
+    generator whose first group sits at ``d_min`` and is the single
+    term ``term``.
+    """
+    firsts = sorted(
+        ((k.enter(arc_exps)[0], k) for k in family if k.terms),
+        key=lambda first: first[0][0],
+    )
+    d_min = firsts[0][0][0] if firsts else math.inf
+    leads = [
+        (k, members[0])
+        for (degree, members), k in firsts
+        if degree == d_min and len(members) == 1
+    ]
+    return d_min, leads, [(degree, k) for (degree, _), k in firsts]
 
 
 @dataclass(frozen=True)
@@ -406,9 +460,13 @@ def closure_test(
     report is not a membership proof; it only says this family of
     curves showed nothing.
 
-    The ideal's order along each curve is computed once per config and
-    kept on the ideal, so searches for further elements against the
-    same ideal only evaluate the element.
+    The curves are walked one block (exponent tuple) at a time, and
+    nothing is computed for the curves after a witness.  The ideal's
+    order along each curve is computed once per config and kept on the
+    ideal, so searches for further elements against the same ideal only
+    evaluate the element.  Where a block's single-term lead fixes the
+    ideal's order (see the module docstring), the other generators are
+    not evaluated.
     """
     if element.ring != ideal.ring:
         raise RingError("element and ideal live in different rings")
@@ -422,26 +480,40 @@ def closure_test(
     tried = 0
     best_gap: int | None = None
     exhausted = False
-    for exps, coeffs in _profiles(ideal.ring, config):
-        if tried >= budget:
+    for exps, patterns in _profiles(ideal.ring, config):
+        if tried + len(patterns) > budget:
+            patterns = patterns[: budget - tried]
             exhausted = True
+        target.enter(exps)
+        leads = None
+        for index, coeffs in enumerate(patterns):
+            if tried < len(known):
+                ideal_order = known[tried]
+            else:
+                if family is None:
+                    family = [_OrderKernel(g) for g in ideal.generators]
+                if leads is None:
+                    d_min, leads, ordered = _block_leads(family, exps)
+                for kernel, term in leads:
+                    if kernel.values_at(index, coeffs)[term]:
+                        ideal_order = d_min
+                        break
+                else:
+                    ideal_order = math.inf
+                    for first, kernel in ordered:
+                        if first >= ideal_order:
+                            break
+                        ideal_order = kernel.order_at(index, coeffs, ideal_order)
+                known.append(ideal_order)
+            tried += 1
+            element_order = target.order_at(index, coeffs)
+            if element_order < ideal_order:
+                curve = _monomial_curve(ideal.ring, exps, coeffs)
+                return _confirmed_witness(curve, element, ideal, element_order, ideal_order)
+            if element_order is not math.inf and ideal_order is not math.inf:
+                gap = element_order - ideal_order
+                if best_gap is None or gap < best_gap:
+                    best_gap = gap
+        if exhausted:
             break
-        if tried < len(known):
-            ideal_order = known[tried]
-        else:
-            if family is None:
-                family = [_OrderKernel(g) for g in ideal.generators]
-            ideal_order = math.inf
-            for kernel in family:
-                ideal_order = kernel.order(exps, coeffs, ideal_order)
-            known.append(ideal_order)
-        tried += 1
-        element_order = target.order(exps, coeffs)
-        if element_order < ideal_order:
-            curve = _monomial_curve(ideal.ring, exps, coeffs)
-            return _confirmed_witness(curve, element, ideal, element_order, ideal_order)
-        if element_order is not math.inf and ideal_order is not math.inf:
-            gap = element_order - ideal_order
-            if best_gap is None or gap < best_gap:
-                best_gap = gap
     return SearchReport(tried, exhausted, config, best_gap)

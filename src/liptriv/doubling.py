@@ -304,6 +304,14 @@ class Unfolding:
         return self.total.ring
 
 
+@functools.cache
+def _parameter_extension(ring: RingContext) -> RingContext:
+    """``ring`` with :data:`PARAMETER` adjoined first; one per ring."""
+    return RingContext(
+        (PARAMETER,) + ring.variables, ring.order, False, ring.exponent_cap
+    )
+
+
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
     """``base + t * direction`` with the parameter :data:`PARAMETER`."""
     if base.ring != direction.ring:
@@ -316,10 +324,7 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         raise RingError(
             f"parameter {PARAMETER!r} collides with a ring variable"
         )
-    ring = base.ring
-    extended = RingContext(
-        (PARAMETER,) + ring.variables, ring.order, False, ring.exponent_cap
-    )
+    extended = _parameter_extension(base.ring)
     t = extended.variable(PARAMETER)
     lifted_base = base.map_entries(lambda e: inject_into(e, extended))
     lifted_dir = direction.map_entries(lambda e: inject_into(e, extended))

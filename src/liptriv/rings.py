@@ -128,6 +128,21 @@ class RingContext:
         if self.exponent_cap < 1:
             raise RingError("exponent cap must be positive")
 
+    def __eq__(self, other):
+        # Shared rings meet themselves far more often than an equal copy,
+        # so identity is tried before the fields.  The dataclass still
+        # derives ``__hash__`` from the same four fields.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.variables == other.variables
+            and self.order == other.order
+            and self.doubled == other.doubled
+            and self.exponent_cap == other.exponent_cap
+        )
+
     @property
     def arity(self) -> int:
         return len(self.variables)

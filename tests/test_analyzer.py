@@ -107,6 +107,89 @@ class TestMalformedCertificates:
         assert not verify_inclusion_certificate(self.tampered(verdict, edit))
 
 
+class TestCertificateCoverage:
+    """A certificate must cover every generator the route needs; well-formed
+    sums over the wrong generators fail replay."""
+
+    tampered = staticmethod(TestMalformedCertificates.tampered)
+    # x - x' lies in both target ideals, so this membership multiplies
+    # out correctly while proving nothing about the direction.
+    UNRELATED = {
+        "generator": "x - x'",
+        "cofactors": [{"cofactor": "1", "basis": "x - x'"}],
+    }
+
+    @staticmethod
+    def proven(germ, direction, route):
+        ring = RingContext(("x", "y"))
+        verdict = analyze(
+            parse_matrix_germ(germ, ring), parse_matrix_germ(direction, ring)
+        )
+        assert verdict.route == route
+        assert verify_inclusion_certificate(verdict)
+        return verdict
+
+    @pytest.fixture(scope="class")
+    def inclusion(self):
+        # Three direction generators, each a multiple of x - x'.
+        return self.proven(
+            "sym: x, 0 ; 0, x^4 + y^2", "sym: x^2, x ; x, x^3", "inclusion"
+        )
+
+    @pytest.fixture(scope="class")
+    def diagonal(self):
+        return self.proven("sym: y, x ; x, y^3", "sym: 0, y^2 ; y^2, x*y", "diagonal")
+
+    def test_emptied_memberships(self, inclusion):
+        forged = self.tampered(inclusion, lambda data: data["memberships"].clear())
+        assert not verify_inclusion_certificate(forged)
+
+    def test_emptied_memberships_of_catalog_cell(self):
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+        assert verify_inclusion_certificate(verdict)
+        forged = self.tampered(verdict, lambda data: data["memberships"].clear())
+        assert not verify_inclusion_certificate(forged)
+
+    def test_dropped_membership(self, inclusion):
+        assert len(inclusion.certificate["data"]["memberships"]) > 1
+        forged = self.tampered(inclusion, lambda data: data["memberships"].pop())
+        assert not verify_inclusion_certificate(forged)
+
+    def test_swapped_generator(self, inclusion):
+        def edit(data):
+            data["memberships"][0] = copy.deepcopy(self.UNRELATED)
+
+        assert not verify_inclusion_certificate(self.tampered(inclusion, edit))
+
+    def test_extra_membership(self, inclusion):
+        def edit(data):
+            data["memberships"].append(copy.deepcopy(self.UNRELATED))
+
+        assert not verify_inclusion_certificate(self.tampered(inclusion, edit))
+
+    @pytest.mark.parametrize(
+        "block", ["direction_into_diagonal", "diagonal_into_family"]
+    )
+    def test_diagonal_block_emptied_or_dropped(self, diagonal, block):
+        assert len(diagonal.certificate["data"][block]) > 1
+        for edit in (lambda data: data[block].clear(), lambda data: data[block].pop()):
+            assert not verify_inclusion_certificate(self.tampered(diagonal, edit))
+
+    @pytest.mark.parametrize(
+        "block", ["direction_into_diagonal", "diagonal_into_family"]
+    )
+    def test_diagonal_block_swapped_generator(self, diagonal, block):
+        def edit(data):
+            data[block][-1] = copy.deepcopy(self.UNRELATED)
+
+        assert not verify_inclusion_certificate(self.tampered(diagonal, edit))
+
+    def test_inclusion_block_on_diagonal_route(self, inclusion, diagonal):
+        # A proof of another direction does not cover this one.
+        forged = replace(diagonal, certificate=copy.deepcopy(inclusion.certificate))
+        assert not verify_inclusion_certificate(forged)
+
+
 class TestSpecializationCoherence:
     @pytest.mark.parametrize(
         "index,params",

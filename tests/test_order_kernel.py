@@ -24,8 +24,9 @@ from liptriv.curves import (
     format_curve,
     pullback_dense,
 )
-from liptriv.curves import _monomial_curve, _OrderKernel
+from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
 from liptriv.doubling import build_unfolding, direction_double_ideal
+from liptriv.groebner import Ideal
 from liptriv.rings import Polynomial, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
@@ -149,3 +150,116 @@ def test_closure_test_matches_reference_search(
     for budget, element in zip((40, 150, 300, 300), elements):
         got = closure_test(element, ideal, budget=budget, config=config)
         assert as_tuple(got) == reference_search(element, ideal, budget, config)
+
+
+# The search walks the stream one block (exponent tuple) at a time and
+# may skip generators where a single-term lead fixes the ideal's order.
+# The tests below compare it with ``reference_search`` on random ideals,
+# over budgets that stop mid-block, at a block's end and at the stream's
+# end, and over repeated calls that reuse and extend the cached orders.
+
+ideal_generators = st.lists(poly_strategy(DXY, max_exp=2, max_terms=4), max_size=3)
+configs = st.builds(
+    CurveSearchConfig,
+    max_exponent=st.integers(1, 2),
+    coefficients=st.lists(
+        st.sampled_from(ARC_COEFFICIENTS), min_size=1, max_size=3, unique=True
+    ),
+    parameter=st.sampled_from([None, "x"]),
+)
+
+
+def dense_ideal_orders(ideal, config, count):
+    """The ideal's order along each of the first ``count`` curves, densely."""
+    orders = []
+    for curve, _ in zip(enumerate_test_curves(ideal.ring, config), range(count)):
+        orders.append(
+            min(
+                (pullback_dense(g, curve).order_of_vanishing() for g in ideal.generators),
+                default=math.inf,
+            )
+        )
+    return orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ideal_generators,
+    # A zero element is answered before any curve is tried.
+    st.lists(
+        poly_strategy(DXY, max_exp=2, max_terms=4).filter(lambda p: not p.is_zero),
+        min_size=1,
+        max_size=3,
+    ),
+    configs,
+    st.lists(st.integers(1, 70), min_size=1, max_size=3),
+)
+def test_closure_test_matches_reference_on_random_ideals(gens, elements, config, budgets):
+    ideal = Ideal(DXY, gens or [DXY.zero()])
+    for element, budget in zip(elements, budgets):
+        got = closure_test(element, ideal, budget=budget, config=config)
+        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+    known = ideal._curve_orders.get(config, [])
+    assert known == dense_ideal_orders(ideal, config, len(known))
+
+
+@pytest.mark.parametrize("parameter", [None, "x"])
+@pytest.mark.parametrize("coefficients", [(1,), (1, -1), (0, Fraction(1, 2))])
+def test_budget_at_the_end_of_the_stream(parameter, coefficients):
+    config = CurveSearchConfig(
+        max_exponent=2, coefficients=coefficients, parameter=parameter
+    )
+    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x - x'", "y^2 - y'^2")])
+    # The element lies in the ideal, so no curve is a witness.
+    element = parse_polynomial("x*y - x'*y + x*y^2 - x*y'^2", DXY)
+    blocks = list(_profiles(DXY, config))
+    stream = sum(len(patterns) for _, patterns in blocks)
+    block = len(blocks[0][1])
+    for budget in (block - 1 or 1, block, block + 1, stream - 1, stream, stream + 1):
+        got = closure_test(element, ideal, budget=budget, config=config)
+        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+        assert got.curves_tried == min(budget, stream)
+        assert got.budget_exhausted == (budget < stream)
+
+
+def test_zero_arc_coefficient_voids_the_lead():
+    # Along the arcs (s, s, s^2, s^2) the generator x is the only term of
+    # the lowest degree, so it leads the block; a zero x-coefficient kills
+    # it, and the ideal's order comes from y^2 - x'^2 instead.
+    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x", "y^2 - x'^2")])
+    family = [_OrderKernel(g) for g in ideal.generators]
+    d_min, leads, _ = _block_leads(family, (1, 1, 2, 2))
+    assert d_min == 1 and [k for k, _ in leads] == family[:1]
+    config = CurveSearchConfig(max_exponent=2, coefficients=(0, 1, 2))
+    budget = 2000
+    for text in ("x*y + y^2 - x'^2", "y'"):
+        element = parse_polynomial(text, DXY)
+        got = closure_test(element, ideal, budget=budget, config=config)
+        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+    known = ideal._curve_orders[config]
+    assert known == dense_ideal_orders(ideal, config, len(known))
+    exps = (1, 1, 2, 2)
+    curves = [
+        (e, c) for e, patterns in _profiles(DXY, config) for c in patterns
+    ]
+    voided = [
+        i for i, (e, c) in enumerate(curves[: len(known)])
+        if e == exps and c[0] == 0 and c[1] and c[2]
+    ]
+    assert voided and all(known[i] == 2 for i in voided)
+
+
+def test_enumeration_flattens_the_blocks():
+    for parameter in (None, "x"):
+        config = CurveSearchConfig(
+            max_exponent=3, coefficients=(1, 0, -1), parameter=parameter
+        )
+        blocks = list(_profiles(DXY, config))
+        assert all(patterns is blocks[0][1] for _, patterns in blocks)
+        assert len({exps for exps, _ in blocks}) == len(blocks)
+        flat = [
+            format_curve(_monomial_curve(DXY, exps, coeffs))
+            for exps, patterns in blocks
+            for coeffs in patterns
+        ]
+        assert flat == [format_curve(c) for c in enumerate_test_curves(DXY, config)]

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptriv import RingContext
-from liptriv.doubling import diagonal_collapse, diagonal_ideal, double_of
+from liptriv.doubling import (
+    MatrixGerm,
+    build_unfolding,
+    diagonal_collapse,
+    diagonal_ideal,
+    double_of,
+)
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, ideal_member
 from liptriv.rings import (
     ExponentOverflow,
@@ -131,6 +137,31 @@ class TestSharedPerRing:
         doubled = RingContext(("u", "w")).doubled_extension()
         assert doubled.half() is doubled.half()
         assert doubled.half() == RingContext(("u", "w"))
+
+    def test_unfolding_ring_is_shared(self):
+        germ = MatrixGerm(((XY.variable("x"), XY.variable("y")),))
+        first = build_unfolding(germ, germ).extended_ring
+        again = build_unfolding(germ, germ.scale(2)).extended_ring
+        assert first is again
+        assert first == EXTENDED
+        copy = MatrixGerm(((RingContext(("x", "y")).variable("x"),),))
+        assert build_unfolding(copy, copy).extended_ring is first
+
+    def test_equal_distinct_rings_compare_and_hash_equal(self):
+        a = RingContext(("u", "v"), exponent_cap=99)
+        b = RingContext(("u", "v"), exponent_cap=99)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        for other in (
+            RingContext(("u", "w"), exponent_cap=99),
+            RingContext(("u", "v"), order="lex", exponent_cap=99),
+            RingContext(("u", "v")),
+            a.doubled_extension(),
+        ):
+            assert a != other and not a == other
+        assert a != ("u", "v")
 
     def test_diagonal_ideal_is_shared(self):
         assert diagonal_ideal(DXY) is diagonal_ideal(DXY)
