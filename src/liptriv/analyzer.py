@@ -13,8 +13,11 @@ cheap certificates first:
    diagonal ideal, both steps replayed as exact memberships.
 2. Direct inclusion of difference ideals, certified by division
    cofactors against a Groebner basis.
-3. A curve search for a witness against closure membership; any hit is
-   re-verified through an independent substitution path.
+3. A curve search for a witness against closure membership.  A hit
+   carries the order of every generator of the family ideal along its
+   curve; each of those orders, and the element's, is replayed through
+   an independent substitution path, and the certificate is written
+   from the replayed record.
 4. Otherwise the honest answer is Inconclusive, with the search report.
 
 An inclusion proves triviality, a witness refutes it, and a fruitless
@@ -178,7 +181,6 @@ def _memberships(generators, ideal: Ideal, budget: GroebnerBudget) -> list | Non
 
 
 def _diagonal_route(
-    u: Unfolding,
     total: DoubledIdeal,
     theta: DoubledIdeal,
     budget: GroebnerBudget,
@@ -186,23 +188,16 @@ def _diagonal_route(
     """Membership blocks for the chain through the diagonal ideal, or None.
 
     Both steps are exact memberships: every generator of the direction
-    ideal falls in the diagonal ideal, and every variable difference of
-    the doubled unfolding space falls in the family ideal.  The first
-    step holds for any difference ideal; it is still replayed so the
-    certificate stands on division alone.
+    ideal falls in the diagonal ideal, and every generator ``v - v'`` of
+    the diagonal ideal falls in the family ideal.  The first step holds
+    for any difference ideal; it is still replayed so the certificate
+    stands on division alone.
     """
-    ring = total.ring
-    into_diagonal = _memberships(theta.generators, diagonal_ideal(ring), budget)
+    diagonal = diagonal_ideal(total.ring)
+    into_diagonal = _memberships(theta.generators, diagonal, budget)
     if into_diagonal is None:
         return None
-    differences = _memberships(
-        (
-            ring.variable(name) - ring.variable(primed(name))
-            for name in u.extended_ring.variables
-        ),
-        total,
-        budget,
-    )
+    differences = _memberships(diagonal.generators, total, budget)
     if differences is None:
         return None
     return {
@@ -294,7 +289,7 @@ def analyze(
     clock = time.perf_counter()
     try:
         if entries_cut_reduced_origin(base):
-            proof = _diagonal_route(u, total, theta, budget)
+            proof = _diagonal_route(total, theta, budget)
         if proof is None:
             memberships = _memberships(theta.generators, total, budget)
             if memberships is not None:
@@ -343,10 +338,8 @@ def analyze(
         )
     if witness is not None:
         orders = {
-            str(g): _order_json(
-                pullback_dense(g, witness.curve).order_of_vanishing()
-            )
-            for g in total.generators
+            str(g): _order_json(order)
+            for g, order in zip(total.generators, witness.generator_orders)
         }
         cert = {
             "type": "witness",
@@ -384,25 +377,23 @@ def analyze(
 def verify_witness_dense(witness: Witness, ideal: Ideal) -> bool:
     """Replay a witness through the dense substitution path.
 
-    Recomputes every order from scratch by repeated polynomial
-    multiplication, sharing no code with the integer order kernel that
-    found the witness or with :func:`~liptriv.curves.pullback`, and
-    checks the recorded orders and the strict drop.
+    Recomputes the element's order and every generator's order from
+    scratch by repeated polynomial multiplication, sharing no code with
+    the integer order kernel that found the witness or with
+    :func:`~liptriv.curves.pullback`.  Each recorded generator order
+    must match its replay, not only their minimum, and the element must
+    drop strictly below that minimum.
     """
-    element_order = pullback_dense(
-        witness.element, witness.curve
-    ).order_of_vanishing()
-    ideal_order = min(
-        (
-            pullback_dense(g, witness.curve).order_of_vanishing()
-            for g in ideal.generators
-        ),
-        default=math.inf,
-    )
+
+    def order(p: Polynomial):
+        return pullback_dense(p, witness.curve).order_of_vanishing()
+
+    generator_orders = tuple(order(g) for g in ideal.generators)
+    element_order = order(witness.element)
     return (
-        element_order == witness.element_order
-        and ideal_order == witness.ideal_order
-        and element_order < ideal_order
+        generator_orders == tuple(witness.generator_orders)
+        and element_order == witness.element_order
+        and element_order < min(generator_orders, default=math.inf)
     )
 
 
@@ -412,8 +403,9 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     Every recorded membership is re-parsed from strings and recombined
     with plain ring arithmetic; nothing of the original computation is
     trusted except the text of the certificate itself.  Malformed text
-    (a missing block or field, an unparsable polynomial, a variable
-    outside the doubled ring) fails the replay.
+    (a certificate or block that is not a mapping, a missing block or
+    field, an unparsable polynomial, a variable outside the doubled
+    ring) fails the replay.
 
     Coverage is checked against the verdict's germ and direction: a
     membership list must name, in order, exactly the direction's
@@ -423,7 +415,8 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     polynomial lies in the target ideal is not checked.  Each distinct
     polynomial text is parsed once per call.
     """
-    if verdict.certificate.get("type") != "inclusion":
+    certificate = verdict.certificate
+    if not isinstance(certificate, Mapping) or certificate.get("type") != "inclusion":
         return False
     u = verdict.unfolding
     extended = u.extended_ring
@@ -437,7 +430,9 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
         return p
 
     try:
-        data = verdict.certificate["data"]
+        data = certificate["data"]
+        if not isinstance(data, Mapping):
+            return False
         if data.get("route") == "constant":
             return u.direction.is_constant
         doubles = (

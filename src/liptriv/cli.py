@@ -87,8 +87,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="liptriv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def germ_flags(p, direction=True):
-        p.add_argument("--catalog", type=int, choices=range(1, 7))
+    def germ_flags(p, direction=True, catalog_flag="--catalog", catalog_help=None):
+        p.add_argument(
+            catalog_flag,
+            type=int,
+            choices=range(1, 7),
+            dest="catalog",
+            help=catalog_help,
+        )
         p.add_argument("--k", type=int)
         p.add_argument("--l", type=int)
         p.add_argument("--germ-file", type=Path)
@@ -125,19 +131,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pullback", help="ideal orders along a curve")
     p.add_argument("--curve", required=True)
-    p.add_argument(
-        "--ideal-from-catalog",
-        type=int,
-        choices=range(1, 7),
-        dest="catalog",
-        help="family ideal of the catalog entry deformed by --theta",
+    germ_flags(
+        p,
+        catalog_flag="--ideal-from-catalog",
+        catalog_help="family ideal of the catalog entry deformed by --theta",
     )
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--germ-file", type=Path)
-    p.add_argument("--theta")
-    p.add_argument("--theta-file", type=Path)
-    p.add_argument("--random-direction", action="store_true")
 
     p = sub.add_parser("double", help="difference ideal of a family")
     germ_flags(p)

@@ -13,10 +13,12 @@ The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
 ``<e, a>`` with value ``q * prod(c_i^a_i)``; an integer kernel sums
 those values degree by degree, lowest first, and stops at the first
-nonzero sum.  A witness it finds is rebuilt as a :class:`TestCurve` and
-its orders are re-derived through :func:`pullback`.  The analyzer then
-replays it through :func:`pullback_dense`, which recomputes everything
-by plain repeated multiplication and shares no code with the kernel.
+nonzero sum.  A witness it finds is rebuilt as a :class:`TestCurve`;
+the element's order and every generator's order are re-derived once
+through :func:`pullback` and kept in the :class:`Witness`.  The analyzer
+replays each of them through :func:`pullback_dense`, which recomputes
+everything by plain repeated multiplication and shares no code with the
+kernel.
 
 The enumeration comes in *blocks*: one exponent tuple with every
 coefficient pattern.  Degrees depend only on the exponents, so the
@@ -187,17 +189,18 @@ def pullback_ideal(curve: TestCurve, ideal: Ideal) -> PullbackSummary:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """A curve along which ``element`` drops below the ideal's order.
+class Witness(PullbackSummary):
+    """A curve's generator orders plus an ``element`` that drops below them.
 
-    Strictness is enforced at construction: ``element_order`` must be
-    finite and strictly smaller than ``ideal_order``.
+    This is the whole evidence of the valuative criterion: every
+    generator's order along ``curve``, in generator order, and the
+    element's.  ``ideal_order`` is the inherited minimum, never stored.
+    Construction enforces the strict drop: ``element_order`` must be
+    finite and smaller than ``ideal_order``.
     """
 
-    curve: TestCurve
     element: Polynomial
     element_order: int
-    ideal_order: object  # int or math.inf
 
     def __post_init__(self) -> None:
         if self.element_order is math.inf or not self.element_order < self.ideal_order:
@@ -205,12 +208,6 @@ class Witness:
                 f"not a witness: element order {self.element_order} does not "
                 f"drop below ideal order {self.ideal_order}"
             )
-
-    @property
-    def margin(self):
-        if self.ideal_order is math.inf:
-            return math.inf
-        return self.ideal_order - self.element_order
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,7 @@ class SearchReport:
 def _confirmed_witness(
     curve: TestCurve, element: Polynomial, ideal: Ideal, element_order, ideal_order
 ) -> Witness:
-    """The kernel's witness, with its orders re-derived by :func:`pullback`."""
+    """The kernel's witness, with every order re-derived by :func:`pullback`."""
     summary = pullback_ideal(curve, ideal)
     pulled = pullback(element, curve).order_of_vanishing()
     if (pulled, summary.ideal_order) != (element_order, ideal_order):
@@ -444,7 +441,7 @@ def _confirmed_witness(
             f"kernel {element_order} < {ideal_order}, "
             f"pullback {pulled} vs {summary.ideal_order}"
         )
-    return Witness(curve, element, pulled, summary.ideal_order)
+    return Witness(curve, summary.generator_orders, element, pulled)
 
 
 def closure_test(
@@ -458,7 +455,8 @@ def closure_test(
     Returns the first witness in enumeration order, or a
     :class:`SearchReport` when the stream or the budget runs out.  A
     report is not a membership proof; it only says this family of
-    curves showed nothing.
+    curves showed nothing.  ``budget`` caps the curves tried; ``0``
+    searches nothing, and a negative budget is a ``ValueError``.
 
     The curves are walked one block (exponent tuple) at a time, and
     nothing is computed for the curves after a witness.  The ideal's
@@ -468,6 +466,8 @@ def closure_test(
     ideal's order (see the module docstring), the other generators are
     not evaluated.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if element.ring != ideal.ring:
         raise RingError("element and ideal live in different rings")
     if element.is_zero:

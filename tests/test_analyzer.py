@@ -1,6 +1,7 @@
 """Verdict pipeline: route selection, certificates, replay, audit."""
 
 import copy
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from liptriv import (
     AnalyzeOptions,
     RingContext,
     analyze,
+    analyzer,
     normal_form,
     parse_matrix_germ,
     reproduce_catalog_table,
@@ -72,6 +74,40 @@ class TestRoutes:
         ideal = unfolding_double_ideal(verdict.unfolding)
         assert verify_witness_dense(verdict.witness, ideal)
 
+    def test_witness_with_altered_generator_order_fails_replay(self):
+        verdict = run(3, {"b1": 1}, k=2)
+        witness = verdict.witness
+        ideal = unfolding_double_ideal(verdict.unfolding)
+        orders = list(witness.generator_orders)
+        # alter an order above the minimum, so the record stays a witness
+        # with the same ideal order
+        index = orders.index(max(orders))
+        assert orders[index] > witness.ideal_order
+        orders[index] = witness.ideal_order + 1 if orders[index] is math.inf else math.inf
+        tampered = replace(witness, generator_orders=tuple(orders))
+        assert tampered.ideal_order == witness.ideal_order
+        assert not verify_witness_dense(tampered, ideal)
+
+    def test_witness_orders_derived_once_for_the_certificate(self, monkeypatch):
+        calls = []
+        dense = analyzer.pullback_dense
+
+        def counting(p, curve):
+            calls.append(p)
+            return dense(p, curve)
+
+        monkeypatch.setattr(analyzer, "pullback_dense", counting)
+        verdict = run(3, {"b1": 1}, k=2)
+        assert verdict.route == "witness"
+        generators = unfolding_double_ideal(verdict.unfolding).generators
+        # one dense replay per generator plus one for the element
+        assert len(calls) == len(generators) + 1
+        recorded = verdict.certificate["data"]["generator_orders"]
+        assert recorded == {
+            str(g): "infinity" if o is math.inf else o
+            for g, o in zip(generators, verdict.witness.generator_orders)
+        }
+
     def test_search_route_is_inconclusive(self):
         verdict = run(1, {"a3": 1}, k=4, l=2)
         assert verdict.outcome == INCONCLUSIVE
@@ -96,6 +132,17 @@ class TestMalformedCertificates:
             verdict, lambda data: data.pop("direction_into_diagonal")
         )
         assert not verify_inclusion_certificate(forged)
+
+    @pytest.mark.parametrize("junk", [None, [], "x", 3])
+    def test_certificate_not_a_mapping(self, junk):
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+        assert not verify_inclusion_certificate(replace(verdict, certificate=junk))
+
+    @pytest.mark.parametrize("junk", [None, [], "x", 3])
+    def test_data_not_a_mapping(self, junk):
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+        certificate = {"type": "inclusion", "data": junk}
+        assert not verify_inclusion_certificate(replace(verdict, certificate=certificate))
 
     @pytest.mark.parametrize("text", ["x +* y", "q"])
     def test_unparsable_cofactor(self, text):

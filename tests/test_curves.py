@@ -17,7 +17,7 @@ from liptriv.curves import (
     pullback_ideal,
 )
 from liptriv.doubling import double_ideal
-from liptriv.rings import parse_polynomial
+from liptriv.rings import RingError, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
 
@@ -89,13 +89,13 @@ class TestWitness:
         element = poly("y - y'")
         witness = Witness(
             curve,
+            pullback_ideal(curve, ideal).generator_orders,
             element,
             pullback(element, curve).order_of_vanishing(),
-            pullback_ideal(curve, ideal).ideal_order,
         )
         assert witness.element_order == 1
+        assert witness.generator_orders == (math.inf, 2)
         assert witness.ideal_order == 2
-        assert witness.margin == 1
 
     def test_no_obstruction_when_orders_respect_ideal(self):
         ideal = double_ideal(
@@ -106,10 +106,10 @@ class TestWitness:
         assert not element_order < pullback_ideal(curve, ideal).ideal_order
 
     def test_witness_requires_strict_drop(self):
-        with pytest.raises(Exception):
-            Witness(
-                parse_curve("s,s,s,s", DXY), poly("x - x'"), 2, 2
-            )
+        curve = parse_curve("s,s,s,s", DXY)
+        for element_order in (2, 3, math.inf):
+            with pytest.raises(RingError, match="not a witness"):
+                Witness(curve, (2, math.inf), poly("x - x'"), element_order)
 
 
 class TestEnumeration:
@@ -181,6 +181,20 @@ class TestEnumeration:
         assert isinstance(report, SearchReport)
         assert report.budget_exhausted
         assert report.curves_tried == 5
+
+    def test_negative_budget_rejected(self):
+        ideal = double_ideal(
+            [parse_polynomial(t, RingContext(("x", "y"))) for t in ("x", "y^3")]
+        )
+        element = poly("y^2 - y'^2")
+        config = CurveSearchConfig(max_exponent=3)
+        # the second curve is a witness, so a negative budget sliced from
+        # the end of the block would still find it
+        assert isinstance(closure_test(element, ideal, budget=2, config=config), Witness)
+        with pytest.raises(ValueError, match="budget"):
+            closure_test(element, ideal, budget=-1, config=config)
+        report = closure_test(element, ideal, budget=0, config=config)
+        assert (report.curves_tried, report.budget_exhausted) == (0, True)
 
 
 EXPECTED_PROBE_ORDERS = [
