@@ -99,18 +99,18 @@ class TestCurve:
         return format_curve(self)
 
 
-def parse_curve(text: str, ring: RingContext, parameter: str = "s") -> TestCurve:
+def parse_curve(text: str, ring: RingContext) -> TestCurve:
     """Parse comma-separated arcs, e.g. ``"s,2s^2,2s,s,s^2,s"``."""
     cells = text.split(",")
     if len(cells) != ring.arity:
         raise ParseError(
             f"expected {ring.arity} comma-separated arcs, got {len(cells)}"
         )
-    return TestCurve(ring, tuple(parse_univariate(c, parameter) for c in cells))
+    return TestCurve(ring, tuple(parse_univariate(c) for c in cells))
 
 
-def format_curve(curve: TestCurve, parameter: str = "s") -> str:
-    return ", ".join(format_univariate(c, parameter) for c in curve.components)
+def format_curve(curve: TestCurve) -> str:
+    return ", ".join(format_univariate(c) for c in curve.components)
 
 
 def pullback(p: Polynomial, curve: TestCurve) -> UnivariatePoly:
@@ -215,7 +215,8 @@ class CurveSearchConfig:
     """Shape of the enumerated curve family.
 
     Arcs are monomials ``c * s^e`` with ``1 <= e <= max_exponent`` and
-    ``c`` drawn from ``coefficients``.  When ``parameter`` names a
+    ``c`` drawn from ``coefficients``, each an ``int`` or a
+    ``Fraction``; the search is exact.  When ``parameter`` names a
     doubled variable, the primed copy of the parameter is forced onto
     the same arc as the original and the pair counts twice toward the
     enumeration degree.
@@ -231,6 +232,9 @@ class CurveSearchConfig:
         if not self.coefficients:
             raise ValueError("need at least one coefficient choice")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        for c in self.coefficients:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"arc coefficient {c!r} is not an int or a Fraction")
 
 
 def _weighted_compositions(
@@ -325,31 +329,28 @@ class _OrderKernel:
     Coefficients are scaled to integers once (by the lcm of their
     denominators, which leaves every order unchanged).  A term's degree
     depends only on the arc exponents and its value only on the arc
-    coefficients.  So the terms are grouped by degree once per block
-    and only the current block's groups are kept, recognised by the
-    identity of its exponent tuple; term values are kept per coefficient
-    pattern, by the pattern's index in the block.
+    coefficients.  So :meth:`enter` groups the terms by degree once per
+    block and keeps only the current block's groups; term values are
+    kept per coefficient pattern, by the pattern's index, which names
+    the same pattern in every block.  A kernel lives for one search.
     """
 
-    __slots__ = ("terms", "top", "_groups", "_exps", "_values")
+    __slots__ = ("terms", "top", "_groups", "_values")
 
     def __init__(self, p: Polynomial):
         _, self.terms = _integer_terms(p.terms)
         self.top = [max(col) for col in zip(*(exps for exps, _ in p.terms))]
         self._groups: list[tuple[int, tuple[int, ...]]] = []
-        self._exps: tuple | None = None
         self._values: list[list[int] | None] = []
 
     def enter(self, arc_exps: tuple) -> list[tuple[int, tuple[int, ...]]]:
         """Make ``arc_exps`` the current block; its ``(degree, term
         indices)`` groups, lowest degree first."""
-        if arc_exps is not self._exps:
-            by_degree: dict[int, list[int]] = {}
-            for index, (exps, _) in enumerate(self.terms):
-                degree = sum(map(mul, arc_exps, exps))
-                by_degree.setdefault(degree, []).append(index)
-            self._groups = [(d, tuple(m)) for d, m in sorted(by_degree.items())]
-            self._exps = arc_exps
+        by_degree: dict[int, list[int]] = {}
+        for index, (exps, _) in enumerate(self.terms):
+            degree = sum(map(mul, arc_exps, exps))
+            by_degree.setdefault(degree, []).append(index)
+        self._groups = [(d, tuple(m)) for d, m in sorted(by_degree.items())]
         return self._groups
 
     def _term_values(self, arc_coeffs: tuple) -> list[int]:
@@ -373,28 +374,17 @@ class _OrderKernel:
             values = cache[index] = self._term_values(arc_coeffs)
         return values
 
-    def _first_nonzero(self, values: list[int], limit):
-        # The one summation loop: the lowest degree of the current block
-        # whose terms do not cancel, or ``limit``.
+    def order_at(self, index: int, arc_coeffs: tuple, limit=math.inf):
+        """Order along the current block's ``index``-th pattern, or
+        ``limit`` if that is lower; degrees at or above ``limit`` are
+        never summed."""
+        values = self.values_at(index, arc_coeffs)
         for degree, members in self._groups:
             if degree >= limit:
                 return limit
             if sum(map(values.__getitem__, members)):
                 return degree
         return limit
-
-    def order_at(self, index: int, arc_coeffs: tuple, limit=math.inf):
-        """Order along the current block's ``index``-th pattern, or
-        ``limit`` if that is lower."""
-        return self._first_nonzero(self.values_at(index, arc_coeffs), limit)
-
-    def order(self, arc_exps: tuple, arc_coeffs: tuple, limit=math.inf):
-        """Order along the arcs ``c_i * s^e_i``, or ``limit`` if that is lower.
-
-        Degrees at or above ``limit`` are never summed.
-        """
-        self.enter(arc_exps)
-        return self._first_nonzero(self._term_values(arc_coeffs), limit)
 
 
 def _block_leads(family: list[_OrderKernel], arc_exps: tuple):
@@ -425,7 +415,7 @@ class SearchReport:
 
     curves_tried: int
     budget_exhausted: bool
-    config: CurveSearchConfig | None
+    config: CurveSearchConfig
     best_gap: int | None  # smallest finite (element order - ideal order) seen
 
 
@@ -445,10 +435,7 @@ def _confirmed_witness(
 
 
 def closure_test(
-    element: Polynomial,
-    ideal: Ideal,
-    budget: int = 1000,
-    config: CurveSearchConfig | None = None,
+    element: Polynomial, ideal: Ideal, budget: int, config: CurveSearchConfig
 ):
     """Search for a :class:`Witness` against ``element``.
 
@@ -459,12 +446,10 @@ def closure_test(
     searches nothing, and a negative budget is a ``ValueError``.
 
     The curves are walked one block (exponent tuple) at a time, and
-    nothing is computed for the curves after a witness.  The ideal's
-    order along each curve is computed once per config and kept on the
-    ideal, so searches for further elements against the same ideal only
-    evaluate the element.  Where a block's single-term lead fixes the
-    ideal's order (see the module docstring), the other generators are
-    not evaluated.
+    nothing is computed for the curves after a witness.  Where a block's
+    single-term lead fixes the ideal's order (see the module docstring),
+    the other generators are not evaluated.  The search keeps nothing
+    between calls and writes nothing into its arguments.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -472,11 +457,8 @@ def closure_test(
         raise RingError("element and ideal live in different rings")
     if element.is_zero:
         return SearchReport(0, False, config, None)
-    if config is None:
-        config = CurveSearchConfig(max_exponent=max(4, element.degree() + 2))
-    known = ideal._curve_orders.setdefault(config, [])
     target = _OrderKernel(element)
-    family: list[_OrderKernel] | None = None
+    family = [_OrderKernel(g) for g in ideal.generators]
     tried = 0
     best_gap: int | None = None
     exhausted = False
@@ -485,26 +467,18 @@ def closure_test(
             patterns = patterns[: budget - tried]
             exhausted = True
         target.enter(exps)
-        leads = None
+        d_min, leads, ordered = _block_leads(family, exps)
         for index, coeffs in enumerate(patterns):
-            if tried < len(known):
-                ideal_order = known[tried]
+            for kernel, term in leads:
+                if kernel.values_at(index, coeffs)[term]:
+                    ideal_order = d_min
+                    break
             else:
-                if family is None:
-                    family = [_OrderKernel(g) for g in ideal.generators]
-                if leads is None:
-                    d_min, leads, ordered = _block_leads(family, exps)
-                for kernel, term in leads:
-                    if kernel.values_at(index, coeffs)[term]:
-                        ideal_order = d_min
+                ideal_order = math.inf
+                for first, kernel in ordered:
+                    if first >= ideal_order:
                         break
-                else:
-                    ideal_order = math.inf
-                    for first, kernel in ordered:
-                        if first >= ideal_order:
-                            break
-                        ideal_order = kernel.order_at(index, coeffs, ideal_order)
-                known.append(ideal_order)
+                    ideal_order = kernel.order_at(index, coeffs, ideal_order)
             tried += 1
             element_order = target.order_at(index, coeffs)
             if element_order < ideal_order:

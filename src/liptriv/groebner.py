@@ -46,7 +46,6 @@ __all__ = [
     "Ideal",
     "buchberger",
     "divide",
-    "ideal_member",
     "membership_certificate",
     "s_polynomial",
 ]
@@ -286,12 +285,12 @@ class Ideal:
 
     Zero generators are dropped at construction; passing nothing at all
     is an error (write the zero ideal as ``Ideal(ring, [ring.zero()])``
-    so the intent is visible).  The basis cache is written only on a
-    successful computation, so a budget failure can be retried with a
-    bigger budget.
+    so the intent is visible).  The basis is the only state an ideal
+    keeps; its cache is written only on a successful computation, so a
+    budget failure can be retried with a bigger budget.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_curve_orders")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         generators = tuple(generators)
@@ -303,9 +302,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero)
         self._basis: tuple[Polynomial, ...] | None = None
-        # The curve search's per-curve orders of this ideal, keyed by
-        # search config; see ``liptriv.curves.closure_test``.
-        self._curve_orders: dict = {}
 
     @property
     def is_zero(self) -> bool:
@@ -321,17 +317,6 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
-
-
-def ideal_member(
-    p: Polynomial, ideal: Ideal, budget: GroebnerBudget | None = None
-) -> bool:
-    """Exact membership test through the reduced basis."""
-    if p.ring != ideal.ring:
-        raise RingError("membership test across different rings")
-    if ideal.is_zero:
-        return p.is_zero
-    return divide(p, ideal.groebner_basis(budget))[1].is_zero
 
 
 def membership_certificate(

@@ -727,6 +727,8 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
 
 # -- univariate arcs ---------------------------------------------------
 
+_ARC_PARAMETER = "s"  # the arc variable in every parsed and printed curve
+
 
 class UnivariatePoly:
     """Dense univariate polynomial used for arc pullbacks.
@@ -840,13 +842,15 @@ class UnivariatePoly:
         return f"UnivariatePoly({format_univariate(self)!r})"
 
 
-def parse_univariate(text: str, parameter: str = "s") -> UnivariatePoly:
-    ring = RingContext((parameter,))
+def parse_univariate(text: str) -> UnivariatePoly:
+    ring = RingContext((_ARC_PARAMETER,))
     return polynomial_to_univariate(parse_polynomial(text, ring))
 
 
-def format_univariate(u: UnivariatePoly, parameter: str = "s") -> str:
-    ring = RingContext((parameter,), exponent_cap=max(DEFAULT_EXPONENT_CAP, len(u.coeffs)))
+def format_univariate(u: UnivariatePoly) -> str:
+    ring = RingContext(
+        (_ARC_PARAMETER,), exponent_cap=max(DEFAULT_EXPONENT_CAP, len(u.coeffs))
+    )
     p = Polynomial(ring, [((i,), c) for i, c in enumerate(u.coeffs)])
     return format_polynomial(p)
 

@@ -1,6 +1,7 @@
 """Arc pullbacks, vanishing orders, witness search, closure testing."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,16 @@ class TestWitness:
 
 
 class TestEnumeration:
+    def test_inexact_arc_coefficients_rejected(self):
+        # A float coefficient would be echoed by a search report, or
+        # searched with and then refused when the witness curve is built.
+        for bad in (0.5, 2.0, "1", None):
+            with pytest.raises(ValueError, match="arc coefficient"):
+                CurveSearchConfig(max_exponent=2, coefficients=(bad, 2))
+        config = CurveSearchConfig(max_exponent=2, coefficients=[Fraction(1, 2), 2])
+        assert config.coefficients == (Fraction(1, 2), 2)
+        assert type(config.coefficients[1]) is int
+
     def test_deterministic_stream(self):
         config = CurveSearchConfig(max_exponent=3, coefficients=(1, 2))
         first = [
@@ -148,7 +159,7 @@ class TestEnumeration:
         u = build_unfolding(nf.matrix, nf.theta({"b1": 1}))
         ideal = unfolding_double_ideal(u)
         theta_gen = parse_polynomial("y - y'", ideal.ring)
-        result = closure_test(theta_gen, ideal)
+        result = closure_test(theta_gen, ideal, 1000, CurveSearchConfig(max_exponent=4))
         assert isinstance(result, Witness)
         assert result.element_order < result.ideal_order
 
@@ -158,7 +169,9 @@ class TestEnumeration:
         ideal = double_ideal(
             [parse_polynomial("x", RingContext(("x", "y")))]
         )
-        report = closure_test(ideal.ring.zero(), ideal)
+        report = closure_test(
+            ideal.ring.zero(), ideal, 1000, CurveSearchConfig(max_exponent=4)
+        )
         assert isinstance(report, SearchReport)
         assert report.curves_tried == 0
         assert not report.budget_exhausted

@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from liptriv import RingContext
-from liptriv.groebner import Ideal, ideal_member, membership_certificate
+from liptriv.groebner import Ideal, membership_certificate
 from liptriv.rings import Polynomial
 from tests.oracles import brute_force_certificate, monomials_up_to, recombine
 
@@ -89,7 +89,8 @@ class TestOracleAgainstKnownAnswers:
 
 def check_instance(kind, p, gens, cap):
     ideal = Ideal(RING, gens)
-    engine_says = ideal_member(p, ideal)
+    pairs = membership_certificate(p, ideal)
+    engine_says = pairs is not None
 
     # sympy as an independent full-strength arbiter, both directions
     sympy_gens = [to_sympy(g) for g in gens]
@@ -117,8 +118,6 @@ def check_instance(kind, p, gens, cap):
         assert cert is not None
 
     if engine_says:
-        pairs = membership_certificate(p, ideal)
-        assert pairs is not None
         total = RING.zero()
         for cofactor, basis_poly in pairs:
             total = total + cofactor * basis_poly
