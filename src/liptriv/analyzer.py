@@ -46,16 +46,16 @@ from .catalog import (
     random_direction,
 )
 from .curves import (
+    ARC_COEFFICIENTS,
     AuditError,
-    CurveSearchConfig,
     SearchReport,
     Witness,
+    _require_count,
     closure_test,
     format_curve,
     pullback_dense,
 )
 from .doubling import (
-    PARAMETER,
     DoubledIdeal,
     MatrixGerm,
     Unfolding,
@@ -95,8 +95,9 @@ class AnalyzeOptions:
 
     Two budgets (Groebner, curves per generator), the search depth
     ``max_exponent`` (``None``: entry degree + 2, at least 4), ``audit``
-    and the ``field`` label.  The parameter is ``doubling.PARAMETER``
-    and the arc coefficients are the :class:`CurveSearchConfig` default.
+    and the ``field`` label.  ``curve_budget`` and ``max_exponent`` must
+    be ``int`` values of at least 1 (a ``bool`` is refused).  The arcs
+    are the fixed family of :mod:`liptriv.curves`.
     """
 
     groebner_budget: GroebnerBudget = GroebnerBudget(
@@ -113,10 +114,9 @@ class AnalyzeOptions:
     def __post_init__(self) -> None:
         if self.field not in ("real", "complex"):
             raise ValueError("field is a label: 'real' or 'complex'")
-        if self.curve_budget < 1:
-            raise ValueError("curve_budget must be positive")
-        if self.max_exponent is not None and self.max_exponent < 1:
-            raise ValueError("max_exponent must be positive")
+        _require_count("curve_budget", self.curve_budget)
+        if self.max_exponent is not None:
+            _require_count("max_exponent", self.max_exponent)
 
 
 @dataclass(frozen=True)
@@ -210,13 +210,13 @@ def _diagonal_route(
 def _search_route(
     total: DoubledIdeal,
     theta: DoubledIdeal,
-    config: CurveSearchConfig,
+    max_exponent: int,
     budget: int,
 ):
     """First verified witness, else the per-generator search reports."""
     reports = []
     for g in theta.generators:
-        found = closure_test(g, total, budget=budget, config=config)
+        found = closure_test(g, total, budget, max_exponent)
         if isinstance(found, Witness):
             if not verify_witness_dense(found, total):
                 raise AuditError(
@@ -302,14 +302,11 @@ def analyze(
 
     witness = None
     searches: tuple[SearchReport, ...] = ()
-    config = CurveSearchConfig(
-        max_exponent=options.max_exponent or max(4, base.entry_max_degree() + 2),
-        parameter=PARAMETER,
-    )
+    max_exponent = options.max_exponent or max(4, base.entry_max_degree() + 2)
     if options.audit or proof is None:
         clock = time.perf_counter()
         witness, searches = _search_route(
-            total, theta, config, options.curve_budget
+            total, theta, max_exponent, options.curve_budget
         )
         timings["search"] = time.perf_counter() - clock
 
@@ -357,8 +354,8 @@ def analyze(
     cert = {
         "type": "search",
         "data": {
-            "max_exponent": config.max_exponent,
-            "coefficients": list(config.coefficients),
+            "max_exponent": max_exponent,
+            "coefficients": list(ARC_COEFFICIENTS),
             "generators": [
                 {
                     "element": str(g),

@@ -9,6 +9,12 @@ of the ideal, the curve is a witness that the element cannot lie in the
 relevant closure.  Finding no witness proves nothing; the search is
 one-sided by design and reports itself as such.
 
+The search walks one fixed family of curves: monomial arcs ``c * s^e``
+with ``1 <= e <= max_exponent`` and ``c`` in :data:`ARC_COEFFICIENTS`.
+In a ring that holds both ``doubling.PARAMETER`` and its primed copy,
+the copy rides on the parameter's arc, and the pair counts twice
+toward the enumeration degree.
+
 The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
 ``<e, a>`` with value ``q * prod(c_i^a_i)``; an integer kernel sums
@@ -24,14 +30,13 @@ The enumeration comes in *blocks*: one exponent tuple with every
 coefficient pattern.  Degrees depend only on the exponents, so the
 kernel groups terms by degree once per block; values depend only on the
 pattern, so they are computed once per pattern and kept by its index.
-Within a block the ideal's order often needs one term only: no
-generator vanishes below its lowest degree, so when the lowest degree
-over all generators, ``d_min``, is reached by a generator whose lowest
-group is a single term, and that term's value is nonzero, the ideal's
-order is ``d_min`` and no other generator is evaluated.  Without such
-a lead, or when a zero arc coefficient makes its term vanish, the
-generators are summed in order of their lowest degree, until none left
-can go lower.
+Within a block the ideal's order often needs no value at all: no
+generator vanishes below its lowest degree, and a single term never
+vanishes along arcs with nonzero coefficients.  So when the lowest
+degree over all generators, ``d_min``, is reached by a generator whose
+lowest group is a single term, the ideal's order is ``d_min`` for every
+pattern of the block.  Without such a lead, the generators are summed
+in order of their lowest degree, until none left can go lower.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
+from .doubling import PARAMETER
 from .groebner import Ideal, _integer_terms
 from .rings import (
     ParseError,
@@ -56,13 +62,12 @@ from .rings import (
 )
 
 __all__ = [
-    "CurveSearchConfig",
+    "ARC_COEFFICIENTS",
     "PullbackSummary",
     "SearchReport",
     "TestCurve",
     "Witness",
     "closure_test",
-    "enumerate_test_curves",
     "format_curve",
     "parse_curve",
     "pullback",
@@ -210,31 +215,9 @@ class Witness(PullbackSummary):
             )
 
 
-@dataclass(frozen=True)
-class CurveSearchConfig:
-    """Shape of the enumerated curve family.
-
-    Arcs are monomials ``c * s^e`` with ``1 <= e <= max_exponent`` and
-    ``c`` drawn from ``coefficients``, each an ``int`` or a
-    ``Fraction``; the search is exact.  When ``parameter`` names a
-    doubled variable, the primed copy of the parameter is forced onto
-    the same arc as the original and the pair counts twice toward the
-    enumeration degree.
-    """
-
-    max_exponent: int
-    coefficients: tuple = (1, 2)
-    parameter: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_exponent < 1:
-            raise ValueError("max_exponent must be at least 1")
-        if not self.coefficients:
-            raise ValueError("need at least one coefficient choice")
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        for c in self.coefficients:
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"arc coefficient {c!r} is not an int or a Fraction")
+ARC_COEFFICIENTS = (1, 2)
+"""The coefficients ``c`` of the searched arcs ``c * s^e``: nonzero
+integers, so a single term never vanishes along a searched arc."""
 
 
 def _weighted_compositions(
@@ -263,24 +246,29 @@ def _weighted_compositions(
     yield from rec(0, total)
 
 
+def _require_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is a non-``bool`` ``int`` of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int of at least 1, not {value!r}")
+
+
 def _profiles(
-    ring: RingContext, config: CurveSearchConfig
+    ring: RingContext, max_exponent: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
     """The search's curves in blocks ``(exponents, patterns)``, one entry
-    per ring variable, in the order of :func:`enumerate_test_curves`.
+    per ring variable, cheapest first.
 
-    A block is one exponent tuple with every coefficient pattern; all
-    blocks share one list of patterns.
+    Blocks come by weighted degree, then by exponent tuple; a block is
+    one exponent tuple with every pattern of :data:`ARC_COEFFICIENTS`,
+    and all blocks share one list of patterns.  When the ring holds
+    ``doubling.PARAMETER`` and its primed copy, the copy takes the
+    parameter's exponent and coefficient, and the pair weighs 2.
     """
     names = ring.variables
     tied_source = tied_mirror = None
-    if config.parameter is not None:
-        if config.parameter not in names:
-            raise RingError(f"parameter {config.parameter!r} not in ring")
-        mirror = primed(config.parameter)
-        if mirror in names:
-            tied_source = ring.index(config.parameter)
-            tied_mirror = ring.index(mirror)
+    if PARAMETER in names and primed(PARAMETER) in names:
+        tied_source = ring.index(PARAMETER)
+        tied_mirror = ring.index(primed(PARAMETER))
     free = [i for i in range(len(names)) if i != tied_mirror]
     weights = [2 if i == tied_source else 1 for i in free]
 
@@ -294,12 +282,10 @@ def _profiles(
 
     patterns = [
         spread(pattern)
-        for pattern in itertools.product(config.coefficients, repeat=len(free))
+        for pattern in itertools.product(ARC_COEFFICIENTS, repeat=len(free))
     ]
-    low = sum(weights)
-    high = config.max_exponent * sum(weights)
-    for total in range(low, high + 1):
-        for exps in _weighted_compositions(weights, total, config.max_exponent):
+    for total in range(sum(weights), max_exponent * sum(weights) + 1):
+        for exps in _weighted_compositions(weights, total, max_exponent):
             yield spread(exps), patterns
 
 
@@ -307,20 +293,6 @@ def _monomial_curve(ring: RingContext, exps: Sequence[int], coeffs: Sequence) ->
     return TestCurve(
         ring, tuple(UnivariatePoly.monomial(c, e) for e, c in zip(exps, coeffs))
     )
-
-
-def enumerate_test_curves(
-    ring: RingContext, config: CurveSearchConfig
-) -> Iterator[TestCurve]:
-    """Lazy stream of monomial curves, cheapest first.
-
-    Curves are ordered by total weighted degree, then by exponent tuple,
-    then by coefficient pattern, so the stream is deterministic and the
-    small witnesses that tend to exist come out early.
-    """
-    for exps, patterns in _profiles(ring, config):
-        for coeffs in patterns:
-            yield _monomial_curve(ring, exps, coeffs)
 
 
 class _OrderKernel:
@@ -332,14 +304,14 @@ class _OrderKernel:
     coefficients.  So :meth:`enter` groups the terms by degree once per
     block and keeps only the current block's groups; term values are
     kept per coefficient pattern, by the pattern's index, which names
-    the same pattern in every block.  A kernel lives for one search.
+    the same pattern in every block.  Values stay exact for rational
+    arc coefficients too.  A kernel lives for one search.
     """
 
-    __slots__ = ("terms", "top", "_groups", "_values")
+    __slots__ = ("terms", "_groups", "_values")
 
     def __init__(self, p: Polynomial):
         _, self.terms = _integer_terms(p.terms)
-        self.top = [max(col) for col in zip(*(exps for exps, _ in p.terms))]
         self._groups: list[tuple[int, tuple[int, ...]]] = []
         self._values: list[list[int] | None] = []
 
@@ -354,13 +326,10 @@ class _OrderKernel:
         return self._groups
 
     def _term_values(self, arc_coeffs: tuple) -> list[int]:
-        # An arc coefficient n/d contributes n^a * d^(top - a): the term
-        # values are all scaled by the same prod d^top, and stay integers.
-        arcs = [Fraction(c) for c in arc_coeffs]
         values = []
         for exps, q in self.terms:
-            for c, a, top in zip(arcs, exps, self.top):
-                q *= c.numerator**a * c.denominator ** (top - a)
+            for c, a in zip(arc_coeffs, exps):
+                q *= c**a
             values.append(q)
         return values
 
@@ -388,25 +357,24 @@ class _OrderKernel:
 
 
 def _block_leads(family: list[_OrderKernel], arc_exps: tuple):
-    """``(d_min, leads, ordered)`` for one block.
+    """``(d_min, lead, ordered)`` for one block.
 
     ``ordered`` holds ``(first-group degree, kernel)`` for every
     generator with terms, lowest degree first; ``d_min`` is the lowest
-    of those degrees, and ``leads`` holds ``(kernel, term)`` for each
-    generator whose first group sits at ``d_min`` and is the single
-    term ``term``.
+    of those degrees.  ``lead`` says whether some generator's first
+    group sits at ``d_min`` and is a single term: that term is nonzero
+    along every searched arc, so the ideal's order is then ``d_min``
+    for every pattern of the block.
     """
     firsts = sorted(
         ((k.enter(arc_exps)[0], k) for k in family if k.terms),
         key=lambda first: first[0][0],
     )
     d_min = firsts[0][0][0] if firsts else math.inf
-    leads = [
-        (k, members[0])
-        for (degree, members), k in firsts
-        if degree == d_min and len(members) == 1
-    ]
-    return d_min, leads, [(degree, k) for (degree, _), k in firsts]
+    lead = any(
+        degree == d_min and len(members) == 1 for (degree, members), _ in firsts
+    )
+    return d_min, lead, [(degree, k) for (degree, _), k in firsts]
 
 
 @dataclass(frozen=True)
@@ -415,7 +383,7 @@ class SearchReport:
 
     curves_tried: int
     budget_exhausted: bool
-    config: CurveSearchConfig
+    max_exponent: int
     best_gap: int | None  # smallest finite (element order - ideal order) seen
 
 
@@ -434,9 +402,7 @@ def _confirmed_witness(
     return Witness(curve, summary.generator_orders, element, pulled)
 
 
-def closure_test(
-    element: Polynomial, ideal: Ideal, budget: int, config: CurveSearchConfig
-):
+def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: int):
     """Search for a :class:`Witness` against ``element``.
 
     Returns the first witness in enumeration order, or a
@@ -444,35 +410,36 @@ def closure_test(
     report is not a membership proof; it only says this family of
     curves showed nothing.  ``budget`` caps the curves tried; ``0``
     searches nothing, and a negative budget is a ``ValueError``.
+    ``max_exponent`` caps the arc exponents (see the module docstring);
+    it must be an ``int`` of at least 1, and a ``bool`` is refused.
 
     The curves are walked one block (exponent tuple) at a time, and
     nothing is computed for the curves after a witness.  Where a block's
-    single-term lead fixes the ideal's order (see the module docstring),
-    the other generators are not evaluated.  The search keeps nothing
-    between calls and writes nothing into its arguments.
+    single-term lead fixes the ideal's order, no generator is evaluated.
+    The search keeps nothing between calls and writes nothing into its
+    arguments.
     """
+    _require_count("max_exponent", max_exponent)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if element.ring != ideal.ring:
         raise RingError("element and ideal live in different rings")
     if element.is_zero:
-        return SearchReport(0, False, config, None)
+        return SearchReport(0, False, max_exponent, None)
     target = _OrderKernel(element)
     family = [_OrderKernel(g) for g in ideal.generators]
     tried = 0
     best_gap: int | None = None
     exhausted = False
-    for exps, patterns in _profiles(ideal.ring, config):
+    for exps, patterns in _profiles(ideal.ring, max_exponent):
         if tried + len(patterns) > budget:
             patterns = patterns[: budget - tried]
             exhausted = True
         target.enter(exps)
-        d_min, leads, ordered = _block_leads(family, exps)
+        d_min, lead, ordered = _block_leads(family, exps)
         for index, coeffs in enumerate(patterns):
-            for kernel, term in leads:
-                if kernel.values_at(index, coeffs)[term]:
-                    ideal_order = d_min
-                    break
+            if lead:
+                ideal_order = d_min
             else:
                 ideal_order = math.inf
                 for first, kernel in ordered:
@@ -490,4 +457,4 @@ def closure_test(
                     best_gap = gap
         if exhausted:
             break
-    return SearchReport(tried, exhausted, config, best_gap)
+    return SearchReport(tried, exhausted, max_exponent, best_gap)

@@ -267,7 +267,19 @@ class TestOptions:
         with pytest.raises(ValueError):
             AnalyzeOptions(field="padic")
 
-    @pytest.mark.parametrize("bad", [{"max_exponent": 0}, {"curve_budget": 0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_exponent": 0},
+            {"curve_budget": 0},
+            # rejected up front, not as a TypeError deep in the search
+            {"max_exponent": 2.0},
+            {"max_exponent": True},
+            {"max_exponent": "3"},
+            {"curve_budget": 2.5},
+            {"curve_budget": True},
+        ],
+    )
     def test_limits_validated(self, bad):
         with pytest.raises(ValueError):
             AnalyzeOptions(**bad)

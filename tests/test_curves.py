@@ -1,26 +1,27 @@
 """Arc pullbacks, vanishing orders, witness search, closure testing."""
 
+import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
 from liptriv import RingContext, normal_form
 from liptriv.curves import (
-    CurveSearchConfig,
+    ARC_COEFFICIENTS,
     Witness,
     closure_test,
-    enumerate_test_curves,
     format_curve,
     parse_curve,
     pullback,
     pullback_dense,
     pullback_ideal,
 )
+from liptriv.curves import _monomial_curve, _profiles
 from liptriv.doubling import double_ideal
 from liptriv.rings import RingError, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
+DTX = RingContext(("t", "x")).doubled_extension()
 
 
 def poly(text, ring=DXY):
@@ -113,43 +114,53 @@ class TestWitness:
                 Witness(curve, (2, math.inf), poly("x - x'"), element_order)
 
 
-class TestEnumeration:
-    def test_inexact_arc_coefficients_rejected(self):
-        # A float coefficient would be echoed by a search report, or
-        # searched with and then refused when the witness curve is built.
-        for bad in (0.5, 2.0, "1", None):
-            with pytest.raises(ValueError, match="arc coefficient"):
-                CurveSearchConfig(max_exponent=2, coefficients=(bad, 2))
-        config = CurveSearchConfig(max_exponent=2, coefficients=[Fraction(1, 2), 2])
-        assert config.coefficients == (Fraction(1, 2), 2)
-        assert type(config.coefficients[1]) is int
+def searched_curves(ring, max_exponent):
+    return [
+        _monomial_curve(ring, exps, coeffs)
+        for exps, patterns in _profiles(ring, max_exponent)
+        for coeffs in patterns
+    ]
 
+
+class TestEnumeration:
     def test_deterministic_stream(self):
-        config = CurveSearchConfig(max_exponent=3, coefficients=(1, 2))
-        first = [
-            format_curve(c) for c in enumerate_test_curves(DXY, config)
-        ][:40]
-        second = [
-            format_curve(c) for c in enumerate_test_curves(DXY, config)
-        ][:40]
+        first = [format_curve(c) for c in searched_curves(DXY, 3)][:40]
+        second = [format_curve(c) for c in searched_curves(DXY, 3)][:40]
         assert first == second
 
     def test_cheapest_curves_come_first(self):
-        config = CurveSearchConfig(max_exponent=2, coefficients=(1, 2))
-        degrees = []
-        for curve in enumerate_test_curves(DXY, config):
-            degrees.append(sum(a.degree() for a in curve.components))
-        assert degrees == sorted(degrees)
+        for ring in (DXY, DTX):
+            degrees = [
+                sum(a.degree() for a in curve.components)
+                for curve in searched_curves(ring, 2)
+            ]
+            assert degrees == sorted(degrees)
 
     def test_tied_parameter_shares_one_arc(self):
-        ring = RingContext(("t", "x")).doubled_extension()
-        config = CurveSearchConfig(
-            max_exponent=2, coefficients=(1, 2), parameter="t"
+        t, mirror = DTX.index("t"), DTX.index("t'")
+        blocks = list(_profiles(DTX, 2))
+        for exps, patterns in blocks:
+            assert exps[t] == exps[mirror]
+            assert all(coeffs[t] == coeffs[mirror] for coeffs in patterns)
+        # t, x and x' are free: 2^3 exponent tuples, 2^3 patterns each
+        assert (len(blocks), len(blocks[0][1])) == (8, 8)
+
+    def test_untied_ring_ties_nothing(self):
+        blocks = list(_profiles(DXY, 2))
+        assert sorted(exps for exps, _ in blocks) == sorted(
+            itertools.product((1, 2), repeat=4)
         )
-        for curve in enumerate_test_curves(ring, config):
-            t_arc = curve.components[ring.index("t")]
-            t_mirror = curve.components[ring.index("t'")]
-            assert t_arc.coeffs == t_mirror.coeffs
+        assert sorted(blocks[0][1]) == sorted(
+            itertools.product(ARC_COEFFICIENTS, repeat=4)
+        )
+
+    def test_max_exponent_validated(self):
+        ideal = double_ideal([parse_polynomial("x", RingContext(("x", "y")))])
+        for bad in (0, 2.0, True):
+            with pytest.raises(ValueError, match="max_exponent"):
+                closure_test(poly("y - y'"), ideal, 10, bad)
+            with pytest.raises(ValueError, match="max_exponent"):
+                closure_test(ideal.ring.zero(), ideal, 10, bad)
 
     def test_closure_test_finds_catalog_witness(self):
         from liptriv import unfolding_double_ideal
@@ -159,7 +170,7 @@ class TestEnumeration:
         u = build_unfolding(nf.matrix, nf.theta({"b1": 1}))
         ideal = unfolding_double_ideal(u)
         theta_gen = parse_polynomial("y - y'", ideal.ring)
-        result = closure_test(theta_gen, ideal, 1000, CurveSearchConfig(max_exponent=4))
+        result = closure_test(theta_gen, ideal, 1000, 4)
         assert isinstance(result, Witness)
         assert result.element_order < result.ideal_order
 
@@ -169,9 +180,7 @@ class TestEnumeration:
         ideal = double_ideal(
             [parse_polynomial("x", RingContext(("x", "y")))]
         )
-        report = closure_test(
-            ideal.ring.zero(), ideal, 1000, CurveSearchConfig(max_exponent=4)
-        )
+        report = closure_test(ideal.ring.zero(), ideal, 1000, 4)
         assert isinstance(report, SearchReport)
         assert report.curves_tried == 0
         assert not report.budget_exhausted
@@ -185,12 +194,7 @@ class TestEnumeration:
         u = build_unfolding(nf.matrix, nf.theta({"a3": 1}))
         ideal = unfolding_double_ideal(u)
         element = parse_polynomial("y^3 - y'^3", ideal.ring)
-        report = closure_test(
-            element,
-            ideal,
-            budget=5,
-            config=CurveSearchConfig(max_exponent=2),
-        )
+        report = closure_test(element, ideal, budget=5, max_exponent=2)
         assert isinstance(report, SearchReport)
         assert report.budget_exhausted
         assert report.curves_tried == 5
@@ -200,13 +204,12 @@ class TestEnumeration:
             [parse_polynomial(t, RingContext(("x", "y"))) for t in ("x", "y^3")]
         )
         element = poly("y^2 - y'^2")
-        config = CurveSearchConfig(max_exponent=3)
         # the second curve is a witness, so a negative budget sliced from
         # the end of the block would still find it
-        assert isinstance(closure_test(element, ideal, budget=2, config=config), Witness)
+        assert isinstance(closure_test(element, ideal, 2, 3), Witness)
         with pytest.raises(ValueError, match="budget"):
-            closure_test(element, ideal, budget=-1, config=config)
-        report = closure_test(element, ideal, budget=0, config=config)
+            closure_test(element, ideal, -1, 3)
+        report = closure_test(element, ideal, 0, 3)
         assert (report.curves_tried, report.budget_exhausted) == (0, True)
 
 

