@@ -50,7 +50,6 @@ from .curves import (
     AuditError,
     SearchReport,
     Witness,
-    _require_count,
     closure_test,
     format_curve,
     pullback_dense,
@@ -67,7 +66,14 @@ from .doubling import (
     unfolding_double_ideal,
 )
 from .groebner import BudgetExceeded, GroebnerBudget, Ideal, membership_certificate
-from .rings import Polynomial, RingError, inject_into, parse_polynomial, primed
+from .rings import (
+    Polynomial,
+    RingError,
+    _require_count,
+    inject_into,
+    parse_polynomial,
+    primed,
+)
 from .tangent import entries_cut_reduced_origin
 
 __all__ = [
@@ -114,9 +120,9 @@ class AnalyzeOptions:
     def __post_init__(self) -> None:
         if self.field not in ("real", "complex"):
             raise ValueError("field is a label: 'real' or 'complex'")
-        _require_count("curve_budget", self.curve_budget)
+        _require_count("curve_budget", self.curve_budget, 1)
         if self.max_exponent is not None:
-            _require_count("max_exponent", self.max_exponent)
+            _require_count("max_exponent", self.max_exponent, 1)
 
 
 @dataclass(frozen=True)

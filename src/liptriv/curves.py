@@ -56,6 +56,7 @@ from .rings import (
     RingContext,
     RingError,
     UnivariatePoly,
+    _require_count,
     format_univariate,
     parse_univariate,
     primed,
@@ -246,12 +247,6 @@ def _weighted_compositions(
     yield from rec(0, total)
 
 
-def _require_count(name: str, value) -> None:
-    """Refuse ``value`` unless it is a non-``bool`` ``int`` of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int of at least 1, not {value!r}")
-
-
 def _profiles(
     ring: RingContext, max_exponent: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
@@ -408,10 +403,11 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     Returns the first witness in enumeration order, or a
     :class:`SearchReport` when the stream or the budget runs out.  A
     report is not a membership proof; it only says this family of
-    curves showed nothing.  ``budget`` caps the curves tried; ``0``
-    searches nothing, and a negative budget is a ``ValueError``.
+    curves showed nothing.  ``budget`` caps the curves tried; it must be
+    an ``int`` of at least 0, and ``0`` searches nothing.
     ``max_exponent`` caps the arc exponents (see the module docstring);
-    it must be an ``int`` of at least 1, and a ``bool`` is refused.
+    it must be an ``int`` of at least 1.  A ``bool`` is refused for
+    either, with ``ValueError`` like every other invalid value.
 
     The curves are walked one block (exponent tuple) at a time, and
     nothing is computed for the curves after a witness.  Where a block's
@@ -419,9 +415,8 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     The search keeps nothing between calls and writes nothing into its
     arguments.
     """
-    _require_count("max_exponent", max_exponent)
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _require_count("max_exponent", max_exponent, 1)
+    _require_count("budget", budget, 0)
     if element.ring != ideal.ring:
         raise RingError("element and ideal live in different rings")
     if element.is_zero:

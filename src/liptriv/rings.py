@@ -427,26 +427,37 @@ class Polynomial:
 def _merge(ring: RingContext, a: tuple, b: tuple) -> tuple:
     """Canonical terms of the sum of two canonical term tuples.
 
-    One linear pass in the ring's order; coefficients that cancel are
-    dropped.
+    One linear pass in the ring's order, each term's key computed once;
+    coefficients that cancel are dropped.
     """
+    if not a or not b:
+        return a or b
     key = ring.sort_key
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = key(a[i][0]), key(b[j][0])
+    ka, kb = key(a[0][0]), key(b[0][0])
+    while True:
         if ka > kb:
             out.append(a[i])
             i += 1
+            if i == len(a):
+                break
+            ka = key(a[i][0])
         elif ka < kb:
             out.append(b[j])
             j += 1
+            if j == len(b):
+                break
+            kb = key(b[j][0])
         else:
             c = a[i][1] + b[j][1]
             if c:
                 out.append((a[i][0], c))
             i += 1
             j += 1
+            if i == len(a) or j == len(b):
+                break
+            ka, kb = key(a[i][0]), key(b[j][0])
     return tuple(out) + a[i:] + b[j:]
 
 
@@ -465,6 +476,13 @@ def _shift(ring: RingContext, terms: tuple, exps: Monomial, coeff: Fraction) -> 
     shifted = tuple((tuple(map(add, e, exps)), c * coeff) for e, c in terms)
     _check_cap(ring, (e for e, _ in shifted))
     return shifted
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it is a non-``bool``
+    ``int`` of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int of at least {minimum}, not {value!r}")
 
 
 def _check_cap(ring: RingContext, monomials: Iterable[Monomial]) -> None:

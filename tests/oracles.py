@@ -14,16 +14,25 @@ engine used before its integer accumulator kernel: it rebuilds the
 remainder with ``Polynomial`` arithmetic at every step.  It is kept as
 the independent replay that ``groebner.divide`` must agree with.
 
+:func:`reference_buchberger` is the ``Fraction`` Buchberger the engine
+used before it reduced S-pairs on the integer accumulator: S-polynomials
+by ``Polynomial`` products, every reduction and the autoreduction
+through :func:`reference_divide`.  It keeps the engine's pair order,
+criteria and budget checks, so ``groebner.buchberger`` must return the
+same reduced basis and raise ``BudgetExceeded`` at the same budgets.
+
 :func:`reference_insert_row` is the echelon insertion jet elimination
 used before it went fraction free: it normalises every pivot row to a
 leading ``1`` with ``Fraction`` arithmetic.  ``tangent._insert_row``
 must report the same pivots for every row stream.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from liptriv.rings import Polynomial, RingError
+from liptriv.groebner import BudgetExceeded, GroebnerBudget
+from liptriv.rings import ExponentOverflow, Polynomial, RingError
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -165,6 +174,116 @@ def reference_divide(p, divisors):
             remainder_terms.append((lm, lc))
             h = Polynomial._raw(ring, h.terms[1:])
     return cofactors, Polynomial(ring, remainder_terms)
+
+
+def _mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _mono_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def reference_s_polynomial(f, g):
+    """Syzygy combination cancelling the two leading terms."""
+    lcm = _mono_lcm(f.leading_monomial(), g.leading_monomial())
+    mf = f.ring.monomial(_mono_div(lcm, f.leading_monomial()), 1 / f.leading_coefficient())
+    mg = g.ring.monomial(_mono_div(lcm, g.leading_monomial()), 1 / g.leading_coefficient())
+    return mf * f - mg * g
+
+
+def _reference_autoreduce(basis):
+    if not basis:
+        return []
+    ring = basis[0].ring
+    ordered = sorted(basis, key=lambda f: ring.sort_key(f.leading_monomial()))
+    # Divisibility implies order, so one ascending pass finds the minimal set.
+    minimal = []
+    for f in ordered:
+        lm = f.leading_monomial()
+        if not any(_mono_divides(g.leading_monomial(), lm) for g in minimal):
+            minimal.append(f)
+    reduced = []
+    for i, f in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        r = reference_divide(f, others)[1] if others else f
+        reduced.append(r.monic())
+    reduced.sort(key=lambda f: ring.sort_key(f.leading_monomial()))
+    return reduced
+
+
+def reference_buchberger(generators, budget=None):
+    """Reduced Groebner basis of the ideal the generators span.
+
+    The result is canonical: monic, fully autoreduced, sorted ascending
+    by leading monomial.  Raises ``BudgetExceeded`` when the pair count
+    or the degree of a new basis element passes the budget.
+    """
+    budget = budget or GroebnerBudget()
+    basis = [g.monic() for g in generators if not g.is_zero]
+    if not basis:
+        return []
+    ring = basis[0].ring
+    for g in basis:
+        if g.ring != ring:
+            raise RingError("generators must share one ring")
+
+    pairs = []
+    pending = set()
+
+    def push_pairs(t):
+        lm_t = basis[t].leading_monomial()
+        for i in range(t):
+            lcm = _mono_lcm(basis[i].leading_monomial(), lm_t)
+            heapq.heappush(pairs, (sum(lcm), i, t))
+            pending.add((i, t))
+
+    for t in range(1, len(basis)):
+        push_pairs(t)
+
+    processed = 0
+    try:
+        while pairs:
+            processed += 1
+            if processed > budget.max_pairs:
+                raise BudgetExceeded(
+                    f"examined more than {budget.max_pairs} S-pairs"
+                )
+            _, i, j = heapq.heappop(pairs)
+            pending.discard((i, j))
+            lm_i = basis[i].leading_monomial()
+            lm_j = basis[j].leading_monomial()
+            if _mono_coprime(lm_i, lm_j):
+                continue
+            lcm = _mono_lcm(lm_i, lm_j)
+            # Chain criterion: some third element divides the lcm and both
+            # of its pairs with i and j have already been treated.
+            skip = False
+            for k in range(len(basis)):
+                if k == i or k == j:
+                    continue
+                if not _mono_divides(basis[k].leading_monomial(), lcm):
+                    continue
+                ik = (min(i, k), max(i, k))
+                jk = (min(j, k), max(j, k))
+                if ik not in pending and jk not in pending:
+                    skip = True
+                    break
+            if skip:
+                continue
+            h = reference_divide(reference_s_polynomial(basis[i], basis[j]), basis)[1]
+            if h.is_zero:
+                continue
+            if h.degree() > budget.max_degree:
+                raise BudgetExceeded(
+                    f"basis element of degree {h.degree()} exceeds "
+                    f"cap {budget.max_degree}"
+                )
+            basis.append(h.monic())
+            push_pairs(len(basis) - 1)
+    except ExponentOverflow as exc:
+        raise BudgetExceeded(str(exc)) from exc
+    return _reference_autoreduce(basis)
 
 
 def reference_insert_row(pivots: dict, row: dict) -> bool:

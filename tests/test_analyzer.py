@@ -278,6 +278,7 @@ class TestOptions:
             {"max_exponent": "3"},
             {"curve_budget": 2.5},
             {"curve_budget": True},
+            {"curve_budget": "3"},
         ],
     )
     def test_limits_validated(self, bad):

@@ -162,6 +162,14 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="max_exponent"):
                 closure_test(ideal.ring.zero(), ideal, 10, bad)
 
+    def test_budget_validated(self):
+        # a float, a string or a bool budget is refused like a negative one
+        ideal = double_ideal([parse_polynomial("x", RingContext(("x", "y")))])
+        for bad in (-1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="budget"):
+                closure_test(poly("y - y'"), ideal, bad, 3)
+        assert closure_test(poly("y - y'"), ideal, 0, 3).curves_tried == 0
+
     def test_closure_test_finds_catalog_witness(self):
         from liptriv import unfolding_double_ideal
         from liptriv.doubling import build_unfolding

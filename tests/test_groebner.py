@@ -49,6 +49,16 @@ class TestDivision:
         with pytest.raises(BudgetExceeded):
             buchberger(polys("y^4 - x", "x^4*y^4 + x^3", ring=ring))
 
+    def test_exponent_cap_in_s_pair_is_a_budget_failure(self):
+        # the pair's lcm x^4*y shifts the tail y^4 of the first generator
+        # to y^5, past the cap, before any division step
+        ring = RingContext(("x", "y"), exponent_cap=4)
+        f, g = polys("x^4 + y^4", "x*y - 1", ring=ring)
+        with pytest.raises(ExponentOverflow):
+            s_polynomial(f, g)
+        with pytest.raises(BudgetExceeded):
+            buchberger([f, g])
+
     def test_s_polynomial_cancels_leading_terms(self):
         f, g = polys("x^2 - y", "x*y - 1")
         s = s_polynomial(f, g)
@@ -87,6 +97,21 @@ class TestBuchberger:
     def test_budget_limits_must_be_positive(self):
         with pytest.raises(ValueError):
             GroebnerBudget(max_pairs=0, max_degree=48)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_pairs", True),
+            ("max_pairs", 2.5),
+            ("max_pairs", "3"),
+            ("max_degree", 0),
+            ("max_degree", 2.5),
+            ("max_degree", True),
+        ],
+    )
+    def test_budget_limits_must_be_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GroebnerBudget(**{field: value})
 
     def test_budget_max_degree_raises(self):
         gens = polys("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
