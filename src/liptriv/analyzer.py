@@ -65,7 +65,13 @@ from .doubling import (
     format_matrix_germ,
     unfolding_double_ideal,
 )
-from .groebner import BudgetExceeded, GroebnerBudget, Ideal, membership_certificate
+from .groebner import (
+    BudgetExceeded,
+    GroebnerBudget,
+    Ideal,
+    _require_budget,
+    membership_certificate,
+)
 from .rings import (
     Polynomial,
     RingError,
@@ -101,7 +107,8 @@ class AnalyzeOptions:
 
     Two budgets (Groebner, curves per generator), the search depth
     ``max_exponent`` (``None``: entry degree + 2, at least 4), ``audit``
-    and the ``field`` label.  ``curve_budget`` and ``max_exponent`` must
+    and the ``field`` label.  ``groebner_budget`` must be a
+    :class:`GroebnerBudget`; ``curve_budget`` and ``max_exponent`` must
     be ``int`` values of at least 1 (a ``bool`` is refused).  The arcs
     are the fixed family of :mod:`liptriv.curves`.
     """
@@ -120,6 +127,7 @@ class AnalyzeOptions:
     def __post_init__(self) -> None:
         if self.field not in ("real", "complex"):
             raise ValueError("field is a label: 'real' or 'complex'")
+        _require_budget("groebner_budget", self.groebner_budget)
         _require_count("curve_budget", self.curve_budget, 1)
         if self.max_exponent is not None:
             _require_count("max_exponent", self.max_exponent, 1)

@@ -13,7 +13,11 @@ The search walks one fixed family of curves: monomial arcs ``c * s^e``
 with ``1 <= e <= max_exponent`` and ``c`` in :data:`ARC_COEFFICIENTS`.
 In a ring that holds both ``doubling.PARAMETER`` and its primed copy,
 the copy rides on the parameter's arc, and the pair counts twice
-toward the enumeration degree.
+toward the enumeration degree.  So along every searched curve a
+polynomial pulls back as it does with the copy replaced by the
+parameter, and the search folds it so once per search: ``t - t'``, the
+first generator of every family ideal, folds to zero and leaves the
+family.
 
 The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
@@ -36,7 +40,13 @@ vanishes along arcs with nonzero coefficients.  So when the lowest
 degree over all generators, ``d_min``, is reached by a generator whose
 lowest group is a single term, the ideal's order is ``d_min`` for every
 pattern of the block.  Without such a lead, the generators are summed
-in order of their lowest degree, until none left can go lower.
+in order of their lowest degree, until none left can go lower.  When
+the element's lowest group is a single term too, at ``e0``, the block
+is settled whole: its first pattern is a witness if ``e0 < d_min``, and
+otherwise every pattern has the gap ``e0 - d_min``.  In the other
+blocks, once a smallest gap ``best_gap`` is known, the element's order
+is read only below ``ideal order + best_gap``: an order at or above it
+is neither a witness nor a smaller gap.
 """
 
 from __future__ import annotations
@@ -221,6 +231,16 @@ ARC_COEFFICIENTS = (1, 2)
 integers, so a single term never vanishes along a searched arc."""
 
 
+def _tie(ring: RingContext) -> tuple[int, int] | None:
+    """``(parameter index, copy index)`` when the ring holds
+    ``doubling.PARAMETER`` and its primed copy, whose arcs the search
+    ties together; ``None`` otherwise."""
+    names = ring.variables
+    if PARAMETER in names and primed(PARAMETER) in names:
+        return ring.index(PARAMETER), ring.index(primed(PARAMETER))
+    return None
+
+
 def _weighted_compositions(
     weights: Sequence[int], total: int, cap: int
 ) -> Iterator[tuple[int, ...]]:
@@ -260,10 +280,7 @@ def _profiles(
     parameter's exponent and coefficient, and the pair weighs 2.
     """
     names = ring.variables
-    tied_source = tied_mirror = None
-    if PARAMETER in names and primed(PARAMETER) in names:
-        tied_source = ring.index(PARAMETER)
-        tied_mirror = ring.index(primed(PARAMETER))
+    tied_source, tied_mirror = _tie(ring) or (None, None)
     free = [i for i in range(len(names)) if i != tied_mirror]
     weights = [2 if i == tied_source else 1 for i in free]
 
@@ -301,12 +318,31 @@ class _OrderKernel:
     kept per coefficient pattern, by the pattern's index, which names
     the same pattern in every block.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
+
+    With ``tie = (source, copy)`` (see :func:`_tie`) the kernel holds
+    ``p`` folded for arcs that give the copy the source's exponent and
+    coefficient: each term's copy exponent moves onto the source, equal
+    monomials merge and zero sums drop.  Along such arcs the folded
+    terms pull back exactly as ``p`` does; ``t - t'`` folds to no terms,
+    so its order is ``math.inf`` along every one of them.
     """
 
     __slots__ = ("terms", "_groups", "_values")
 
-    def __init__(self, p: Polynomial):
-        _, self.terms = _integer_terms(p.terms)
+    def __init__(self, p: Polynomial, tie: tuple[int, int] | None = None):
+        _, terms = _integer_terms(p.terms)
+        if tie is not None:
+            source, copy = tie
+            folded: dict[tuple[int, ...], int] = {}
+            for exps, q in terms:
+                if exps[copy]:
+                    moved = list(exps)
+                    moved[source] += moved[copy]
+                    moved[copy] = 0
+                    exps = tuple(moved)
+                folded[exps] = folded.get(exps, 0) + q
+            terms = [(exps, q) for exps, q in folded.items() if q]
+        self.terms = terms
         self._groups: list[tuple[int, tuple[int, ...]]] = []
         self._values: list[list[int] | None] = []
 
@@ -354,15 +390,15 @@ class _OrderKernel:
 def _block_leads(family: list[_OrderKernel], arc_exps: tuple):
     """``(d_min, lead, ordered)`` for one block.
 
-    ``ordered`` holds ``(first-group degree, kernel)`` for every
-    generator with terms, lowest degree first; ``d_min`` is the lowest
-    of those degrees.  ``lead`` says whether some generator's first
-    group sits at ``d_min`` and is a single term: that term is nonzero
-    along every searched arc, so the ideal's order is then ``d_min``
-    for every pattern of the block.
+    Every kernel in ``family`` has terms.  ``ordered`` holds
+    ``(first-group degree, kernel)`` for each, lowest degree first;
+    ``d_min`` is the lowest of those degrees.  ``lead`` says whether
+    some generator's first group sits at ``d_min`` and is a single
+    term: that term is nonzero along every searched arc, so the ideal's
+    order is then ``d_min`` for every pattern of the block.
     """
     firsts = sorted(
-        ((k.enter(arc_exps)[0], k) for k in family if k.terms),
+        ((k.enter(arc_exps)[0], k) for k in family),
         key=lambda first: first[0][0],
     )
     d_min = firsts[0][0][0] if firsts else math.inf
@@ -409,11 +445,12 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     it must be an ``int`` of at least 1.  A ``bool`` is refused for
     either, with ``ValueError`` like every other invalid value.
 
-    The curves are walked one block (exponent tuple) at a time, and
-    nothing is computed for the curves after a witness.  Where a block's
-    single-term lead fixes the ideal's order, no generator is evaluated.
-    The search keeps nothing between calls and writes nothing into its
-    arguments.
+    The curves are walked one block (exponent tuple) at a time, with the
+    fold, the leads, block settlement and the limit of the module
+    docstring, and nothing is computed for the curves after a witness.
+    A witness's orders are re-derived by :func:`pullback` on the
+    unfolded polynomials.  The search keeps nothing between calls and
+    writes nothing into its arguments.
     """
     _require_count("max_exponent", max_exponent, 1)
     _require_count("budget", budget, 0)
@@ -421,8 +458,10 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
         raise RingError("element and ideal live in different rings")
     if element.is_zero:
         return SearchReport(0, False, max_exponent, None)
-    target = _OrderKernel(element)
-    family = [_OrderKernel(g) for g in ideal.generators]
+    tie = _tie(ideal.ring)
+    target = _OrderKernel(element, tie)
+    family = [_OrderKernel(g, tie) for g in ideal.generators]
+    family = [kernel for kernel in family if kernel.terms]
     tried = 0
     best_gap: int | None = None
     exhausted = False
@@ -430,26 +469,43 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
         if tried + len(patterns) > budget:
             patterns = patterns[: budget - tried]
             exhausted = True
-        target.enter(exps)
+        groups = target.enter(exps)
         d_min, lead, ordered = _block_leads(family, exps)
-        for index, coeffs in enumerate(patterns):
-            if lead:
-                ideal_order = d_min
-            else:
-                ideal_order = math.inf
-                for first, kernel in ordered:
-                    if first >= ideal_order:
-                        break
-                    ideal_order = kernel.order_at(index, coeffs, ideal_order)
-            tried += 1
-            element_order = target.order_at(index, coeffs)
-            if element_order < ideal_order:
-                curve = _monomial_curve(ideal.ring, exps, coeffs)
-                return _confirmed_witness(curve, element, ideal, element_order, ideal_order)
-            if element_order is not math.inf and ideal_order is not math.inf:
-                gap = element_order - ideal_order
-                if best_gap is None or gap < best_gap:
-                    best_gap = gap
+        if lead and patterns and groups and len(groups[0][1]) == 1:
+            # The element's lowest group is a single term too, so both
+            # orders are the same for every pattern of the block.
+            e0 = groups[0][0]
+            if e0 < d_min:
+                curve = _monomial_curve(ideal.ring, exps, patterns[0])
+                return _confirmed_witness(curve, element, ideal, e0, d_min)
+            tried += len(patterns)
+            if best_gap is None or e0 - d_min < best_gap:
+                best_gap = e0 - d_min
+        else:
+            for index, coeffs in enumerate(patterns):
+                if lead:
+                    ideal_order = d_min
+                else:
+                    ideal_order = math.inf
+                    for first, kernel in ordered:
+                        if first >= ideal_order:
+                            break
+                        ideal_order = kernel.order_at(index, coeffs, ideal_order)
+                tried += 1
+                # No witness was found, so best_gap >= 0, and an order at
+                # or above ideal_order + best_gap is neither a witness nor
+                # a lower gap.
+                limit = math.inf if best_gap is None else ideal_order + best_gap
+                element_order = target.order_at(index, coeffs, limit)
+                if element_order < ideal_order:
+                    curve = _monomial_curve(ideal.ring, exps, coeffs)
+                    return _confirmed_witness(
+                        curve, element, ideal, element_order, ideal_order
+                    )
+                if element_order is not math.inf and ideal_order is not math.inf:
+                    gap = element_order - ideal_order
+                    if best_gap is None or gap < best_gap:
+                        best_gap = gap
         if exhausted:
             break
     return SearchReport(tried, exhausted, max_exponent, best_gap)

@@ -77,6 +77,12 @@ class GroebnerBudget:
         _require_count("max_degree", self.max_degree, 1)
 
 
+def _require_budget(name: str, value) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it is a :class:`GroebnerBudget`."""
+    if not isinstance(value, GroebnerBudget):
+        raise ValueError(f"{name} must be a GroebnerBudget, not {value!r}")
+
+
 class BudgetExceeded(RuntimeError):
     """The computation outgrew its budget; no partial answer is usable."""
 
@@ -306,6 +312,8 @@ def buchberger(
     by leading monomial.  Raises :class:`BudgetExceeded` when the pair
     count or the degree of a new basis element passes the budget, or
     when an S-pair or its reduction passes the ring's exponent cap.
+    ``budget`` is a :class:`GroebnerBudget`, or ``None`` for the
+    default one; anything else is refused with ``ValueError``.
 
     Each basis element's integer form is made once, when it enters the
     basis.  Every S-pair the criteria keep is formed by
@@ -314,7 +322,9 @@ def buchberger(
     new element's integer form and, with one ``Fraction`` per term, the
     monic element itself.  The autoreduction runs on the same forms.
     """
-    budget = budget or GroebnerBudget()
+    if budget is None:
+        budget = GroebnerBudget()
+    _require_budget("budget", budget)
     basis = [g.monic() for g in generators if not g.is_zero]
     if not basis:
         return []

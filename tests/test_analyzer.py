@@ -279,6 +279,9 @@ class TestOptions:
             {"curve_budget": 2.5},
             {"curve_budget": True},
             {"curve_budget": "3"},
+            {"groebner_budget": 5},
+            {"groebner_budget": None},
+            {"groebner_budget": (20_000, 48)},
         ],
     )
     def test_limits_validated(self, bad):

@@ -113,6 +113,17 @@ class TestBuchberger:
         with pytest.raises(ValueError, match=field):
             GroebnerBudget(**{field: value})
 
+    @pytest.mark.parametrize("budget", [5, 0, False, (10, 4), "default"])
+    def test_budget_must_be_a_groebner_budget(self, budget):
+        # 0 and False are not the default budget; only None is.
+        gens = polys("x^2 - y", "x*y - 1")
+        with pytest.raises(ValueError, match="GroebnerBudget"):
+            buchberger(gens, budget)
+
+    def test_none_budget_is_the_default(self):
+        gens = polys("x^2 - y", "x*y - 1")
+        assert buchberger(gens, None) == buchberger(gens, GroebnerBudget())
+
     def test_budget_max_degree_raises(self):
         gens = polys("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
         with pytest.raises(BudgetExceeded):

@@ -24,7 +24,7 @@ from liptriv.curves import (
     format_curve,
     pullback_dense,
 )
-from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
+from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles, _tie
 from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
 from liptriv.rings import Polynomial, parse_polynomial
@@ -263,3 +263,143 @@ def test_enumeration_flattens_the_blocks():
             for coeffs in patterns
         ]
         assert flat == [format_curve(c) for c in reference_curves(ring, 3)]
+
+
+# In a ring with the tied parameter the search folds t' into t: every
+# searched arc gives t' the exponent and coefficient of t, so a
+# polynomial pulls back as it does with t' replaced by t.  The kernel
+# holds the folded terms; t - t' folds to none and leaves the family.
+
+T, TC = _tie(DTX)
+
+
+@st.composite
+def zero_folds(draw, ring=DTX, max_exp=2):
+    """Sums of q * m * (t^a t'^b - t^c t'^d) with a + b = c + d: each
+    folds to zero, like t - t' and t*x - t'*x."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        rest = draw(st.tuples(*(st.integers(0, max_exp) for _ in range(ring.arity))))
+        total = draw(st.integers(1, 3))
+        a, c = draw(st.integers(0, total)), draw(st.integers(0, total))
+        q = draw(fractions.filter(bool))
+        for tie_exps, sign in (((a, total - a), 1), ((c, total - c), -1)):
+            exps = list(rest)
+            exps[T], exps[TC] = tie_exps
+            terms.append((tuple(exps), sign * q))
+    return Polynomial(ring, terms)
+
+
+@st.composite
+def tied_profiles(draw, ring=DTX, max_exp=3):
+    """Arc exponents and coefficients that tie only t' to t."""
+    exps = list(draw(st.tuples(*(st.integers(1, max_exp) for _ in range(ring.arity)))))
+    coeffs = list(
+        draw(st.tuples(*(st.sampled_from(KERNEL_COEFFICIENTS) for _ in range(ring.arity))))
+    )
+    exps[TC], coeffs[TC] = exps[T], coeffs[T]
+    return tuple(exps), tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    poly_strategy(DTX, max_terms=4),
+    st.one_of(st.just(None), zero_folds()),
+    tied_profiles(),
+)
+def test_folded_kernel_order_matches_dense_pullback(p, zero, profile):
+    if zero is not None:
+        p = p + zero
+    exps, coeffs = profile
+    kernel = _OrderKernel(p, (T, TC))
+    assert all(not e[TC] and q for e, q in kernel.terms)
+    kernel.enter(exps)
+    assert kernel.order_at(0, coeffs) == dense_order(p, exps, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_folds(), tied_profiles())
+def test_zero_folds_leave_no_terms(zero, profile):
+    exps, coeffs = profile
+    assert _OrderKernel(zero, (T, TC)).terms == []
+    assert dense_order(zero, exps, coeffs) is math.inf
+    for text in ("t - t'", "t*x - t'*x", "t^2*x' - t*t'*x'"):
+        assert _OrderKernel(parse_polynomial(text, DTX), (T, TC)).terms == []
+
+
+# A block is settled whole when the ideal has a single-term lead at
+# d_min and the element's lowest group is a single term at e0: both
+# orders are then the same for every pattern.  Past the first gap the
+# element's order is read only below ideal order + best gap.
+
+
+def traced_search(monkeypatch, element, ideal, budget, max_exponent):
+    """``closure_test``'s result, with the element-order reads it made:
+    ``(limit, order)`` per curve whose element order was read."""
+    reads = []
+    target_terms = _OrderKernel(element, _tie(ideal.ring)).terms
+    order_at = _OrderKernel.order_at
+
+    def spy(kernel, index, arc_coeffs, limit=math.inf):
+        order = order_at(kernel, index, arc_coeffs, limit)
+        if kernel.terms == target_terms:
+            reads.append((limit, order))
+        return order
+
+    monkeypatch.setattr(_OrderKernel, "order_at", spy)
+    result = closure_test(element, ideal, budget, max_exponent)
+    monkeypatch.undo()
+    assert as_tuple(result) == reference_search(element, ideal, budget, max_exponent)
+    return result, reads
+
+
+@pytest.mark.parametrize(
+    "ring,generators,element,witness",
+    [
+        # x and y^3 are single terms; y^2 drops below x once e_x > 2 e_y.
+        (DXY, ("x", "y^3"), "y^2", "s^3, s, s, s"),
+        # t - t' folds away and t'^3 folds to t^3: every block has a lead.
+        (DTX, ("t - t'", "t'^3", "x^2"), "t*x'", "s, s^2, s, s"),
+    ],
+    ids=["untied", "tied"],
+)
+def test_settled_block_yields_its_first_pattern(monkeypatch, ring, generators, element, witness):
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in generators])
+    element = parse_polynomial(element, ring)
+    got, reads = traced_search(monkeypatch, element, ideal, 4000, 3)
+    assert isinstance(got, Witness)
+    assert format_curve(got.curve) == witness
+    # Every block up to the witness was settled: no element order was
+    # read, and the witness is its block's first pattern.
+    assert reads == []
+    first = next(_profiles(ring, 3))[1][0]
+    assert [c.coeffs[-1] for c in got.curve.components] == list(first)
+
+
+def test_exhausted_search_gap_from_settled_and_limited_blocks(monkeypatch):
+    # Along e_x != e_y the element's lowest group is one term and the
+    # block is settled (gap min(e_x, e_y)); along e_x == e_y it is
+    # x^3 + y^3, which never cancels for positive arc coefficients, so
+    # its order is read, below the limit once best_gap is known.
+    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x^2", "y^2")])
+    element = parse_polynomial("x^3 + y^3", DXY)
+    got, reads = traced_search(monkeypatch, element, ideal, 200, 2)
+    assert isinstance(got, SearchReport)
+    assert got.budget_exhausted and got.curves_tried == 200 and got.best_gap == 1
+    assert 0 < len(reads) < got.curves_tried
+    assert any(order == limit < math.inf for limit, order in reads)
+
+
+def test_proven_catalog_cell_matches_reference(monkeypatch):
+    # Family 1, k=1, l=4, b2=1 is proven Lipschitz; the audited table
+    # sweeps its whole curve budget.  Here a budget of 600 is compared.
+    nf = normal_form(1, k=1, l=4)
+    u = build_unfolding(nf.matrix, nf.theta({"b2": 1}))
+    ideal = unfolding_double_ideal(u)
+    for element in direction_double_ideal(u).generators:
+        got, reads = traced_search(monkeypatch, element, ideal, 600, nf.max_exponent)
+        assert isinstance(got, SearchReport) and got.curves_tried == 600
+        # Both kinds of block occur: settled ones read no element order,
+        # and most of the others stop at the limit.
+        assert 0 < len(reads) < got.curves_tried
+        assert any(order == limit < math.inf for limit, order in reads)
