@@ -319,18 +319,20 @@ class _OrderKernel:
     the same pattern in every block.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
 
-    With ``tie = (source, copy)`` (see :func:`_tie`) the kernel holds
-    ``p`` folded for arcs that give the copy the source's exponent and
-    coefficient: each term's copy exponent moves onto the source, equal
-    monomials merge and zero sums drop.  Along such arcs the folded
+    In a ring that ties the parameter's copy to the parameter (see
+    :func:`_tie`) the kernel holds ``p`` folded for arcs that give the
+    copy the parameter's exponent and coefficient: each term's copy
+    exponent moves onto the parameter, equal monomials merge and zero
+    sums drop.  Along such arcs the folded
     terms pull back exactly as ``p`` does; ``t - t'`` folds to no terms,
     so its order is ``math.inf`` along every one of them.
     """
 
     __slots__ = ("terms", "_groups", "_values")
 
-    def __init__(self, p: Polynomial, tie: tuple[int, int] | None = None):
+    def __init__(self, p: Polynomial):
         _, terms = _integer_terms(p.terms)
+        tie = _tie(p.ring)
         if tie is not None:
             source, copy = tie
             folded: dict[tuple[int, ...], int] = {}
@@ -458,9 +460,8 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
         raise RingError("element and ideal live in different rings")
     if element.is_zero:
         return SearchReport(0, False, max_exponent, None)
-    tie = _tie(ideal.ring)
-    target = _OrderKernel(element, tie)
-    family = [_OrderKernel(g, tie) for g in ideal.generators]
+    target = _OrderKernel(element)
+    family = [_OrderKernel(g) for g in ideal.generators]
     family = [kernel for kernel in family if kernel.terms]
     tried = 0
     best_gap: int | None = None

@@ -433,6 +433,11 @@ class Ideal:
     def groebner_basis(
         self, budget: GroebnerBudget | None = None
     ) -> tuple[Polynomial, ...]:
+        """The reduced basis, computed once under ``budget`` (see
+        :func:`buchberger`); ``budget`` is checked on every call, also
+        when the basis is cached."""
+        if budget is not None:
+            _require_budget("budget", budget)
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, budget))
         return self._basis
@@ -454,8 +459,6 @@ def membership_certificate(
     """
     if p.ring != ideal.ring:
         raise RingError("membership test across different rings")
-    if ideal.is_zero:
-        return [] if p.is_zero else None
     basis = ideal.groebner_basis(budget)
     cofactors, remainder = divide(p, basis)
     if not remainder.is_zero:

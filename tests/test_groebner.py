@@ -120,6 +120,17 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="GroebnerBudget"):
             buchberger(gens, budget)
 
+    @pytest.mark.parametrize("budget", [5, 0, False])
+    def test_cached_basis_still_checks_the_budget(self, budget):
+        ideal = Ideal(XY, polys("x^2 - y", "x*y - 1"))
+        ideal.groebner_basis()
+        zero = Ideal(XY, [XY.zero()])
+        for target in (ideal, zero):
+            with pytest.raises(ValueError, match="GroebnerBudget"):
+                target.groebner_basis(budget)
+            with pytest.raises(ValueError, match="GroebnerBudget"):
+                membership_certificate(parse_polynomial("x", XY), target, budget)
+
     def test_none_budget_is_the_default(self):
         gens = polys("x^2 - y", "x*y - 1")
         assert buchberger(gens, None) == buchberger(gens, GroebnerBudget())
@@ -150,6 +161,11 @@ class TestIdeal:
     def test_zero_is_member(self):
         ideal = Ideal(XY, polys("x"))
         assert membership_certificate(XY.zero(), ideal) is not None
+
+    def test_zero_ideal_holds_only_zero(self):
+        zero = Ideal(XY, [XY.zero()])
+        assert membership_certificate(XY.zero(), zero) == []
+        assert membership_certificate(parse_polynomial("x", XY), zero) is None
 
     def test_certificate_recombines(self):
         ideal = Ideal(XY, polys("x^2 - y", "x*y - 1"))

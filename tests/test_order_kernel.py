@@ -311,7 +311,7 @@ def test_folded_kernel_order_matches_dense_pullback(p, zero, profile):
     if zero is not None:
         p = p + zero
     exps, coeffs = profile
-    kernel = _OrderKernel(p, (T, TC))
+    kernel = _OrderKernel(p)
     assert all(not e[TC] and q for e, q in kernel.terms)
     kernel.enter(exps)
     assert kernel.order_at(0, coeffs) == dense_order(p, exps, coeffs)
@@ -321,10 +321,10 @@ def test_folded_kernel_order_matches_dense_pullback(p, zero, profile):
 @given(zero_folds(), tied_profiles())
 def test_zero_folds_leave_no_terms(zero, profile):
     exps, coeffs = profile
-    assert _OrderKernel(zero, (T, TC)).terms == []
+    assert _OrderKernel(zero).terms == []
     assert dense_order(zero, exps, coeffs) is math.inf
     for text in ("t - t'", "t*x - t'*x", "t^2*x' - t*t'*x'"):
-        assert _OrderKernel(parse_polynomial(text, DTX), (T, TC)).terms == []
+        assert _OrderKernel(parse_polynomial(text, DTX)).terms == []
 
 
 # A block is settled whole when the ideal has a single-term lead at
@@ -337,18 +337,25 @@ def traced_search(monkeypatch, element, ideal, budget, max_exponent):
     """``closure_test``'s result, with the element-order reads it made:
     ``(limit, order)`` per curve whose element order was read."""
     reads = []
-    target_terms = _OrderKernel(element, _tie(ideal.ring)).terms
-    order_at = _OrderKernel.order_at
+    built = []
+    init, order_at = _OrderKernel.__init__, _OrderKernel.order_at
+
+    def record(kernel, p):
+        init(kernel, p)
+        built.append(kernel)
 
     def spy(kernel, index, arc_coeffs, limit=math.inf):
         order = order_at(kernel, index, arc_coeffs, limit)
-        if kernel.terms == target_terms:
+        # closure_test builds the element's kernel first.
+        if kernel is built[0]:
             reads.append((limit, order))
         return order
 
+    monkeypatch.setattr(_OrderKernel, "__init__", record)
     monkeypatch.setattr(_OrderKernel, "order_at", spy)
     result = closure_test(element, ideal, budget, max_exponent)
     monkeypatch.undo()
+    assert built[0].terms == _OrderKernel(element).terms
     assert as_tuple(result) == reference_search(element, ideal, budget, max_exponent)
     return result, reads
 
