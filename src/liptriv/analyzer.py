@@ -55,13 +55,13 @@ from .curves import (
     pullback_dense,
 )
 from .doubling import (
+    PARAMETER,
     DoubledIdeal,
     MatrixGerm,
     Unfolding,
     build_unfolding,
     diagonal_ideal,
     direction_double_ideal,
-    double_of,
     format_matrix_germ,
     unfolding_double_ideal,
 )
@@ -76,9 +76,7 @@ from .rings import (
     Polynomial,
     RingError,
     _require_count,
-    inject_into,
     parse_polynomial,
-    primed,
 )
 from .tangent import entries_cut_reduced_origin
 
@@ -113,9 +111,7 @@ class AnalyzeOptions:
     are the fixed family of :mod:`liptriv.curves`.
     """
 
-    groebner_budget: GroebnerBudget = GroebnerBudget(
-        max_pairs=20_000, max_degree=48
-    )
+    groebner_budget: GroebnerBudget = GroebnerBudget()
     # Witnesses against degree-k entries can need arcs of exponent
     # about k on two variables at once, which sits deep in the
     # enumeration; 4000 covers the bundled catalog through k = 4.
@@ -155,9 +151,8 @@ class Verdict:
             "germ": format_matrix_germ(base),
             "parameters": {
                 "source_variables": list(base.ring.variables),
-                "deformation_parameter": self.unfolding.parameter,
-                "note": "deformation parameter standardized to "
-                + repr(self.unfolding.parameter),
+                "deformation_parameter": PARAMETER,
+                "note": f"deformation parameter standardized to {PARAMETER!r}",
             },
             "theta_coefficients": {k: str(v) for k, v in coeffs.items()},
             "direction": format_matrix_germ(self.unfolding.direction),
@@ -419,10 +414,11 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     ring) fails the replay.
 
     Coverage is checked against the verdict's germ and direction: a
-    membership list must name, in order, exactly the direction's
-    difference generators (the doubles of its nonzero components, lifted
-    to the unfolding ring), and the diagonal route's second list exactly
-    ``v - v'`` for every variable of that ring.  Whether each ``basis``
+    membership list must name, in order, exactly the generators of
+    :func:`~liptriv.doubling.direction_double_ideal`, and the diagonal
+    route's second list exactly those of
+    :func:`~liptriv.doubling.diagonal_ideal`, ``v - v'`` for every
+    variable of the unfolding ring.  Whether each ``basis``
     polynomial lies in the target ideal is not checked.  Each distinct
     polynomial text is parsed once per call.
     """
@@ -430,8 +426,7 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     if not isinstance(certificate, Mapping) or certificate.get("type") != "inclusion":
         return False
     u = verdict.unfolding
-    extended = u.extended_ring
-    ring = extended.doubled_extension()
+    ring = u.extended_ring.doubled_extension()
     parsed: dict[str, Polynomial] = {}
 
     def parse(text) -> Polynomial:
@@ -446,22 +441,14 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
             return False
         if data.get("route") == "constant":
             return u.direction.is_constant
-        doubles = (
-            double_of(inject_into(c, extended))
-            for c in u.direction.component_list()
-            if not c.is_zero
-        )
-        direction = [d for d in doubles if not d.is_zero]
+        theta = direction_double_ideal(u)
+        direction = list(theta.generators) if theta is not None else []
         if "memberships" in data:
             blocks = [(data["memberships"], direction)]
         else:
-            differences = [
-                ring.variable(v) - ring.variable(primed(v))
-                for v in extended.variables
-            ]
             blocks = [
                 (data["direction_into_diagonal"], direction),
-                (data["diagonal_into_family"], differences),
+                (data["diagonal_into_family"], list(diagonal_ideal(ring).generators)),
             ]
         for block, required in blocks:
             if [parse(m["generator"]) for m in block] != required:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .curves import TestCurve, parse_curve
-from .doubling import PARAMETER, MatrixGerm, parse_matrix_germ
+from .doubling import MatrixGerm, _parameter_extension, parse_matrix_germ
 from .rings import RingContext
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "LIPSCHITZ",
     "NOT_LIPSCHITZ",
     "NormalForm",
-    "PARAMETER",
     "SOURCE_RING",
     "CatalogError",
     "catalog_parameters",
@@ -148,8 +147,8 @@ class NormalForm:
 
     def probe_curve(self) -> TestCurve:
         """The family's separating curve, on the doubled unfolding space."""
-        ring = RingContext((PARAMETER,) + SOURCE_RING.variables)
-        return parse_curve(self.curve_text, ring.doubled_extension())
+        ring = _parameter_extension(SOURCE_RING).doubled_extension()
+        return parse_curve(self.curve_text, ring)
 
 
 def family_parameters(index: int) -> tuple[str, ...]:

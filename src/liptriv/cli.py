@@ -311,12 +311,11 @@ def _cmd_normal_space(args) -> int:
 
 def _unfolding_ideal(args):
     base, direction, _, _ = _resolve_inputs(args)
-    unfolding = build_unfolding(base, direction)
-    return unfolding, unfolding_double_ideal(unfolding)
+    return unfolding_double_ideal(build_unfolding(base, direction))
 
 
 def _cmd_pullback(args) -> int:
-    unfolding, ideal = _unfolding_ideal(args)
+    ideal = _unfolding_ideal(args)
     curve = parse_curve(args.curve, ideal.ring)
     summary = pullback_ideal(curve, ideal)
     for generator, order in zip(ideal.generators, summary.generator_orders):
@@ -326,12 +325,8 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    unfolding, ideal = _unfolding_ideal(args)
-    gens = (
-        merged_parameter_view(ideal, unfolding.parameter)
-        if args.merged_parameter
-        else ideal.generators
-    )
+    ideal = _unfolding_ideal(args)
+    gens = merged_parameter_view(ideal) if args.merged_parameter else ideal.generators
     for g in gens:
         print(g)
     return _EXIT_OK

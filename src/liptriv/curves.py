@@ -11,11 +11,12 @@ one-sided by design and reports itself as such.
 
 The search walks one fixed family of curves: monomial arcs ``c * s^e``
 with ``1 <= e <= max_exponent`` and ``c`` in :data:`ARC_COEFFICIENTS`.
-In a ring that holds both ``doubling.PARAMETER`` and its primed copy,
-the copy rides on the parameter's arc, and the pair counts twice
-toward the enumeration degree.  So along every searched curve a
-polynomial pulls back as it does with the copy replaced by the
-parameter, and the search folds it so once per search: ``t - t'``, the
+In a ring where :func:`doubling.parameter_tie` names the parameter
+``t`` and its primed copy ``t'``, the copy rides on the parameter's
+arc, and the pair counts twice toward the enumeration degree.  So along
+every searched curve a polynomial pulls back as its
+:func:`doubling.fold_parameter` does, with ``t'`` replaced by ``t``,
+and the search folds each polynomial once per search: ``t - t'``, the
 first generator of every family ideal, folds to zero and leaves the
 family.
 
@@ -58,7 +59,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .doubling import PARAMETER
+from .doubling import fold_parameter, parameter_tie
 from .groebner import Ideal, _integer_terms
 from .rings import (
     ParseError,
@@ -69,7 +70,6 @@ from .rings import (
     _require_count,
     format_univariate,
     parse_univariate,
-    primed,
 )
 
 __all__ = [
@@ -231,16 +231,6 @@ ARC_COEFFICIENTS = (1, 2)
 integers, so a single term never vanishes along a searched arc."""
 
 
-def _tie(ring: RingContext) -> tuple[int, int] | None:
-    """``(parameter index, copy index)`` when the ring holds
-    ``doubling.PARAMETER`` and its primed copy, whose arcs the search
-    ties together; ``None`` otherwise."""
-    names = ring.variables
-    if PARAMETER in names and primed(PARAMETER) in names:
-        return ring.index(PARAMETER), ring.index(primed(PARAMETER))
-    return None
-
-
 def _weighted_compositions(
     weights: Sequence[int], total: int, cap: int
 ) -> Iterator[tuple[int, ...]]:
@@ -275,12 +265,13 @@ def _profiles(
 
     Blocks come by weighted degree, then by exponent tuple; a block is
     one exponent tuple with every pattern of :data:`ARC_COEFFICIENTS`,
-    and all blocks share one list of patterns.  When the ring holds
-    ``doubling.PARAMETER`` and its primed copy, the copy takes the
-    parameter's exponent and coefficient, and the pair weighs 2.
+    and all blocks share one list of patterns.  Where
+    :func:`doubling.parameter_tie` names the pair ``t, t'``, the copy
+    takes the parameter's exponent and coefficient, and the pair
+    weighs 2.
     """
     names = ring.variables
-    tied_source, tied_mirror = _tie(ring) or (None, None)
+    tied_source, tied_mirror = parameter_tie(ring) or (None, None)
     free = [i for i in range(len(names)) if i != tied_mirror]
     weights = [2 if i == tied_source else 1 for i in free]
 
@@ -319,32 +310,18 @@ class _OrderKernel:
     the same pattern in every block.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
 
-    In a ring that ties the parameter's copy to the parameter (see
-    :func:`_tie`) the kernel holds ``p`` folded for arcs that give the
-    copy the parameter's exponent and coefficient: each term's copy
-    exponent moves onto the parameter, equal monomials merge and zero
-    sums drop.  Along such arcs the folded
-    terms pull back exactly as ``p`` does; ``t - t'`` folds to no terms,
-    so its order is ``math.inf`` along every one of them.
+    The kernel holds ``p`` as :func:`doubling.fold_parameter` leaves it,
+    with ``t'`` replaced by ``t`` wherever :func:`doubling.parameter_tie`
+    names the pair.  Every searched arc gives ``t'`` the arc of ``t``,
+    so along it the folded terms pull back exactly as ``p`` does;
+    ``t - t'`` folds to no terms, so its order is ``math.inf`` along
+    every one of them.
     """
 
     __slots__ = ("terms", "_groups", "_values")
 
     def __init__(self, p: Polynomial):
-        _, terms = _integer_terms(p.terms)
-        tie = _tie(p.ring)
-        if tie is not None:
-            source, copy = tie
-            folded: dict[tuple[int, ...], int] = {}
-            for exps, q in terms:
-                if exps[copy]:
-                    moved = list(exps)
-                    moved[source] += moved[copy]
-                    moved[copy] = 0
-                    exps = tuple(moved)
-                folded[exps] = folded.get(exps, 0) + q
-            terms = [(exps, q) for exps, q in folded.items() if q]
-        self.terms = terms
+        _, self.terms = _integer_terms(fold_parameter(p).terms)
         self._groups: list[tuple[int, tuple[int, ...]]] = []
         self._values: list[list[int] | None] = []
 

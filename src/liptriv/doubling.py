@@ -12,6 +12,10 @@ generated by these differences controls how the family separates pairs
 of points, which is the quantity the analysis pipeline interrogates.
 By construction everything in such an ideal vanishes on the diagonal
 ``z = z'``, and :class:`DoubledIdeal` refuses generators that do not.
+
+This module alone builds the unfolding's doubled structure: the family
+components, the family, direction and diagonal ideals, and the one rule
+that ties ``t'`` to ``t`` (:func:`parameter_tie`, :func:`fold_parameter`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .rings import (
     parse_polynomial,
     partial_derivative,
     primed,
-    substitute,
 )
 
 __all__ = [
@@ -48,8 +51,10 @@ __all__ = [
     "direction_double_ideal",
     "double_ideal",
     "double_of",
+    "fold_parameter",
     "format_matrix_germ",
     "merged_parameter_view",
+    "parameter_tie",
     "parse_matrix_germ",
     "unfolding_double_ideal",
 ]
@@ -289,19 +294,20 @@ def _diagonal_ideal(ring: RingContext) -> DoubledIdeal:
 class Unfolding:
     """A germ moving along a direction with one extra parameter.
 
-    ``base`` and ``direction`` live in the source ring; ``total`` is
-    ``base + parameter * direction`` on the ring extended by the
-    parameter (which comes first in the variable order).
+    ``base`` and ``direction`` live in the source ring.  ``components``
+    are the family's independent scalar components, ``b + t * d`` for
+    the components ``b`` of ``base`` and ``d`` of ``direction`` (at
+    :meth:`MatrixGerm.component_positions`), on the ring extended by
+    :data:`PARAMETER`, which comes first in the variable order.
     """
 
-    parameter: str
     base: MatrixGerm
     direction: MatrixGerm
-    total: MatrixGerm
+    components: tuple[Polynomial, ...]
 
     @property
     def extended_ring(self) -> RingContext:
-        return self.total.ring
+        return self.components[0].ring
 
 
 @functools.cache
@@ -313,7 +319,11 @@ def _parameter_extension(ring: RingContext) -> RingContext:
 
 
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
-    """``base + t * direction`` with the parameter :data:`PARAMETER`."""
+    """The family ``base + t * direction``, one scalar component at a time.
+
+    Each component is built once, as ``b + t * d`` on the shared ring
+    extended by :data:`PARAMETER`; no matrix is formed.
+    """
     if base.ring != direction.ring:
         raise RingError("germ and direction must share a ring")
     if (base.nrows, base.ncols) != (direction.nrows, direction.ncols):
@@ -326,52 +336,64 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         )
     extended = _parameter_extension(base.ring)
     t = extended.variable(PARAMETER)
-    lifted_base = base.map_entries(lambda e: inject_into(e, extended))
-    lifted_dir = direction.map_entries(lambda e: inject_into(e, extended))
-    return Unfolding(PARAMETER, base, direction, lifted_base + lifted_dir.scale(t))
+    components = tuple(
+        inject_into(b, extended) + t * inject_into(d, extended)
+        for b, d in zip(base.component_list(), direction.component_list())
+    )
+    return Unfolding(base, direction, components)
 
 
 def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
     """Difference ideal of the family, parameter included.
 
     The generators are the doubles of the parameter itself and then of
-    every matrix component of the family.  The parameter contributes
-    its own difference, so the doubled ring always carries the relation
-    between the two parameter copies rather than assuming them equal.
+    every component of the family.  The parameter contributes its own
+    difference, so the doubled ring always carries the relation between
+    the two parameter copies rather than assuming them equal.
     """
-    parameter = u.extended_ring.variable(u.parameter)
-    return double_ideal([parameter] + u.total.component_list())
+    return double_ideal([u.extended_ring.variable(PARAMETER), *u.components])
 
 
 def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
-    """Doubles of the nonzero components of ``d(total)/dt``, or ``None``."""
-    theta = u.total.derivative(u.parameter)
-    components = [c for c in theta.component_list() if not c.is_zero]
-    if not components:
+    """Doubles of the nonzero direction components ``d`` (the family's
+    ``t``-derivatives), lifted to the unfolding ring; ``None`` when the
+    direction is zero."""
+    nonzero = [d for d in u.direction.component_list() if not d.is_zero]
+    if not nonzero:
         return None
-    return double_ideal(components)
+    return double_ideal([inject_into(d, u.extended_ring) for d in nonzero])
 
 
-def merged_parameter_view(
-    ideal: Ideal, parameter: str
-) -> list[Polynomial]:
-    """Generators rewritten with both parameter copies identified.
+def parameter_tie(ring: RingContext) -> tuple[int, int] | None:
+    """``(index of t, index of t')`` when ``ring`` holds :data:`PARAMETER`
+    and its primed copy, else ``None``: the one tie rule, shared by the
+    curve search and :func:`fold_parameter`."""
+    names = ring.variables
+    if PARAMETER in names and primed(PARAMETER) in names:
+        return ring.index(PARAMETER), ring.index(primed(PARAMETER))
+    return None
 
-    Substitutes the primed parameter by the original and drops the
-    generators that collapse to zero.  Display-only: membership tests
-    keep the two copies distinct.
-    """
-    ring = ideal.ring
-    if not ring.doubled:
-        raise RingError("merged view needs a doubled ring")
-    mirror = primed(parameter)
-    if parameter not in ring.variables or mirror not in ring.variables:
-        raise RingError(f"{parameter!r} is not doubled in this ring")
-    images: dict[str, Polynomial] = {v: ring.variable(v) for v in ring.variables}
-    images[mirror] = ring.variable(parameter)
-    out = []
-    for g in ideal.generators:
-        h = substitute(g, images, ring)
-        if not h.is_zero:
-            out.append(h)
-    return out
+
+def fold_parameter(p: Polynomial) -> Polynomial:
+    """``p`` with ``t'`` replaced by ``t`` where :func:`parameter_tie`
+    names the pair, else ``p`` itself: equal monomials merge and zero
+    sums drop, so ``t - t'`` folds to zero."""
+    tie = parameter_tie(p.ring)
+    if tie is None:
+        return p
+    source, copy = tie
+    terms = []
+    for exps, coeff in p.terms:
+        exps = list(exps)
+        exps[source], exps[copy] = exps[source] + exps[copy], 0
+        terms.append((exps, coeff))
+    return Polynomial(p.ring, terms)
+
+
+def merged_parameter_view(ideal: Ideal) -> list[Polynomial]:
+    """The generators that do not fold to zero, each folded by
+    :func:`fold_parameter`.  Display-only: membership tests keep the two
+    parameter copies distinct."""
+    if not ideal.ring.doubled or parameter_tie(ideal.ring) is None:
+        raise RingError(f"{PARAMETER!r} is not doubled in this ring")
+    return [h for h in map(fold_parameter, ideal.generators) if not h.is_zero]

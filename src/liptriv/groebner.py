@@ -66,11 +66,12 @@ class GroebnerBudget:
     """Resource ceiling for one basis computation.
 
     Both limits must be ``int`` values of at least 1 (a ``bool`` is
-    refused).
+    refused).  The defaults are the one budget of every caller that
+    names none: ``analyze``, the catalog table and ``check-inclusion``.
     """
 
-    max_pairs: int = 100_000
-    max_degree: int = 60
+    max_pairs: int = 20_000
+    max_degree: int = 48
 
     def __post_init__(self) -> None:
         _require_count("max_pairs", self.max_pairs, 1)

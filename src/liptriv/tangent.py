@@ -28,7 +28,7 @@ from operator import add
 
 from .doubling import MatrixGerm
 from .groebner import _integer_terms
-from .rings import Monomial, Polynomial, RingContext, RingError
+from .rings import Monomial, RingContext, RingError
 
 __all__ = [
     "TangentSpaceResult",

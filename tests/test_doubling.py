@@ -8,19 +8,22 @@ import pytest
 from liptriv import (
     RingContext,
     normal_form,
+    normal_space_basis,
     parse_matrix_germ,
     unfolding_double_ideal,
 )
+from liptriv.analyzer import _cell_directions
+from liptriv.catalog import catalog_parameters
 from liptriv.doubling import (
     build_unfolding,
     diagonal_collapse,
     diagonal_ideal,
+    direction_double_ideal,
     double_ideal,
     double_of,
-    format_matrix_germ,
     merged_parameter_view,
 )
-from liptriv.rings import RingError, parse_polynomial
+from liptriv.rings import RingError, inject_into, parse_polynomial
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
@@ -83,9 +86,8 @@ class TestUnfolding:
         base = parse_matrix_germ("sym: y^2, x ; x, y^3", XY)
         direction = parse_matrix_germ("sym: y, 0 ; 0, 0", XY)
         u = build_unfolding(base, direction)
-        assert u.parameter == "t"
         assert u.extended_ring.variables == ("t", "x", "y")
-        assert format_matrix_germ(u.total) == "sym: t*y + y^2, x ; x, y^3"
+        assert [str(c) for c in u.components] == ["t*y + y^2", "x", "y^3"]
 
     def test_parameter_collision_rejected(self):
         ring = RingContext(("t", "x"))
@@ -106,18 +108,74 @@ class TestUnfolding:
         assert "t - t'" in {str(g) for g in ideal.generators}
 
 
+# build_unfolding makes each family component once, as b + t*d, and
+# direction_double_ideal doubles the lifted direction components.  Both
+# must agree with the matrix route they replace: lift both germs, add
+# t times the direction, and differentiate the sum by t.
+
+
+def matrix_route(base, direction):
+    """``lift(base) + lift(direction).scale(t)`` by MatrixGerm arithmetic."""
+    ring = RingContext(("t",) + base.ring.variables)
+
+    def lift(germ):
+        return germ.map_entries(lambda e: inject_into(e, ring))
+
+    return lift(base) + lift(direction).scale(ring.variable("t"))
+
+
+def assert_matches_matrix_route(base, direction):
+    u = build_unfolding(base, direction)
+    total = matrix_route(base, direction)
+    assert list(u.components) == total.component_list()
+    theta = [c for c in total.derivative("t").component_list() if not c.is_zero]
+    got = direction_double_ideal(u)
+    if not theta:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.generators == double_ideal(theta).generators
+
+
+def test_components_match_matrix_route_on_table_grid():
+    # Every cell of the 4x4 table: unit, random and zero directions.
+    cells = 0
+    for index, k, l in catalog_parameters(4, 4):
+        nf = normal_form(index, k=k, l=l)
+        for _, coeffs in _cell_directions(nf):
+            assert_matches_matrix_route(nf.matrix, nf.theta(coeffs))
+            cells += 1
+    assert cells == 167
+
+
+def test_components_match_matrix_route_on_3x3_basis():
+    germ = parse_matrix_germ(
+        "sym: x, y, z ; y, z, x^2 ; z, x^2, y^2", RingContext(("x", "y", "z"))
+    )
+    basis = normal_space_basis(germ).basis
+    assert len(basis) == 12
+    for direction in basis:
+        assert_matches_matrix_route(germ, direction)
+
+
+def test_components_match_matrix_route_on_general_germ():
+    # Non-square, with a constant direction entry (its double is zero)
+    # and zero entries on both sides.
+    base = parse_matrix_germ("gen: x, y^2, x*y ; y, x^2, 0", XY)
+    direction = parse_matrix_germ("gen: y, 0, 3 ; x*y, 0, x^2 - y", XY)
+    assert_matches_matrix_route(base, direction)
+    assert_matches_matrix_route(base, base.map_entries(lambda e: XY.zero()))
+
+
 def merged_strings(nf, coeffs):
     u = build_unfolding(nf.matrix, nf.theta(coeffs))
-    view = merged_parameter_view(unfolding_double_ideal(u), u.parameter)
+    view = merged_parameter_view(unfolding_double_ideal(u))
     return {str(g) for g in view}
 
 
 def theta_double_strings(nf, coeffs):
     u = build_unfolding(nf.matrix, nf.theta(coeffs))
-    theta = u.total.derivative(u.parameter)
-    components = [c for c in theta.component_list() if not c.is_zero]
-    ideal = double_ideal(components)
-    return {str(g) for g in ideal.generators}
+    return {str(g) for g in direction_double_ideal(u).generators}
 
 
 def expect(ring, *texts):
@@ -260,5 +318,9 @@ class TestCatalogGeneratorDisplays:
         u = build_unfolding(nf.matrix, nf.theta({"a3": 1}))
         ideal = unfolding_double_ideal(u)
         assert "t - t'" in {str(g) for g in ideal.generators}
-        merged = merged_parameter_view(ideal, "t")
+        merged = merged_parameter_view(ideal)
         assert "t - t'" not in {str(g) for g in merged}
+
+    def test_merged_view_needs_the_parameter_pair(self):
+        with pytest.raises(RingError):
+            merged_parameter_view(diagonal_ideal(DXY))

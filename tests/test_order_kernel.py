@@ -24,10 +24,16 @@ from liptriv.curves import (
     format_curve,
     pullback_dense,
 )
-from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles, _tie
-from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
+from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
+from liptriv.doubling import (
+    PARAMETER,
+    build_unfolding,
+    direction_double_ideal,
+    fold_parameter,
+    parameter_tie,
+)
 from liptriv.groebner import Ideal
-from liptriv.rings import Polynomial, parse_polynomial
+from liptriv.rings import Polynomial, parse_polynomial, substitute
 
 DXY = RingContext(("x", "y")).doubled_extension()
 DTX = RingContext(("t", "x")).doubled_extension()
@@ -270,7 +276,7 @@ def test_enumeration_flattens_the_blocks():
 # polynomial pulls back as it does with t' replaced by t.  The kernel
 # holds the folded terms; t - t' folds to none and leaves the family.
 
-T, TC = _tie(DTX)
+T, TC = parameter_tie(DTX)
 
 
 @st.composite
@@ -288,6 +294,24 @@ def zero_folds(draw, ring=DTX, max_exp=2):
             exps[T], exps[TC] = tie_exps
             terms.append((tuple(exps), sign * q))
     return Polynomial(ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_strategy(DTX, max_terms=4), st.one_of(st.just(None), zero_folds()))
+def test_fold_matches_substitute(p, zero):
+    # fold_parameter is the ring map t' -> t, every other variable fixed.
+    if zero is not None:
+        p = p + zero
+        assert fold_parameter(zero).is_zero
+    images = {v: DTX.variable(v) for v in DTX.variables}
+    images[PARAMETER + "'"] = DTX.variable(PARAMETER)
+    assert fold_parameter(p) == substitute(p, images, DTX)
+
+
+@given(poly_strategy(DXY))
+def test_fold_without_tie_is_identity(p):
+    assert parameter_tie(DXY) is None
+    assert fold_parameter(p) is p
 
 
 @st.composite

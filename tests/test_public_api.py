@@ -7,6 +7,7 @@ read the bench files as text and never import or change them.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -78,3 +79,34 @@ def test_bench_traced_function_is_public(qualified):
     assert not name.startswith("_")
     assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn)
     assert fn.__module__ == module.__name__
+
+
+def _spans_counted_methods() -> tuple:
+    """``COUNTED_METHODS`` of ``bench/spans.py``, read as a literal."""
+    for node in ast.parse((BENCH / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "COUNTED_METHODS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no COUNTED_METHODS")
+
+
+@pytest.mark.parametrize("layer,cls_name,key", _spans_counted_methods())
+def test_bench_counted_class_defines_mul(layer, cls_name, key):
+    cls = getattr(importlib.import_module(f"liptriv.{layer}"), cls_name)
+    assert "__mul__" in vars(cls)
+
+
+def test_bench_result_hook_names_resolve():
+    text = (BENCH / "spans.py").read_text()
+    names = set(re.findall(r"(?<![\w.])lt\.(\w+)\.([A-Za-z_]\w*)", text))
+    assert ("curves", "Witness") in names
+    for layer, name in names:
+        assert hasattr(importlib.import_module(f"liptriv.{layer}"), name)
+
+
+def test_bench_verdict_reads_are_fields():
+    text = (BENCH / "workloads.py").read_text()
+    reads = set(re.findall(r"(?<![\w.])verdict\.([A-Za-z_]\w*)", text))
+    fields = {f.name for f in dataclasses.fields(liptriv.Verdict)}
+    assert reads and reads <= fields
