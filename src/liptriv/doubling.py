@@ -10,8 +10,9 @@ each scalar component ``h`` of such a family to the difference
 on the ring doubled with a primed mirror of every variable.  The ideal
 generated by these differences controls how the family separates pairs
 of points, which is the quantity the analysis pipeline interrogates.
-By construction everything in such an ideal vanishes on the diagonal
-``z = z'``, and :class:`DoubledIdeal` refuses generators that do not.
+:class:`DoubledIdeal` is the one way to build such an ideal: it takes
+the components and doubles them itself, so everything in it vanishes
+on the diagonal ``z = z'`` by construction.
 
 This module alone builds the unfolding's doubled structure: the family
 components, the family, direction and diagonal ideals, and the one rule
@@ -23,8 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .groebner import Ideal
 from .rings import (
@@ -32,7 +32,6 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
-    _check_cap,
     _sorted_terms,
     inject_into,
     parse_polynomial,
@@ -46,10 +45,8 @@ __all__ = [
     "PARAMETER",
     "Unfolding",
     "build_unfolding",
-    "diagonal_collapse",
     "diagonal_ideal",
     "direction_double_ideal",
-    "double_ideal",
     "double_of",
     "fold_parameter",
     "format_matrix_germ",
@@ -214,65 +211,30 @@ def double_of(p: Polynomial) -> Polynomial:
     return Polynomial._raw(doubled, _sorted_terms(doubled, terms))
 
 
-def diagonal_collapse(p: Polynomial) -> Polynomial:
-    """Substitute every primed variable by its original, folding back
-    to the source ring.  Differences of doubles collapse to zero."""
-    ring = p.ring
-    if not ring.doubled:
-        raise RingError("diagonal collapse needs a doubled ring")
-    source = ring.half()
-    n = source.arity
-    acc: dict = {}
-    for exps, coeff in p.terms:
-        folded = tuple(map(add, exps[:n], exps[n:]))
-        total = acc.get(folded, 0) + coeff
-        if total:
-            acc[folded] = total
-        else:
-            acc.pop(folded, None)
-    _check_cap(source, acc)
-    return Polynomial._raw(source, _sorted_terms(source, acc.items()))
-
-
 class DoubledIdeal(Ideal):
-    """Ideal on a doubled ring whose generators vanish on the diagonal.
+    """The difference ideal of ``components``: the ideal generated by
+    their doubles ``h(z) - h(z')``, in the given order.
 
-    The diagonal condition is structural for difference ideals, so it is
-    validated once at construction instead of trusted.  The undoubled
-    ring is ``ring.half()``.
+    The components must share one undoubled ring, ``ring.half()``; the
+    ideal lives on its doubled extension.  Every generator is a
+    :func:`double_of`, so it vanishes on the diagonal by construction.
+    Constant components double to zero and are dropped.
     """
 
     __slots__ = ()
 
-    def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
-        if not ring.doubled:
-            raise RingError("a doubled ideal needs a doubled ring")
-        super().__init__(ring, generators)
-        for g in self.generators:
-            if not diagonal_collapse(g).is_zero:
-                raise RingError(
-                    f"generator {g} does not vanish on the diagonal"
-                )
-
-
-def double_ideal(components: Sequence[Polynomial]) -> DoubledIdeal:
-    """The ideal generated by the doubles of the given components.
-
-    The components must share one undoubled ring; the ideal lives on its
-    doubled extension.
-    """
-    components = list(components)
-    if not components:
-        raise RingError("need at least one component to double")
-    src = components[0].ring
-    for c in components:
-        if c.ring != src:
+    def __init__(self, components: Sequence[Polynomial]):
+        if not components:
+            raise RingError("need at least one component to double")
+        source = components[0].ring
+        if any(c.ring != source for c in components):
             raise RingError("components must share the source ring")
-    return DoubledIdeal(src.doubled_extension(), [double_of(c) for c in components])
+        super().__init__(source.doubled_extension(), map(double_of, components))
 
 
 def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
-    """The ideal of the diagonal, generated by ``v - v'`` per variable.
+    """The ideal of the diagonal: the difference ideal of the variables,
+    generated by ``v - v'`` per variable of ``ring.half()``.
 
     Equal rings share one ideal, so its reduced basis is computed once
     per process; a budget failure leaves it unset, like any ideal's.
@@ -284,10 +246,8 @@ def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
 
 @functools.cache
 def _diagonal_ideal(ring: RingContext) -> DoubledIdeal:
-    gens = [
-        ring.variable(v) - ring.variable(primed(v)) for v in ring.half().variables
-    ]
-    return DoubledIdeal(ring, gens)
+    half = ring.half()
+    return DoubledIdeal([half.variable(v) for v in half.variables])
 
 
 @dataclass(frozen=True)
@@ -330,10 +290,9 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         raise RingError("germ and direction shapes differ")
     if base.symmetric != direction.symmetric:
         raise RingError("germ and direction must agree on symmetry")
-    if PARAMETER in base.ring.variables:
-        raise RingError(
-            f"parameter {PARAMETER!r} collides with a ring variable"
-        )
+    for name in (PARAMETER, primed(PARAMETER)):
+        if name in base.ring.variables:
+            raise RingError(f"parameter name {name!r} collides with a ring variable")
     extended = _parameter_extension(base.ring)
     t = extended.variable(PARAMETER)
     components = tuple(
@@ -351,7 +310,7 @@ def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
     difference, so the doubled ring always carries the relation between
     the two parameter copies rather than assuming them equal.
     """
-    return double_ideal([u.extended_ring.variable(PARAMETER), *u.components])
+    return DoubledIdeal([u.extended_ring.variable(PARAMETER), *u.components])
 
 
 def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
@@ -361,15 +320,15 @@ def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
     nonzero = [d for d in u.direction.component_list() if not d.is_zero]
     if not nonzero:
         return None
-    return double_ideal([inject_into(d, u.extended_ring) for d in nonzero])
+    return DoubledIdeal([inject_into(d, u.extended_ring) for d in nonzero])
 
 
 def parameter_tie(ring: RingContext) -> tuple[int, int] | None:
-    """``(index of t, index of t')`` when ``ring`` holds :data:`PARAMETER`
-    and its primed copy, else ``None``: the one tie rule, shared by the
-    curve search and :func:`fold_parameter`."""
+    """``(index of t, index of t')`` when ``ring`` is doubled and holds
+    :data:`PARAMETER` and its primed copy, else ``None``: the one tie
+    rule, shared by the curve search and :func:`fold_parameter`."""
     names = ring.variables
-    if PARAMETER in names and primed(PARAMETER) in names:
+    if ring.doubled and PARAMETER in names and primed(PARAMETER) in names:
         return ring.index(PARAMETER), ring.index(primed(PARAMETER))
     return None
 

@@ -199,6 +199,9 @@ class RingContext:
 @functools.cache
 def _doubled_extension(ring: RingContext) -> RingContext:
     mirror = tuple(primed(v) for v in ring.variables)
+    for v, m in zip(ring.variables, mirror):
+        if m in ring.variables:
+            raise RingError(f"cannot double: the mirror {m!r} of {v!r} is already a variable")
     return RingContext(ring.variables + mirror, ring.order, True, ring.exponent_cap)
 
 
@@ -225,9 +228,7 @@ class Polynomial:
     * :meth:`RingContext.variable` and :func:`partial_derivative`,
       which keep the order as they are;
     * :func:`inject_into`, one sort for the target order, cap checked;
-    * ``doubling.double_of``, one sort, and
-      ``doubling.diagonal_collapse``, folded monomials merged in a dict,
-      one sort, cap checked.
+    * ``doubling.double_of``, one sort.
     """
 
     __slots__ = ("ring", "terms")

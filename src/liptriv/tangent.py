@@ -266,9 +266,9 @@ def quotient_image_rank(
 
 
 def _normal_space_at(F: MatrixGerm, degree: int):
-    ring = F.ring
+    """Rank, column count and the representatives ``((i, j), monomial)``
+    of the normal space in the jet at ``degree``, in basis order."""
     pivots, monos, positions, column, rank = _eliminate(F, degree)
-    column_count = len(positions) * len(monos)
     reps = [
         (p, mi)
         for p in range(len(positions))
@@ -276,25 +276,8 @@ def _normal_space_at(F: MatrixGerm, degree: int):
         if column[p][mono] not in pivots
     ]
     reps.sort(key=lambda col: (sum(monos[col[1]]), col[0], col[1]))
-
-    basis = []
-    labels = []
-    for p, mi in reps:
-        mono = monos[mi]
-        mono_poly = ring.monomial(mono)
-        i, j = positions[p]
-        rows = [[ring.zero()] * F.ncols for _ in range(F.nrows)]
-        rows[i][j] = mono_poly
-        if F.symmetric and i != j:
-            rows[j][i] = mono_poly
-        basis.append(
-            MatrixGerm(tuple(tuple(r) for r in rows), symmetric=F.symmetric)
-        )
-        if any(mono):
-            labels.append(f"{mono_poly}*E({i + 1},{j + 1})")
-        else:
-            labels.append(f"E({i + 1},{j + 1})")
-    return rank, column_count, tuple(labels), tuple(basis)
+    column_count = len(positions) * len(monos)
+    return rank, column_count, [(positions[p], monos[mi]) for p, mi in reps]
 
 
 def normal_space_basis(
@@ -306,24 +289,38 @@ def normal_space_basis(
     derives from the germ's symmetry.  The default jet degree is twice
     the largest entry degree plus two, which is past saturation for
     every finite-codimension germ in the bundled catalog.  The
-    computation is repeated one level higher and ``stable`` records
-    whether the basis labels agreed; an unstable answer means the jet
-    was too small (or the codimension is not finite).
+    representatives are found again one level higher and ``stable``
+    records whether they agreed; an unstable answer means the jet was
+    too small (or the codimension is not finite).
     """
     jet_degree = _jet_degree(F, jet_degree)
-    rank, ncols, labels, basis = _normal_space_at(F, jet_degree)
-    if rank + len(basis) != ncols:
+    rank, ncols, reps = _normal_space_at(F, jet_degree)
+    if rank + len(reps) != ncols:
         raise RingError("rank bookkeeping violated")  # defensive; never expected
-    _, _, labels_next, _ = _normal_space_at(F, jet_degree + 1)
+    _, _, reps_next = _normal_space_at(F, jet_degree + 1)
+    ring = F.ring
+    basis = []
+    labels = []
+    for (i, j), mono in reps:
+        mono_poly = ring.monomial(mono)
+        rows = [[ring.zero()] * F.ncols for _ in range(F.nrows)]
+        rows[i][j] = mono_poly
+        if F.symmetric and i != j:
+            rows[j][i] = mono_poly
+        basis.append(MatrixGerm(rows, symmetric=F.symmetric))
+        if any(mono):
+            labels.append(f"{mono_poly}*E({i + 1},{j + 1})")
+        else:
+            labels.append(f"E({i + 1},{j + 1})")
     return TangentSpaceResult(
         germ=F,
         jet_degree=jet_degree,
         column_count=ncols,
         rank=rank,
         codimension=ncols - rank,
-        basis=basis,
-        basis_labels=labels,
-        stable=labels == labels_next,
+        basis=tuple(basis),
+        basis_labels=tuple(labels),
+        stable=reps == reps_next,
     )
 
 

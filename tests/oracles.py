@@ -25,6 +25,11 @@ same reduced basis and raise ``BudgetExceeded`` at the same budgets.
 used before it went fraction free: it normalises every pivot row to a
 leading ``1`` with ``Fraction`` arithmetic.  ``tangent._insert_row``
 must report the same pivots for every row stream.
+
+:func:`diagonal_collapse` restricts a polynomial on a doubled ring to
+the diagonal ``z = z'``.  Every generator of a difference ideal must
+collapse to zero; the engine guarantees that by construction and no
+longer checks it, so the tests check it here.
 """
 
 import heapq
@@ -309,3 +314,17 @@ def reference_insert_row(pivots: dict, row: dict) -> bool:
             else:
                 row.pop(c, None)
     return False
+
+
+def diagonal_collapse(p):
+    """Substitute every primed variable by its original, folding back
+    to the source ring through the validating ``Polynomial``
+    constructor.  Differences of doubles collapse to zero."""
+    ring = p.ring
+    if not ring.doubled:
+        raise RingError("diagonal collapse needs a doubled ring")
+    n = ring.arity // 2
+    return Polynomial(
+        ring.half(),
+        [(tuple(a + b for a, b in zip(e[:n], e[n:])), c) for e, c in p.terms],
+    )

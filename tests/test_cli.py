@@ -88,6 +88,19 @@ class TestAnalyze:
         assert code == 1
 
 
+    def test_primed_parameter_name_rejected(self, capsys, tmp_path):
+        # A source variable named t' would collide with the mirror of the
+        # parameter on the doubled ring: refused by name, not as duplicates.
+        germ = tmp_path / "germ.txt"
+        germ.write_text("vars: x, t'\ngen: x, t'\n")
+        code, _, err = run(
+            capsys,
+            "analyze", "--germ-file", str(germ), "--theta-file", str(germ),
+        )
+        assert code == 1
+        assert "\"t'\"" in err
+        assert "duplicate" not in err
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

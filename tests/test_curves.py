@@ -17,7 +17,7 @@ from liptriv.curves import (
     pullback_ideal,
 )
 from liptriv.curves import _monomial_curve, _profiles
-from liptriv.doubling import double_ideal
+from liptriv.doubling import DoubledIdeal
 from liptriv.rings import RingError, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
@@ -63,7 +63,7 @@ class TestParseAndPullback:
 class TestPullbackIdeal:
     def test_ideal_order_is_min_generator_order(self):
         gens = [poly("x - x'"), poly("y^2 - y'^2")]
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial("x", RingContext(("x", "y"))),
              parse_polynomial("y^2", RingContext(("x", "y")))],
         )
@@ -73,7 +73,7 @@ class TestPullbackIdeal:
         assert summary.ideal_order == 2
 
     def test_all_infinite_orders(self):
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial("x", RingContext(("x", "y")))]
         )
         curve = parse_curve("s,s,s,s", DXY)
@@ -83,7 +83,7 @@ class TestPullbackIdeal:
 class TestWitness:
     def test_obstruction_found(self):
         # y - y' drops to order 1 while the family ideal sits at order 2
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial(t, RingContext(("x", "y")))
              for t in ("x", "y^2")]
         )
@@ -100,7 +100,7 @@ class TestWitness:
         assert witness.ideal_order == 2
 
     def test_no_obstruction_when_orders_respect_ideal(self):
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial("y", RingContext(("x", "y")))]
         )
         curve = parse_curve("s,2s,s,s", DXY)
@@ -155,7 +155,7 @@ class TestEnumeration:
         )
 
     def test_max_exponent_validated(self):
-        ideal = double_ideal([parse_polynomial("x", RingContext(("x", "y")))])
+        ideal = DoubledIdeal([parse_polynomial("x", RingContext(("x", "y")))])
         for bad in (0, 2.0, True):
             with pytest.raises(ValueError, match="max_exponent"):
                 closure_test(poly("y - y'"), ideal, 10, bad)
@@ -164,7 +164,7 @@ class TestEnumeration:
 
     def test_budget_validated(self):
         # a float, a string or a bool budget is refused like a negative one
-        ideal = double_ideal([parse_polynomial("x", RingContext(("x", "y")))])
+        ideal = DoubledIdeal([parse_polynomial("x", RingContext(("x", "y")))])
         for bad in (-1, 2.5, "3", True):
             with pytest.raises(ValueError, match="budget"):
                 closure_test(poly("y - y'"), ideal, bad, 3)
@@ -185,7 +185,7 @@ class TestEnumeration:
     def test_closure_test_zero_element_trivial(self):
         from liptriv.curves import SearchReport
 
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial("x", RingContext(("x", "y")))]
         )
         report = closure_test(ideal.ring.zero(), ideal, 1000, 4)
@@ -208,7 +208,7 @@ class TestEnumeration:
         assert report.curves_tried == 5
 
     def test_negative_budget_rejected(self):
-        ideal = double_ideal(
+        ideal = DoubledIdeal(
             [parse_polynomial(t, RingContext(("x", "y"))) for t in ("x", "y^3")]
         )
         element = poly("y^2 - y'^2")

@@ -4,6 +4,8 @@ displays for the bundled catalog families."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liptriv import (
     RingContext,
@@ -15,15 +17,17 @@ from liptriv import (
 from liptriv.analyzer import _cell_directions
 from liptriv.catalog import catalog_parameters
 from liptriv.doubling import (
+    DoubledIdeal,
     build_unfolding,
-    diagonal_collapse,
     diagonal_ideal,
     direction_double_ideal,
-    double_ideal,
     double_of,
     merged_parameter_view,
+    parameter_tie,
 )
-from liptriv.rings import RingError, inject_into, parse_polynomial
+from liptriv.rings import RingError, inject_into, parse_polynomial, primed
+from tests.oracles import diagonal_collapse
+from tests.test_trusted_construction import polys
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
@@ -75,10 +79,77 @@ class TestDiagonalIdeal:
         assert membership_certificate(double_of(poly("x^2*y + y^3 - 4*x")), ideal) is not None
 
     def test_non_diagonal_generator_rejected(self):
+        # x + x' cannot enter a difference ideal: its ring is already doubled
         with pytest.raises(RingError):
-            double_ideal([poly("x"), poly("y")]).__class__(
-                DXY, [parse_polynomial("x + x'", DXY)]
-            )
+            DoubledIdeal([parse_polynomial("x + x'", DXY)])
+
+
+class TestDoubledIdeal:
+    def test_generators_are_the_doubles_in_order(self):
+        components = [poly("y^2"), poly("3"), poly("x - y"), poly("x*y")]
+        ideal = DoubledIdeal(components)
+        assert ideal.ring is DXY
+        # the constant doubles to zero and is dropped
+        assert ideal.generators == tuple(
+            double_of(c) for c in components if not c.is_constant
+        )
+
+    def test_empty_components_rejected(self):
+        with pytest.raises(RingError):
+            DoubledIdeal([])
+
+    def test_components_on_different_rings_rejected(self):
+        with pytest.raises(RingError):
+            DoubledIdeal([poly("x"), parse_polynomial("u", RingContext(("u", "v")))])
+
+
+# Every generator of a difference ideal vanishes on the diagonal because
+# DoubledIdeal doubles its components itself; nothing checks it at run
+# time, so the tests check it against the oracle.
+
+TXY = RingContext(("t", "x", "y"))
+
+
+@pytest.mark.parametrize("ring", [XY, TXY], ids=["xy", "unfolding"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_difference_ideal_vanishes_on_diagonal(ring, data):
+    components = data.draw(st.lists(polys(ring, max_exp=3), min_size=1, max_size=4))
+    ideal = DoubledIdeal(components)
+    doubles = [double_of(c) for c in components]
+    assert ideal.generators == tuple(d for d in doubles if not d.is_zero)
+    for g in ideal.generators:
+        assert diagonal_collapse(g).is_zero
+
+
+@pytest.mark.parametrize("ring", [DXY, TXY.doubled_extension()], ids=["xy", "unfolding"])
+def test_diagonal_ideal_generators_are_variable_differences(ring):
+    ideal = diagonal_ideal(ring)
+    assert ideal.ring == ring
+    expected = tuple(
+        ring.variable(v) - ring.variable(primed(v)) for v in ring.half().variables
+    )
+    assert ideal.generators == expected
+    for g in ideal.generators:
+        assert diagonal_collapse(g).is_zero
+
+
+class TestPrimedNames:
+    """A source variable already named like a mirror is refused by name."""
+
+    def test_primed_parameter_rejected_by_unfolding(self):
+        ring = RingContext(("x", "t'"))
+        g = parse_matrix_germ("gen: x, t'", ring)
+        with pytest.raises(RingError, match="t'"):
+            build_unfolding(g, g)
+
+    def test_doubling_names_the_taken_mirror(self):
+        with pytest.raises(RingError, match="mirror \"x'\" of 'x'"):
+            RingContext(("x", "x'")).doubled_extension()
+
+    def test_tie_needs_a_doubled_ring(self):
+        assert parameter_tie(RingContext(("t", "x", "t'"))) is None
+        assert parameter_tie(RingContext(("t", "x")).doubled_extension()) == (0, 2)
 
 
 class TestUnfolding:
@@ -134,7 +205,7 @@ def assert_matches_matrix_route(base, direction):
         assert got is None
     else:
         assert got is not None
-        assert got.generators == double_ideal(theta).generators
+        assert got.generators == DoubledIdeal(theta).generators
 
 
 def test_components_match_matrix_route_on_table_grid():

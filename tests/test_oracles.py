@@ -1,7 +1,7 @@
 """Cross-checks of the basis engine against two independent arbiters:
 the brute-force cofactor oracle in :mod:`tests.oracles` and sympy's
 Groebner machinery, which must agree on membership and on the reduced
-basis itself."""
+basis itself; and known answers for the diagonal-collapse oracle."""
 
 import random
 from fractions import Fraction
@@ -10,9 +10,15 @@ import pytest
 import sympy
 
 from liptriv import RingContext
+from liptriv.doubling import double_of
 from liptriv.groebner import Ideal, membership_certificate
-from liptriv.rings import Polynomial
-from tests.oracles import brute_force_certificate, monomials_up_to, recombine
+from liptriv.rings import ExponentOverflow, Polynomial
+from tests.oracles import (
+    brute_force_certificate,
+    diagonal_collapse,
+    monomials_up_to,
+    recombine,
+)
 
 RING = RingContext(("x", "y", "z"))
 SYMPY_VARS = sympy.symbols("x y z")
@@ -86,6 +92,30 @@ class TestOracleAgainstKnownAnswers:
         assert cert is not None
         assert recombine(cert, [x]).is_zero
 
+
+
+class TestDiagonalCollapse:
+    XY = RingContext(("x", "y"))
+    DXY = XY.doubled_extension()
+
+    def test_merges_colliding_monomials(self):
+        x, y = self.DXY.variable("x"), self.DXY.variable("y")
+        xp, yp = self.DXY.variable("x'"), self.DXY.variable("y'")
+        p = x * yp * 3 + xp * y * Fraction(1, 2) - x * y + xp * yp * 2 + x
+        got = diagonal_collapse(p)
+        assert got.terms == Polynomial(self.XY, [((1, 1), Fraction(9, 2)), ((1, 0), 1)]).terms
+
+    def test_full_cancellation(self):
+        x, xp, yp = self.DXY.variable("x"), self.DXY.variable("x'"), self.DXY.variable("y'")
+        p = (x - xp) * (x - xp) * yp  # three monomials that all fold to x^2*y
+        assert diagonal_collapse(p).is_zero
+        assert diagonal_collapse(double_of(Polynomial(self.XY, [((2, 3), 5), ((0, 1), -1)]))).is_zero
+
+    def test_keeps_the_cap(self):
+        ring = RingContext(("x",), exponent_cap=3).doubled_extension()
+        p = Polynomial(ring, [((2, 2), 1)])
+        with pytest.raises(ExponentOverflow):
+            diagonal_collapse(p)
 
 def check_instance(kind, p, gens, cap):
     ideal = Ideal(RING, gens)

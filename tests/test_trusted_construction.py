@@ -17,7 +17,6 @@ from liptriv import RingContext
 from liptriv.doubling import (
     MatrixGerm,
     build_unfolding,
-    diagonal_collapse,
     diagonal_ideal,
     double_of,
 )
@@ -81,31 +80,6 @@ class TestTrustedBuilders:
 
     def test_double_of_constant_is_zero(self):
         assert double_of(XY.constant(Fraction(7, 2))).is_zero
-
-    @settings(max_examples=300, deadline=None)
-    @given(polys(DXY, max_exp=3))
-    def test_diagonal_collapse(self, p):
-        expected = [(tuple(a + b for a, b in zip(e[:2], e[2:])), c) for e, c in p.terms]
-        assert_canonical(diagonal_collapse(p), expected)
-
-    def test_diagonal_collapse_merges_colliding_monomials(self):
-        x, y = DXY.variable("x"), DXY.variable("y")
-        xp, yp = DXY.variable("x'"), DXY.variable("y'")
-        p = x * yp * 3 + xp * y * Fraction(1, 2) - x * y + xp * yp * 2 + x
-        got = diagonal_collapse(p)
-        assert got.terms == Polynomial(XY, [((1, 1), Fraction(9, 2)), ((1, 0), 1)]).terms
-
-    def test_diagonal_collapse_full_cancellation(self):
-        x, xp, yp = DXY.variable("x"), DXY.variable("x'"), DXY.variable("y'")
-        p = (x - xp) * (x - xp) * yp  # three monomials that all fold to x^2*y
-        assert diagonal_collapse(p).is_zero
-        assert diagonal_collapse(double_of(Polynomial(XY, [((2, 3), 5), ((0, 1), -1)]))).is_zero
-
-    def test_diagonal_collapse_keeps_the_cap(self):
-        ring = RingContext(("x",), exponent_cap=3).doubled_extension()
-        p = Polynomial(ring, [((2, 2), 1)])
-        with pytest.raises(ExponentOverflow):
-            diagonal_collapse(p)
 
     @settings(max_examples=300, deadline=None)
     @given(polys(XY))
