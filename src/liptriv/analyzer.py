@@ -11,14 +11,24 @@ cheap certificates first:
 1. The entries of ``F`` generate the maximal ideal: membership in the
    plain difference ideal follows from the two-step chain through the
    diagonal ideal, both steps replayed as exact memberships.
-2. Direct inclusion of difference ideals, certified by division
+2. Refute before proving: the curve search of step 4 on the first
+   direction generator only, over the first ``min(PREFIX_CURVES,
+   curve_budget)`` curves of its stream.  A witness refutes closure
+   membership (the valuative criterion), hence membership too, so step
+   3 would fail and step 4 would return this very witness: it walks
+   generator 0 first over the same stream.  A hit is therefore returned
+   at once; a miss changes nothing.  Later generators are left out
+   because their witness would not be the one step 4 reports, and the
+   cap keeps the prefix inside the budget the full search honours.
+   Skipped under ``audit=True``, which runs steps 3 and 4 in full.
+3. Direct inclusion of difference ideals, certified by division
    cofactors against a Groebner basis.
-3. A curve search for a witness against closure membership.  A hit
+4. A curve search for a witness against closure membership.  A hit
    carries the order of every generator of the family ideal along its
    curve; each of those orders, and the element's, is replayed through
    an independent substitution path, and the certificate is written
    from the replayed record.
-4. Otherwise the honest answer is Inconclusive, with the search report.
+5. Otherwise the honest answer is Inconclusive, with the search report.
 
 An inclusion proves triviality, a witness refutes it, and a fruitless
 search proves nothing.  The two positive routes and the refutation
@@ -85,6 +95,7 @@ __all__ = [
     "AnalyzeOptions",
     "AuditError",
     "INCONCLUSIVE",
+    "PREFIX_CURVES",
     "TableCell",
     "TableReport",
     "Verdict",
@@ -98,6 +109,12 @@ INCONCLUSIVE = "Inconclusive"
 
 ASSUMED_PRECONDITIONS = ("unfolding is homeomorphism onto image",)
 
+# Curves of the first direction generator searched before the general
+# membership (step 2 of the module docstring).  Witnesses cluster at the
+# head of the stream, and a miss costs well under a millisecond, so the
+# size is not critical; it is fixed, never tuned per input.
+PREFIX_CURVES = 25
+
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
@@ -105,10 +122,12 @@ class AnalyzeOptions:
 
     Two budgets (Groebner, curves per generator), the search depth
     ``max_exponent`` (``None``: entry degree + 2, at least 4), ``audit``
-    and the ``field`` label.  ``groebner_budget`` must be a
-    :class:`GroebnerBudget`; ``curve_budget`` and ``max_exponent`` must
-    be ``int`` values of at least 1 (a ``bool`` is refused).  The arcs
-    are the fixed family of :mod:`liptriv.curves`.
+    and the ``field`` label.  ``curve_budget`` also caps the prefix
+    search that runs before the membership (see :func:`analyze`).
+    ``groebner_budget`` must be a :class:`GroebnerBudget`;
+    ``curve_budget`` and ``max_exponent`` must be ``int`` values of at
+    least 1 (a ``bool`` is refused).  The arcs are the fixed family of
+    :mod:`liptriv.curves`.
     """
 
     groebner_budget: GroebnerBudget = GroebnerBudget()
@@ -190,18 +209,22 @@ def _memberships(generators, ideal: Ideal, budget: GroebnerBudget) -> list | Non
 
 
 def _diagonal_route(
+    base: MatrixGerm,
     total: DoubledIdeal,
     theta: DoubledIdeal,
     budget: GroebnerBudget,
 ) -> dict | None:
     """Membership blocks for the chain through the diagonal ideal, or None.
 
-    Both steps are exact memberships: every generator of the direction
-    ideal falls in the diagonal ideal, and every generator ``v - v'`` of
-    the diagonal ideal falls in the family ideal.  The first step holds
-    for any difference ideal; it is still replayed so the certificate
-    stands on division alone.
+    The route applies only when the entries of ``base`` generate the
+    maximal ideal at the origin.  Both steps are exact memberships:
+    every generator of the direction ideal falls in the diagonal ideal,
+    and every generator ``v - v'`` of the diagonal ideal falls in the
+    family ideal.  The first step holds for any difference ideal; it is
+    still replayed so the certificate stands on division alone.
     """
+    if not entries_cut_reduced_origin(base):
+        return None
     diagonal = diagonal_ideal(total.ring)
     into_diagonal = _memberships(theta.generators, diagonal, budget)
     if into_diagonal is None:
@@ -217,14 +240,18 @@ def _diagonal_route(
 
 
 def _search_route(
+    generators,
     total: DoubledIdeal,
-    theta: DoubledIdeal,
     max_exponent: int,
     budget: int,
 ):
-    """First verified witness, else the per-generator search reports."""
+    """First verified witness, else the per-generator search reports.
+
+    The generators are searched in order, each over the first ``budget``
+    curves of its stream.
+    """
     reports = []
-    for g in theta.generators:
+    for g in generators:
         found = closure_test(g, total, budget, max_exponent)
         if isinstance(found, Witness):
             if not verify_witness_dense(found, total):
@@ -249,6 +276,15 @@ def analyze(
     not influence the computation.  Budget exhaustion in the inclusion
     route is not an error: the pipeline falls through to the curve
     search and, at worst, returns Inconclusive.
+
+    ``options.curve_budget`` caps the prefix search of the first
+    direction generator (step 2 of the module docstring) as well as
+    each generator's full search.  The verdict's ``searches``, and the
+    ``curves_tried`` of a search certificate, count the full search
+    only.  ``timings`` holds seconds: ``total`` always; ``groebner`` on
+    every nonconstant direction, for the diagonal route and the
+    membership only; ``search`` whenever a curve search ran, the prefix
+    included.
     """
     options = options or AnalyzeOptions()
     started = time.perf_counter()
@@ -275,6 +311,13 @@ def analyze(
             audit=audit,
         )
 
+    def timed(key, step, *args):
+        clock = time.perf_counter()
+        try:
+            return step(*args)
+        finally:
+            timings[key] = timings.get(key, 0.0) + time.perf_counter() - clock
+
     if direction.is_constant:
         cert = {
             "type": "inclusion",
@@ -291,33 +334,64 @@ def analyze(
     total = unfolding_double_ideal(u)
     theta = direction_double_ideal(u)
     assert theta is not None  # nonconstant direction has a nonzero double
+    max_exponent = options.max_exponent or max(4, base.entry_max_degree() + 2)
+
+    def refuted(witness: Witness, audit=None) -> Verdict:
+        orders = {
+            str(g): _order_json(order)
+            for g, order in zip(total.generators, witness.generator_orders)
+        }
+        cert = {
+            "type": "witness",
+            "data": {
+                "curve": format_curve(witness.curve),
+                "element": str(witness.element),
+                "element_order": _order_json(witness.element_order),
+                "ideal_order": _order_json(witness.ideal_order),
+                "generator_orders": orders,
+            },
+        }
+        return verdict(NOT_LIPSCHITZ, "witness", cert, witness=witness, audit=audit)
 
     proof: dict | None = None  # the first route that certified inclusion
     budget_out = False
     budget = options.groebner_budget
-    clock = time.perf_counter()
     try:
-        if entries_cut_reduced_origin(base):
-            proof = _diagonal_route(total, theta, budget)
+        proof = timed("groebner", _diagonal_route, base, total, theta, budget)
+        if proof is None and not options.audit:
+            # Step 2: a witness here is the one the full search returns.
+            early, _ = timed(
+                "search",
+                _search_route,
+                theta.generators[:1],
+                total,
+                max_exponent,
+                min(PREFIX_CURVES, options.curve_budget),
+            )
+            if early is not None:
+                return refuted(early)
         if proof is None:
-            memberships = _memberships(theta.generators, total, budget)
+            memberships = timed("groebner", _memberships, theta.generators, total, budget)
             if memberships is not None:
                 proof = {"route": "inclusion", "memberships": memberships}
         if proof is not None:
+            # Both routes end in memberships in the family ideal, so its
+            # basis is cached here.
             proof["groebner_basis"] = [str(p) for p in total.groebner_basis(budget)]
     except BudgetExceeded:
         budget_out = True  # Inconclusive is the worst case, never a crash
-    timings["groebner"] = time.perf_counter() - clock
 
     witness = None
     searches: tuple[SearchReport, ...] = ()
-    max_exponent = options.max_exponent or max(4, base.entry_max_degree() + 2)
     if options.audit or proof is None:
-        clock = time.perf_counter()
-        witness, searches = _search_route(
-            total, theta, max_exponent, options.curve_budget
+        witness, searches = timed(
+            "search",
+            _search_route,
+            theta.generators,
+            total,
+            max_exponent,
+            options.curve_budget,
         )
-        timings["search"] = time.perf_counter() - clock
 
     audit_info = None
     if options.audit:
@@ -343,23 +417,7 @@ def analyze(
             audit=audit_info,
         )
     if witness is not None:
-        orders = {
-            str(g): _order_json(order)
-            for g, order in zip(total.generators, witness.generator_orders)
-        }
-        cert = {
-            "type": "witness",
-            "data": {
-                "curve": format_curve(witness.curve),
-                "element": str(witness.element),
-                "element_order": _order_json(witness.element_order),
-                "ideal_order": _order_json(witness.ideal_order),
-                "generator_orders": orders,
-            },
-        }
-        return verdict(
-            NOT_LIPSCHITZ, "witness", cert, witness=witness, audit=audit_info
-        )
+        return refuted(witness, audit_info)
     cert = {
         "type": "search",
         "data": {

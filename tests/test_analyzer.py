@@ -16,6 +16,7 @@ from liptriv import (
     analyze,
     analyzer,
     normal_form,
+    normal_space_basis,
     parse_matrix_germ,
     reproduce_catalog_table,
     unfolding_double_ideal,
@@ -23,6 +24,7 @@ from liptriv import (
     verify_witness_dense,
 )
 from liptriv.catalog import CatalogError
+from liptriv.doubling import direction_double_ideal
 from liptriv.groebner import GroebnerBudget
 
 
@@ -309,6 +311,22 @@ class TestOptions:
         verdict = run(5, {"a3": 1})
         assert set(verdict.timings) >= {"total"}
         assert verdict.timings["total"] >= 0
+        # groebner is on every nonconstant verdict; search once any curve
+        # search ran, the prefix before the membership included
+        refuted = run(3, {"b1": 1}, k=2)
+        assert refuted.route == "witness"
+        assert set(refuted.timings) == {"groebner", "search", "total"}
+        included = run(2, {"d1": 1, "d2": 2}, k=4)
+        assert included.route == "inclusion"
+        assert set(included.timings) == {"groebner", "search", "total"}
+        options = AnalyzeOptions(curve_budget=1, max_exponent=4)
+        open_ = run(3, {"b1": 1}, k=2, options=options)
+        assert open_.outcome == INCONCLUSIVE
+        assert set(open_.timings) == {"groebner", "search", "total"}
+        assert set(run(1, {"b1": 1}, k=1, l=3).timings) == {"groebner", "total"}
+        assert set(run(5, {}).timings) == {"total"}
+        for verdict in (refuted, included, open_):
+            assert all(seconds >= 0 for seconds in verdict.timings.values())
 
 
 class TestAudit:
@@ -332,6 +350,8 @@ class TestAudit:
         assert verdict.certificate["data"]["inclusion_budget_exhausted"] is True
 
     def test_audit_records_failed_inclusion_as_false(self):
+        # a witness at the head of the stream, which the plain pipeline
+        # returns before any membership; audit still runs Groebner
         verdict = run(2, {"c": 1}, k=3, options=AnalyzeOptions(audit=True))
         assert verdict.outcome == NOT_LIPSCHITZ
         assert verdict.audit == {"inclusion_shown": False, "witness_found": True}
@@ -339,6 +359,80 @@ class TestAudit:
     def test_audit_off_by_default(self):
         verdict = run(2, {"d1": 1}, k=3)
         assert verdict.audit is None
+
+
+class Recorder:
+    """Wrap ``liptriv.analyzer.<name>`` and keep every result it returns."""
+
+    def __init__(self, monkeypatch, name):
+        self.results = []
+        inner = getattr(analyzer, name)
+
+        def recording(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            self.results.append(result)
+            return result
+
+        monkeypatch.setattr(analyzer, name, recording)
+
+
+def table_verdicts(max_k, max_l, **options):
+    """Every verdict of ``reproduce_catalog_table`` with these options."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        verdicts = Recorder(monkeypatch, "analyze")
+        reproduce_catalog_table(max_k, max_l, AnalyzeOptions(**options))
+    return verdicts.results
+
+
+def report_without_timings(verdict):
+    report = verdict.to_report()
+    del report["timings"]
+    return report
+
+
+class TestRefuteBeforeProving:
+    """The prefix search of the first direction generator, run before the
+    general membership, changes no verdict and no certificate."""
+
+    @pytest.mark.parametrize(
+        "max_k,max_l,curve_budget", [(6, 6, 4000), (4, 4, 1), (4, 4, 2)]
+    )
+    def test_plain_reports_equal_audited_reports(self, max_k, max_l, curve_budget):
+        # Audit runs no prefix, so it is the reference for the plain run.
+        plain = table_verdicts(max_k, max_l, curve_budget=curve_budget)
+        audited = table_verdicts(max_k, max_l, curve_budget=curve_budget, audit=True)
+        assert len(plain) == len(audited)
+        differing = [
+            cell
+            for cell, (p, a) in enumerate(zip(plain, audited))
+            if report_without_timings(p) != report_without_timings(a)
+        ]
+        assert differing == []
+
+    def test_witness_element_is_a_direction_generator(self):
+        witnesses = [v for v in table_verdicts(4, 4) if v.route == "witness"]
+        assert witnesses
+        for verdict in witnesses:
+            theta = direction_double_ideal(verdict.unfolding)
+            assert verdict.witness.element in theta.generators
+
+    def test_prefix_witness_settles_before_any_membership(self, monkeypatch):
+        searches = Recorder(monkeypatch, "closure_test")
+        memberships = Recorder(monkeypatch, "membership_certificate")
+        verdict = run(3, {"b1": 1}, k=2)
+        assert verdict.route == "witness"
+        assert len(searches.results) == 1
+        assert memberships.results == []
+
+    def test_no_search_for_constant_or_diagonal_directions(self, monkeypatch):
+        searches = Recorder(monkeypatch, "closure_test")
+        assert run(2, {"a": 1, "b": 2}, k=3).route == "constant"
+        ring = RingContext(("x", "y", "z"))
+        germ = parse_matrix_germ("sym: x, y, z ; y, z, x^2 ; z, x^2, y^2", ring)
+        routes = {analyze(germ, d).route for d in normal_space_basis(germ).basis}
+        assert "diagonal" in routes
+        assert routes <= {"diagonal", "constant"}
+        assert searches.results == []
 
 
 class TestReportShape:

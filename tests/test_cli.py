@@ -45,6 +45,19 @@ class TestAnalyze:
         assert code == 2
         assert "Inconclusive" in out
 
+    def test_curve_budget_caps_the_prefix_search(self, capsys):
+        # The witness for this cell is the second curve of the stream, so
+        # a prefix search before the membership that ignored --budget
+        # would turn this Inconclusive into NotLipschitz.
+        code, out, _ = run(
+            capsys,
+            "analyze", "--catalog", "3", "--k", "2", "--theta", "b1=1",
+            "--budget", "1",
+        )
+        assert code == 2
+        assert "Inconclusive (route: search)" in out
+        assert "no witness in 1 curves" in out
+
     def test_json_report_validates(self, capsys, tmp_path):
         report_path = tmp_path / "verdict.json"
         code, _, _ = run(
