@@ -22,11 +22,14 @@ from liptriv.doubling import (
     diagonal_ideal,
     direction_double_ideal,
     double_of,
+    format_matrix_germ,
     merged_parameter_view,
     parameter_tie,
 )
 from liptriv.rings import RingError, inject_into, parse_polynomial, primed
+from liptriv.tangent import tangent_generators
 from tests.oracles import diagonal_collapse
+from tests.test_golden_normal import grid as normal_grid
 from tests.test_trusted_construction import polys
 
 XY = RingContext(("x", "y"))
@@ -152,6 +155,30 @@ class TestPrimedNames:
         assert parameter_tie(RingContext(("t", "x")).doubled_extension()) == (0, 2)
 
 
+class TestGermValidation:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sym: x, y ; x, y",  # does not mirror
+            "sym: x, y",  # not square
+            "gen: x, y ; x",  # ragged rows
+        ],
+    )
+    def test_parser_rejects_malformed_rows(self, text):
+        with pytest.raises(RingError):
+            parse_matrix_germ(text, XY)
+
+    def test_sum_of_symmetric_and_general_rejected(self):
+        sym = parse_matrix_germ("sym: x, y ; y, x", XY)
+        gen = parse_matrix_germ("gen: x, y ; y, x", XY)
+        with pytest.raises(RingError):
+            sym + gen
+
+    def test_sum_of_different_shapes_rejected(self):
+        with pytest.raises(RingError):
+            parse_matrix_germ("gen: x, y", XY) + parse_matrix_germ("gen: x ; y", XY)
+
+
 class TestUnfolding:
     def test_total_is_base_plus_t_direction(self):
         base = parse_matrix_germ("sym: y^2, x ; x, y^3", XY)
@@ -236,6 +263,29 @@ def test_components_match_matrix_route_on_general_germ():
     direction = parse_matrix_germ("gen: y, 0, 3 ; x*y, 0, x^2 - y", XY)
     assert_matches_matrix_route(base, direction)
     assert_matches_matrix_route(base, base.map_entries(lambda e: XY.zero()))
+
+
+def assert_round_trips(germ):
+    """The parser, which checks that symmetric rows mirror, reads the
+    germ's printed rows back as the same germ."""
+    assert parse_matrix_germ(format_matrix_germ(germ), germ.ring) == germ
+
+
+def test_catalog_directions_are_symmetric_by_construction():
+    for index, k, l in catalog_parameters(4, 4):
+        nf = normal_form(index, k=k, l=l)
+        for _, coeffs in _cell_directions(nf):
+            assert_round_trips(nf.theta(coeffs))
+
+
+def test_tangent_germs_are_symmetric_by_construction():
+    germs = [matrix for _, matrix in normal_grid()]
+    germs.append(parse_matrix_germ("gen: x, y^2, x*y ; y, x^2, 0", XY))
+    for F in germs:
+        for g in tangent_generators(F):
+            assert_round_trips(g)
+        for g in normal_space_basis(F).basis:
+            assert_round_trips(g)
 
 
 def merged_strings(nf, coeffs):
