@@ -121,9 +121,9 @@ class AnalyzeOptions:
     """Dials for the pipeline; the defaults fit the bundled catalog.
 
     Two budgets (Groebner, curves per generator), the search depth
-    ``max_exponent`` (``None``: entry degree + 2, at least 4), ``audit``
-    and the ``field`` label.  ``curve_budget`` also caps the prefix
-    search that runs before the membership (see :func:`analyze`).
+    ``max_exponent`` (``None``: entry degree + 2, at least 4) and
+    ``audit``.  ``curve_budget`` also caps the prefix search that runs
+    before the membership (see :func:`analyze`).
     ``groebner_budget`` must be a :class:`GroebnerBudget`;
     ``curve_budget`` and ``max_exponent`` must be ``int`` values of at
     least 1 (a ``bool`` is refused).  The arcs are the fixed family of
@@ -137,11 +137,8 @@ class AnalyzeOptions:
     curve_budget: int = 4000
     max_exponent: int | None = None
     audit: bool = False
-    field: str = "real"
 
     def __post_init__(self) -> None:
-        if self.field not in ("real", "complex"):
-            raise ValueError("field is a label: 'real' or 'complex'")
         _require_budget("groebner_budget", self.groebner_budget)
         _require_count("curve_budget", self.curve_budget, 1)
         if self.max_exponent is not None:
@@ -158,12 +155,15 @@ class Verdict:
     unfolding: Unfolding
     witness: Witness | None
     searches: tuple[SearchReport, ...]
-    field: str
     timings: dict
     coefficient_labels: dict | None
     audit: dict | None
 
     def to_report(self) -> dict:
+        """The verdict as JSON data.  ``fields`` is always ``["real",
+        "complex"]``: every route's evidence holds over both, since a
+        membership is a polynomial identity and a real arc is complex too.
+        """
         base = self.unfolding.base
         coeffs = self.coefficient_labels or {}
         return {
@@ -179,7 +179,7 @@ class Verdict:
             "route": self.route,
             "certificate": self.certificate,
             "assumed_preconditions": list(ASSUMED_PRECONDITIONS),
-            "field": self.field,
+            "fields": ["real", "complex"],
             "timings": dict(self.timings),
         }
 
@@ -305,7 +305,6 @@ def analyze(
             unfolding=u,
             witness=witness,
             searches=tuple(searches),
-            field=options.field,
             timings=timings,
             coefficient_labels=labels,
             audit=audit,

@@ -29,7 +29,12 @@ from fractions import Fraction
 from typing import Callable
 
 from .curves import TestCurve, parse_curve
-from .doubling import MatrixGerm, _parameter_extension, parse_matrix_germ
+from .doubling import (
+    MatrixGerm,
+    _parameter_extension,
+    component_positions,
+    parse_matrix_germ,
+)
 from .rings import RingContext
 
 __all__ = [
@@ -66,8 +71,8 @@ class CatalogError(ValueError):
 class CoefficientSlot:
     """One named deformation coefficient.
 
-    The direction contributed by the slot is ``x^a * y^b`` placed at
-    ``position`` (mirrored below the diagonal for symmetric germs).
+    The direction contributed by the slot is ``x^a * y^b`` added to the
+    component at ``position``, one of the matrix's component positions.
     """
 
     name: str
@@ -124,22 +129,14 @@ class NormalForm:
     def theta(self, coeffs: Mapping[str, object]) -> MatrixGerm:
         """Deformation direction for named coefficients; others are 0."""
         values = self._normalize(coeffs)
+        shape, symmetric = self.matrix.shape, self.matrix.symmetric
         ring = self.matrix.ring
-        n, m = self.matrix.nrows, self.matrix.ncols
-        entries = [[ring.zero() for _ in range(m)] for _ in range(n)]
+        components = dict.fromkeys(component_positions(shape, symmetric), ring.zero())
         for slot in self.slots:
             value = values.get(slot.name)
-            if not value:
-                continue
-            term = ring.monomial(slot.exponents, value)
-            i, j = slot.position
-            entries[i][j] = entries[i][j] + term
-            if self.matrix.symmetric and i != j:
-                entries[j][i] = entries[j][i] + term
-        return MatrixGerm(
-            tuple(tuple(row) for row in entries),
-            symmetric=self.matrix.symmetric,
-        )
+            if value:
+                components[slot.position] += ring.monomial(slot.exponents, value)
+        return MatrixGerm(shape, components.values(), symmetric)
 
     def expected_verdict(self, coeffs: Mapping[str, object]) -> str | None:
         """Classification verdict for the direction, ``None`` if open."""

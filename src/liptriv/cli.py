@@ -120,7 +120,6 @@ def _build_parser() -> _Parser:
         default=AnalyzeOptions.curve_budget,
         help="curve search budget",
     )
-    p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--json", type=Path)
 
@@ -254,7 +253,6 @@ def _cmd_analyze(args) -> int:
     options = AnalyzeOptions(
         max_exponent=max_exponent,
         curve_budget=args.budget,
-        field=args.field,
         audit=args.audit,
     )
     verdict = analyze(base, direction, options, coefficient_labels=labels)

@@ -1,9 +1,14 @@
 """Matrix germs, deformations, and ideals on the doubled ring.
 
 A matrix germ is a matrix of polynomials vanishing at the origin of its
-ring.  A one-parameter deformation adjoins a parameter ``t`` and moves
-the germ along a direction matrix.  The central construction here takes
-each scalar component ``h`` of such a family to the difference
+ring.  :class:`MatrixGerm` holds only its independent components, the
+upper triangle of a symmetric germ, so a symmetric germ is symmetric by
+construction.  Full rows come in only as text, so :func:`parse_matrix_germ`
+is the one place that checks that they mirror.
+
+A one-parameter deformation adjoins a parameter ``t`` and moves the germ
+along a direction matrix.  The central construction here takes each
+scalar component ``h`` of such a family to the difference
 
     h(z) - h(z')
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence, Union
 
 from .groebner import Ideal
@@ -45,6 +51,7 @@ __all__ = [
     "PARAMETER",
     "Unfolding",
     "build_unfolding",
+    "component_positions",
     "diagonal_ideal",
     "direction_double_ideal",
     "double_of",
@@ -60,93 +67,89 @@ __all__ = [
 PARAMETER = "t"
 
 
+@functools.cache
+def component_positions(
+    shape: tuple[int, int], symmetric: bool
+) -> tuple[tuple[int, int], ...]:
+    """Row-major positions of a germ's independent components: the upper
+    triangle with the diagonal for a symmetric germ, else every entry."""
+    nrows, ncols = shape
+    return tuple(
+        (i, j) for i in range(nrows) for j in range(i if symmetric else 0, ncols)
+    )
+
+
 @dataclass(frozen=True)
 class MatrixGerm:
-    """Rectangular matrix of polynomials, optionally marked symmetric.
+    """Matrix of polynomials of ``shape`` (rows, columns), held by its
+    independent components.
 
-    Symmetric germs must be square with ``entries[i][j] == entries[j][i]``;
-    the flag also changes which entries count as independent components.
+    ``components`` are the entries at :func:`component_positions`.  A
+    symmetric germ is square and keeps only its upper triangle, so it is
+    symmetric by construction: :attr:`entries` mirrors it.
     """
 
-    entries: tuple[tuple[Polynomial, ...], ...]
+    shape: tuple[int, int]
+    components: tuple[Polynomial, ...]
     symmetric: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
-        if not self.entries or not self.entries[0]:
+        object.__setattr__(self, "shape", tuple(self.shape))
+        object.__setattr__(self, "components", tuple(self.components))
+        if self.symmetric and self.shape[0] != self.shape[1]:
+            raise RingError("symmetric germ must be square")
+        if not self.components:
             raise RingError("matrix germ cannot be empty")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise RingError("matrix germ rows have unequal lengths")
-        ring = self.entries[0][0].ring
-        for row in self.entries:
-            for e in row:
-                if not isinstance(e, Polynomial) or e.ring != ring:
-                    raise RingError("matrix entries must share one ring")
+        positions = component_positions(self.shape, self.symmetric)
+        if len(self.components) != len(positions):
+            raise RingError("need one component per position of the shape")
+        if not all(isinstance(c, Polynomial) for c in self.components):
+            raise RingError("matrix components must be polynomials")
+        ring = self.components[0].ring
+        if any(c.ring != ring for c in self.components):
+            raise RingError("matrix components must share one ring")
+
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Full rows: below the diagonal, a symmetric germ repeats the
+        entry mirrored above it."""
+        nrows, ncols = self.shape
+        at = dict(zip(component_positions(self.shape, self.symmetric), self.components))
         if self.symmetric:
-            if len(self.entries) != width:
-                raise RingError("symmetric germ must be square")
-            for i in range(width):
-                for j in range(i + 1, width):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise RingError(
-                            f"entries ({i},{j}) and ({j},{i}) differ "
-                            "in a symmetric germ"
-                        )
+            at.update({(j, i): c for (i, j), c in at.items()})
+        return tuple(tuple(at[i, j] for j in range(ncols)) for i in range(nrows))
 
     @property
     def ring(self) -> RingContext:
-        return self.entries[0][0].ring
+        return self.components[0].ring
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
-
-    def component_list(self) -> list[Polynomial]:
-        """The independent scalar components, at :meth:`component_positions`."""
-        return [self.entries[i][j] for i, j in self.component_positions()]
-
-    def component_positions(self) -> list[tuple[int, int]]:
-        """Row-major positions of the independent components: the upper
-        triangle with the diagonal for a symmetric germ, else every entry."""
-        if self.symmetric:
-            return [
-                (i, j) for i in range(self.nrows) for j in range(i, self.ncols)
-            ]
-        return [(i, j) for i in range(self.nrows) for j in range(self.ncols)]
+        return self.shape[1]
 
     @property
     def is_constant(self) -> bool:
-        return all(e.is_constant for row in self.entries for e in row)
+        return all(c.is_constant for c in self.components)
 
     def entry_max_degree(self) -> int:
-        return max(e.degree() for row in self.entries for e in row)
+        return max(c.degree() for c in self.components)
 
     def map_entries(self, fn: Callable[[Polynomial], Polynomial]) -> "MatrixGerm":
-        return MatrixGerm(
-            tuple(tuple(fn(e) for e in row) for row in self.entries),
-            self.symmetric,
-        )
+        return MatrixGerm(self.shape, map(fn, self.components), self.symmetric)
 
     def __add__(self, other: "MatrixGerm") -> "MatrixGerm":
         if not isinstance(other, MatrixGerm):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if self.shape != other.shape:
             raise RingError("matrix shapes differ")
         if self.symmetric != other.symmetric:
             raise RingError("cannot mix symmetric and general germs")
         return MatrixGerm(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-            self.symmetric,
+            self.shape, map(add, self.components, other.components), self.symmetric
         )
 
     def __sub__(self, other: "MatrixGerm") -> "MatrixGerm":
@@ -169,7 +172,7 @@ def parse_matrix_germ(text: str, ring: RingContext) -> MatrixGerm:
 
     The header is ``sym`` for symmetric or ``gen`` for general; rows are
     separated by ``;`` and entries by ``,``.  Symmetric input must spell
-    out full rows, mirrored entries included.
+    out full rows, mirrored entries included, and they must mirror.
     """
     head, sep, body = text.partition(":")
     if not sep:
@@ -177,11 +180,19 @@ def parse_matrix_germ(text: str, ring: RingContext) -> MatrixGerm:
     kind = head.strip()
     if kind not in ("sym", "gen"):
         raise ParseError(f"unknown matrix kind {kind!r}; use 'sym' or 'gen'")
-    rows = []
-    for row_text in body.split(";"):
-        cells = row_text.split(",")
-        rows.append(tuple(parse_polynomial(cell, ring) for cell in cells))
-    return MatrixGerm(tuple(rows), symmetric=(kind == "sym"))
+    rows = [
+        tuple(parse_polynomial(cell, ring) for cell in row_text.split(","))
+        for row_text in body.split(";")
+    ]
+    shape = (len(rows), len(rows[0]))
+    if any(len(row) != shape[1] for row in rows):
+        raise RingError("matrix germ rows have unequal lengths")
+    symmetric = kind == "sym"
+    positions = component_positions(shape, symmetric)
+    germ = MatrixGerm(shape, [rows[i][j] for i, j in positions], symmetric)
+    if symmetric and germ.entries != tuple(rows):
+        raise RingError("symmetric germ rows must mirror across the diagonal")
+    return germ
 
 
 def format_matrix_germ(germ: MatrixGerm) -> str:
@@ -257,7 +268,7 @@ class Unfolding:
     ``base`` and ``direction`` live in the source ring.  ``components``
     are the family's independent scalar components, ``b + t * d`` for
     the components ``b`` of ``base`` and ``d`` of ``direction`` (at
-    :meth:`MatrixGerm.component_positions`), on the ring extended by
+    :func:`component_positions`), on the ring extended by
     :data:`PARAMETER`, which comes first in the variable order.
     """
 
@@ -286,7 +297,7 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
     """
     if base.ring != direction.ring:
         raise RingError("germ and direction must share a ring")
-    if (base.nrows, base.ncols) != (direction.nrows, direction.ncols):
+    if base.shape != direction.shape:
         raise RingError("germ and direction shapes differ")
     if base.symmetric != direction.symmetric:
         raise RingError("germ and direction must agree on symmetry")
@@ -297,7 +308,7 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
     t = extended.variable(PARAMETER)
     components = tuple(
         inject_into(b, extended) + t * inject_into(d, extended)
-        for b, d in zip(base.component_list(), direction.component_list())
+        for b, d in zip(base.components, direction.components)
     )
     return Unfolding(base, direction, components)
 
@@ -317,7 +328,7 @@ def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
     """Doubles of the nonzero direction components ``d`` (the family's
     ``t``-derivatives), lifted to the unfolding ring; ``None`` when the
     direction is zero."""
-    nonzero = [d for d in u.direction.component_list() if not d.is_zero]
+    nonzero = [d for d in u.direction.components if not d.is_zero]
     if not nonzero:
         return None
     return DoubledIdeal([inject_into(d, u.extended_ring) for d in nonzero])

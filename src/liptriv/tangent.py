@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
 
-from .doubling import MatrixGerm
+from .doubling import MatrixGerm, component_positions
 from .groebner import _integer_terms
 from .rings import Monomial, RingContext, RingError
 
@@ -51,23 +51,24 @@ def tangent_generators(F: MatrixGerm) -> list[MatrixGerm]:
     ``F·E(a,b)``; for congruence ``E(a,b)·F + F·E(b,a)``, the derivative
     of ``(1 + sE) F (1 + sE)^T`` at ``s = 0``.
     """
-    n, m = F.nrows, F.ncols
+    n, m = F.shape
+    rows = F.entries
     zero = F.ring.zero()
+    positions = component_positions(F.shape, F.symmetric)
 
-    def left(a: int, b: int) -> list:  # rows of E(a,b)·F, E(a,b) of size n
-        return [[F.entries[b][j] if i == a else zero for j in range(m)] for i in range(n)]
+    def left(a: int, b: int) -> list:  # E(a,b)·F, E(a,b) of size n
+        return [rows[b][j] if i == a else zero for i, j in positions]
 
-    def right(a: int, b: int) -> list:  # rows of F·E(a,b), E(a,b) of size m
-        return [[F.entries[i][a] if j == b else zero for j in range(m)] for i in range(n)]
+    def right(a: int, b: int) -> list:  # F·E(a,b), E(a,b) of size m
+        return [rows[i][a] if j == b else zero for i, j in positions]
 
     gens = [F.derivative(name) for name in F.ring.variables]
     if F.symmetric:
         for a, b in itertools.product(range(n), repeat=2):
-            rows = [list(map(add, *pair)) for pair in zip(left(a, b), right(b, a))]
-            gens.append(MatrixGerm(rows, symmetric=True))
+            gens.append(MatrixGerm(F.shape, map(add, left(a, b), right(b, a)), True))
         return gens
-    gens += [MatrixGerm(left(a, b)) for a in range(n) for b in range(n)]
-    return gens + [MatrixGerm(right(a, b)) for a in range(m) for b in range(m)]
+    gens += [MatrixGerm(F.shape, left(a, b)) for a in range(n) for b in range(n)]
+    return gens + [MatrixGerm(F.shape, right(a, b)) for a in range(m) for b in range(m)]
 
 
 def jet_monomials(ring: RingContext, degree: int) -> list[Monomial]:
@@ -162,7 +163,7 @@ def _columns(F: MatrixGerm, degree: int):
     map from monomial to column number.
     """
     monos = jet_monomials(F.ring, degree)
-    positions = F.component_positions()
+    positions = component_positions(F.shape, F.symmetric)
     n = F.nrows
     order = sorted(
         ((p, mi) for p in range(len(positions)) for mi in range(len(monos))),
@@ -192,8 +193,8 @@ def _eliminate(F: MatrixGerm, degree: int):
         coeffs = _integer_row(
             {
                 (p, exps): c
-                for p, (i, j) in enumerate(positions)
-                for exps, c in g.entries[i][j].terms
+                for p, component in enumerate(g.components)
+                for exps, c in component.terms
             }
         )
         if not coeffs:
@@ -216,11 +217,10 @@ def _eliminate(F: MatrixGerm, degree: int):
     return pivots, monos, positions, column, rank
 
 
-def _germ_jet_row(g: MatrixGerm, positions: list, column: list) -> dict:
+def _germ_jet_row(g: MatrixGerm, column: list) -> dict:
     row = {}
-    for p, (i, j) in enumerate(positions):
-        cols = column[p]
-        for exps, coeff in g.entries[i][j].terms:
+    for cols, component in zip(column, g.components):
+        for exps, coeff in component.terms:
             col = cols.get(exps)
             if col is not None:
                 row[col] = coeff
@@ -250,17 +250,12 @@ def quotient_image_rank(
     basis check for a proposed list of representatives; a single germ
     gives 0 or 1 according to whether its class vanishes.
     """
-    pivots, _, positions, column, _ = _eliminate(F, _jet_degree(F, jet_degree))
+    pivots, _, _, column, _ = _eliminate(F, _jet_degree(F, jet_degree))
     added = 0
     for g in germs:
-        if (
-            g.ring != F.ring
-            or g.nrows != F.nrows
-            or g.ncols != F.ncols
-            or g.symmetric != F.symmetric
-        ):
+        if g.ring != F.ring or g.shape != F.shape or g.symmetric != F.symmetric:
             raise RingError("direction does not match the germ")
-        if _insert_row(pivots, _germ_jet_row(g, positions, column)):
+        if _insert_row(pivots, _germ_jet_row(g, column)):
             added += 1
     return added
 
@@ -299,15 +294,13 @@ def normal_space_basis(
         raise RingError("rank bookkeeping violated")  # defensive; never expected
     _, _, reps_next = _normal_space_at(F, jet_degree + 1)
     ring = F.ring
+    positions = component_positions(F.shape, F.symmetric)
     basis = []
     labels = []
     for (i, j), mono in reps:
         mono_poly = ring.monomial(mono)
-        rows = [[ring.zero()] * F.ncols for _ in range(F.nrows)]
-        rows[i][j] = mono_poly
-        if F.symmetric and i != j:
-            rows[j][i] = mono_poly
-        basis.append(MatrixGerm(rows, symmetric=F.symmetric))
+        components = [mono_poly if p == (i, j) else ring.zero() for p in positions]
+        basis.append(MatrixGerm(F.shape, components, F.symmetric))
         if any(mono):
             labels.append(f"{mono_poly}*E({i + 1},{j + 1})")
         else:
@@ -334,11 +327,10 @@ def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
     """
     pivots: dict = {}
     rank = 0
-    for matrix_row in F.entries:
-        for entry in matrix_row:
-            if entry.constant_term():
-                return False
-            # Column i holds the coefficient of the i-th variable.
-            linear = {e.index(1): c for e, c in entry.terms if sum(e) == 1}
-            rank += _insert_row(pivots, _integer_row(linear))
+    for component in F.components:
+        if component.constant_term():
+            return False
+        # Column i holds the coefficient of the i-th variable.
+        linear = {e.index(1): c for e, c in component.terms if sum(e) == 1}
+        rank += _insert_row(pivots, _integer_row(linear))
     return rank == F.ring.arity

@@ -265,10 +265,6 @@ class TestMonotoneCoefficients:
 
 
 class TestOptions:
-    def test_field_validated(self):
-        with pytest.raises(ValueError):
-            AnalyzeOptions(field="padic")
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -290,10 +286,22 @@ class TestOptions:
         with pytest.raises(ValueError):
             AnalyzeOptions(**bad)
 
-    def test_complex_field_accepted_and_reported(self):
-        verdict = run(3, {"b1": 1}, k=2, options=AnalyzeOptions(field="complex"))
-        assert verdict.field == "complex"
-        assert verdict.to_report()["field"] == "complex"
+    @pytest.mark.parametrize(
+        "route,index,coeffs,params",
+        [
+            ("witness", 3, {"b1": 1}, {"k": 2}),
+            ("inclusion", 5, {"a4": 1}, {}),
+            ("constant", 3, {"a": 1}, {"k": 2}),
+        ],
+        ids=["witness", "inclusion", "constant"],
+    )
+    def test_every_report_states_both_fields(self, route, index, coeffs, params):
+        # every route's evidence holds over the reals and the complexes
+        verdict = run(index, coeffs, **params)
+        assert verdict.route == route
+        report = verdict.to_report()
+        assert report["fields"] == ["real", "complex"]
+        assert "field" not in report
 
     def test_tiny_groebner_budget_degrades_to_search(self):
         # the pipeline may never crash on budget exhaustion
@@ -447,7 +455,7 @@ class TestReportShape:
             "route",
             "certificate",
             "assumed_preconditions",
-            "field",
+            "fields",
             "timings",
         }
         assert report["assumed_preconditions"] == [

@@ -126,6 +126,9 @@ class TestUsageErrors:
             ("analyze", "--catalog", "3", "--k", "2", "--theta", "nope=1"),
             ("normal-space",),
             ("no-such-command",),
+            # reports state both fields, so there is no field to choose
+            ("analyze", "--catalog", "3", "--k", "2", "--theta", "b1=1",
+             "--field", "complex"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):

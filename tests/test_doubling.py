@@ -18,6 +18,7 @@ from liptriv.analyzer import _cell_directions
 from liptriv.catalog import catalog_parameters
 from liptriv.doubling import (
     DoubledIdeal,
+    MatrixGerm,
     build_unfolding,
     diagonal_ideal,
     direction_double_ideal,
@@ -178,6 +179,28 @@ class TestGermValidation:
         with pytest.raises(RingError):
             parse_matrix_germ("gen: x, y", XY) + parse_matrix_germ("gen: x ; y", XY)
 
+    @pytest.mark.parametrize(
+        "shape,components,symmetric",
+        [
+            ((2, 2), (poly("x"), poly("y")), True),  # wrong count: needs 3
+            ((1, 2), (poly("x"), parse_polynomial("u", RingContext(("u",)))), False),
+            ((0, 0), (), False),  # no components
+            ((1, 2), (poly("x"), poly("y")), True),  # not square
+            ((1, 2), (1, poly("x")), False),  # not a polynomial
+        ],
+        ids=["count", "two rings", "empty", "not square", "not a polynomial"],
+    )
+    def test_constructor_rejects_malformed_components(
+        self, shape, components, symmetric
+    ):
+        with pytest.raises(RingError):
+            MatrixGerm(shape, components, symmetric)
+
+    def test_symmetric_germ_mirrors_its_upper_triangle(self):
+        germ = MatrixGerm((2, 2), (poly("x"), poly("y^2"), poly("x*y")), True)
+        assert germ == parse_matrix_germ("sym: x, y^2 ; y^2, x*y", XY)
+        assert germ.entries[1][0] == poly("y^2")
+
 
 class TestUnfolding:
     def test_total_is_base_plus_t_direction(self):
@@ -225,8 +248,8 @@ def matrix_route(base, direction):
 def assert_matches_matrix_route(base, direction):
     u = build_unfolding(base, direction)
     total = matrix_route(base, direction)
-    assert list(u.components) == total.component_list()
-    theta = [c for c in total.derivative("t").component_list() if not c.is_zero]
+    assert u.components == total.components
+    theta = [c for c in total.derivative("t").components if not c.is_zero]
     got = direction_double_ideal(u)
     if not theta:
         assert got is None

@@ -113,12 +113,12 @@ class TestSharedPerRing:
         assert doubled.half() == RingContext(("u", "w"))
 
     def test_unfolding_ring_is_shared(self):
-        germ = MatrixGerm(((XY.variable("x"), XY.variable("y")),))
+        germ = MatrixGerm((1, 2), (XY.variable("x"), XY.variable("y")))
         first = build_unfolding(germ, germ).extended_ring
         again = build_unfolding(germ, germ.scale(2)).extended_ring
         assert first is again
         assert first == EXTENDED
-        copy = MatrixGerm(((RingContext(("x", "y")).variable("x"),),))
+        copy = MatrixGerm((1, 1), (RingContext(("x", "y")).variable("x"),))
         assert build_unfolding(copy, copy).extended_ring is first
 
     def test_equal_distinct_rings_compare_and_hash_equal(self):
