@@ -475,9 +475,9 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     :func:`~liptriv.doubling.direction_double_ideal`, and the diagonal
     route's second list exactly those of
     :func:`~liptriv.doubling.diagonal_ideal`, ``v - v'`` for every
-    variable of the unfolding ring.  Whether each ``basis``
-    polynomial lies in the target ideal is not checked.  Each distinct
-    polynomial text is parsed once per call.
+    variable of the unfolding ring but the shared parameter.  Whether
+    each ``basis`` polynomial lies in the target ideal is not checked.
+    Each distinct polynomial text is parsed once per call.
     """
     certificate = verdict.certificate
     if not isinstance(certificate, Mapping) or certificate.get("type") != "inclusion":

@@ -219,7 +219,7 @@ def _row1(k: int, l: int) -> NormalForm:
         discriminant=f"A{k + l + 1}",
         matrix=_germ(f"sym: y^{k}, x ; x, y^{l}"),
         slots=tuple(slots),
-        curve_text=f"s^{e}, 2s^{e}, 2s, s^{e}, s^{e}, s",
+        curve_text=f"s^{e}, 2s^{e}, 2s, s^{e}, s",
         curve_order=r,
         max_exponent=k + l + 2,
         verdict_rule=rule,
@@ -245,7 +245,7 @@ def _row2(k: int) -> NormalForm:
         discriminant=f"D{k + 2}",
         matrix=_germ(f"sym: x, 0 ; 0, y^2 + x^{k}"),
         slots=tuple(slots),
-        curve_text="s, 2s^2, 2s, s, s^2, s",
+        curve_text="s, 2s^2, 2s, s^2, s",
         curve_order=2,
         max_exponent=2 * k + 2,
         verdict_rule=rule,
@@ -270,7 +270,7 @@ def _row3(k: int) -> NormalForm:
         discriminant=f"D{2 * k}",
         matrix=_germ(f"sym: x, 0 ; 0, x*y + y^{k}"),
         slots=tuple(slots),
-        curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s^{k}, s",
+        curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s",
         curve_order=k,
         max_exponent=2 * k + 2,
         verdict_rule=rule,
@@ -294,7 +294,7 @@ def _row4(k: int) -> NormalForm:
         discriminant=f"D{2 * k + 1}",
         matrix=_germ(f"sym: x, y^{k} ; y^{k}, x*y"),
         slots=tuple(slots),
-        curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s^{k}, s",
+        curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s",
         curve_order=k,
         max_exponent=2 * k + 2,
         verdict_rule=rule,
@@ -321,7 +321,7 @@ def _row5() -> NormalForm:
         discriminant="E6",
         matrix=_germ("sym: x, y^2 ; y^2, x^2"),
         slots=slots,
-        curve_text="s, 2s^3, 2s^2, s, s^3, s^2",
+        curve_text="s, 2s^3, 2s^2, s^3, s^2",
         curve_order=3,
         max_exponent=6,
         verdict_rule=rule,
@@ -350,7 +350,7 @@ def _row6() -> NormalForm:
         discriminant="E7",
         matrix=_germ("sym: x, 0 ; 0, x^2 + y^3"),
         slots=slots,
-        curve_text="s^2, 2s^3, 2s, s^2, s^3, s",
+        curve_text="s^2, 2s^3, 2s, s^3, s",
         curve_order=3,
         max_exponent=6,
         verdict_rule=rule,

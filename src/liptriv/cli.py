@@ -51,7 +51,6 @@ from .doubling import (
     build_unfolding,
     direction_double_ideal,
     format_matrix_germ,
-    merged_parameter_view,
     parse_matrix_germ,
     unfolding_double_ideal,
 )
@@ -138,11 +137,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("double", help="difference ideal of a family")
     germ_flags(p)
-    p.add_argument(
-        "--merged-parameter",
-        action="store_true",
-        help="print generators with both parameter copies identified",
-    )
 
     p = sub.add_parser("check-inclusion", help="inclusion route alone")
     germ_flags(p)
@@ -323,9 +317,7 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    ideal = _unfolding_ideal(args)
-    gens = merged_parameter_view(ideal) if args.merged_parameter else ideal.generators
-    for g in gens:
+    for g in _unfolding_ideal(args).generators:
         print(g)
     return _EXIT_OK
 

@@ -11,14 +11,9 @@ one-sided by design and reports itself as such.
 
 The search walks one fixed family of curves: monomial arcs ``c * s^e``
 with ``1 <= e <= max_exponent`` and ``c`` in :data:`ARC_COEFFICIENTS`.
-In a ring where :func:`doubling.parameter_tie` names the parameter
-``t`` and its primed copy ``t'``, the copy rides on the parameter's
-arc, and the pair counts twice toward the enumeration degree.  So along
-every searched curve a polynomial pulls back as its
-:func:`doubling.fold_parameter` does, with ``t'`` replaced by ``t``,
-and the search folds each polynomial once per search: ``t - t'``, the
-first generator of every family ideal, folds to zero and leaves the
-family.
+On a doubled ring the parameter ``t``, which both points of a pair
+share, counts twice toward the enumeration degree: it stands for both
+points.
 
 The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
@@ -59,7 +54,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .doubling import fold_parameter, parameter_tie
 from .groebner import Ideal, _integer_terms
 from .rings import (
     ParseError,
@@ -265,31 +259,18 @@ def _profiles(
 
     Blocks come by weighted degree, then by exponent tuple; a block is
     one exponent tuple with every pattern of :data:`ARC_COEFFICIENTS`,
-    and all blocks share one list of patterns.  Where
-    :func:`doubling.parameter_tie` names the pair ``t, t'``, the copy
-    takes the parameter's exponent and coefficient, and the pair
-    weighs 2.
+    and all blocks share one list of patterns.  On a doubled ring a
+    variable that is its own mirror, the shared parameter, weighs 2.
     """
-    names = ring.variables
-    tied_source, tied_mirror = parameter_tie(ring) or (None, None)
-    free = [i for i in range(len(names)) if i != tied_mirror]
-    weights = [2 if i == tied_source else 1 for i in free]
-
-    def spread(values: Sequence) -> tuple:
-        full = [None] * len(names)
-        for pos, v in zip(free, values):
-            full[pos] = v
-        if tied_mirror is not None:
-            full[tied_mirror] = full[tied_source]
-        return tuple(full)
-
-    patterns = [
-        spread(pattern)
-        for pattern in itertools.product(ARC_COEFFICIENTS, repeat=len(free))
-    ]
+    weights = [1] * ring.arity
+    if ring.doubled:
+        for i, m in enumerate(ring.mirror_indices()):
+            if i == m:
+                weights[i] = 2
+    patterns = list(itertools.product(ARC_COEFFICIENTS, repeat=ring.arity))
     for total in range(sum(weights), max_exponent * sum(weights) + 1):
         for exps in _weighted_compositions(weights, total, max_exponent):
-            yield spread(exps), patterns
+            yield exps, patterns
 
 
 def _monomial_curve(ring: RingContext, exps: Sequence[int], coeffs: Sequence) -> TestCurve:
@@ -309,19 +290,12 @@ class _OrderKernel:
     kept per coefficient pattern, by the pattern's index, which names
     the same pattern in every block.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
-
-    The kernel holds ``p`` as :func:`doubling.fold_parameter` leaves it,
-    with ``t'`` replaced by ``t`` wherever :func:`doubling.parameter_tie`
-    names the pair.  Every searched arc gives ``t'`` the arc of ``t``,
-    so along it the folded terms pull back exactly as ``p`` does;
-    ``t - t'`` folds to no terms, so its order is ``math.inf`` along
-    every one of them.
     """
 
     __slots__ = ("terms", "_groups", "_values")
 
     def __init__(self, p: Polynomial):
-        _, self.terms = _integer_terms(fold_parameter(p).terms)
+        _, self.terms = _integer_terms(p.terms)
         self._groups: list[tuple[int, tuple[int, ...]]] = []
         self._values: list[list[int] | None] = []
 
@@ -425,8 +399,8 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     either, with ``ValueError`` like every other invalid value.
 
     The curves are walked one block (exponent tuple) at a time, with the
-    fold, the leads, block settlement and the limit of the module
-    docstring, and nothing is computed for the curves after a witness.
+    leads, block settlement and the limit of the module docstring, and
+    nothing is computed for the curves after a witness.
     A witness's orders are re-derived by :func:`pullback` on the
     unfolded polynomials.  The search keeps nothing between calls and
     writes nothing into its arguments.

@@ -10,18 +10,18 @@ A one-parameter deformation adjoins a parameter ``t`` and moves the germ
 along a direction matrix.  The central construction here takes each
 scalar component ``h`` of such a family to the difference
 
-    h(z) - h(z')
+    h(t, z) - h(t, z')
 
-on the ring doubled with a primed mirror of every variable.  The ideal
-generated by these differences controls how the family separates pairs
-of points, which is the quantity the analysis pipeline interrogates.
-:class:`DoubledIdeal` is the one way to build such an ideal: it takes
-the components and doubles them itself, so everything in it vanishes
-on the diagonal ``z = z'`` by construction.
+on the ring doubled with a primed mirror of every variable but ``t``,
+which both points of a pair share (:meth:`RingContext.doubled_extension`).
+The ideal generated by these differences controls how the family
+separates pairs of points, which is the quantity the analysis pipeline
+interrogates.  :class:`DoubledIdeal` is the one way to build such an
+ideal: it takes the components and doubles them itself, so everything
+in it vanishes on the diagonal ``z = z'`` by construction.
 
 This module alone builds the unfolding's doubled structure: the family
-components, the family, direction and diagonal ideals, and the one rule
-that ties ``t'`` to ``t`` (:func:`parameter_tie`, :func:`fold_parameter`).
+components and the family, direction and diagonal ideals.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Callable, Sequence, Union
 
 from .groebner import Ideal
 from .rings import (
+    PARAMETER,
     ParseError,
     Polynomial,
     RingContext,
@@ -42,7 +43,6 @@ from .rings import (
     inject_into,
     parse_polynomial,
     partial_derivative,
-    primed,
 )
 
 __all__ = [
@@ -55,16 +55,10 @@ __all__ = [
     "diagonal_ideal",
     "direction_double_ideal",
     "double_of",
-    "fold_parameter",
     "format_matrix_germ",
-    "merged_parameter_view",
-    "parameter_tie",
     "parse_matrix_germ",
     "unfolding_double_ideal",
 ]
-
-#: Name of the deformation parameter every unfolding adjoins.
-PARAMETER = "t"
 
 
 @functools.cache
@@ -203,22 +197,30 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 
 
 def double_of(p: Polynomial) -> Polynomial:
-    """``h(z) - h(z')`` on the doubled extension of ``p``'s ring.
+    """``h(t, z) - h(t, z')`` on the doubled extension of ``p``'s ring.
 
-    Built canonical directly on exponent vectors: constants cancel and
-    are skipped, every other term gives two distinct monomials with the
-    exponents it had, and the terms are sorted once.
+    Built canonical directly on exponent vectors: each term moves its
+    mirrored exponents onto the mirrors
+    (:meth:`RingContext.mirror_indices`).  A term in the shared
+    :data:`PARAMETER` alone, a constant among them, is the same at both
+    points and cancels; every other term gives two distinct monomials,
+    and the terms are sorted once.
     """
     ring = p.ring
     if ring.doubled:
         raise RingError("polynomial already lives in a doubled ring")
     doubled = ring.doubled_extension()
-    zeros = (0,) * ring.arity
+    mirrors = doubled.mirror_indices()
+    pad = (0,) * (doubled.arity - ring.arity)
     terms = []
     for exps, coeff in p.terms:
-        if any(exps):
-            terms.append((exps + zeros, coeff))
-            terms.append((zeros + exps, -coeff))
+        mirrored = [0] * doubled.arity
+        for e, m in zip(exps, mirrors):
+            mirrored[m] = e
+        mirrored = tuple(mirrored)
+        if mirrored != exps + pad:
+            terms.append((exps + pad, coeff))
+            terms.append((mirrored, -coeff))
     return Polynomial._raw(doubled, _sorted_terms(doubled, terms))
 
 
@@ -245,7 +247,8 @@ class DoubledIdeal(Ideal):
 
 def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
     """The ideal of the diagonal: the difference ideal of the variables,
-    generated by ``v - v'`` per variable of ``ring.half()``.
+    generated by ``v - v'`` per mirrored variable of ``ring.half()``
+    (the shared :data:`PARAMETER` doubles to zero and drops out).
 
     Equal rings share one ideal, so its reduced basis is computed once
     per process; a budget failure leaves it unset, like any ideal's.
@@ -301,9 +304,8 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         raise RingError("germ and direction shapes differ")
     if base.symmetric != direction.symmetric:
         raise RingError("germ and direction must agree on symmetry")
-    for name in (PARAMETER, primed(PARAMETER)):
-        if name in base.ring.variables:
-            raise RingError(f"parameter name {name!r} collides with a ring variable")
+    if PARAMETER in base.ring.variables:
+        raise RingError(f"parameter name {PARAMETER!r} collides with a ring variable")
     extended = _parameter_extension(base.ring)
     t = extended.variable(PARAMETER)
     components = tuple(
@@ -314,14 +316,12 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
 
 
 def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
-    """Difference ideal of the family, parameter included.
+    """Difference ideal of the family: the doubles of its components.
 
-    The generators are the doubles of the parameter itself and then of
-    every component of the family.  The parameter contributes its own
-    difference, so the doubled ring always carries the relation between
-    the two parameter copies rather than assuming them equal.
+    Both points of a pair share the parameter, so each generator
+    compares the family at two points for one value of ``t``.
     """
-    return DoubledIdeal([u.extended_ring.variable(PARAMETER), *u.components])
+    return DoubledIdeal(u.components)
 
 
 def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
@@ -332,38 +332,3 @@ def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
     if not nonzero:
         return None
     return DoubledIdeal([inject_into(d, u.extended_ring) for d in nonzero])
-
-
-def parameter_tie(ring: RingContext) -> tuple[int, int] | None:
-    """``(index of t, index of t')`` when ``ring`` is doubled and holds
-    :data:`PARAMETER` and its primed copy, else ``None``: the one tie
-    rule, shared by the curve search and :func:`fold_parameter`."""
-    names = ring.variables
-    if ring.doubled and PARAMETER in names and primed(PARAMETER) in names:
-        return ring.index(PARAMETER), ring.index(primed(PARAMETER))
-    return None
-
-
-def fold_parameter(p: Polynomial) -> Polynomial:
-    """``p`` with ``t'`` replaced by ``t`` where :func:`parameter_tie`
-    names the pair, else ``p`` itself: equal monomials merge and zero
-    sums drop, so ``t - t'`` folds to zero."""
-    tie = parameter_tie(p.ring)
-    if tie is None:
-        return p
-    source, copy = tie
-    terms = []
-    for exps, coeff in p.terms:
-        exps = list(exps)
-        exps[source], exps[copy] = exps[source] + exps[copy], 0
-        terms.append((exps, coeff))
-    return Polynomial(p.ring, terms)
-
-
-def merged_parameter_view(ideal: Ideal) -> list[Polynomial]:
-    """The generators that do not fold to zero, each folded by
-    :func:`fold_parameter`.  Display-only: membership tests keep the two
-    parameter copies distinct."""
-    if not ideal.ring.doubled or parameter_tie(ideal.ring) is None:
-        raise RingError(f"{PARAMETER!r} is not doubled in this ring")
-    return [h for h in map(fold_parameter, ideal.generators) if not h.is_zero]

@@ -38,6 +38,7 @@ __all__ = [
     "DEFAULT_EXPONENT_CAP",
     "ExponentOverflow",
     "Monomial",
+    "PARAMETER",
     "ParseError",
     "Polynomial",
     "RingContext",
@@ -63,6 +64,10 @@ DEFAULT_EXPONENT_CAP = 64
 
 PRIME_SUFFIX = "'"
 
+#: Name of the deformation parameter.  Doubling gives it no mirror: the
+#: two points of a pair share it (see :func:`_has_mirror`).
+PARAMETER = "t"
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 
 
@@ -87,6 +92,12 @@ def primed(name: str) -> str:
     return name + PRIME_SUFFIX
 
 
+def _has_mirror(name: str) -> bool:
+    """The doubling rule: every variable gets a primed mirror except
+    :data:`PARAMETER`, which both points of a pair share."""
+    return name != PARAMETER
+
+
 def _as_scalar(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -104,9 +115,9 @@ class RingContext:
     ``order`` is ``"grevlex"`` (graded reverse lexicographic, the default)
     or ``"lex"``.  ``doubled`` marks rings produced by
     :meth:`doubled_extension`, which appends a primed mirror of every
-    variable; doubling twice is an error.  ``exponent_cap`` bounds every
-    exponent that can appear in the ring, so runaway computations fail
-    loudly instead of silently growing.
+    variable but :data:`PARAMETER`; doubling twice is an error.
+    ``exponent_cap`` bounds every exponent that can appear in the ring,
+    so runaway computations fail loudly instead of silently growing.
     """
 
     variables: tuple[str, ...]
@@ -160,7 +171,8 @@ class RingContext:
         return exps
 
     def doubled_extension(self) -> "RingContext":
-        """The ring with a primed mirror appended for every variable.
+        """The ring with a primed mirror appended for every variable but
+        :data:`PARAMETER`, which both points of a pair share.
 
         Equal rings share one doubled extension, so the ring checks
         downstream meet identical objects.
@@ -175,6 +187,13 @@ class RingContext:
         if not self.doubled:
             raise RingError("ring is not doubled")
         return _half(self)
+
+    def mirror_indices(self) -> tuple[int, ...]:
+        """On a doubled ring, the index of the mirror of each variable of
+        :meth:`half`, in order; :data:`PARAMETER` is its own mirror."""
+        if not self.doubled:
+            raise RingError("ring is not doubled")
+        return _mirror_indices(self)
 
     # -- convenience constructors ------------------------------------
 
@@ -198,16 +217,27 @@ class RingContext:
 
 @functools.cache
 def _doubled_extension(ring: RingContext) -> RingContext:
-    mirror = tuple(primed(v) for v in ring.variables)
-    for v, m in zip(ring.variables, mirror):
-        if m in ring.variables:
-            raise RingError(f"cannot double: the mirror {m!r} of {v!r} is already a variable")
+    mirrored = tuple(filter(_has_mirror, ring.variables))
+    for v in mirrored:
+        if primed(v) in ring.variables:
+            raise RingError(f"cannot double: the mirror {primed(v)!r} of {v!r} is already a variable")
+    mirror = tuple(map(primed, mirrored))
     return RingContext(ring.variables + mirror, ring.order, True, ring.exponent_cap)
 
 
 @functools.cache
+def _mirror_indices(ring: RingContext) -> tuple[int, ...]:
+    # A half of n variables, s of them shared, doubles to n + (n - s)
+    # names of which 2 * (n - s) have mirrors: n = arity - that count / 2.
+    names = ring.variables
+    n = len(names) - sum(map(_has_mirror, names)) // 2
+    mirrors = iter(range(n, len(names)))
+    return tuple(next(mirrors) if _has_mirror(v) else i for i, v in enumerate(names[:n]))
+
+
+@functools.cache
 def _half(ring: RingContext) -> RingContext:
-    n = ring.arity // 2
+    n = len(_mirror_indices(ring))
     return RingContext(ring.variables[:n], ring.order, False, ring.exponent_cap)
 
 

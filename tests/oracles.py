@@ -30,14 +30,21 @@ must report the same pivots for every row stream.
 the diagonal ``z = z'``.  Every generator of a difference ideal must
 collapse to zero; the engine guarantees that by construction and no
 longer checks it, so the tests check it here.
+
+:func:`full_double_ideal` is the family ideal as the engine built it
+before both points of a pair shared the parameter: the parameter gets a
+mirror ``t'`` too, and ``t - t'`` ties the two copies back together.
+A polynomial without ``t'`` lies in it exactly when it lies in
+``unfolding_double_ideal(u)``, since the ideals that contain ``t - t'``
+correspond one to one with the ideals of the ring without ``t'``.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from liptriv.groebner import BudgetExceeded, GroebnerBudget
-from liptriv.rings import ExponentOverflow, Polynomial, RingError
+from liptriv.groebner import BudgetExceeded, GroebnerBudget, Ideal
+from liptriv.rings import ExponentOverflow, Polynomial, RingContext, RingError
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -323,8 +330,32 @@ def diagonal_collapse(p):
     ring = p.ring
     if not ring.doubled:
         raise RingError("diagonal collapse needs a doubled ring")
-    n = ring.arity // 2
-    return Polynomial(
-        ring.half(),
-        [(tuple(a + b for a, b in zip(e[:n], e[n:])), c) for e, c in p.terms],
-    )
+    half = ring.half()
+    n = half.arity
+    # the mirror v' of a source variable v, past the source variables
+    source = list(range(n)) + [half.index(v[:-1]) for v in ring.variables[n:]]
+    terms = []
+    for e, c in p.terms:
+        exps = [0] * n
+        for i, a in zip(source, e):
+            exps[i] += a
+        terms.append((tuple(exps), c))
+    return Polynomial(half, terms)
+
+
+def full_double_ideal(u):
+    """``t - t'`` and ``h(t, z) - h(t', z')`` for every component ``h`` of
+    the unfolding ``u``, on the ring ``t, z, t', z'`` that mirrors every
+    variable, parameter included; built with the validating
+    ``Polynomial`` constructor."""
+    source = u.extended_ring
+    ring = RingContext(source.variables + tuple(v + "'" for v in source.variables))
+    zeros = (0,) * source.arity
+
+    def double(h):
+        return Polynomial(
+            ring,
+            [(e + zeros, c) for e, c in h.terms] + [(zeros + e, -c) for e, c in h.terms],
+        )
+
+    return Ideal(ring, [double(source.variable("t")), *map(double, u.components)])

@@ -90,7 +90,8 @@ def _fixed_ideal():
 
 
 BUDGET_IDEALS = {
-    "family-1-k2-l3": lambda: family_ideal(1, 2, 3).generators,
+    # Each needs more than one pair and more than degree 1.
+    "family-1-k3-l4": lambda: family_ideal(1, 3, 4).generators,
     "family-2-k3": lambda: family_ideal(2, 3, None).generators,
     "family-3-k4": lambda: family_ideal(3, 4, None).generators,
     "family-5": lambda: family_ideal(5, None, None).generators,

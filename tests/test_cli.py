@@ -9,7 +9,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from liptriv import RingContext, normal_form
 from liptriv.cli import run_command
+from liptriv.doubling import build_unfolding
+from liptriv.rings import parse_polynomial
+from tests.oracles import full_double_ideal
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text()
@@ -100,19 +104,6 @@ class TestAnalyze:
         )
         assert code == 1
 
-
-    def test_primed_parameter_name_rejected(self, capsys, tmp_path):
-        # A source variable named t' would collide with the mirror of the
-        # parameter on the doubled ring: refused by name, not as duplicates.
-        germ = tmp_path / "germ.txt"
-        germ.write_text("vars: x, t'\ngen: x, t'\n")
-        code, _, err = run(
-            capsys,
-            "analyze", "--germ-file", str(germ), "--theta-file", str(germ),
-        )
-        assert code == 1
-        assert "\"t'\"" in err
-        assert "duplicate" not in err
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -216,7 +207,7 @@ class TestPullback:
         code, out, _ = run(
             capsys,
             "pullback",
-            "--curve", "s, 2*s^2, 2*s, s, s^2, s",
+            "--curve", "s, 2*s^2, 2*s, s^2, s",
             "--ideal-from-catalog", "2", "--k", "3", "--theta", "c=1",
         )
         assert code == 0
@@ -226,33 +217,50 @@ class TestPullback:
         code, out, _ = run(
             capsys,
             "pullback",
-            "--curve", "s^2, 2*s^3, 2*s, s^2, s^3, s",
+            "--curve", "s^2, 2*s^3, 2*s, s^3, s",
             "--ideal-from-catalog", "6", "--theta", "a4=1",
         )
         assert code == 0
-        # parameter arc plus the two nonzero entries
-        assert out.count("generator:") == 3
+        # the two nonzero entries; the shared parameter has no double
+        assert out.count("generator:") == 2
         assert "ideal order: 3" in out
 
 
 class TestDouble:
     def test_merged_view(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "double", "--catalog", "3", "--k", "2", "--theta", "b1=1",
-            "--merged-parameter",
-        )
-        assert code == 0
-        assert "t'" not in out
-        assert "x - x'" in out
-        assert "t*y" in out
-
-    def test_raw_generators_include_parameter(self, capsys):
+        # The printed generators are those of the doubling that mirrors
+        # t too, with t' merged into t: t - t' merges to zero and drops.
         code, out, _ = run(
             capsys, "double", "--catalog", "3", "--k", "2", "--theta", "b1=1"
         )
         assert code == 0
-        assert "t - t'" in out
+        nf = normal_form(3, k=2)
+        full = full_double_ideal(build_unfolding(nf.matrix, nf.theta({"b1": 1})))
+        ring = RingContext(("t", "x", "y")).doubled_extension()
+        merged = [
+            parse_polynomial(str(g).replace("t'", "t"), ring) for g in full.generators
+        ]
+        assert out.splitlines() == [str(g) for g in merged if not g.is_zero]
+
+    def test_raw_generators_include_parameter(self, capsys):
+        # Both points share the parameter: one t, no t' and no t - t'.
+        code, out, _ = run(
+            capsys, "double", "--catalog", "3", "--k", "2", "--theta", "b1=1"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "x - x'",
+            "t*y + x*y + y^2 - t*y' - x'*y' - y'^2",
+        ]
+
+    def test_merged_parameter_flag_removed(self, capsys):
+        code, _, err = run(
+            capsys,
+            "double", "--catalog", "3", "--k", "2", "--theta", "b1=1",
+            "--merged-parameter",
+        )
+        assert code == 1
+        assert "--merged-parameter" in err
 
 
 class TestCheckInclusion:

@@ -30,8 +30,8 @@ def poly(text, ring=DXY):
 
 class TestParseAndPullback:
     def test_roundtrip(self):
-        curve = parse_curve("s,2s^2,2s,s,s^2,s", RingContext(("t", "x", "y")).doubled_extension())
-        assert format_curve(curve) == "s, 2*s^2, 2*s, s, s^2, s"
+        curve = parse_curve("s,2s^2,2s,s^2,s", RingContext(("t", "x", "y")).doubled_extension())
+        assert format_curve(curve) == "s, 2*s^2, 2*s, s^2, s"
 
     def test_component_count_must_match_ring(self):
         with pytest.raises(Exception):
@@ -129,21 +129,25 @@ class TestEnumeration:
         assert first == second
 
     def test_cheapest_curves_come_first(self):
+        # The shared parameter's arc counts once for each point.
         for ring in (DXY, DTX):
+            weights = [2 if v == "t" else 1 for v in ring.variables]
             degrees = [
-                sum(a.degree() for a in curve.components)
+                sum(w * a.degree() for w, a in zip(weights, curve.components))
                 for curve in searched_curves(ring, 2)
             ]
             assert degrees == sorted(degrees)
 
     def test_tied_parameter_shares_one_arc(self):
-        t, mirror = DTX.index("t"), DTX.index("t'")
+        # Both points of a pair share t, so t has one arc and weighs 2.
+        assert DTX.variables == ("t", "x", "x'")
         blocks = list(_profiles(DTX, 2))
-        for exps, patterns in blocks:
-            assert exps[t] == exps[mirror]
-            assert all(coeffs[t] == coeffs[mirror] for coeffs in patterns)
-        # t, x and x' are free: 2^3 exponent tuples, 2^3 patterns each
+        # t, x and x': 2^3 exponent tuples, 2^3 patterns each
         assert (len(blocks), len(blocks[0][1])) == (8, 8)
+        assert [exps for exps, _ in blocks[:4]] == [
+            (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)
+        ]
+        assert blocks[4][0] == (2, 1, 1)
 
     def test_untied_ring_ties_nothing(self):
         blocks = list(_profiles(DXY, 2))

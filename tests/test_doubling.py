@@ -24,12 +24,11 @@ from liptriv.doubling import (
     direction_double_ideal,
     double_of,
     format_matrix_germ,
-    merged_parameter_view,
-    parameter_tie,
 )
+from liptriv.groebner import membership_certificate
 from liptriv.rings import RingError, inject_into, parse_polynomial, primed
 from liptriv.tangent import tangent_generators
-from tests.oracles import diagonal_collapse
+from tests.oracles import diagonal_collapse, full_double_ideal
 from tests.test_golden_normal import grid as normal_grid
 from tests.test_trusted_construction import polys
 
@@ -130,8 +129,11 @@ def test_difference_ideal_vanishes_on_diagonal(ring, data):
 def test_diagonal_ideal_generators_are_variable_differences(ring):
     ideal = diagonal_ideal(ring)
     assert ideal.ring == ring
+    # the shared parameter t has no mirror and no difference
     expected = tuple(
-        ring.variable(v) - ring.variable(primed(v)) for v in ring.half().variables
+        ring.variable(v) - ring.variable(primed(v))
+        for v in ring.half().variables
+        if v != "t"
     )
     assert ideal.generators == expected
     for g in ideal.generators:
@@ -139,21 +141,29 @@ def test_diagonal_ideal_generators_are_variable_differences(ring):
 
 
 class TestPrimedNames:
-    """A source variable already named like a mirror is refused by name."""
+    """Primed source names: doubling refuses a variable's taken mirror by
+    name; t' is an ordinary variable, since t gets no mirror."""
 
-    def test_primed_parameter_rejected_by_unfolding(self):
+    def test_primed_parameter_name_is_an_ordinary_variable(self):
+        # Doubling gives t no mirror, so a source t' collides with nothing.
         ring = RingContext(("x", "t'"))
         g = parse_matrix_germ("gen: x, t'", ring)
-        with pytest.raises(RingError, match="t'"):
-            build_unfolding(g, g)
+        ideal = unfolding_double_ideal(build_unfolding(g, g))
+        assert ideal.ring.variables == ("t", "x", "t'", "x'", "t''")
+        assert [str(h) for h in ideal.generators] == [
+            "t*x - t*x' + x - x'",
+            "t*t' - t*t'' + t' - t''",
+        ]
 
     def test_doubling_names_the_taken_mirror(self):
         with pytest.raises(RingError, match="mirror \"x'\" of 'x'"):
             RingContext(("x", "x'")).doubled_extension()
 
     def test_tie_needs_a_doubled_ring(self):
-        assert parameter_tie(RingContext(("t", "x", "t'"))) is None
-        assert parameter_tie(RingContext(("t", "x")).doubled_extension()) == (0, 2)
+        # The pair shares t: on a doubled ring t is its own mirror.
+        with pytest.raises(RingError, match="not doubled"):
+            RingContext(("t", "x", "t'")).mirror_indices()
+        assert RingContext(("t", "x")).doubled_extension().mirror_indices() == (0, 2)
 
 
 class TestGermValidation:
@@ -221,12 +231,16 @@ class TestUnfolding:
         with pytest.raises(RingError):
             build_unfolding(base, parse_matrix_germ("x ; y", XY))
 
-    def test_difference_ideal_contains_parameter_double(self):
+    def test_difference_ideal_shares_the_parameter(self):
         base = parse_matrix_germ("sym: y^2, x ; x, y^2", XY)
         direction = parse_matrix_germ("sym: y, 0 ; 0, 0", XY)
         ideal = unfolding_double_ideal(build_unfolding(base, direction))
-        assert ideal.ring.variables == ("t", "x", "y", "t'", "x'", "y'")
-        assert "t - t'" in {str(g) for g in ideal.generators}
+        assert ideal.ring.variables == ("t", "x", "y", "x'", "y'")
+        assert [str(g) for g in ideal.generators] == [
+            "t*y + y^2 - t*y' - y'^2",
+            "x - x'",
+            "y^2 - y'^2",
+        ]
 
 
 # build_unfolding makes each family component once, as b + t*d, and
@@ -288,6 +302,46 @@ def test_components_match_matrix_route_on_general_germ():
     assert_matches_matrix_route(base, base.map_entries(lambda e: XY.zero()))
 
 
+# Both points of a pair share the parameter.  The old formulation gave
+# it a mirror t' and carried t - t' in every family ideal; mapping t' to
+# t carries each membership to an equivalent one without t'.  Both must
+# answer every membership the analyzer asks alike.
+
+
+def assert_memberships_match_full_doubling(base, direction):
+    u = build_unfolding(base, direction)
+    total = unfolding_double_ideal(u)
+    full = full_double_ideal(u)
+    asked = direction_double_ideal(u).generators + diagonal_ideal(total.ring).generators
+    for g in asked:
+        shared = membership_certificate(g, total) is not None
+        # the full ring holds every variable of g, so g reads as text there
+        g_full = parse_polynomial(str(g), full.ring)
+        assert shared == (membership_certificate(g_full, full) is not None)
+
+
+def test_memberships_match_full_doubling_on_table_grid():
+    cells = 0
+    for index, k, l in catalog_parameters(4, 4):
+        nf = normal_form(index, k=k, l=l)
+        for _, coeffs in _cell_directions(nf):
+            direction = nf.theta(coeffs)
+            if not direction.is_constant:
+                assert_memberships_match_full_doubling(nf.matrix, direction)
+                cells += 1
+    assert cells == 86
+
+
+def test_memberships_match_full_doubling_on_3x3_basis():
+    germ = parse_matrix_germ(
+        "sym: x, y, z ; y, z, x^2 ; z, x^2, y^2", RingContext(("x", "y", "z"))
+    )
+    basis = normal_space_basis(germ).basis
+    assert len(basis) == 12
+    for direction in basis:
+        assert_memberships_match_full_doubling(germ, direction)
+
+
 def assert_round_trips(germ):
     """The parser, which checks that symmetric rows mirror, reads the
     germ's printed rows back as the same germ."""
@@ -311,10 +365,9 @@ def test_tangent_germs_are_symmetric_by_construction():
             assert_round_trips(g)
 
 
-def merged_strings(nf, coeffs):
+def family_double_strings(nf, coeffs):
     u = build_unfolding(nf.matrix, nf.theta(coeffs))
-    view = merged_parameter_view(unfolding_double_ideal(u))
-    return {str(g) for g in view}
+    return {str(g) for g in unfolding_double_ideal(u).generators}
 
 
 def theta_double_strings(nf, coeffs):
@@ -337,7 +390,7 @@ class TestCatalogGeneratorDisplays:
     def test_family_1_family_ideal(self):
         nf = normal_form(1, k=3, l=4)
         coeffs = {"a0": 11, "a1": 2, "a2": 3, "b0": 13, "b1": 5, "b2": 7}
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "x - x'",
             "y^3 - y'^3 + 2*t*y - 2*t*y' + 3*t*y^2 - 3*t*y'^2",
@@ -356,7 +409,7 @@ class TestCatalogGeneratorDisplays:
     def test_family_2_family_ideal(self):
         nf = normal_form(2, k=4)
         coeffs = {"a": 11, "b": 13, "c": 2, "d0": 17, "d1": 3, "d2": 5}
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "x - x'",
             "2*t*y - 2*t*y'",
@@ -375,7 +428,7 @@ class TestCatalogGeneratorDisplays:
     def test_family_3_family_ideal(self):
         nf = normal_form(3, k=3)
         coeffs = {"a": 11, "a0": 13, "a1": 2, "b0": 17, "b1": 3, "b2": 5}
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "x - x' + 2*t*y - 2*t*y'",
             "x*y - x'*y' + y^3 - y'^3 + 3*t*y - 3*t*y' + 5*t*y^2 - 5*t*y'^2",
@@ -395,7 +448,7 @@ class TestCatalogGeneratorDisplays:
         coeffs = {
             "a": 11, "a1": 2, "a2": 3, "b": 13, "b0": 17, "b1": 5, "b2": 7,
         }
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "x - x' + 2*t*y - 2*t*y' + 3*t*y^2 - 3*t*y'^2",
             "y^3 - y'^3",
@@ -416,7 +469,7 @@ class TestCatalogGeneratorDisplays:
     def test_family_5_family_ideal(self):
         nf = normal_form(5)
         coeffs = {"a1": 11, "a2": 13, "a3": 2, "a4": 3, "a5": 5, "a6": 7}
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "y^2 - y'^2",
             "x - x' + 2*t*y - 2*t*y' + 3*t*y^2 - 3*t*y'^2",
@@ -437,7 +490,7 @@ class TestCatalogGeneratorDisplays:
         coeffs = {
             "a1": 11, "a2": 13, "a3": 17, "a4": 2, "a5": 3, "a6": 5, "a7": 7,
         }
-        assert merged_strings(nf, coeffs) == expect(
+        assert family_double_strings(nf, coeffs) == expect(
             self.ring,
             "x - x' + 3*t*y - 3*t*y'",
             "5*t*y - 5*t*y' + 7*t*y^2 - 7*t*y'^2",
@@ -455,16 +508,3 @@ class TestCatalogGeneratorDisplays:
             "5*y - 5*y' + 7*y^2 - 7*y'^2",
             "2*y - 2*y'",
         )
-
-    def test_merged_view_is_display_only(self):
-        # the working ideal keeps both parameter copies distinct
-        nf = normal_form(5)
-        u = build_unfolding(nf.matrix, nf.theta({"a3": 1}))
-        ideal = unfolding_double_ideal(u)
-        assert "t - t'" in {str(g) for g in ideal.generators}
-        merged = merged_parameter_view(ideal)
-        assert "t - t'" not in {str(g) for g in merged}
-
-    def test_merged_view_needs_the_parameter_pair(self):
-        with pytest.raises(RingError):
-            merged_parameter_view(diagonal_ideal(DXY))

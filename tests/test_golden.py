@@ -33,8 +33,8 @@ def _order(value):
 
 
 def _search_record(report):
-    # Every searched ring holds the parameter and its primed copy, so
-    # the copy always shares the parameter's arc.
+    # Every searched ring shares the parameter between both points of a
+    # pair, so one arc serves both.
     return {
         "curves_tried": report.curves_tried,
         "budget_exhausted": report.budget_exhausted,

@@ -25,17 +25,12 @@ from liptriv.curves import (
     pullback_dense,
 )
 from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
-from liptriv.doubling import (
-    PARAMETER,
-    build_unfolding,
-    direction_double_ideal,
-    fold_parameter,
-    parameter_tie,
-)
+from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
-from liptriv.rings import Polynomial, parse_polynomial, substitute
+from liptriv.rings import Polynomial, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
+# t, x, x': the parameter is tied across the pair, both points share it
 DTX = RingContext(("t", "x")).doubled_extension()
 # The kernel is exact for any rational arc, not only the searched ones.
 KERNEL_COEFFICIENTS = (-2, -1, 0, Fraction(1, 2), Fraction(-3, 2), 1, 2)
@@ -103,31 +98,19 @@ def test_kernel_sees_cancellation_of_differences(q, profile):
 def reference_curves(ring, max_exponent):
     """The searched stream from its definition, by brute force.
 
-    Every exponent tuple in ``1..max_exponent`` over the free variables,
-    sorted by (weighted degree, exponents), each with every pattern of
-    ``ARC_COEFFICIENTS`` in product order.  When the ring holds the
-    parameter and its primed copy, the copy is not free: it repeats the
-    parameter's arc, and the parameter weighs 2.
+    Every exponent tuple in ``1..max_exponent``, sorted by (weighted
+    degree, exponents), each with every pattern of ``ARC_COEFFICIENTS``
+    in product order.  On a doubled ring the parameter, which both
+    points of a pair share, weighs 2.
     """
-    names = ring.variables
-    mirror = PARAMETER + "'"
-    tied = PARAMETER in names and mirror in names
-    free = [v for v in names if not (tied and v == mirror)]
-    weights = [2 if tied and v == PARAMETER else 1 for v in free]
-
-    def spread(values):
-        full = dict(zip(free, values))
-        if tied:
-            full[mirror] = full[PARAMETER]
-        return tuple(full[v] for v in names)
-
+    weights = [2 if ring.doubled and v == PARAMETER else 1 for v in ring.variables]
     exponents = sorted(
-        itertools.product(range(1, max_exponent + 1), repeat=len(free)),
+        itertools.product(range(1, max_exponent + 1), repeat=ring.arity),
         key=lambda exps: (sum(w * e for w, e in zip(weights, exps)), exps),
     )
     for exps in exponents:
-        for coeffs in itertools.product(ARC_COEFFICIENTS, repeat=len(free)):
-            yield _monomial_curve(ring, spread(exps), spread(coeffs))
+        for coeffs in itertools.product(ARC_COEFFICIENTS, repeat=ring.arity):
+            yield _monomial_curve(ring, exps, coeffs)
 
 
 def reference_search(element, ideal, budget, max_exponent):
@@ -194,7 +177,7 @@ def test_closure_test_matches_reference_search(family, k, l, direction, max_expo
 # The search walks the stream one block (exponent tuple) at a time and
 # takes the ideal's order from a single-term lead without evaluating
 # any generator.  The tests below compare it with ``reference_search``
-# on random ideals in a ring without and with the tied parameter, over
+# on random ideals in a ring without and with the shared parameter, over
 # budgets that stop mid-block, at a block's end and at the stream's
 # end, and over repeated calls against one ideal.
 
@@ -271,86 +254,6 @@ def test_enumeration_flattens_the_blocks():
         assert flat == [format_curve(c) for c in reference_curves(ring, 3)]
 
 
-# In a ring with the tied parameter the search folds t' into t: every
-# searched arc gives t' the exponent and coefficient of t, so a
-# polynomial pulls back as it does with t' replaced by t.  The kernel
-# holds the folded terms; t - t' folds to none and leaves the family.
-
-T, TC = parameter_tie(DTX)
-
-
-@st.composite
-def zero_folds(draw, ring=DTX, max_exp=2):
-    """Sums of q * m * (t^a t'^b - t^c t'^d) with a + b = c + d: each
-    folds to zero, like t - t' and t*x - t'*x."""
-    terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        rest = draw(st.tuples(*(st.integers(0, max_exp) for _ in range(ring.arity))))
-        total = draw(st.integers(1, 3))
-        a, c = draw(st.integers(0, total)), draw(st.integers(0, total))
-        q = draw(fractions.filter(bool))
-        for tie_exps, sign in (((a, total - a), 1), ((c, total - c), -1)):
-            exps = list(rest)
-            exps[T], exps[TC] = tie_exps
-            terms.append((tuple(exps), sign * q))
-    return Polynomial(ring, terms)
-
-
-@settings(max_examples=300, deadline=None)
-@given(poly_strategy(DTX, max_terms=4), st.one_of(st.just(None), zero_folds()))
-def test_fold_matches_substitute(p, zero):
-    # fold_parameter is the ring map t' -> t, every other variable fixed.
-    if zero is not None:
-        p = p + zero
-        assert fold_parameter(zero).is_zero
-    images = {v: DTX.variable(v) for v in DTX.variables}
-    images[PARAMETER + "'"] = DTX.variable(PARAMETER)
-    assert fold_parameter(p) == substitute(p, images, DTX)
-
-
-@given(poly_strategy(DXY))
-def test_fold_without_tie_is_identity(p):
-    assert parameter_tie(DXY) is None
-    assert fold_parameter(p) is p
-
-
-@st.composite
-def tied_profiles(draw, ring=DTX, max_exp=3):
-    """Arc exponents and coefficients that tie only t' to t."""
-    exps = list(draw(st.tuples(*(st.integers(1, max_exp) for _ in range(ring.arity)))))
-    coeffs = list(
-        draw(st.tuples(*(st.sampled_from(KERNEL_COEFFICIENTS) for _ in range(ring.arity))))
-    )
-    exps[TC], coeffs[TC] = exps[T], coeffs[T]
-    return tuple(exps), tuple(coeffs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    poly_strategy(DTX, max_terms=4),
-    st.one_of(st.just(None), zero_folds()),
-    tied_profiles(),
-)
-def test_folded_kernel_order_matches_dense_pullback(p, zero, profile):
-    if zero is not None:
-        p = p + zero
-    exps, coeffs = profile
-    kernel = _OrderKernel(p)
-    assert all(not e[TC] and q for e, q in kernel.terms)
-    kernel.enter(exps)
-    assert kernel.order_at(0, coeffs) == dense_order(p, exps, coeffs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(zero_folds(), tied_profiles())
-def test_zero_folds_leave_no_terms(zero, profile):
-    exps, coeffs = profile
-    assert _OrderKernel(zero).terms == []
-    assert dense_order(zero, exps, coeffs) is math.inf
-    for text in ("t - t'", "t*x - t'*x", "t^2*x' - t*t'*x'"):
-        assert _OrderKernel(parse_polynomial(text, DTX)).terms == []
-
-
 # A block is settled whole when the ideal has a single-term lead at
 # d_min and the element's lowest group is a single term at e0: both
 # orders are then the same for every pattern.  Past the first gap the
@@ -389,8 +292,8 @@ def traced_search(monkeypatch, element, ideal, budget, max_exponent):
     [
         # x and y^3 are single terms; y^2 drops below x once e_x > 2 e_y.
         (DXY, ("x", "y^3"), "y^2", "s^3, s, s, s"),
-        # t - t' folds away and t'^3 folds to t^3: every block has a lead.
-        (DTX, ("t - t'", "t'^3", "x^2"), "t*x'", "s, s^2, s, s"),
+        # t^3 and x^2 are single terms: every block has a lead.
+        (DTX, ("t^3", "x^2"), "t*x'", "s, s^2, s"),
     ],
     ids=["untied", "tied"],
 )

@@ -114,7 +114,7 @@ class TestArithmetic:
 class TestParsing:
     @pytest.mark.parametrize(
         "text",
-        ["x^2*y - 3*y + 1/2", "-x + y'", "y^3 - 3/2*x*y^2", "0", "t*y - t'*y'"],
+        ["x^2*y - 3*y + 1/2", "-x + y'", "y^3 - 3/2*x*y^2", "0", "t*y - t*y'"],
     )
     def test_roundtrip(self, text):
         ring = RingContext(("t", "x", "y")).doubled_extension()
