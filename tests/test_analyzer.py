@@ -12,9 +12,11 @@ from liptriv import (
     LIPSCHITZ,
     NOT_LIPSCHITZ,
     AnalyzeOptions,
+    AuditError,
     RingContext,
     analyze,
     analyzer,
+    curves,
     normal_form,
     normal_space_basis,
     parse_matrix_germ,
@@ -24,6 +26,7 @@ from liptriv import (
     verify_witness_dense,
 )
 from liptriv.catalog import CatalogError
+from liptriv.curves import Witness
 from liptriv.doubling import direction_double_ideal
 from liptriv.groebner import GroebnerBudget
 
@@ -367,6 +370,38 @@ class TestAudit:
     def test_audit_off_by_default(self):
         verdict = run(2, {"d1": 1}, k=3)
         assert verdict.audit is None
+
+    def test_corrupted_kernel_order_raises(self, monkeypatch):
+        # every kernel reads each degree one too high: the search still
+        # stops at the true witness curve, with both orders off by one,
+        # so re-deriving them through pullback must catch it
+        enter = curves._OrderKernel.enter
+
+        def shifted(self, arc_exps):
+            self._groups = [(d + 1, m) for d, m in enter(self, arc_exps)]
+            return self._groups
+
+        monkeypatch.setattr(curves._OrderKernel, "enter", shifted)
+        with pytest.raises(AuditError, match="order kernel and pullback disagree"):
+            run(3, {"b1": 1}, k=2)
+
+    def test_tampered_witness_fails_dense_replay(self, monkeypatch):
+        # a generator order altered after the witness was confirmed; the
+        # dense replay inside the search route must refuse it
+        search = analyzer.closure_test
+
+        def tampering(element, ideal, budget, max_exponent):
+            found = search(element, ideal, budget, max_exponent)
+            if isinstance(found, Witness):
+                orders = list(found.generator_orders)
+                index = orders.index(max(orders))
+                orders[index] = math.inf if orders[index] is not math.inf else 10**6
+                found = replace(found, generator_orders=tuple(orders))
+            return found
+
+        monkeypatch.setattr(analyzer, "closure_test", tampering)
+        with pytest.raises(AuditError, match="independent replay"):
+            run(3, {"b1": 1}, k=2)
 
 
 class Recorder:
