@@ -24,7 +24,10 @@ the element's order and every generator's order are re-derived once
 through :func:`pullback` and kept in the :class:`Witness`.  The analyzer
 replays each of them through :func:`pullback_dense`, which recomputes
 everything by plain repeated multiplication and shares no code with the
-kernel.
+kernel or with :func:`pullback`: not their integer lifts, not their
+degree arithmetic.  What it shares is :class:`UnivariatePoly`, whose
+product it calls.  It works on exact ints wherever the coefficients are
+integral, with a power table per arc built for the call.
 
 The enumeration comes in *blocks*: one exponent tuple with every
 coefficient pattern.  Degrees depend only on the exponents, so the
@@ -127,33 +130,35 @@ def pullback(p: Polynomial, curve: TestCurve) -> UnivariatePoly:
     """Substitute the curve's arcs into ``p``.
 
     Monomial arcs take a fast path that never forms intermediate
-    products: each term contributes one coefficient at one degree.
-    Other curves go through :func:`pullback_dense`.
+    products: each term contributes one coefficient at one degree,
+    computed on ints wherever the coefficients are integral.  Other
+    curves go through :func:`pullback_dense`.
     """
     if p.ring != curve.ring:
         raise RingError("polynomial and curve live in different rings")
-    profile: list[tuple[int, Fraction] | None] = []
+    profile: list[tuple[int, int | Fraction] | None] = []
     for comp in curve.components:
-        nonzero = [(i, c) for i, c in enumerate(comp.coeffs) if c]
+        nonzero = [
+            (i, c.numerator if c.denominator == 1 else c)
+            for i, c in enumerate(comp.coeffs)
+            if c
+        ]
         if len(nonzero) > 1:
             return pullback_dense(p, curve)
         profile.append(nonzero[0] if nonzero else None)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for exps, coeff in p.terms:
         degree = 0
-        value = coeff
-        dead = False
+        value = coeff.numerator if coeff.denominator == 1 else coeff
         for e, slot in zip(exps, profile):
             if not e:
                 continue
             if slot is None:
-                dead = True
                 break
             degree += slot[0] * e
             value *= slot[1] ** e
-        if dead:
-            continue
-        acc[degree] = acc.get(degree, Fraction(0)) + value
+        else:
+            acc[degree] = acc.get(degree, 0) + value
     if not acc:
         return UnivariatePoly.zero()
     top = max(acc)
@@ -163,19 +168,41 @@ def pullback(p: Polynomial, curve: TestCurve) -> UnivariatePoly:
 def pullback_dense(p: Polynomial, curve: TestCurve) -> UnivariatePoly:
     """Replay route: plain repeated multiplication, no shortcuts.
 
-    Shares no code with the search's order kernel or with the monomial
-    fast path of :func:`pullback`, so agreement with them is meaningful.
+    Shares no code with the search's order kernel or with
+    :func:`pullback`, and lifts coefficients to ints with its own code,
+    so agreement with them is meaningful.  What it does share is
+    :class:`UnivariatePoly`'s product.  Each arc gets a power table for
+    the call, seeded ``[1, arc]`` and grown one multiplication at a
+    time; a term multiplies together the powers of the variables it
+    uses, and its coefficient scales the product into the sum.
+    Integral coefficients of the arcs and of ``p`` are carried as exact
+    ints, the others as ``Fraction``; the sum is built by the
+    validating constructor, so its coefficients are ``Fraction`` as for
+    any other :class:`UnivariatePoly`.
     """
     if p.ring != curve.ring:
         raise RingError("polynomial and curve live in different rings")
-    total = UnivariatePoly.zero()
+    one = UnivariatePoly._raw((1,))
+    tables = []
+    for comp in curve.components:
+        arc = tuple(c.numerator if c.denominator == 1 else c for c in comp.coeffs)
+        tables.append([one, UnivariatePoly._raw(arc)])
+    total: list = []
     for exps, coeff in p.terms:
-        factor = UnivariatePoly.constant(coeff)
-        for comp, e in zip(curve.components, exps):
-            for _ in range(e):
-                factor = factor * comp
-        total = total + factor
-    return total
+        factor = one
+        for table, e in zip(tables, exps):
+            if e:
+                while len(table) <= e:
+                    table.append(table[-1] * table[1])
+                factor = table[e] if factor is one else factor * table[e]
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        coeffs = factor.coeffs
+        if len(total) < len(coeffs):
+            total.extend([0] * (len(coeffs) - len(total)))
+        for i, c in enumerate(coeffs):
+            total[i] += coeff * c
+    return UnivariatePoly(total)
 
 
 @dataclass(frozen=True)

@@ -778,12 +778,22 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
 
 _ARC_PARAMETER = "s"  # the arc variable in every parsed and printed curve
 
+#: The one-variable ring every arc is parsed and printed in.
+_ARC_RING = RingContext((_ARC_PARAMETER,))
+
 
 class UnivariatePoly:
     """Dense univariate polynomial used for arc pullbacks.
 
     ``coeffs[i]`` is the coefficient of degree ``i``; trailing zeros are
     trimmed, so the zero polynomial has an empty tuple.
+
+    The constructor is for outside input: it validates every
+    coefficient as a ``Fraction`` and trims.  A product of two
+    polynomials is built through ``_raw`` instead: it accumulates from
+    the plain integer ``0`` in whatever exact type its operands carry,
+    and its lead is the product of two nonzero leads, so there is
+    nothing to trim or check.
     """
 
     __slots__ = ("coeffs",)
@@ -793,6 +803,13 @@ class UnivariatePoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _raw(cls, coeffs: tuple) -> "UnivariatePoly":
+        # Trusted path: exact coefficients, last one nonzero.
+        u = object.__new__(cls)
+        u.coeffs = coeffs
+        return u
 
     @classmethod
     def zero(cls) -> "UnivariatePoly":
@@ -849,14 +866,14 @@ class UnivariatePoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UnivariatePoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs, i):
                 if b:
-                    out[i + j] += a * b
-        return UnivariatePoly(out)
+                    out[j] += a * b
+        return UnivariatePoly._raw(tuple(out))
 
     __rmul__ = __mul__
 
@@ -892,16 +909,14 @@ class UnivariatePoly:
 
 
 def parse_univariate(text: str) -> UnivariatePoly:
-    ring = RingContext((_ARC_PARAMETER,))
-    return polynomial_to_univariate(parse_polynomial(text, ring))
+    return polynomial_to_univariate(parse_polynomial(text, _ARC_RING))
 
 
 def format_univariate(u: UnivariatePoly) -> str:
-    ring = RingContext(
-        (_ARC_PARAMETER,), exponent_cap=max(DEFAULT_EXPONENT_CAP, len(u.coeffs))
-    )
-    p = Polynomial(ring, [((i,), c) for i, c in enumerate(u.coeffs)])
-    return format_polynomial(p)
+    # Highest degree first is the arc ring's term order; the exponent
+    # cap only bounds parsing, so a longer arc still prints.
+    terms = tuple(((i,), c) for i, c in reversed(tuple(enumerate(u.coeffs))) if c)
+    return format_polynomial(Polynomial._raw(_ARC_RING, terms))
 
 
 def polynomial_to_univariate(p: Polynomial) -> UnivariatePoly:

@@ -37,6 +37,12 @@ mirror ``t'`` too, and ``t - t'`` ties the two copies back together.
 A polynomial without ``t'`` lies in it exactly when it lies in
 ``unfolding_double_ideal(u)``, since the ideals that contain ``t - t'``
 correspond one to one with the ideals of the ring without ``t'``.
+
+:func:`reference_pullback_dense` is ``curves.pullback_dense`` as it was
+before it moved to integer arithmetic and power tables: every term
+starts from its ``Fraction`` coefficient and multiplies its arcs in one
+at a time, by :func:`reference_univariate_mul`, the schoolbook
+``Fraction`` product ``UnivariatePoly`` used before its trusted path.
 """
 
 import heapq
@@ -44,7 +50,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, Ideal
-from liptriv.rings import ExponentOverflow, Polynomial, RingContext, RingError
+from liptriv.rings import (
+    ExponentOverflow,
+    Polynomial,
+    RingContext,
+    RingError,
+    UnivariatePoly,
+)
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -359,3 +371,28 @@ def full_double_ideal(u):
         )
 
     return Ideal(ring, [double(source.variable("t")), *map(double, u.components)])
+
+
+def reference_univariate_mul(a, b):
+    """Schoolbook product of two ``UnivariatePoly``, accumulated in
+    ``Fraction`` and built with the validating constructor."""
+    if a.is_zero or b.is_zero:
+        return UnivariatePoly.zero()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return UnivariatePoly(out)
+
+
+def reference_pullback_dense(p, curve):
+    """Substitute the curve's arcs into ``p`` term by term, one arc
+    factor at a time, in ``Fraction`` arithmetic."""
+    total = UnivariatePoly.zero()
+    for exps, coeff in p.terms:
+        factor = UnivariatePoly.constant(coeff)
+        for comp, e in zip(curve.components, exps):
+            for _ in range(e):
+                factor = reference_univariate_mul(factor, comp)
+        total = total + factor
+    return total
