@@ -68,8 +68,7 @@ def curves(ring, arc):
     )
 
 
-def univariates():
-    return st.lists(coefficients, max_size=6).map(UnivariatePoly)
+univariates = st.lists(coefficients, max_size=6).map(UnivariatePoly)
 
 
 def all_fractions(u):
@@ -94,7 +93,7 @@ def test_monomial_fast_path_matches_reference(p, curve):
 
 
 @settings(max_examples=300, deadline=None)
-@given(univariates(), univariates())
+@given(univariates, univariates)
 def test_product_matches_schoolbook(a, b):
     product = a * b
     assert product == reference_univariate_mul(a, b)
