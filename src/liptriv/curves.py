@@ -17,35 +17,42 @@ points.
 
 The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
-``<e, a>`` with value ``q * prod(c_i^a_i)``; an integer kernel sums
-those values degree by degree, lowest first, and stops at the first
-nonzero sum.  A witness it finds is rebuilt as a :class:`TestCurve`;
-the element's order and every generator's order are re-derived once
-through :func:`pullback` and kept in the :class:`Witness`.  The analyzer
-replays each of them through :func:`pullback_dense`, which recomputes
-everything by plain repeated multiplication and shares no code with the
-kernel or with :func:`pullback`: not their integer lifts, not their
-degree arithmetic.  What it shares is :class:`UnivariatePoly`, whose
-product it calls.  It works on exact ints wherever the coefficients are
+``<e, a>`` with value ``q * prod(c_i^a_i)``, and the order is the
+lowest degree whose terms do not cancel.  A witness the search finds is
+rebuilt as a :class:`TestCurve`; the element's order and every
+generator's order are re-derived once through :func:`pullback` and kept
+in the :class:`Witness`.  The analyzer replays each of them through
+:func:`pullback_dense`, which recomputes everything by plain repeated
+multiplication and shares no code with the search's integer kernel or
+with :func:`pullback`: not their integer lifts, not their degree
+arithmetic.  What it shares is :class:`UnivariatePoly`, whose product
+it calls.  It works on exact ints wherever the coefficients are
 integral, with a power table per arc built for the call.
 
 The enumeration comes in *blocks*: one exponent tuple with every
-coefficient pattern.  Degrees depend only on the exponents, so the
-kernel groups terms by degree once per block; values depend only on the
-pattern, so they are computed once per pattern and kept by its index.
-Within a block the ideal's order often needs no value at all: no
-generator vanishes below its lowest degree, and a single term never
-vanishes along arcs with nonzero coefficients.  So when the lowest
-degree over all generators, ``d_min``, is reached by a generator whose
-lowest group is a single term, the ideal's order is ``d_min`` for every
-pattern of the block.  Without such a lead, the generators are summed
-in order of their lowest degree, until none left can go lower.  When
-the element's lowest group is a single term too, at ``e0``, the block
-is settled whole: its first pattern is a witness if ``e0 < d_min``, and
-otherwise every pattern has the gap ``e0 - d_min``.  In the other
-blocks, once a smallest gap ``best_gap`` is known, the element's order
-is read only below ``ideal order + best_gap``: an order at or above it
-is neither a witness nor a smaller gap.
+coefficient pattern.  Degrees depend only on the exponents, so each
+polynomial's terms are grouped by degree once per block; whether a
+group cancels depends only on the pattern.  So the kernel keeps, per
+distinct group, two bitmasks over the patterns (Python ints): the
+patterns evaluated so far and those along which the group does not
+cancel.  It values each pattern's terms once, and only for patterns
+asked for and not yet seen; a single term needs no value, since the
+searched arc coefficients are nonzero.
+
+A *window* of patterns is decided at once, as *level sets*: per degree,
+the mask of the patterns whose order it is.  One ascending-degree sweep
+merges all generators' groups and stops once every pattern has its
+ideal order; a pattern never covered has infinite ideal order.  The
+element's groups are swept likewise, but once a smallest gap
+``best_gap`` is known, a pattern of ideal order ``d`` is read only below
+``d + best_gap``: an element order at or above it is neither a witness
+nor a smaller gap.  The witness is the lowest pattern whose element
+order is below its ideal order; ``best_gap`` is the smallest
+``de - di`` over an element level ``de`` and an ideal level ``di`` that
+share a pattern.  Each window is as large as the curves tried before
+it, at least one: the first block is decided 1, 1, 2, 4, ... patterns
+at a time and every later block whole, so a witness at the ``n``-th
+curve is found after deciding at most ``2n`` curves.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .groebner import Ideal, _integer_terms
@@ -91,6 +98,8 @@ class AuditError(RuntimeError):
 @dataclass(frozen=True)
 class TestCurve:
     """One arc per ring variable, all vanishing at the origin."""
+
+    __test__ = False  # a library class, not a pytest test class
 
     ring: RingContext
     components: tuple[UnivariatePoly, ...]
@@ -313,79 +322,93 @@ class _OrderKernel:
     denominators, which leaves every order unchanged).  A term's degree
     depends only on the arc exponents and its value only on the arc
     coefficients.  So :meth:`enter` groups the terms by degree once per
-    block and keeps only the current block's groups; term values are
-    kept per coefficient pattern, by the pattern's index, which names
-    the same pattern in every block.  Values stay exact for rational
+    block, and whether a group cancels depends on the pattern alone:
+    :meth:`live` keeps, per distinct group, two bitmasks over
+    ``patterns`` (bit ``i`` stands for ``patterns[i]``), the patterns
+    it has evaluated and those along which the group does not cancel.
+    Term values are computed once per pattern, and a single term needs
+    none along the patterns of the mask ``plain``, which must hold only
+    patterns without a zero coefficient.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
     """
 
-    __slots__ = ("terms", "_groups", "_values")
-
-    def __init__(self, p: Polynomial):
+    def __init__(self, p: Polynomial, patterns: Sequence[tuple], plain: int):
         _, self.terms = _integer_terms(p.terms)
-        self._groups: list[tuple[int, tuple[int, ...]]] = []
-        self._values: list[list[int] | None] = []
+        self.patterns = patterns
+        self._plain = plain
+        self._values: list[list[int] | None] = [None] * len(patterns)
+        self._masks: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def enter(self, arc_exps: tuple) -> list[tuple[int, tuple[int, ...]]]:
-        """Make ``arc_exps`` the current block; its ``(degree, term
-        indices)`` groups, lowest degree first."""
+        """The ``(degree, term indices)`` groups along ``arc_exps``,
+        lowest degree first."""
         by_degree: dict[int, list[int]] = {}
         for index, (exps, _) in enumerate(self.terms):
             degree = sum(map(mul, arc_exps, exps))
             by_degree.setdefault(degree, []).append(index)
-        self._groups = [(d, tuple(m)) for d, m in sorted(by_degree.items())]
-        return self._groups
+        return [(d, tuple(m)) for d, m in sorted(by_degree.items())]
 
     def _term_values(self, arc_coeffs: tuple) -> list[int]:
         values = []
         for exps, q in self.terms:
             for c, a in zip(arc_coeffs, exps):
-                q *= c**a
+                if a:
+                    q *= c**a
             values.append(q)
         return values
 
-    def values_at(self, index: int, arc_coeffs: tuple) -> list[int]:
-        """Term values at the block's ``index``-th pattern, computed once."""
-        cache = self._values
-        if index >= len(cache):
-            cache.extend([None] * (index + 1 - len(cache)))
-        values = cache[index]
+    def values_at(self, index: int) -> list[int]:
+        """Term values along the ``index``-th pattern, computed once."""
+        values = self._values[index]
         if values is None:
-            values = cache[index] = self._term_values(arc_coeffs)
+            values = self._values[index] = self._term_values(self.patterns[index])
         return values
 
-    def order_at(self, index: int, arc_coeffs: tuple, limit=math.inf):
-        """Order along the current block's ``index``-th pattern, or
-        ``limit`` if that is lower; degrees at or above ``limit`` are
-        never summed."""
-        values = self.values_at(index, arc_coeffs)
-        for degree, members in self._groups:
-            if degree >= limit:
-                return limit
-            if sum(map(values.__getitem__, members)):
-                return degree
-        return limit
+    def live(self, members: tuple[int, ...], ask: int) -> int:
+        """The patterns in the mask ``ask`` along which the terms
+        ``members`` do not cancel; only patterns not asked before are
+        evaluated."""
+        seen, live = self._masks.get(members, (0, 0))
+        todo = ask & ~seen
+        if todo:
+            if len(members) == 1:
+                live |= todo & self._plain
+                todo &= ~self._plain
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                values = self.values_at(low.bit_length() - 1)
+                if sum(map(values.__getitem__, members)):
+                    live |= low
+            self._masks[members] = (seen | ask, live)
+        return live & ask
 
 
-def _block_leads(family: list[_OrderKernel], arc_exps: tuple):
-    """``(d_min, lead, ordered)`` for one block.
+def _levels(groups, ask: int, drops=()) -> tuple[list[tuple[int, int]], int]:
+    """Level sets of an order over the patterns in the mask ``ask``.
 
-    Every kernel in ``family`` has terms.  ``ordered`` holds
-    ``(first-group degree, kernel)`` for each, lowest degree first;
-    ``d_min`` is the lowest of those degrees.  ``lead`` says whether
-    some generator's first group sits at ``d_min`` and is a single
-    term: that term is nonzero along every searched arc, so the ideal's
-    order is then ``d_min`` for every pattern of the block.
+    ``groups`` are ``(degree, kernel, members)``, lowest degree first;
+    along a pattern, the order is the lowest degree of a group that does
+    not cancel there.  ``drops`` are ``(degree, mask)``, lowest degree
+    first: from ``degree`` on, the patterns of ``mask`` are not read.
+    Returns ``(levels, rest)``: the ``(degree, mask)`` levels, lowest
+    first, and the patterns of ``ask`` that no level holds and no drop
+    removed, which is where the order is infinite.  The sweep stops
+    once every pattern has its level.
     """
-    firsts = sorted(
-        ((k.enter(arc_exps)[0], k) for k in family),
-        key=lambda first: first[0][0],
-    )
-    d_min = firsts[0][0][0] if firsts else math.inf
-    lead = any(
-        degree == d_min and len(members) == 1 for (degree, members), _ in firsts
-    )
-    return d_min, lead, [(degree, k) for (degree, _), k in firsts]
+    levels = []
+    j = 0
+    for degree, kernel, members in groups:
+        while j < len(drops) and drops[j][0] <= degree:
+            ask &= ~drops[j][1]
+            j += 1
+        if not ask:
+            break
+        hits = kernel.live(members, ask)
+        if hits:
+            levels.append((degree, hits))
+            ask ^= hits
+    return levels, ask
 
 
 @dataclass(frozen=True)
@@ -425,12 +448,12 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     it must be an ``int`` of at least 1.  A ``bool`` is refused for
     either, with ``ValueError`` like every other invalid value.
 
-    The curves are walked one block (exponent tuple) at a time, with the
-    leads, block settlement and the limit of the module docstring, and
-    nothing is computed for the curves after a witness.
-    A witness's orders are re-derived by :func:`pullback` on the
-    unfolded polynomials.  The search keeps nothing between calls and
-    writes nothing into its arguments.
+    The curves are decided a window of patterns at a time, with the
+    masks, sweeps and windows of the module docstring, and nothing is
+    computed past the window that holds a witness.  A witness's orders
+    are re-derived by :func:`pullback` on the unfolded polynomials.  The
+    search keeps nothing between calls and writes nothing into its
+    arguments.
     """
     _require_count("max_exponent", max_exponent, 1)
     _require_count("budget", budget, 0)
@@ -438,53 +461,56 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
         raise RingError("element and ideal live in different rings")
     if element.is_zero:
         return SearchReport(0, False, max_exponent, None)
-    target = _OrderKernel(element)
-    family = [_OrderKernel(g) for g in ideal.generators]
-    family = [kernel for kernel in family if kernel.terms]
     tried = 0
     best_gap: int | None = None
     exhausted = False
     for exps, patterns in _profiles(ideal.ring, max_exponent):
-        if tried + len(patterns) > budget:
-            patterns = patterns[: budget - tried]
-            exhausted = True
-        groups = target.enter(exps)
-        d_min, lead, ordered = _block_leads(family, exps)
-        if lead and patterns and groups and len(groups[0][1]) == 1:
-            # The element's lowest group is a single term too, so both
-            # orders are the same for every pattern of the block.
-            e0 = groups[0][0]
-            if e0 < d_min:
-                curve = _monomial_curve(ideal.ring, exps, patterns[0])
-                return _confirmed_witness(curve, element, ideal, e0, d_min)
-            tried += len(patterns)
-            if best_gap is None or e0 - d_min < best_gap:
-                best_gap = e0 - d_min
-        else:
-            for index, coeffs in enumerate(patterns):
-                if lead:
-                    ideal_order = d_min
-                else:
-                    ideal_order = math.inf
-                    for first, kernel in ordered:
-                        if first >= ideal_order:
-                            break
-                        ideal_order = kernel.order_at(index, coeffs, ideal_order)
-                tried += 1
-                # No witness was found, so best_gap >= 0, and an order at
-                # or above ideal_order + best_gap is neither a witness nor
-                # a lower gap.
-                limit = math.inf if best_gap is None else ideal_order + best_gap
-                element_order = target.order_at(index, coeffs, limit)
-                if element_order < ideal_order:
-                    curve = _monomial_curve(ideal.ring, exps, coeffs)
-                    return _confirmed_witness(
-                        curve, element, ideal, element_order, ideal_order
-                    )
-                if element_order is not math.inf and ideal_order is not math.inf:
-                    gap = element_order - ideal_order
-                    if best_gap is None or gap < best_gap:
-                        best_gap = gap
+        if not tried:
+            # The first block.  Every block shares its list of patterns,
+            # and no term vanishes along any of them: ARC_COEFFICIENTS
+            # are nonzero.
+            plain = (1 << len(patterns)) - 1
+            target = _OrderKernel(element, patterns, plain)
+            family = [_OrderKernel(g, patterns, plain) for g in ideal.generators]
+            family = [kernel for kernel in family if kernel.terms]
+        count = min(len(patterns), budget - tried)
+        exhausted = count < len(patterns)
+        element_groups = [(d, target, m) for d, m in target.enter(exps)]
+        ideal_groups = [(d, k, m) for k in family for d, m in k.enter(exps)]
+        ideal_groups.sort(key=itemgetter(0))
+        start = 0
+        while start < count:
+            # Each window is as large as the curves tried before it.
+            stop = min(count, start + max(1, tried))
+            window = (1 << stop) - (1 << start)
+            ideal_levels, vanishing = _levels(ideal_groups, window)
+            # No witness was found, so best_gap >= 0, and an element
+            # order at or above ideal order + best_gap is neither a
+            # witness nor a lower gap.
+            drops = []
+            if best_gap is not None:
+                drops = [(d + best_gap, m) for d, m in ideal_levels]
+            element_levels, _ = _levels(element_groups, window, drops)
+            witnesses = 0
+            for de, reached in element_levels:
+                below = vanishing
+                for di, level in ideal_levels:
+                    if di > de:
+                        below |= level
+                    elif reached & level and (best_gap is None or de - di < best_gap):
+                        best_gap = de - di
+                witnesses |= reached & below
+            if witnesses:
+                first = witnesses & -witnesses
+                element_order = next(d for d, m in element_levels if m & first)
+                ideal_order = next((d for d, m in ideal_levels if m & first), math.inf)
+                coeffs = patterns[first.bit_length() - 1]
+                curve = _monomial_curve(ideal.ring, exps, coeffs)
+                return _confirmed_witness(
+                    curve, element, ideal, element_order, ideal_order
+                )
+            tried += stop - start
+            start = stop
         if exhausted:
             break
     return SearchReport(tried, exhausted, max_exponent, best_gap)

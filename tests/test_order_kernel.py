@@ -24,7 +24,7 @@ from liptriv.curves import (
     format_curve,
     pullback_dense,
 )
-from liptriv.curves import _block_leads, _monomial_curve, _OrderKernel, _profiles
+from liptriv.curves import _levels, _monomial_curve, _OrderKernel, _profiles
 from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
 from liptriv.rings import Polynomial, parse_polynomial
@@ -65,20 +65,58 @@ def dense_order(p, exps, coeffs):
     return pullback_dense(p, _monomial_curve(p.ring, exps, coeffs)).order_of_vanishing()
 
 
-def kernel_order(p, exps, coeffs, limit=math.inf):
-    """The kernel's order along one curve: a one-pattern block."""
-    kernel = _OrderKernel(p)
-    kernel.enter(exps)
-    return kernel.order_at(0, coeffs, limit)
+def plain_mask(patterns):
+    """The patterns without a zero coefficient, along which no single
+    term vanishes."""
+    return sum(1 << i for i, coeffs in enumerate(patterns) if all(coeffs))
+
+
+def kernel_orders(p, exps, patterns, asks, drop=None):
+    """The kernel's order along each pattern, read from the level sets
+    of one block over the given masks in turn (later masks reuse what
+    earlier ones evaluated).  With ``drop``, degrees from ``drop`` on
+    are not read, and a pattern whose order is not read gets ``drop``."""
+    kernel = _OrderKernel(p, patterns, plain_mask(patterns))
+    groups = [(d, kernel, m) for d, m in kernel.enter(exps)]
+    orders = {}
+    for ask in asks:
+        drops = [] if drop is None else [(drop, ask)]
+        levels, rest = _levels(groups, ask, drops)
+        for i in range(len(patterns)):
+            if ask >> i & 1:
+                reached = [d for d, mask in levels if mask >> i & 1]
+                assert len(reached) <= 1 and not (reached and rest >> i & 1)
+                if reached:
+                    orders[i] = reached[0]
+                else:
+                    orders[i] = math.inf if rest >> i & 1 else drop
+    return [orders[i] for i in range(len(patterns))]
+
+
+patterns_strategy = st.lists(
+    st.tuples(*(st.sampled_from(KERNEL_COEFFICIENTS) for _ in range(DXY.arity))),
+    min_size=1,
+    max_size=6,
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(poly_strategy(DXY), profiles(), st.integers(0, 12))
-def test_kernel_order_matches_dense_pullback(p, profile, limit):
+@given(poly_strategy(DXY), profiles(), patterns_strategy, st.integers(0, 12), st.data())
+def test_kernel_order_matches_dense_pullback(p, profile, patterns, drop, data):
+    # Per-pattern orders read from the level sets, on arcs with zero,
+    # negative and fractional coefficients, over one mask or two.
     exps, coeffs = profile
-    expected = dense_order(p, exps, coeffs)
-    assert kernel_order(p, exps, coeffs) == expected
-    assert kernel_order(p, exps, coeffs, limit) == min(expected, limit)
+    patterns = [coeffs] + patterns
+    full = (1 << len(patterns)) - 1
+    part = data.draw(st.integers(0, full))
+    expected = [dense_order(p, exps, c) for c in patterns]
+    assert kernel_orders(p, exps, patterns, [full]) == expected
+    assert kernel_orders(p, exps, patterns, [part, full]) == expected
+    # An order the drop cuts off is not read: it reads as the drop, or
+    # as infinite when no group reaches it.
+    dropped = kernel_orders(p, exps, patterns, [full], drop)
+    for got, order in zip(dropped, expected):
+        assert got == order if order < drop else got in (drop, math.inf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,8 +129,8 @@ def test_kernel_sees_cancellation_of_differences(q, profile):
         + [((0,) * 2 + e, -c) for e, c in q.terms],
     )
     exps, coeffs = profile
-    assert kernel_order(p, exps, coeffs) == dense_order(p, exps, coeffs)
-    assert kernel_order(p, exps[:2] * 2, coeffs[:2] * 2) is math.inf
+    assert kernel_orders(p, exps, [coeffs], [1]) == [dense_order(p, exps, coeffs)]
+    assert kernel_orders(p, exps[:2] * 2, [coeffs[:2] * 2], [1]) == [math.inf]
 
 
 def reference_curves(ring, max_exponent):
@@ -221,24 +259,29 @@ def test_budget_at_the_end_of_the_stream(ring, max_exponent):
         assert got.budget_exhausted == (budget < stream)
 
 
-def test_single_term_lead_fixes_the_block():
-    # Along the arcs (s, s, s, s) the generator x is the only term of the
-    # lowest degree, so it leads the block.  x - x' has two terms there,
-    # which cancel along the mirrored patterns, so it leads nothing, and
-    # neither does the single term x^2 above it.
-    def leads(texts, exps):
-        family = [_OrderKernel(parse_polynomial(t, DXY)) for t in texts]
-        return _block_leads(family, exps)[:2]
+def test_ideal_sweep_covers_the_block_from_the_lowest_degree():
+    # Along the arcs (s, s, s, s) the single term x covers every pattern
+    # at degree 1 before any value is read; x - x' covers only the
+    # patterns where the arcs of x and x' differ, and y^3 the rest.
+    exps, patterns = next(_profiles(DXY, 2))
+    full = (1 << len(patterns)) - 1
+    # The search takes every pattern as plain: ARC_COEFFICIENTS are nonzero.
+    assert plain_mask(patterns) == full
 
-    assert leads(("x", "y^2 - x'^2"), (1, 1, 1, 1)) == (1, True)
-    assert leads(("x", "y^2 - x'^2"), (2, 1, 1, 1)) == (2, True)
-    assert leads(("x - x'", "y^3"), (1, 1, 1, 1)) == (1, False)
-    assert leads(("x^2", "x - x'"), (1, 1, 1, 1)) == (1, False)
-    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x - x'", "y^3")])
-    for text in ("y", "y^2", "x^2 - x*x'"):
-        element = parse_polynomial(text, DXY)
-        got = closure_test(element, ideal, 500, 2)
-        assert as_tuple(got) == reference_search(element, ideal, 500, 2)
+    def sweep(texts):
+        family = [_OrderKernel(parse_polynomial(t, DXY), patterns, full) for t in texts]
+        groups = sorted(
+            ((d, kernel, m) for kernel in family for d, m in kernel.enter(exps)),
+            key=lambda group: group[0],
+        )
+        return _levels(groups, full), family
+
+    (levels, rest), family = sweep(("x", "y^2 - x'^2"))
+    assert levels == [(1, full)] and rest == 0
+    assert all(values is None for kernel in family for values in kernel._values)
+    (levels, rest), _ = sweep(("x - x'", "y^3"))
+    differ = sum(1 << i for i, coeffs in enumerate(patterns) if coeffs[0] != coeffs[2])
+    assert levels == [(1, differ), (3, full ^ differ)] and rest == 0
 
 
 def test_enumeration_flattens_the_blocks():
@@ -254,74 +297,81 @@ def test_enumeration_flattens_the_blocks():
         assert flat == [format_curve(c) for c in reference_curves(ring, 3)]
 
 
-# A block is settled whole when the ideal has a single-term lead at
-# d_min and the element's lowest group is a single term at e0: both
-# orders are then the same for every pattern.  Past the first gap the
-# element's order is read only below ideal order + best gap.
+# Whether a group of terms cancels depends on the pattern alone, so a
+# kernel evaluates each of its groups at most once per pattern, over
+# the whole search; a single term needs no value along the searched
+# arcs, whose coefficients are nonzero.  The first block is decided in
+# windows of 1, 1, 2, 4, ... patterns, so a witness early in the
+# stream values no pattern after it.
 
 
 def traced_search(monkeypatch, element, ideal, budget, max_exponent):
-    """``closure_test``'s result, with the element-order reads it made:
-    ``(limit, order)`` per curve whose element order was read."""
-    reads = []
-    built = []
-    init, order_at = _OrderKernel.__init__, _OrderKernel.order_at
+    """``closure_test``'s result, checked against ``reference_search``,
+    with the valuations it made: ``(kernel, members, pattern index)``
+    for each group evaluated at a pattern."""
+    valued = []
+    asking = []
+    live, values_at = _OrderKernel.live, _OrderKernel.values_at
 
-    def record(kernel, p):
-        init(kernel, p)
-        built.append(kernel)
+    def spy_live(kernel, members, ask):
+        asking.append(members)
+        try:
+            return live(kernel, members, ask)
+        finally:
+            asking.pop()
 
-    def spy(kernel, index, arc_coeffs, limit=math.inf):
-        order = order_at(kernel, index, arc_coeffs, limit)
-        # closure_test builds the element's kernel first.
-        if kernel is built[0]:
-            reads.append((limit, order))
-        return order
+    def spy_values(kernel, index):
+        valued.append((kernel, asking[-1], index))
+        return values_at(kernel, index)
 
-    monkeypatch.setattr(_OrderKernel, "__init__", record)
-    monkeypatch.setattr(_OrderKernel, "order_at", spy)
+    monkeypatch.setattr(_OrderKernel, "live", spy_live)
+    monkeypatch.setattr(_OrderKernel, "values_at", spy_values)
     result = closure_test(element, ideal, budget, max_exponent)
     monkeypatch.undo()
-    assert built[0].terms == _OrderKernel(element).terms
     assert as_tuple(result) == reference_search(element, ideal, budget, max_exponent)
-    return result, reads
+    return result, valued
+
+
+def assert_valued_once(valued):
+    keys = [(id(kernel), members, index) for kernel, members, index in valued]
+    assert len(keys) == len(set(keys))
+    assert all(len(members) > 1 for _, members, _ in valued)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases())
+def test_each_group_is_valued_once_per_pattern(case):
+    ideal, elements, max_exponent, budgets = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for element, budget in zip(elements, budgets):
+            _, valued = traced_search(monkeypatch, element, ideal, budget, max_exponent)
+            assert_valued_once(valued)
 
 
 @pytest.mark.parametrize(
     "ring,generators,element,witness",
     [
-        # x and y^3 are single terms; y^2 drops below x once e_x > 2 e_y.
-        (DXY, ("x", "y^3"), "y^2", "s^3, s, s, s"),
-        # t^3 and x^2 are single terms: every block has a lead.
-        (DTX, ("t^3", "x^2"), "t*x'", "s, s^2, s"),
+        # x^2 - x'^2 cancels along both patterns; y - y' along the first.
+        (DXY, ("x^2 - x'^2", "y^3"), "y - y'", "s, s, s, 2*s"),
+        # t is its own mirror; x - x' cancels along the first pattern.
+        (DTX, ("t^2", "x^2 - x'^2"), "x - x'", "s, s, 2*s"),
     ],
     ids=["untied", "tied"],
 )
-def test_settled_block_yields_its_first_pattern(monkeypatch, ring, generators, element, witness):
+def test_witness_at_second_pattern_values_two_patterns(
+    monkeypatch, ring, generators, element, witness
+):
     ideal = Ideal(ring, [parse_polynomial(t, ring) for t in generators])
     element = parse_polynomial(element, ring)
-    got, reads = traced_search(monkeypatch, element, ideal, 4000, 3)
+    got, valued = traced_search(monkeypatch, element, ideal, 4000, 3)
     assert isinstance(got, Witness)
     assert format_curve(got.curve) == witness
-    # Every block up to the witness was settled: no element order was
-    # read, and the witness is its block's first pattern.
-    assert reads == []
-    first = next(_profiles(ring, 3))[1][0]
-    assert [c.coeffs[-1] for c in got.curve.components] == list(first)
-
-
-def test_exhausted_search_gap_from_settled_and_limited_blocks(monkeypatch):
-    # Along e_x != e_y the element's lowest group is one term and the
-    # block is settled (gap min(e_x, e_y)); along e_x == e_y it is
-    # x^3 + y^3, which never cancels for positive arc coefficients, so
-    # its order is read, below the limit once best_gap is known.
-    ideal = Ideal(DXY, [parse_polynomial(t, DXY) for t in ("x^2", "y^2")])
-    element = parse_polynomial("x^3 + y^3", DXY)
-    got, reads = traced_search(monkeypatch, element, ideal, 200, 2)
-    assert isinstance(got, SearchReport)
-    assert got.budget_exhausted and got.curves_tried == 200 and got.best_gap == 1
-    assert 0 < len(reads) < got.curves_tried
-    assert any(order == limit < math.inf for limit, order in reads)
+    exps, patterns = next(_profiles(ring, 3))
+    assert got.curve == _monomial_curve(ring, exps, patterns[1])
+    indices = {}
+    for kernel, _, index in valued:
+        indices.setdefault(id(kernel), set()).add(index)
+    assert indices and all(seen <= {0, 1} for seen in indices.values())
 
 
 def test_proven_catalog_cell_matches_reference(monkeypatch):
@@ -331,9 +381,9 @@ def test_proven_catalog_cell_matches_reference(monkeypatch):
     u = build_unfolding(nf.matrix, nf.theta({"b2": 1}))
     ideal = unfolding_double_ideal(u)
     for element in direction_double_ideal(u).generators:
-        got, reads = traced_search(monkeypatch, element, ideal, 600, nf.max_exponent)
+        got, valued = traced_search(monkeypatch, element, ideal, 600, nf.max_exponent)
         assert isinstance(got, SearchReport) and got.curves_tried == 600
-        # Both kinds of block occur: settled ones read no element order,
-        # and most of the others stop at the limit.
-        assert 0 < len(reads) < got.curves_tried
-        assert any(order == limit < math.inf for limit, order in reads)
+        # Some groups cancel along some patterns, so values are read,
+        # but each group at each pattern once.
+        assert valued
+        assert_valued_once(valued)

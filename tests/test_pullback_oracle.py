@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from liptriv import RingContext
 from liptriv import curves as curves_module
-from liptriv.curves import TestCurve as Curve
-from liptriv.curves import pullback, pullback_dense
+from liptriv.curves import TestCurve, pullback, pullback_dense
 from liptriv.rings import (
     ExponentOverflow,
     Polynomial,
@@ -64,7 +63,7 @@ any_arc = st.one_of(zero_arc, monomial_arc, general_arc)
 
 def curves(ring, arc):
     return st.tuples(*(arc for _ in range(ring.arity))).map(
-        lambda comps: Curve(ring, comps)
+        lambda comps: TestCurve(ring, comps)
     )
 
 
