@@ -149,12 +149,26 @@ class TestMalformedCertificates:
         certificate = {"type": "inclusion", "data": junk}
         assert not verify_inclusion_certificate(replace(verdict, certificate=certificate))
 
-    @pytest.mark.parametrize("text", ["x +* y", "q"])
+    @pytest.mark.parametrize("text", ["x +* y", "q", 5, None, 1.5])
     def test_unparsable_cofactor(self, text):
         verdict = run(2, {"d1": 1, "d2": 2}, k=4)
 
         def edit(data):
             data["memberships"][0]["cofactors"][0]["cofactor"] = text
+
+        assert not verify_inclusion_certificate(self.tampered(verdict, edit))
+
+    @pytest.mark.parametrize("junk", [5, None, 1.5])
+    @pytest.mark.parametrize("field", ["generator", "basis"])
+    def test_non_text_generator_or_basis(self, field, junk):
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+
+        def edit(data):
+            membership = data["memberships"][0]
+            if field == "generator":
+                membership["generator"] = junk
+            else:
+                membership["cofactors"][0]["basis"] = junk
 
         assert not verify_inclusion_certificate(self.tampered(verdict, edit))
 

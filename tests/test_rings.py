@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liptriv import RingContext
 from liptriv.rings import (
@@ -18,6 +20,7 @@ from liptriv.rings import (
 )
 
 XY = RingContext(("x", "y"))
+DOUBLED = RingContext(("t", "x", "y")).doubled_extension()
 
 
 def poly(text, ring=XY):
@@ -131,9 +134,65 @@ class TestParsing:
         with pytest.raises(ParseError):
             poly("z + 1")
 
-    def test_malformed_rejected(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x ++ y",
+            "x*",
+            "*x",
+            "x^",
+            "x^-1",
+            "x^2/3",
+            "x^2^3",
+            "1/0",
+            "-",
+            "   ",
+            "x2",
+            "0.5*x",
+        ],
+    )
+    def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):
-            poly("x ++ y")
+            poly(text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2 3x", "6*x"),
+            ("x x", "x^2"),
+            ("x ^ 2", "x^2"),
+            ("+x", "x"),
+            ("2\t*\nx\n^\t2\t-\n y", "2*x^2 - y"),
+        ],
+    )
+    def test_accepted_spellings(self, text, expected):
+        assert poly(text) == poly(expected)
+
+    def test_primed_powers_juxtaposed(self):
+        doubled = XY.doubled_extension()
+        assert parse_polynomial("x'^2y'", doubled) == parse_polynomial(
+            "x'^2*y'", doubled
+        )
+
+    def test_exponent_past_cap_overflows(self):
+        with pytest.raises(ExponentOverflow):
+            poly("x^65")
+        with pytest.raises(ExponentOverflow):
+            poly("x^40 x^40")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(*(st.integers(0, 4) for _ in range(DOUBLED.arity))),
+                st.fractions(min_value=-9, max_value=9, max_denominator=7),
+            ),
+            max_size=6,
+        )
+    )
+    def test_printed_text_parses_back(self, terms):
+        p = Polynomial(DOUBLED, terms)
+        assert parse_polynomial(str(p), DOUBLED) == p
 
     def test_decimal_literal_rejected(self):
         with pytest.raises(ParseError):
