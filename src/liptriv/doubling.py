@@ -287,9 +287,7 @@ class Unfolding:
 @functools.cache
 def _parameter_extension(ring: RingContext) -> RingContext:
     """``ring`` with :data:`PARAMETER` adjoined first; one per ring."""
-    return RingContext(
-        (PARAMETER,) + ring.variables, ring.order, False, ring.exponent_cap
-    )
+    return RingContext((PARAMETER,) + ring.variables, False, ring.exponent_cap)
 
 
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:

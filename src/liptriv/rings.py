@@ -3,9 +3,11 @@
 Everything downstream (Groebner bases, ideal doubling, arc pullbacks,
 jet-space linear algebra) rests on the two classes here:
 
-* :class:`RingContext` fixes an ordered tuple of variable names and a
-  monomial order.  It is the unit of compatibility: polynomials interact
-  only when they carry equal contexts.
+* :class:`RingContext` fixes an ordered tuple of variable names.  Every
+  ring orders its monomials by grevlex, the graded reverse
+  lexicographic order (Cox–Little–O'Shea, *Ideals, Varieties, and
+  Algorithms*, §2.2).  A ring is the unit of compatibility: polynomials
+  interact only when they carry equal contexts.
 * :class:`Polynomial` is an immutable sparse polynomial with
   :class:`fractions.Fraction` coefficients.  Terms are kept sorted with
   the leading term first, so leading-term queries are O(1) and equal
@@ -15,9 +17,9 @@ The :class:`Polynomial` constructor is for outside input: it validates,
 merges and sorts whatever term stream it is given.  Arithmetic never
 goes back through it.  Its operands are already canonical, so a sum or
 difference is a linear merge of two sorted term tuples, a product with
-a single term is an exponent shift that keeps the order (grevlex and
-lex are monomial orders), and only a general product sorts, once.  The
-one check left on these paths is the ring's exponent cap.
+a single term is an exponent shift that keeps the order (grevlex is a
+monomial order), and only a general product sorts, once.  The one check
+left on these paths is the ring's exponent cap.
 
 Coefficients are exact by construction; float inputs are rejected rather
 than coerced.  A small univariate companion type (:class:`UnivariatePoly`)
@@ -32,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 __all__ = [
     "DEFAULT_EXPONENT_CAP",
@@ -50,9 +52,7 @@ __all__ = [
     "parse_polynomial",
     "parse_univariate",
     "partial_derivative",
-    "polynomial_to_univariate",
     "primed",
-    "substitute",
 ]
 
 #: Exponent vector, one entry per ring variable.
@@ -110,46 +110,46 @@ def _as_scalar(value) -> Fraction:
 
 @dataclass(frozen=True)
 class RingContext:
-    """An ordered polynomial ring over the rationals.
+    """A polynomial ring over the rationals, ordered by grevlex.
 
-    ``order`` is ``"grevlex"`` (graded reverse lexicographic, the default)
-    or ``"lex"``.  ``doubled`` marks rings produced by
-    :meth:`doubled_extension`, which appends a primed mirror of every
+    ``variables`` is a sequence of distinct names (not one string);
+    the first variable is the largest.  ``doubled`` marks rings produced
+    by :meth:`doubled_extension`, which appends a primed mirror of every
     variable but :data:`PARAMETER`; doubling twice is an error.
-    ``exponent_cap`` bounds every exponent that can appear in the ring,
-    so runaway computations fail loudly instead of silently growing.
+    ``exponent_cap``, a positive ``int``, bounds every exponent that can
+    appear in the ring, so runaway computations fail loudly instead of
+    silently growing.
     """
 
     variables: tuple[str, ...]
-    order: str = "grevlex"
     doubled: bool = False
     exponent_cap: int = DEFAULT_EXPONENT_CAP
 
     def __post_init__(self) -> None:
+        if isinstance(self.variables, str):
+            raise RingError(f"variables must be a sequence of names, not {self.variables!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         if not self.variables:
             raise RingError("a ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise RingError(f"duplicate variable names in {self.variables}")
         for name in self.variables:
-            if not _NAME_RE.fullmatch(name):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise RingError(f"bad variable name {name!r}")
-        if self.order not in ("grevlex", "lex"):
-            raise RingError(f"unknown monomial order {self.order!r}")
-        if self.exponent_cap < 1:
-            raise RingError("exponent cap must be positive")
+        cap = self.exponent_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise RingError(f"exponent cap must be a positive int, not {cap!r}")
 
     def __eq__(self, other):
         # Shared rings meet themselves far more often than an equal copy,
         # so identity is tried before the fields.  The dataclass still
-        # derives ``__hash__`` from the same four fields.
+        # derives ``__hash__`` from the same three fields.
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
             self.variables == other.variables
-            and self.order == other.order
             and self.doubled == other.doubled
             and self.exponent_cap == other.exponent_cap
         )
@@ -164,11 +164,12 @@ class RingContext:
         except ValueError:
             raise RingError(f"{name!r} is not a variable of {self.variables}") from None
 
-    def sort_key(self, exps: Monomial):
-        """Key that sorts monomials ascending in this ring's order."""
-        if self.order == "grevlex":
-            return (sum(exps), tuple(map(neg, exps[::-1])))
-        return exps
+    @staticmethod
+    def sort_key(exps: Monomial):
+        """Key that sorts monomials ascending in grevlex: by total degree,
+        and within one degree the monomial with the smaller exponent in
+        the last variable where two differ is the larger."""
+        return (sum(exps), tuple(map(neg, exps[::-1])))
 
     def doubled_extension(self) -> "RingContext":
         """The ring with a primed mirror appended for every variable but
@@ -222,7 +223,7 @@ def _doubled_extension(ring: RingContext) -> RingContext:
         if primed(v) in ring.variables:
             raise RingError(f"cannot double: the mirror {primed(v)!r} of {v!r} is already a variable")
     mirror = tuple(map(primed, mirrored))
-    return RingContext(ring.variables + mirror, ring.order, True, ring.exponent_cap)
+    return RingContext(ring.variables + mirror, True, ring.exponent_cap)
 
 
 @functools.cache
@@ -238,7 +239,7 @@ def _mirror_indices(ring: RingContext) -> tuple[int, ...]:
 @functools.cache
 def _half(ring: RingContext) -> RingContext:
     n = len(_mirror_indices(ring))
-    return RingContext(ring.variables[:n], ring.order, False, ring.exponent_cap)
+    return RingContext(ring.variables[:n], False, ring.exponent_cap)
 
 
 class Polynomial:
@@ -333,14 +334,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.ring.arity)
-
-    def variables_present(self) -> frozenset[str]:
-        names = set()
-        for exps, _ in self.terms:
-            for name, e in zip(self.ring.variables, exps):
-                if e:
-                    names.add(name)
-        return frozenset(names)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -556,121 +549,72 @@ def format_polynomial(p: Polynomial) -> str:
 
 # -- parsing ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
-    r"|(?P<op>[-+*^]))"
+#: One factor of a term: a rational number, or a variable with an
+#: optional integer power.  Each pattern skips the whitespace before it.
+_FACTOR_RE = re.compile(
+    r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*'*)(?:\s*\^\s*(\d+))?)"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind)))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None)
-
-    def next(self):
-        token = self.peek()
-        self.pos += 1
-        return token
+_SIGN_RE = re.compile(r"\s*([-+])")
+_STAR_RE = re.compile(r"\s*\*")
 
 
 def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
     """Parse ``text`` into a polynomial of ``ring``.
 
-    The grammar accepts rational coefficients (``3``, ``3/2``), powers
-    (``y^3``), explicit products (``2*x*y``), and juxtaposition
-    (``2x``).  Terms are separated by exactly one ``+`` or ``-``.
-    Unknown variable names and non-integer exponents are rejected.
+    A polynomial is an optional sign and then terms joined by exactly
+    one ``+`` or ``-``.  A term is one or more factors, written next to
+    each other (``2x``, ``x y``) or joined by ``*``.  A factor is a
+    coefficient (``3``, ``3/2``) or a variable of the ring with an
+    optional power of digits (``y^3``); the coefficients of a term
+    multiply.  Whitespace may stand between any two of these.
+
+    Text that is not a ``str``, or breaks this grammar, raises
+    :class:`ParseError`: unknown variable names, a zero denominator,
+    decimals and signed or fractional powers among it.  An exponent past
+    the ring's cap raises :class:`ExponentOverflow`.
     """
-    stream = _TokenStream(_tokenize(text))
-    if stream.peek() == (None, None):
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a str, not {type(text).__name__}")
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty polynomial text")
+    variables = ring.variables
     terms: list[tuple[Monomial, Fraction]] = []
-    sign = Fraction(1)
-    kind, value = stream.peek()
-    if kind == "op" and value in "+-":
-        stream.next()
-        if value == "-":
-            sign = Fraction(-1)
+    sign = _SIGN_RE.match(text)
+    negative = sign is not None and sign[1] == "-"
+    pos = sign.end() if sign else 0
+    coeff, exps = Fraction(1), [0] * ring.arity
     while True:
-        exps, coeff = _parse_term(stream, ring)
-        terms.append((exps, sign * coeff))
-        kind, value = stream.peek()
-        if kind is None:
-            break
-        if kind != "op" or value not in "+-":
-            raise ParseError(f"expected '+' or '-' before {value!r}")
-        stream.next()
-        sign = Fraction(1) if value == "+" else Fraction(-1)
-    return Polynomial(ring, terms)
-
-
-def _parse_term(stream: _TokenStream, ring: RingContext) -> tuple[Monomial, Fraction]:
-    coeff = Fraction(1)
-    exps = [0] * ring.arity
-    saw_factor = False
-    while True:
-        kind, value = stream.peek()
-        if kind == "op" and value == "*":
-            if not saw_factor:
-                raise ParseError("'*' without a preceding factor")
-            stream.next()
-            kind, value = stream.peek()
-            if kind not in ("number", "name"):
-                raise ParseError("'*' must be followed by a factor")
-        if kind == "number":
-            stream.next()
-            if "/" in value:
-                num, den = value.split("/")
-                if int(den) == 0:
-                    raise ParseError(f"zero denominator in {value!r}")
-                coeff *= Fraction(int(num), int(den))
-            else:
-                coeff *= int(value)
-            saw_factor = True
-        elif kind == "name":
-            stream.next()
-            idx = ring.index(value) if value in ring.variables else None
-            if idx is None:
-                raise ParseError(
-                    f"unknown variable {value!r}; ring has {ring.variables}"
-                )
-            power = 1
-            kind2, value2 = stream.peek()
-            if kind2 == "op" and value2 == "^":
-                stream.next()
-                kind3, value3 = stream.next()
-                if kind3 != "number" or "/" in value3:
-                    raise ParseError(f"exponent after '^' must be an integer")
-                power = int(value3)
-            exps[idx] += power
-            saw_factor = True
+        factor = _FACTOR_RE.match(text, pos)
+        if factor is None:
+            raise ParseError(f"expected a factor at position {pos}")
+        number, denominator, name, power = factor.groups()
+        if name is not None:
+            if name not in variables:
+                raise ParseError(f"unknown variable {name!r}; ring has {variables}")
+            exps[variables.index(name)] += 1 if power is None else int(power)
+        elif denominator is None:
+            coeff *= int(number)
+        elif int(denominator):
+            coeff *= Fraction(int(number), int(denominator))
         else:
-            break
-    if not saw_factor:
-        raise ParseError("expected a term")
-    return tuple(exps), coeff
+            raise ParseError(f"zero denominator in {factor[0].strip()!r}")
+        # After a factor comes the end, ``*`` and a factor, a sign and a
+        # new term, or a juxtaposed factor.
+        pos = factor.end()
+        if pos == end:
+            terms.append((tuple(exps), -coeff if negative else coeff))
+            return Polynomial(ring, terms)
+        star = _STAR_RE.match(text, pos)
+        if star is not None:
+            pos = star.end()
+            continue
+        sign = _SIGN_RE.match(text, pos)
+        if sign is not None:
+            terms.append((tuple(exps), -coeff if negative else coeff))
+            negative = sign[1] == "-"
+            pos = sign.end()
+            coeff, exps = Fraction(1), [0] * ring.arity
 
 
 # -- structural operations --------------------------------------------
@@ -691,57 +635,6 @@ def partial_derivative(p: Polynomial, name: str) -> Polynomial:
             lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
             terms.append((lowered, coeff * e))
     return Polynomial._raw(p.ring, tuple(terms))
-
-
-def substitute(
-    p: Polynomial,
-    images: Mapping[str, Union[Polynomial, Scalar]],
-    target: RingContext | None = None,
-) -> Polynomial:
-    """Apply the ring map sending each named variable to its image.
-
-    Every variable that actually occurs in ``p`` must have an image.
-    Polynomial images must all live in one ring, which becomes the
-    target; scalar images are allowed, and if every image is scalar the
-    target defaults to ``p.ring`` (or the explicit ``target``).
-    """
-    for name in images:
-        if name not in p.ring.variables:
-            raise RingError(f"{name!r} is not a variable of {p.ring.variables}")
-    if target is None:
-        for img in images.values():
-            if isinstance(img, Polynomial):
-                target = img.ring
-                break
-        else:
-            target = p.ring
-    resolved: dict[str, Polynomial] = {}
-    for name, img in images.items():
-        if isinstance(img, Polynomial):
-            if img.ring != target:
-                raise RingError("substitution images live in different rings")
-            resolved[name] = img
-        else:
-            resolved[name] = target.constant(_as_scalar(img))
-    missing = p.variables_present() - set(resolved)
-    if missing:
-        raise RingError(f"no image given for {sorted(missing)}")
-
-    powers: dict[str, list[Polynomial]] = {
-        name: [target.one(), img] for name, img in resolved.items()
-    }
-    total = target.zero()
-    for exps, coeff in p.terms:
-        factor = target.constant(coeff)
-        for name, e in zip(p.ring.variables, exps):
-            if not e:
-                continue
-            cache = powers[name]
-            while len(cache) <= e:
-                cache.append(cache[-1] * cache[1])
-            factor = factor * cache[e]
-        total = total + factor
-    return total
 
 
 def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
@@ -850,18 +743,7 @@ class UnivariatePoly:
             merged[i] += c
         return UnivariatePoly(merged)
 
-    def __sub__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return UnivariatePoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_scalar(other)
-            return UnivariatePoly(tuple(k * c for k in self.coeffs))
         if not isinstance(other, UnivariatePoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -874,21 +756,6 @@ class UnivariatePoly:
                 if b:
                     out[j] += a * b
         return UnivariatePoly._raw(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise RingError("exponent must be a non-negative integer")
-        result = UnivariatePoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, UnivariatePoly):
@@ -909,7 +776,12 @@ class UnivariatePoly:
 
 
 def parse_univariate(text: str) -> UnivariatePoly:
-    return polynomial_to_univariate(parse_polynomial(text, _ARC_RING))
+    """Parse an arc in the variable ``s``, e.g. ``2*s^2 + s``."""
+    p = parse_polynomial(text, _ARC_RING)
+    coeffs = [0] * (p.degree() + 1)
+    for (i,), c in p.terms:
+        coeffs[i] = c
+    return UnivariatePoly(coeffs)
 
 
 def format_univariate(u: UnivariatePoly) -> str:
@@ -918,16 +790,3 @@ def format_univariate(u: UnivariatePoly) -> str:
     terms = tuple(((i,), c) for i, c in reversed(tuple(enumerate(u.coeffs))) if c)
     return format_polynomial(Polynomial._raw(_ARC_RING, terms))
 
-
-def polynomial_to_univariate(p: Polynomial) -> UnivariatePoly:
-    """Collapse a polynomial supported on one variable to dense form."""
-    present = p.variables_present()
-    if len(present) > 1:
-        raise RingError(f"polynomial involves several variables: {sorted(present)}")
-    if not present:
-        return UnivariatePoly((p.constant_term(),))
-    idx = p.ring.index(next(iter(present)))
-    coeffs = [Fraction(0)] * (max(exps[idx] for exps, _ in p.terms) + 1)
-    for exps, coeff in p.terms:
-        coeffs[exps[idx]] += coeff
-    return UnivariatePoly(coeffs)

@@ -43,11 +43,17 @@ before it moved to integer arithmetic and power tables: every term
 starts from its ``Fraction`` coefficient and multiplies its arcs in one
 at a time, by :func:`reference_univariate_mul`, the schoolbook
 ``Fraction`` product ``UnivariatePoly`` used before its trusted path.
+
+:func:`substitute` applies a general ring map by plain ``Polynomial``
+arithmetic.  The engine never needs one, since it doubles through
+``doubling.double_of`` and pulls back along arcs through ``curves``; the
+tests use it to state the identities those must satisfy.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Mapping, Union
 
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, Ideal
 from liptriv.rings import (
@@ -394,5 +400,59 @@ def reference_pullback_dense(p, curve):
         for comp, e in zip(curve.components, exps):
             for _ in range(e):
                 factor = reference_univariate_mul(factor, comp)
+        total = total + factor
+    return total
+
+
+def substitute(
+    p: Polynomial,
+    images: Mapping[str, Union[Polynomial, int, Fraction]],
+    target: RingContext | None = None,
+) -> Polynomial:
+    """Apply the ring map sending each named variable to its image.
+
+    Every variable that actually occurs in ``p`` must have an image.
+    Polynomial images must all live in one ring, which becomes the
+    target; scalar images are allowed, and if every image is scalar the
+    target defaults to ``p.ring`` (or the explicit ``target``).
+    """
+    for name in images:
+        if name not in p.ring.variables:
+            raise RingError(f"{name!r} is not a variable of {p.ring.variables}")
+    if target is None:
+        for img in images.values():
+            if isinstance(img, Polynomial):
+                target = img.ring
+                break
+        else:
+            target = p.ring
+    resolved: dict[str, Polynomial] = {}
+    for name, img in images.items():
+        if isinstance(img, Polynomial):
+            if img.ring != target:
+                raise RingError("substitution images live in different rings")
+            resolved[name] = img
+        else:
+            resolved[name] = target.constant(img)
+    present = {
+        name for exps, _ in p.terms for name, e in zip(p.ring.variables, exps) if e
+    }
+    missing = present - set(resolved)
+    if missing:
+        raise RingError(f"no image given for {sorted(missing)}")
+
+    powers: dict[str, list[Polynomial]] = {
+        name: [target.one(), img] for name, img in resolved.items()
+    }
+    total = target.zero()
+    for exps, coeff in p.terms:
+        factor = target.constant(coeff)
+        for name, e in zip(p.ring.variables, exps):
+            if not e:
+                continue
+            cache = powers[name]
+            while len(cache) <= e:
+                cache.append(cache[-1] * cache[1])
+            factor = factor * cache[e]
         total = total + factor
     return total

@@ -25,7 +25,7 @@ from liptriv.groebner import BudgetExceeded, GroebnerBudget, buchberger
 from liptriv.rings import Polynomial, parse_polynomial
 from tests.oracles import reference_buchberger
 
-RINGS = [RingContext(("x", "y", "z")), RingContext(("x", "y", "z"), order="lex")]
+XYZ = RingContext(("x", "y", "z"))
 
 # Non-unit numerators and denominators up to 7, so monic forms keep fractions.
 coefficients = st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool)
@@ -62,10 +62,9 @@ def test_family_ideal_matches_reference(index, k, l):
 
 @st.composite
 def ideals(draw):
-    ring = draw(st.sampled_from(RINGS))
-    monomial = st.tuples(*(st.integers(0, 2) for _ in range(ring.arity)))
+    monomial = st.tuples(*(st.integers(0, 2) for _ in range(XYZ.arity)))
     term = st.tuples(monomial, coefficients)
-    poly = st.lists(term, min_size=1, max_size=4).map(lambda ts: Polynomial(ring, ts))
+    poly = st.lists(term, min_size=1, max_size=4).map(lambda ts: Polynomial(XYZ, ts))
     gens = draw(st.lists(poly.filter(lambda p: not p.is_zero), min_size=2, max_size=4))
     return gens
 
@@ -82,9 +81,8 @@ def test_random_ideal_matches_reference(generators):
 
 
 def _fixed_ideal():
-    ring = RINGS[0]
     return [
-        parse_polynomial(text, ring)
+        parse_polynomial(text, XYZ)
         for text in ("3*x^2*y - 1/2*z^2", "2/3*x*y^2 + 5*y*z - 7", "4*x*z^2 - 3/5*y")
     ]
 
@@ -151,9 +149,8 @@ def test_basis_forms_are_primitive(monkeypatch):
         return reduce(ring, scale, terms, leading, forms, steps)
 
     monkeypatch.setattr(groebner, "_reduce", spy)
-    ring = RINGS[0]
     gens = [
-        parse_polynomial(text, ring)
+        parse_polynomial(text, XYZ)
         for text in ("6*x^2*y - 4*z^2", "10*x*y^2 + 4*y*z - 8", "4*x*z^2 - 6*y")
     ]
     assert [p.terms for p in buchberger(gens)] == [

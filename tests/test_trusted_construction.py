@@ -31,7 +31,7 @@ from liptriv.rings import (
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
 EXTENDED = RingContext(("t", "x", "y"))  # parameter first, as in an unfolding
-LEX = RingContext(("y", "z", "x"), order="lex")
+PERMUTED = RingContext(("y", "z", "x"))
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -60,7 +60,7 @@ class TestTrustedBuilders:
         ]
         assert_canonical(partial_derivative(p, name), expected)
 
-    @pytest.mark.parametrize("ring", [XY, DXY, LEX], ids=["grevlex", "doubled", "lex"])
+    @pytest.mark.parametrize("ring", [XY, DXY], ids=["grevlex", "doubled"])
     def test_variable(self, ring):
         for i, name in enumerate(ring.variables):
             exps = tuple(int(j == i) for j in range(ring.arity))
@@ -89,9 +89,9 @@ class TestTrustedBuilders:
 
     @settings(max_examples=300, deadline=None)
     @given(polys(XY))
-    def test_inject_into_lex_ring(self, p):
+    def test_inject_into_permuted_ring(self, p):
         expected = [((e[1], 0, e[0]), c) for e, c in p.terms]
-        assert_canonical(inject_into(p, LEX), expected)
+        assert_canonical(inject_into(p, PERMUTED), expected)
 
     def test_inject_into_smaller_cap_overflows(self):
         small = RingContext(("x", "y"), exponent_cap=3)
@@ -130,7 +130,6 @@ class TestSharedPerRing:
         assert {a: 1}[b] == 1
         for other in (
             RingContext(("u", "w"), exponent_cap=99),
-            RingContext(("u", "v"), order="lex", exponent_cap=99),
             RingContext(("u", "v")),
             a.doubled_extension(),
         ):
