@@ -549,10 +549,10 @@ def format_polynomial(p: Polynomial) -> str:
 
 # -- parsing ----------------------------------------------------------
 
-#: One factor of a term: a rational number, or a variable with an
+#: One factor of a term: a rational number, or a variable name with an
 #: optional integer power.  Each pattern skips the whitespace before it.
 _FACTOR_RE = re.compile(
-    r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*'*)(?:\s*\^\s*(\d+))?)"
+    rf"\s*(?:(\d+)(?:/(\d+))?|({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?)"
 )
 _SIGN_RE = re.compile(r"\s*([-+])")
 _STAR_RE = re.compile(r"\s*\*")
