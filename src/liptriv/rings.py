@@ -558,6 +558,15 @@ _SIGN_RE = re.compile(r"\s*([-+])")
 _STAR_RE = re.compile(r"\s*\*")
 
 
+def _digits(text: str) -> int:
+    """The ``int`` a digit run spells; past Python's limit on the digits
+    it converts, a :class:`ParseError` instead of its ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number of {len(text)} digits is too long") from None
+
+
 def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
     """Parse ``text`` into a polynomial of ``ring``.
 
@@ -570,8 +579,9 @@ def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
 
     Text that is not a ``str``, or breaks this grammar, raises
     :class:`ParseError`: unknown variable names, a zero denominator,
-    decimals and signed or fractional powers among it.  An exponent past
-    the ring's cap raises :class:`ExponentOverflow`.
+    decimals and signed or fractional powers among it, and so does a
+    digit run longer than Python converts to an ``int``.  An exponent
+    past the ring's cap raises :class:`ExponentOverflow`.
     """
     if not isinstance(text, str):
         raise ParseError(f"polynomial text must be a str, not {type(text).__name__}")
@@ -592,11 +602,11 @@ def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
         if name is not None:
             if name not in variables:
                 raise ParseError(f"unknown variable {name!r}; ring has {variables}")
-            exps[variables.index(name)] += 1 if power is None else int(power)
+            exps[variables.index(name)] += 1 if power is None else _digits(power)
         elif denominator is None:
-            coeff *= int(number)
-        elif int(denominator):
-            coeff *= Fraction(int(number), int(denominator))
+            coeff *= _digits(number)
+        elif _digits(denominator):
+            coeff *= Fraction(_digits(number), _digits(denominator))
         else:
             raise ParseError(f"zero denominator in {factor[0].strip()!r}")
         # After a factor comes the end, ``*`` and a factor, a sign and a
@@ -642,8 +652,12 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
 
     Only variables that actually occur need to exist in the target, so a
     polynomial can move into any ring that contains its support.  The
-    renaming keeps monomials distinct, so the terms are only re-sorted
-    for the target's order and checked against its exponent cap.
+    renaming keeps monomials distinct, so the terms are only checked
+    against the target's exponent cap and re-sorted for its order.  The
+    sort is skipped when the source variables keep their relative order
+    in the target: grevlex compares total degrees and then the last
+    exponent where two monomials differ, and the exponents inserted
+    between them are all 0, so every comparison comes out as before.
     """
     if p.ring == target:
         return p
@@ -651,6 +665,8 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
     for i, name in enumerate(p.ring.variables):
         if name in target.variables:
             position[i] = target.index(name)
+    indices = list(position.values())
+    in_order = indices == sorted(indices)
     terms = []
     for exps, coeff in p.terms:
         new = [0] * target.arity
@@ -664,7 +680,9 @@ def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
             new[position[i]] = e
         terms.append((tuple(new), coeff))
     _check_cap(target, (e for e, _ in terms))
-    return Polynomial._raw(target, _sorted_terms(target, terms))
+    if not in_order:
+        terms = _sorted_terms(target, terms)
+    return Polynomial._raw(target, tuple(terms))
 
 
 # -- univariate arcs ---------------------------------------------------

@@ -15,7 +15,9 @@ off-diagonal matrix positions are consumed by pivots first and diagonal
 corners last, with higher-degree monomials ahead of lower ones inside
 each group.  Pivots eat early columns, so the representatives that
 survive are the low-degree monomials in the late positions, which is
-the shape normal-form tables are written in.
+the shape normal-form tables are written in.  The columns of the jet's
+top degree come after all others, so one elimination a degree higher
+gives both the normal space and its stability check.
 """
 
 from __future__ import annotations
@@ -156,18 +158,25 @@ def _integer_row(row: dict) -> dict:
 def _columns(F: MatrixGerm, degree: int):
     """Number the jet's columns once, in elimination order.
 
-    A column is a matrix position together with a jet monomial.  Columns
-    are numbered by ``(class group, -monomial rank, position rank)``, a
-    total order, so the smallest number is the column pivots eat first.
-    Returns the monomial list, the position list and, per position, a
-    map from monomial to column number.
+    A column is a matrix position together with a jet monomial.  The
+    columns whose monomial has the jet's top degree are numbered after
+    all the others; inside each part, columns are numbered by ``(class
+    group, -monomial rank, position rank)``, a total order, so the
+    smallest number is the column pivots eat first.  Returns the
+    monomial list, the position list and, per position, a map from
+    monomial to column number.
     """
     monos = jet_monomials(F.ring, degree)
     positions = component_positions(F.shape, F.symmetric)
     n = F.nrows
     order = sorted(
         ((p, mi) for p in range(len(positions)) for mi in range(len(monos))),
-        key=lambda col: (_class_group(positions[col[0]], n), -col[1], col[0]),
+        key=lambda col: (
+            sum(monos[col[1]]) == degree,
+            _class_group(positions[col[0]], n),
+            -col[1],
+            col[0],
+        ),
     )
     column = [{} for _ in positions]
     for number, (p, mi) in enumerate(order):
@@ -179,16 +188,22 @@ def _eliminate(F: MatrixGerm, degree: int):
     """Echelonize the tangent module inside the jet.
 
     Returns the pivot table (integer column number to primitive integer
-    row, see :func:`_insert_row`), the column numbering of
-    :func:`_columns` and the achieved rank.  Each row is a jet monomial
-    times a tangent generator, built by adding exponent vectors; terms
-    above the jet degree are skipped.  A generator's coefficients are
-    scaled to integers once, by the lcm of their denominators, which
-    changes none of the spans its rows contribute.
+    row, see :func:`_insert_row`; its size is the rank) and the column
+    numbering of :func:`_columns`.  Each row is a jet monomial times a
+    tangent generator, built by adding exponent vectors; terms above the
+    jet degree are skipped.  A generator's coefficients are scaled to
+    integers once, by the lcm of their denominators, which changes none
+    of the spans its rows contribute.
+
+    Rows stream from the largest monomial down, every generator's row
+    for one monomial before the next.  The largest shifts keep the
+    fewest terms, and their monomials come early in each class group,
+    so they become short pivot rows that the longer rows after them
+    reduce against cheaply; the pivot columns do not depend on the
+    order.
     """
     monos, positions, column = _columns(F, degree)
-    pivots: dict = {}
-    rank = 0
+    generators = []
     for g in tangent_generators(F):
         coeffs = _integer_row(
             {
@@ -200,9 +215,11 @@ def _eliminate(F: MatrixGerm, degree: int):
         if not coeffs:
             continue
         terms = [(column[p], exps, sum(exps), c) for (p, exps), c in coeffs.items()]
-        g_order = min(d for _, _, d, _ in terms)
-        for mono in monos:
-            room = degree - sum(mono)
+        generators.append((min(d for _, _, d, _ in terms), terms))
+    pivots: dict = {}
+    for mono in reversed(monos):
+        room = degree - sum(mono)
+        for g_order, terms in generators:
             if g_order > room:
                 continue
             # One contribution per column: positions differ, and a shift
@@ -212,9 +229,8 @@ def _eliminate(F: MatrixGerm, degree: int):
                 for cols, exps, d, c in terms
                 if d <= room
             }
-            if _insert_row(pivots, row):
-                rank += 1
-    return pivots, monos, positions, column, rank
+            _insert_row(pivots, row)
+    return pivots, monos, positions, column
 
 
 def _germ_jet_row(g: MatrixGerm, column: list) -> dict:
@@ -228,9 +244,12 @@ def _germ_jet_row(g: MatrixGerm, column: list) -> dict:
 
 
 def _jet_degree(F: MatrixGerm, jet_degree: int | None) -> int:
-    """The requested jet degree, or the default one; never below 1."""
+    """The requested jet degree, or the default one; an ``int`` (not a
+    ``bool``), never below 1."""
     if jet_degree is None:
-        jet_degree = 2 * max(F.entry_max_degree(), 1) + 2
+        return 2 * max(F.entry_max_degree(), 1) + 2
+    if isinstance(jet_degree, bool) or not isinstance(jet_degree, int):
+        raise RingError(f"jet degree must be an int, not {jet_degree!r}")
     if jet_degree < 1:
         raise RingError("jet degree must be positive")
     return jet_degree
@@ -250,7 +269,7 @@ def quotient_image_rank(
     basis check for a proposed list of representatives; a single germ
     gives 0 or 1 according to whether its class vanishes.
     """
-    pivots, _, _, column, _ = _eliminate(F, _jet_degree(F, jet_degree))
+    pivots, _, _, column = _eliminate(F, _jet_degree(F, jet_degree))
     added = 0
     for g in germs:
         if g.ring != F.ring or g.shape != F.shape or g.symmetric != F.symmetric:
@@ -258,21 +277,6 @@ def quotient_image_rank(
         if _insert_row(pivots, _germ_jet_row(g, column)):
             added += 1
     return added
-
-
-def _normal_space_at(F: MatrixGerm, degree: int):
-    """Rank, column count and the representatives ``((i, j), monomial)``
-    of the normal space in the jet at ``degree``, in basis order."""
-    pivots, monos, positions, column, rank = _eliminate(F, degree)
-    reps = [
-        (p, mi)
-        for p in range(len(positions))
-        for mi, mono in enumerate(monos)
-        if column[p][mono] not in pivots
-    ]
-    reps.sort(key=lambda col: (sum(monos[col[1]]), col[0], col[1]))
-    column_count = len(positions) * len(monos)
-    return rank, column_count, [(positions[p], monos[mi]) for p, mi in reps]
 
 
 def normal_space_basis(
@@ -283,23 +287,54 @@ def normal_space_basis(
     The tangent space is that of the action :func:`tangent_generators`
     derives from the germ's symmetry.  The default jet degree is twice
     the largest entry degree plus two, which is past saturation for
-    every finite-codimension germ in the bundled catalog.  The
-    representatives are found again one level higher and ``stable``
-    records whether they agreed; an unstable answer means the jet was
-    too small (or the codimension is not finite).
+    every finite-codimension germ in the bundled catalog.  ``stable``
+    records whether the representatives are the same one jet degree
+    higher; an unstable answer means the jet was too small (or the
+    codimension is not finite).
+
+    Both come from one elimination of the tangent module ``M`` in the
+    jet of degree ``d + 1``, ``d`` the requested degree, whose top-degree
+    columns are numbered last (:func:`_columns`):
+
+    * The rows of the degree-``d`` elimination are the truncations ``π``
+      to degree ``d`` of the rows one degree higher; a row whose shift
+      reaches degree ``d + 1`` truncates to zero.  So the degree-``d``
+      module is ``π(M)``.
+    * With the dropped columns last, a vector of ``M`` whose lead is a
+      top-degree column has no other support, so the leads of ``π(M)``
+      are the leads of ``M`` minus the top-degree columns.  The
+      representatives are the non-pivot columns of degree at most
+      ``d``, and the rank is the pivot count minus the top-degree
+      pivots.
+    * The degree-``d + 1`` representatives equal the degree-``d`` ones
+      exactly when ``M`` contains every top-degree column: then ``M`` is
+      ``π(M)`` plus those columns.  The top-degree pivots span the
+      top-degree columns ``M`` contains, so that holds exactly when
+      every top-degree column is a pivot.  Otherwise the codimension
+      grows with the degree and the two lists differ.
     """
     jet_degree = _jet_degree(F, jet_degree)
-    rank, ncols, reps = _normal_space_at(F, jet_degree)
-    if rank + len(reps) != ncols:
-        raise RingError("rank bookkeeping violated")  # defensive; never expected
-    _, _, reps_next = _normal_space_at(F, jet_degree + 1)
+    pivots, monos, positions, column = _eliminate(F, jet_degree + 1)
+    low = [mono for mono in monos if sum(mono) <= jet_degree]
+    # The top-degree columns are numbered from ncols on.
+    ncols = len(positions) * len(low)
+    top_pivots = sum(1 for c in pivots if c >= ncols)
+    rank = len(pivots) - top_pivots
+    reps = [
+        (p, mi)
+        for p in range(len(positions))
+        for mi, mono in enumerate(low)
+        if column[p][mono] not in pivots
+    ]
+    reps.sort(key=lambda col: (sum(low[col[1]]), col[0], col[1]))
     ring = F.ring
-    positions = component_positions(F.shape, F.symmetric)
     basis = []
     labels = []
-    for (i, j), mono in reps:
+    for p, mi in reps:
+        (i, j), mono = positions[p], low[mi]
         mono_poly = ring.monomial(mono)
-        components = [mono_poly if p == (i, j) else ring.zero() for p in positions]
+        components = [ring.zero()] * len(positions)
+        components[p] = mono_poly
         basis.append(MatrixGerm(F.shape, components, F.symmetric))
         if any(mono):
             labels.append(f"{mono_poly}*E({i + 1},{j + 1})")
@@ -313,7 +348,7 @@ def normal_space_basis(
         codimension=ncols - rank,
         basis=tuple(basis),
         basis_labels=tuple(labels),
-        stable=reps == reps_next,
+        stable=top_pivots == len(positions) * (len(monos) - len(low)),
     )
 
 

@@ -26,6 +26,13 @@ used before it went fraction free: it normalises every pivot row to a
 leading ``1`` with ``Fraction`` arithmetic.  ``tangent._insert_row``
 must report the same pivots for every row stream.
 
+:func:`reference_normal_space` is ``tangent.normal_space_basis`` as it
+was before one elimination gave both the normal space and its stability
+check: two ``Fraction`` eliminations through
+:func:`reference_insert_row`, one at the jet degree and one a degree
+higher, each with the class-group column order alone, and ``stable``
+says their representatives agree.
+
 :func:`diagonal_collapse` restricts a polynomial on a doubled ring to
 the diagonal ``z = z'``.  Every generator of a difference ideal must
 collapse to zero; the engine guarantees that by construction and no
@@ -55,6 +62,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Union
 
+from liptriv.doubling import MatrixGerm, component_positions
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, Ideal
 from liptriv.rings import (
     ExponentOverflow,
@@ -63,6 +71,7 @@ from liptriv.rings import (
     RingError,
     UnivariatePoly,
 )
+from liptriv.tangent import tangent_generators
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -339,6 +348,64 @@ def reference_insert_row(pivots: dict, row: dict) -> bool:
             else:
                 row.pop(c, None)
     return False
+
+
+def _reference_normal_space_at(F, degree):
+    """Rank, column count and representatives ``(position index,
+    monomial)`` of the normal space in the jet at ``degree``."""
+    ring = F.ring
+    monos = sorted(monomials_up_to(ring.arity, degree), key=ring.sort_key)
+    rank_of = {mono: mi for mi, mono in enumerate(monos)}
+    positions = component_positions(F.shape, F.symmetric)
+
+    def class_group(p):
+        i, j = positions[p]
+        return 0 if i != j else 1 + (F.nrows - 1 - i)
+
+    order = sorted(
+        ((p, mi) for p in range(len(positions)) for mi in range(len(monos))),
+        key=lambda col: (class_group(col[0]), -col[1], col[0]),
+    )
+    number = {col: k for k, col in enumerate(order)}
+    pivots: dict = {}
+    for g in tangent_generators(F):
+        for mono in monos:
+            row = {}
+            for p, component in enumerate(g.components):
+                for exps, c in component.terms:
+                    shifted = tuple(a + b for a, b in zip(exps, mono))
+                    if sum(shifted) <= degree:
+                        row[number[(p, rank_of[shifted])]] = c
+            reference_insert_row(pivots, row)
+    reps = [col for col in order if number[col] not in pivots]
+    reps.sort(key=lambda col: (sum(monos[col[1]]), col[0], col[1]))
+    return len(pivots), len(order), [(p, monos[mi]) for p, mi in reps]
+
+
+def reference_normal_space(F, degree):
+    """The normal space of ``F`` in the jet at ``degree`` as a dict with
+    ``rank``, ``column_count``, ``codimension``, ``basis_labels``,
+    ``basis`` and ``stable``, from two eliminations."""
+    rank, column_count, reps = _reference_normal_space_at(F, degree)
+    _, _, reps_next = _reference_normal_space_at(F, degree + 1)
+    positions = component_positions(F.shape, F.symmetric)
+    zero = F.ring.zero()
+    basis, labels = [], []
+    for p, mono in reps:
+        i, j = positions[p]
+        poly = F.ring.monomial(mono)
+        components = [poly if q == p else zero for q in range(len(positions))]
+        basis.append(MatrixGerm(F.shape, components, F.symmetric))
+        unit = f"E({i + 1},{j + 1})"
+        labels.append(f"{poly}*{unit}" if any(mono) else unit)
+    return {
+        "rank": rank,
+        "column_count": column_count,
+        "codimension": column_count - rank,
+        "basis_labels": tuple(labels),
+        "basis": tuple(basis),
+        "stable": reps == reps_next,
+    }
 
 
 def diagonal_collapse(p):

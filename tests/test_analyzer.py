@@ -158,6 +158,16 @@ class TestMalformedCertificates:
 
         assert not verify_inclusion_certificate(self.tampered(verdict, edit))
 
+    def test_overlong_digit_run_in_cofactor(self):
+        # Past Python's int-conversion limit this is a parse failure, and
+        # on a Python without the limit a wrong cofactor.
+        verdict = run(2, {"d1": 1, "d2": 2}, k=4)
+
+        def edit(data):
+            data["memberships"][0]["cofactors"][0]["cofactor"] = "1" * 5000
+
+        assert not verify_inclusion_certificate(self.tampered(verdict, edit))
+
     @pytest.mark.parametrize("junk", [5, None, 1.5])
     @pytest.mark.parametrize("field", ["generator", "basis"])
     def test_non_text_generator_or_basis(self, field, junk):

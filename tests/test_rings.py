@@ -1,5 +1,6 @@
 """Kernel tests: rings, the monomial order, parsing, exact arithmetic."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,16 @@ class TestParsing:
     )
     def test_accepted_spellings(self, text, expected):
         assert poly(text, DOUBLED) == poly(expected, DOUBLED)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+        reason="this Python converts digit runs of any length",
+    )
+    @pytest.mark.parametrize("text", ["{}", "{}*x", "1/{}", "x^{}"])
+    def test_digit_run_past_int_limit_rejected(self, text):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        with pytest.raises(ParseError, match="too long"):
+            poly(text.format(digits))
 
     def test_exponent_past_cap_overflows(self):
         with pytest.raises(ExponentOverflow):

@@ -21,7 +21,8 @@ from liptriv.tangent import (
     quotient_image_rank,
     tangent_generators,
 )
-from tests.oracles import reference_insert_row
+from tests.oracles import reference_insert_row, reference_normal_space
+from tests.test_golden_normal import grid as golden_grid
 
 XY = RingContext(("x", "y"))
 
@@ -164,6 +165,36 @@ class TestNormalSpaceBasis:
         assert result.stable is False
 
 
+def oracle_germs():
+    """Criterion 1's grid and the 3x3 germ, then general, rectangular and
+    infinite-codimension germs."""
+    germs = [matrix for _, matrix in golden_grid()]
+    germs += [
+        germ(text)
+        for text in (
+            "gen: x, y^2 ; y, x",
+            "gen: x^2 + y^3",
+            "gen: x, y^2, x*y ; y, x^2, 0",
+            "sym: 0, 0 ; 0, 0",
+        )
+    ]
+    return germs
+
+
+class TestAgainstTwoEliminations:
+    """One elimination a degree higher gives what two eliminations gave,
+    at every jet degree up to one past the default, unstable jets too."""
+
+    @pytest.mark.parametrize("F", oracle_germs(), ids=str)
+    def test_every_jet_degree(self, F):
+        default = normal_space_basis(F).jet_degree
+        for degree in range(1, default + 2):
+            result = normal_space_basis(F, jet_degree=degree)
+            expected = reference_normal_space(F, degree)
+            assert result.jet_degree == degree
+            assert {key: getattr(result, key) for key in expected} == expected
+
+
 class TestEntriesCutReducedOrigin:
     def test_row1_linear_case(self):
         # entries y, x generate the maximal ideal
@@ -257,6 +288,16 @@ class TestJetDegree:
     @pytest.mark.parametrize("degree", [0, -1])
     def test_normal_space_basis_rejects(self, degree):
         with pytest.raises(RingError, match="jet degree must be positive"):
+            normal_space_basis(self.F, jet_degree=degree)
+
+    @pytest.mark.parametrize("degree", [True, False, 2.5, 3.0, "3"])
+    def test_quotient_image_rank_rejects_non_int(self, degree):
+        with pytest.raises(RingError, match="jet degree must be an int"):
+            quotient_image_rank(self.F, [germ("sym: 1, 0 ; 0, 0")], jet_degree=degree)
+
+    @pytest.mark.parametrize("degree", [True, False, 2.5, 3.0, "3"])
+    def test_normal_space_basis_rejects_non_int(self, degree):
+        with pytest.raises(RingError, match="jet degree must be an int"):
             normal_space_basis(self.F, jet_degree=degree)
 
     def test_smallest_jet_accepted(self):

@@ -32,6 +32,7 @@ XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
 EXTENDED = RingContext(("t", "x", "y"))  # parameter first, as in an unfolding
 PERMUTED = RingContext(("y", "z", "x"))
+XYZ = RingContext(("x", "y", "z"))
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -43,6 +44,17 @@ def term_lists(arity, max_exp=4, max_terms=6):
 
 def polys(ring, **kw):
     return term_lists(ring.arity, **kw).map(lambda ts: Polynomial(ring, ts))
+
+
+@st.composite
+def injection_targets(draw):
+    """Rings holding ``x, y, z`` and two more variables, in any order or
+    with ``x, y, z`` kept in order, so both paths of ``inject_into`` run."""
+    names = draw(st.permutations(("t", "u", "x", "y", "z")))
+    if draw(st.booleans()):
+        source = iter(XYZ.variables)
+        names = [next(source) if name in XYZ.variables else name for name in names]
+    return RingContext(tuple(names))
 
 
 def assert_canonical(p, expected_terms):
@@ -92,6 +104,20 @@ class TestTrustedBuilders:
     def test_inject_into_permuted_ring(self, p):
         expected = [((e[1], 0, e[0]), c) for e, c in p.terms]
         assert_canonical(inject_into(p, PERMUTED), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(XYZ, max_exp=3), injection_targets())
+    def test_inject_into_terms_are_sorted(self, p, target):
+        # An order-keeping injection skips the sort; its terms must still
+        # be the ones the validating constructor sorts.
+        index = [target.index(name) for name in XYZ.variables]
+        expected = []
+        for e, c in p.terms:
+            new = [0] * target.arity
+            for i, k in enumerate(index):
+                new[k] = e[i]
+            expected.append((tuple(new), c))
+        assert_canonical(inject_into(p, target), expected)
 
     def test_inject_into_smaller_cap_overflows(self):
         small = RingContext(("x", "y"), exponent_cap=3)
