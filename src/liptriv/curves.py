@@ -53,12 +53,21 @@ share a pattern.  Each window is as large as the curves tried before
 it, at least one: the first block is decided 1, 1, 2, 4, ... patterns
 at a time and every later block whole, so a witness at the ``n``-th
 curve is found after deciding at most ``2n`` curves.
+
+Two things are not computed again.  A stream's exponent tuples depend
+only on the variables' weights and ``max_exponent``, so every search of
+one stream reads one shared list, generated once per process and only as
+far as some search has read (see :func:`_profiles`).  And a kernel's
+degree grouping depends only on the block's exponents on the variables
+its terms use, so from its second block on a kernel keeps each grouping
+under those exponents for the rest of its search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -287,6 +296,42 @@ def _weighted_compositions(
     yield from rec(0, total)
 
 
+class _Stream:
+    """One stream's exponent tuples, generated on demand and kept.
+
+    ``blocks`` holds the tuples generated so far, in stream order, and
+    ``patterns`` the coefficient patterns every block shares.  Only
+    :meth:`reaches` generates, under :data:`_STREAMS_LOCK`.
+    """
+
+    def __init__(self, weights: tuple[int, ...], max_exponent: int):
+        self.patterns = list(itertools.product(ARC_COEFFICIENTS, repeat=len(weights)))
+        self.blocks: list[tuple[int, ...]] = []
+        self._rest = (
+            exps
+            for total in range(sum(weights), max_exponent * sum(weights) + 1)
+            for exps in _weighted_compositions(weights, total, max_exponent)
+        )
+
+    def reaches(self, index: int) -> bool:
+        """Whether the stream has a block ``index``, generating up to it."""
+        with _STREAMS_LOCK:
+            while len(self.blocks) <= index:
+                exps = next(self._rest, None)
+                if exps is None:
+                    return False
+                self.blocks.append(exps)
+        return True
+
+
+_STREAM_LIMIT = 8
+"""How many streams :func:`_profiles` keeps; the least recently used
+is dropped first."""
+
+_STREAMS: dict[tuple, _Stream] = {}
+_STREAMS_LOCK = threading.Lock()
+
+
 def _profiles(
     ring: RingContext, max_exponent: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
@@ -297,16 +342,31 @@ def _profiles(
     one exponent tuple with every pattern of :data:`ARC_COEFFICIENTS`,
     and all blocks share one list of patterns.  On a doubled ring a
     variable that is its own mirror, the shared parameter, weighs 2.
+
+    The stream is shared: it depends on nothing but the weights and
+    ``max_exponent``, and every search of it in the process reads one
+    :class:`_Stream`, which holds only exponent tuples and patterns.  A
+    block is generated when a search first reads it and kept, so the
+    stream grows only as far as the furthest block read; at most
+    :data:`_STREAM_LIMIT` streams are kept.  Generation and the lookup
+    hold a lock, so threads may share the streams.
     """
     weights = [1] * ring.arity
     if ring.doubled:
         for i, m in enumerate(ring.mirror_indices()):
             if i == m:
                 weights[i] = 2
-    patterns = list(itertools.product(ARC_COEFFICIENTS, repeat=ring.arity))
-    for total in range(sum(weights), max_exponent * sum(weights) + 1):
-        for exps in _weighted_compositions(weights, total, max_exponent):
-            yield exps, patterns
+    key = (tuple(weights), max_exponent)
+    with _STREAMS_LOCK:
+        stream = _STREAMS.pop(key, None) or _Stream(key[0], max_exponent)
+        _STREAMS[key] = stream
+        while len(_STREAMS) > _STREAM_LIMIT:
+            del _STREAMS[next(iter(_STREAMS))]
+    blocks, patterns = stream.blocks, stream.patterns
+    index = 0
+    while index < len(blocks) or stream.reaches(index):
+        yield blocks[index], patterns
+        index += 1
 
 
 def _monomial_curve(ring: RingContext, exps: Sequence[int], coeffs: Sequence) -> TestCurve:
@@ -330,6 +390,13 @@ class _OrderKernel:
     none along the patterns of the mask ``plain``, which must hold only
     patterns without a zero coefficient.  Values stay exact for rational
     arc coefficients too.  A kernel lives for one search.
+
+    A grouping depends only on the block's exponents on the variables
+    the terms use (``_used``), so from the kernel's second block on,
+    :meth:`enter` keeps each grouping under them (``_grouped``).  The
+    first block stores nothing, so a one-block search pays nothing, and
+    a kernel whose terms use every variable keeps no groupings: within a
+    search no two blocks share an exponent tuple.
     """
 
     def __init__(self, p: Polynomial, patterns: Sequence[tuple], plain: int):
@@ -338,10 +405,30 @@ class _OrderKernel:
         self._plain = plain
         self._values: list[list[int] | None] = [None] * len(patterns)
         self._masks: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._entered = 0
+        self._used: list[bool] = []
+        self._grouped: dict[tuple[int, ...], list] | None = None
 
     def enter(self, arc_exps: tuple) -> list[tuple[int, tuple[int, ...]]]:
         """The ``(degree, term indices)`` groups along ``arc_exps``,
         lowest degree first."""
+        grouped = self._grouped
+        if grouped is None:
+            self._entered += 1
+            if self._entered == 2:
+                used = [any(e[i] for e, _ in self.terms) for i in range(len(arc_exps))]
+                if not all(used):
+                    self._used = used
+                    self._grouped = grouped = {}
+            if grouped is None:
+                return self._group(arc_exps)
+        key = tuple(itertools.compress(arc_exps, self._used))
+        groups = grouped.get(key)
+        if groups is None:
+            groups = grouped[key] = self._group(arc_exps)
+        return groups
+
+    def _group(self, arc_exps: tuple) -> list[tuple[int, tuple[int, ...]]]:
         by_degree: dict[int, list[int]] = {}
         for index, (exps, _) in enumerate(self.terms):
             degree = sum(map(mul, arc_exps, exps))
@@ -452,8 +539,10 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     masks, sweeps and windows of the module docstring, and nothing is
     computed past the window that holds a witness.  A witness's orders
     are re-derived by :func:`pullback` on the unfolded polynomials.  The
-    search keeps nothing between calls and writes nothing into its
-    arguments.
+    search writes nothing into its arguments.  The one thing it keeps
+    between calls is the shared curve stream of :func:`_profiles`:
+    exponent tuples, which depend on no input, only on the variables'
+    weights and ``max_exponent``.
     """
     _require_count("max_exponent", max_exponent, 1)
     _require_count("budget", budget, 0)
@@ -465,6 +554,10 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     best_gap: int | None = None
     exhausted = False
     for exps, patterns in _profiles(ideal.ring, max_exponent):
+        if tried == budget:
+            # The budget ended on a block boundary, before this block.
+            exhausted = True
+            break
         if not tried:
             # The first block.  Every block shares its list of patterns,
             # and no term vanishes along any of them: ARC_COEFFICIENTS

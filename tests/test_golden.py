@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from liptriv import analyzer
+from liptriv import analyzer, curves
 from liptriv.analyzer import AnalyzeOptions, reproduce_catalog_table
 from liptriv.curves import ARC_COEFFICIENTS, format_curve
 from liptriv.doubling import PARAMETER
@@ -100,6 +100,15 @@ def test_table_matches_golden(golden, mode):
     assert len(fresh) == len(expected) == 167
     for got, want in zip(fresh, expected):
         assert got == want, want["cell"]
+
+
+def test_audited_table_cold_and_warm_matches_golden(golden, monkeypatch):
+    # Searches share each curve stream within the process: the first
+    # run starts with none and grows them, the second reads them grown.
+    monkeypatch.setattr(curves, "_STREAMS", {})
+    for _ in range(2):
+        assert table_snapshot(True) == golden["audit"]
+    assert curves._STREAMS
 
 
 def _dump(data: dict) -> str:

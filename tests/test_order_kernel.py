@@ -245,18 +245,39 @@ def test_closure_test_matches_reference_on_random_ideals(case):
 
 @pytest.mark.parametrize("max_exponent", [1, 2, 3])
 @pytest.mark.parametrize("ring", [DXY, DTX], ids=["untied", "tied"])
-def test_budget_at_the_end_of_the_stream(ring, max_exponent):
+def test_budget_at_the_end_of_the_stream(monkeypatch, ring, max_exponent):
     ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("x - x'", "x^2 + x'^2")])
     # The element lies in the ideal, so no curve is a witness.
     element = parse_polynomial("x*x' - x'^2 + x^3 + x*x'^2", ring)
     blocks = list(_profiles(ring, max_exponent))
     stream = sum(len(patterns) for _, patterns in blocks)
     block = len(blocks[0][1])
-    for budget in (block - 1, block, block + 1, stream - 1, stream, stream + 1):
+    built, entered = [], []
+    init, enter = _OrderKernel.__init__, _OrderKernel.enter
+
+    def spy_init(kernel, *args):
+        built.append(kernel)
+        init(kernel, *args)
+
+    def spy_enter(kernel, exps):
+        entered.append(exps)
+        return enter(kernel, exps)
+
+    monkeypatch.setattr(_OrderKernel, "__init__", spy_init)
+    monkeypatch.setattr(_OrderKernel, "enter", spy_enter)
+    for budget in (0, block - 1, block, block + 1, stream - 1, stream, stream + 1):
+        built.clear()
+        entered.clear()
         got = closure_test(element, ideal, budget, max_exponent)
         assert as_tuple(got) == reference_search(element, ideal, budget, max_exponent)
         assert got.curves_tried == min(budget, stream)
         assert got.budget_exhausted == (budget < stream)
+        # Kernels (the element's and two generators') are built only
+        # when a curve is tried, and each enters only the blocks that
+        # hold a tried curve: a budget that ends on a block boundary
+        # groups nothing of the next block.
+        assert len(built) == (3 if budget else 0)
+        assert len(entered) == 3 * -(-min(budget, stream) // block)
 
 
 def test_ideal_sweep_covers_the_block_from_the_lowest_degree():
