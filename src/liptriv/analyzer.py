@@ -463,7 +463,7 @@ def verify_witness_dense(witness: Witness, ideal: Ideal) -> bool:
 def verify_inclusion_certificate(verdict: Verdict) -> bool:
     """Replay an inclusion certificate from its serialized form.
 
-    Every recorded membership is re-parsed from strings and recombined
+    Every recorded membership is rebuilt from its strings and recombined
     with plain ring arithmetic; nothing of the original computation is
     trusted except the text of the certificate itself.  Malformed text
     (a certificate or block that is not a mapping, a missing block or
@@ -477,20 +477,18 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     :func:`~liptriv.doubling.diagonal_ideal`, ``v - v'`` for every
     variable of the unfolding ring but the shared parameter.  Whether
     each ``basis`` polynomial lies in the target ideal is not checked.
-    Each distinct polynomial text is parsed once per call.
+    A polynomial text already parsed in this process, by this call or
+    an earlier one, is read from :func:`~liptriv.rings.parse_polynomial`'s
+    memo instead of being parsed again.
     """
     certificate = verdict.certificate
     if not isinstance(certificate, Mapping) or certificate.get("type") != "inclusion":
         return False
     u = verdict.unfolding
     ring = u.extended_ring.doubled_extension()
-    parsed: dict[str, Polynomial] = {}
 
     def parse(text) -> Polynomial:
-        p = parsed.get(text)
-        if p is None:
-            p = parsed[text] = parse_polynomial(text, ring)
-        return p
+        return parse_polynomial(text, ring)
 
     try:
         data = certificate["data"]

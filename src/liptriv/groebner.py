@@ -1,14 +1,20 @@
 """Groebner bases and exact ideal membership over the rationals.
 
-The engine is Buchberger's algorithm with the coprime and chain
-criteria, followed by full autoreduction, so every ideal yields the
-unique reduced monic basis for its ring's monomial order.  Uniqueness
-is what makes all downstream output deterministic.
+The engine is Buchberger's algorithm with the pair update of Gebauer
+and Möller ("On an installation of Buchberger's algorithm", J. Symb.
+Comput. 6, 1988), followed by full autoreduction, so every ideal yields
+the unique reduced monic basis for its ring's monomial order.
+Uniqueness is what makes all downstream output deterministic.  The
+update runs once as each element enters the basis, input or new: it
+drops the old pairs that criterion B makes redundant, keeps one new pair
+per least common multiple of leading monomials unless a coprime pair
+shares it or a smaller such lcm divides it, and stops pairing the
+elements whose leading monomial the new one divides.
 
 Computations are budgeted.  A :class:`GroebnerBudget` caps how many
-S-pairs may be examined and how large the total degree of any new basis
-element may grow; exceeding either raises :class:`BudgetExceeded`, a
-recoverable condition that callers degrade on rather than report as a
+S-pairs may be considered and how large the total degree of any new
+basis element may grow; exceeding either raises :class:`BudgetExceeded`,
+a recoverable condition that callers degrade on rather than report as a
 mathematical answer.  Membership tests through a completed basis are
 exact in both directions.
 
@@ -66,8 +72,13 @@ class GroebnerBudget:
     """Resource ceiling for one basis computation.
 
     Both limits must be ``int`` values of at least 1 (a ``bool`` is
-    refused).  The defaults are the one budget of every caller that
-    names none: ``analyze``, the catalog table and ``check-inclusion``.
+    refused).  ``max_pairs`` counts every pair the pair update
+    considers, one for each element an entering element could pair
+    with, whether a criterion drops the pair or it is formed; so three
+    inputs with pairwise coprime leads need 3.  ``max_degree`` bounds
+    the total degree of each new basis element.  The defaults are the
+    one budget of every caller that names none: ``analyze``, the catalog
+    table and ``check-inclusion``.
     """
 
     max_pairs: int = 20_000
@@ -310,75 +321,97 @@ def buchberger(
     """Reduced Groebner basis of the ideal the generators span.
 
     The result is canonical: monic, fully autoreduced, sorted ascending
-    by leading monomial.  Raises :class:`BudgetExceeded` when the pair
-    count or the degree of a new basis element passes the budget, or
-    when an S-pair or its reduction passes the ring's exponent cap.
-    ``budget`` is a :class:`GroebnerBudget`, or ``None`` for the
-    default one; anything else is refused with ``ValueError``.
+    by leading monomial.  Raises :class:`BudgetExceeded` when the count
+    of pairs considered or the degree of a new basis element passes the
+    budget, or when an S-pair or its reduction passes the ring's
+    exponent cap.  ``budget`` is a :class:`GroebnerBudget`, or ``None``
+    for the default one; anything else is refused with ``ValueError``.
 
-    Each basis element's integer form is made once, when it enters the
-    basis.  Every S-pair the criteria keep is formed by
-    :func:`s_polynomial` and fully reduced by ``_reduce`` on those
-    forms; a nonzero remainder is made primitive, and that is both the
-    new element's integer form and, with one ``Fraction`` per term, the
-    monic element itself.  The autoreduction runs on the same forms.
+    The generators enter the basis one at a time, and so does each new
+    element; each entry runs the Gebauer–Möller update on the pairs:
+
+    * criterion B drops an old pair ``(i, j)`` when the new leading
+      monomial divides its lcm and differs from it in both
+      ``lcm(i, new)`` and ``lcm(j, new)``;
+    * the new pairs, one for each element still paired with, are grouped
+      by lcm: a group goes when one of its pairs has coprime leads or its
+      lcm is a proper multiple of another group's, and otherwise the
+      pair with the oldest element stands for it;
+    * the elements whose leading monomial the new one divides are paired
+      with no later element.
+
+    Pairs are treated by the degree of their lcm, then by index.  Each
+    basis element's integer form is made once, when it enters the
+    basis.  Every S-pair the update keeps is formed by
+    :func:`s_polynomial` and fully reduced by ``_reduce`` on the forms
+    of all elements; a nonzero remainder is made primitive, and that is
+    both the new element's integer form and, with one ``Fraction`` per
+    term, the monic element itself.  The autoreduction runs on the same
+    forms.
     """
     if budget is None:
         budget = GroebnerBudget()
     _require_budget("budget", budget)
-    basis = [g.monic() for g in generators if not g.is_zero]
-    if not basis:
+    inputs = [g.monic() for g in generators if not g.is_zero]
+    if not inputs:
         return []
-    ring = basis[0].ring
-    for g in basis:
+    ring = inputs[0].ring
+    for g in inputs:
         if g.ring != ring:
             raise RingError("generators must share one ring")
-    leading = [g.terms[0][0] for g in basis]
-    forms = [_integer_form(g) for g in basis]
+    basis: list[Polynomial] = []
+    leading: list[Monomial] = []
+    forms: list[tuple] = []
+    # Pairs not yet treated, a heap of (degree of lcm, i, j, lcm), and the
+    # elements new ones still pair with.
+    pairs: list[tuple] = []
+    active: list[int] = []
+    considered = 0
 
-    pairs: list[tuple[int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
+    def enter(poly: Polynomial, form: tuple) -> None:
+        """Add ``poly`` to the basis and update the pairs (Gebauer–Möller)."""
+        nonlocal pairs, active, considered
+        considered += len(active)
+        if considered > budget.max_pairs:
+            raise BudgetExceeded(f"considered more than {budget.max_pairs} S-pairs")
+        h = len(leading)
+        lm_h = poly.terms[0][0]
+        # Criterion B: an old pair goes when lm_h divides its lcm strictly,
+        # i.e. unless lm_h shares that lcm with one of the pair's leads.
+        kept = [
+            pair
+            for pair in pairs
+            if not _mono_divides(lm_h, pair[3])
+            or _mono_lcm(leading[pair[1]], lm_h) == pair[3]
+            or _mono_lcm(leading[pair[2]], lm_h) == pair[3]
+        ]
+        # New pairs, grouped by lcm: the first member of a class stands for
+        # it; a class with a coprime member, or whose lcm is a proper multiple
+        # of another class's, goes whole.
+        classes: dict[Monomial, tuple[int, bool]] = {}
+        for i in active:
+            lcm = _mono_lcm(leading[i], lm_h)
+            first, coprime = classes.get(lcm, (i, False))
+            classes[lcm] = (first, coprime or _mono_coprime(leading[i], lm_h))
+        for lcm, (i, coprime) in classes.items():
+            if coprime or any(
+                other != lcm and _mono_divides(other, lcm) for other in classes
+            ):
+                continue
+            kept.append((sum(lcm), i, h, lcm))
+        heapq.heapify(kept)
+        pairs = kept
+        active = [i for i in active if not _mono_divides(lm_h, leading[i])]
+        active.append(h)
+        basis.append(poly)
+        leading.append(lm_h)
+        forms.append(form)
 
-    def push_pairs(t: int) -> None:
-        lm_t = leading[t]
-        for i in range(t):
-            lcm = _mono_lcm(leading[i], lm_t)
-            heapq.heappush(pairs, (sum(lcm), i, t))
-            pending.add((i, t))
-
-    for t in range(1, len(basis)):
-        push_pairs(t)
-
-    processed = 0
     try:
+        for g in inputs:
+            enter(g, _integer_form(g))
         while pairs:
-            processed += 1
-            if processed > budget.max_pairs:
-                raise BudgetExceeded(
-                    f"examined more than {budget.max_pairs} S-pairs"
-                )
-            _, i, j = heapq.heappop(pairs)
-            pending.discard((i, j))
-            lm_i = leading[i]
-            lm_j = leading[j]
-            if _mono_coprime(lm_i, lm_j):
-                continue
-            lcm = _mono_lcm(lm_i, lm_j)
-            # Chain criterion: some third element divides the lcm and both
-            # of its pairs with i and j have already been treated.
-            skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if not _mono_divides(leading[k], lcm):
-                    continue
-                ik = (min(i, k), max(i, k))
-                jk = (min(j, k), max(j, k))
-                if ik not in pending and jk not in pending:
-                    skip = True
-                    break
-            if skip:
-                continue
+            _, i, j, _ = heapq.heappop(pairs)
             s = s_polynomial(basis[i], basis[j])
             _, rem = _reduce(ring, *_integer_terms(s.terms), leading, forms)
             if not rem:
@@ -395,10 +428,7 @@ def buchberger(
                 content = -content
             terms = [(m, c // content) for m, c in rem]
             a = terms[0][1]
-            basis.append(_fractions(ring, terms, a))
-            leading.append(terms[0][0])
-            forms.append((a, a, terms[1:]))
-            push_pairs(len(basis) - 1)
+            enter(_fractions(ring, terms, a), (a, a, terms[1:]))
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
     return _autoreduce(ring, leading, forms)

@@ -521,11 +521,13 @@ def _check_cap(ring: RingContext, monomials: Iterable[Monomial]) -> None:
 # -- formatting -------------------------------------------------------
 
 
-def _format_magnitude(ring: RingContext, exps: Monomial, coeff: Fraction) -> str:
-    mag = abs(coeff)
+def _format_magnitude(ring: RingContext, exps: Monomial, coeff: Scalar) -> str:
+    """``|coeff|`` times the monomial, read off the coefficient's integers."""
+    numerator, denominator = abs(coeff.numerator), coeff.denominator
+    mag = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
     if not any(exps):
-        return str(mag)
-    parts = [] if mag == 1 else [str(mag)]
+        return mag
+    parts = [] if mag == "1" else [mag]
     for name, e in zip(ring.variables, exps):
         if e == 0:
             continue
@@ -541,9 +543,9 @@ def format_polynomial(p: Polynomial) -> str:
     for i, (exps, coeff) in enumerate(p.terms):
         body = _format_magnitude(p.ring, exps, coeff)
         if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if coeff.numerator < 0 else body)
         else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+            pieces.append(f" - {body}" if coeff.numerator < 0 else f" + {body}")
     return "".join(pieces)
 
 
@@ -556,6 +558,9 @@ _FACTOR_RE = re.compile(
 )
 _SIGN_RE = re.compile(r"\s*([-+])")
 _STAR_RE = re.compile(r"\s*\*")
+
+#: How many ``(text, ring)`` parses :func:`parse_polynomial` keeps.
+_PARSE_MEMO_SIZE = 4096
 
 
 def _digits(text: str) -> int:
@@ -582,9 +587,19 @@ def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
     decimals and signed or fractional powers among it, and so does a
     digit run longer than Python converts to an ``int``.  An exponent
     past the ring's cap raises :class:`ExponentOverflow`.
+
+    Polynomials are immutable, so the ``_PARSE_MEMO_SIZE`` most
+    recently used parses are kept by ``(text, ring)`` for the whole
+    process, and a repeated text is not parsed again.  Text that raises
+    is not kept, so it raises on every call.
     """
     if not isinstance(text, str):
         raise ParseError(f"polynomial text must be a str, not {type(text).__name__}")
+    return _parse(text, ring)
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse(text: str, ring: RingContext) -> Polynomial:
     end = len(text.rstrip())
     if not end:
         raise ParseError("empty polynomial text")

@@ -17,9 +17,16 @@ the independent replay that ``groebner.divide`` must agree with.
 :func:`reference_buchberger` is the ``Fraction`` Buchberger the engine
 used before it reduced S-pairs on the integer accumulator: S-polynomials
 by ``Polynomial`` products, every reduction and the autoreduction
-through :func:`reference_divide`.  It keeps the engine's pair order,
-criteria and budget checks, so ``groebner.buchberger`` must return the
-same reduced basis and raise ``BudgetExceeded`` at the same budgets.
+through :func:`reference_divide`.  It keeps the engine's pair order, its
+Gebauer–Möller pair update (written out over plain lists, every lcm
+recomputed) and its budget checks, so ``groebner.buchberger`` must
+return the same reduced basis and raise ``BudgetExceeded`` at the same
+budgets.
+
+:func:`reference_format_polynomial` is ``rings.format_polynomial`` as it
+was before it read each coefficient's numerator and denominator: it
+prints ``abs(coeff)`` through ``Fraction.__str__`` and tests the sign
+with ``<``.  Both must print every polynomial alike.
 
 :func:`reference_insert_row` is the echelon insertion jet elimination
 used before it went fraction free: it normalises every pivot row to a
@@ -57,7 +64,6 @@ arithmetic.  The engine never needs one, since it doubles through
 tests use it to state the identities those must satisfy.
 """
 
-import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Union
@@ -255,61 +261,73 @@ def reference_buchberger(generators, budget=None):
     """Reduced Groebner basis of the ideal the generators span.
 
     The result is canonical: monic, fully autoreduced, sorted ascending
-    by leading monomial.  Raises ``BudgetExceeded`` when the pair count
-    or the degree of a new basis element passes the budget.
+    by leading monomial.  Raises ``BudgetExceeded`` when the count of
+    pairs the Gebauer–Möller update considers or the degree of a new
+    basis element passes the budget.
     """
     budget = budget or GroebnerBudget()
-    basis = [g.monic() for g in generators if not g.is_zero]
-    if not basis:
+    inputs = [g.monic() for g in generators if not g.is_zero]
+    if not inputs:
         return []
-    ring = basis[0].ring
-    for g in basis:
+    ring = inputs[0].ring
+    for g in inputs:
         if g.ring != ring:
             raise RingError("generators must share one ring")
 
+    basis = []
     pairs = []
-    pending = set()
+    active = []
+    considered = 0
 
-    def push_pairs(t):
-        lm_t = basis[t].leading_monomial()
-        for i in range(t):
-            lcm = _mono_lcm(basis[i].leading_monomial(), lm_t)
-            heapq.heappush(pairs, (sum(lcm), i, t))
-            pending.add((i, t))
+    def enter(h):
+        # The Gebauer–Möller update, written out over lists of pairs.
+        nonlocal pairs, active, considered
+        considered += len(active)
+        if considered > budget.max_pairs:
+            raise BudgetExceeded(f"considered more than {budget.max_pairs} S-pairs")
+        t = len(basis)
+        lm_h = h.leading_monomial()
+        lead = [g.leading_monomial() for g in basis]
+        old = []
+        for i, j in pairs:
+            lcm = _mono_lcm(lead[i], lead[j])
+            if (
+                _mono_divides(lm_h, lcm)
+                and _mono_lcm(lead[i], lm_h) != lcm
+                and _mono_lcm(lead[j], lm_h) != lcm
+            ):
+                continue  # criterion B
+            old.append((i, j))
+        new = []
+        for i in active:
+            lcm = _mono_lcm(lead[i], lm_h)
+            same = [k for k in active if _mono_lcm(lead[k], lm_h) == lcm]
+            if same[0] != i:
+                continue  # the class's first member stands for it
+            if any(_mono_coprime(lead[k], lm_h) for k in same):
+                continue
+            if any(
+                _mono_divides(_mono_lcm(lead[k], lm_h), lcm)
+                and _mono_lcm(lead[k], lm_h) != lcm
+                for k in active
+            ):
+                continue
+            new.append((i, t))
+        pairs = old + new
+        active = [i for i in active if not _mono_divides(lm_h, lead[i])] + [t]
+        basis.append(h)
 
-    for t in range(1, len(basis)):
-        push_pairs(t)
+    def degree(pair):
+        i, j = pair
+        return sum(_mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())), i, j
 
-    processed = 0
     try:
+        for g in inputs:
+            enter(g)
         while pairs:
-            processed += 1
-            if processed > budget.max_pairs:
-                raise BudgetExceeded(
-                    f"examined more than {budget.max_pairs} S-pairs"
-                )
-            _, i, j = heapq.heappop(pairs)
-            pending.discard((i, j))
-            lm_i = basis[i].leading_monomial()
-            lm_j = basis[j].leading_monomial()
-            if _mono_coprime(lm_i, lm_j):
-                continue
-            lcm = _mono_lcm(lm_i, lm_j)
-            # Chain criterion: some third element divides the lcm and both
-            # of its pairs with i and j have already been treated.
-            skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if not _mono_divides(basis[k].leading_monomial(), lcm):
-                    continue
-                ik = (min(i, k), max(i, k))
-                jk = (min(j, k), max(j, k))
-                if ik not in pending and jk not in pending:
-                    skip = True
-                    break
-            if skip:
-                continue
+            pair = min(pairs, key=degree)
+            pairs.remove(pair)
+            i, j = pair
             h = reference_divide(reference_s_polynomial(basis[i], basis[j]), basis)[1]
             if h.is_zero:
                 continue
@@ -318,11 +336,36 @@ def reference_buchberger(generators, budget=None):
                     f"basis element of degree {h.degree()} exceeds "
                     f"cap {budget.max_degree}"
                 )
-            basis.append(h.monic())
-            push_pairs(len(basis) - 1)
+            enter(h.monic())
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
     return _reference_autoreduce(basis)
+
+
+def _reference_format_magnitude(ring, exps, coeff):
+    mag = abs(coeff)
+    if not any(exps):
+        return str(mag)
+    parts = [] if mag == 1 else [str(mag)]
+    for name, e in zip(ring.variables, exps):
+        if e == 0:
+            continue
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts)
+
+
+def reference_format_polynomial(p):
+    """Render with the leading term first, e.g. ``y^3 - 3/2*x*y^2``."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for i, (exps, coeff) in enumerate(p.terms):
+        body = _reference_format_magnitude(p.ring, exps, coeff)
+        if i == 0:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+    return "".join(pieces)
 
 
 def reference_insert_row(pivots: dict, row: dict) -> bool:

@@ -59,19 +59,26 @@ def normal_snapshot() -> list[dict]:
     return records
 
 
-def diagonal_snapshot() -> list[dict]:
-    germ = grid()[-1][1]
+def diagonal_directions(germ, combinations: int = COMBINATIONS) -> list:
+    """The germ's normal-space basis directions, then ``combinations``
+    integer combinations of them drawn from ``random.Random(0)``."""
     basis = normal_space_basis(germ).basis
     directions = list(basis)
     rng = random.Random(0)
     zero = germ.map_entries(lambda p: p.ring.zero())
-    for _ in range(COMBINATIONS):
+    for _ in range(combinations):
         direction = zero
         for b in basis:
             w = rng.randint(-2, 2)
             if w:
                 direction = direction + b.scale(Fraction(w))
         directions.append(direction)
+    return directions
+
+
+def diagonal_snapshot() -> list[dict]:
+    germ = grid()[-1][1]
+    directions = diagonal_directions(germ)
     records = []
     for direction in directions:
         report = analyze(germ, direction).to_report()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from liptriv import RingContext
+from liptriv import RingContext, groebner
 from liptriv.groebner import (
     BudgetExceeded,
     GroebnerBudget,
@@ -15,6 +15,7 @@ from liptriv.groebner import (
 from liptriv.rings import ExponentOverflow, parse_polynomial
 
 XY = RingContext(("x", "y"))
+XYZ = RingContext(("x", "y", "z"))
 
 
 def polys(*texts, ring=XY):
@@ -139,6 +140,69 @@ class TestBuchberger:
         gens = polys("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
         with pytest.raises(BudgetExceeded):
             buchberger(gens, GroebnerBudget(max_pairs=10_000, max_degree=1))
+
+
+class TestPairUpdate:
+    """Each rule of the Gebauer–Möller update, on monomial inputs.
+
+    The inputs enter in order.  Every S-polynomial of two monomials is
+    zero, so no element is added and the S-pairs formed are exactly the
+    pairs the update kept.
+    """
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        pairs = []
+        s_poly = groebner.s_polynomial
+
+        def spy(f, g):
+            pairs.append((str(f), str(g)))
+            return s_poly(f, g)
+
+        monkeypatch.setattr(groebner, "s_polynomial", spy)
+        return pairs
+
+    def test_criterion_b_drops_an_old_pair(self, formed):
+        # y divides lcm(x*y, y*z) = x*y*z, and lcm(x*y, y) and lcm(y*z, y)
+        # both differ from it: the pair of the first two goes.
+        assert [str(p) for p in buchberger(polys("x*y", "y*z", "y", ring=XYZ))] == ["y"]
+        assert sorted(formed) == [("x*y", "y"), ("y*z", "y")]
+
+    def test_a_proper_multiple_of_a_new_lcm_is_dropped(self, formed):
+        # lcm(x*z^2, x*y) = x*y*z^2 is a proper multiple of
+        # lcm(x*z, x*y) = x*y*z, so x*z^2 does not pair with x*y.
+        buchberger(polys("x*z", "x*z^2", "x*y", ring=XYZ))
+        assert formed == [("x*z", "x*z^2"), ("x*z", "x*y")]
+
+    def test_an_equal_lcm_class_is_formed_once(self, formed):
+        # lcm(x*z, x*y) == lcm(y*z, x*y) == x*y*z: one pair stands for both.
+        # The old pair shares that lcm with them, so criterion B keeps it.
+        buchberger(polys("x*z", "y*z", "x*y", ring=XYZ))
+        assert formed == [("x*z", "y*z"), ("x*z", "x*y")]
+
+    def test_a_class_with_a_coprime_member_is_dropped(self, formed):
+        # lcm(y, x) == lcm(x*y, x) == x*y, and y is coprime to x.
+        buchberger(polys("y", "x*y", "x"))
+        assert formed == [("y", "x*y")]
+
+    def test_an_element_the_new_lead_divides_pairs_no_more(self, formed):
+        # x divides x*y, so x*y pairs with nothing after x enters.  Both
+        # pair with x*y*z at lcm x*y*z; only x is left to stand for them.
+        gens = polys("x*y", "x", "x*y*z", ring=XYZ)
+        buchberger(gens)
+        assert formed == [("x*y", "x"), ("x", "x*y*z")]
+        # Considered: none for the first, one for x, one for x*y*z.
+        buchberger(gens, GroebnerBudget(max_pairs=2))
+        with pytest.raises(BudgetExceeded, match="more than 1 S-pairs"):
+            buchberger(gens, GroebnerBudget(max_pairs=1))
+
+    def test_max_pairs_counts_pairs_the_criteria_drop(self, formed):
+        # Three coprime leads: no pair is formed, but three are considered.
+        gens = polys("x", "y", "z", ring=XYZ)
+        assert buchberger(gens, GroebnerBudget(max_pairs=3)) == gens[::-1]
+        assert formed == []
+        with pytest.raises(BudgetExceeded, match="more than 2 S-pairs"):
+            buchberger(gens, GroebnerBudget(max_pairs=2))
 
 
 class TestIdeal:

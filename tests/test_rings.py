@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import RingContext
+from liptriv import RingContext, rings
 from liptriv.rings import (
     DEFAULT_EXPONENT_CAP,
     ExponentOverflow,
     ParseError,
     Polynomial,
     RingError,
+    UnivariatePoly,
+    format_univariate,
     parse_polynomial,
     partial_derivative,
     primed,
 )
-from tests.oracles import substitute
+from tests.oracles import reference_format_polynomial, substitute
 
 XY = RingContext(("x", "y"))
 DOUBLED = RingContext(("t", "x", "y")).doubled_extension()
@@ -199,6 +201,7 @@ class TestParsing:
     )
     def test_printed_text_parses_back(self, terms):
         p = Polynomial(DOUBLED, terms)
+        assert str(p) == reference_format_polynomial(p)
         assert parse_polynomial(str(p), DOUBLED) == p
 
     def test_decimal_literal_rejected(self):
@@ -207,6 +210,46 @@ class TestParsing:
 
     def test_leading_term_printed_first(self):
         assert str(poly("1 + y^3 + x")) == "y^3 + x + 1"
+
+    def test_integer_coefficients_of_an_arc(self):
+        # A product arc may carry plain ints; they print like Fractions.
+        assert format_univariate(UnivariatePoly._raw((3, 0, -1, 1))) == "s^3 - s^2 + 3"
+        assert format_univariate(UnivariatePoly._raw((-1,))) == "-1"
+
+
+class TestParseMemo:
+    @pytest.mark.parametrize("text", [["x"], {"x": 1}, None, b"x", 2])
+    def test_non_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="must be a str"):
+            parse_polynomial(text, XY)
+
+    def test_repeated_text_is_parsed_once(self):
+        assert parse_polynomial("x*y - 1/2", XY) is parse_polynomial("x*y - 1/2", XY)
+
+    @pytest.mark.parametrize(
+        "text, error", [("x ++ y", ParseError), ("q", ParseError), ("x^65", ExponentOverflow)]
+    )
+    def test_bad_text_raises_on_every_call(self, text, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                parse_polynomial(text, XY)
+
+    def test_same_text_on_two_rings(self):
+        capped = RingContext(("x", "y"), exponent_cap=4)
+        swapped = RingContext(("y", "x"))
+        p, q, r = (parse_polynomial("x^2 + y", ring) for ring in (XY, capped, swapped))
+        assert (p.ring, q.ring, r.ring) == (XY, capped, swapped)
+        assert p != q and p != r and q != r
+        assert p.terms == q.terms != r.terms
+        with pytest.raises(ExponentOverflow):
+            parse_polynomial("x^5", capped)
+        assert parse_polynomial("x^5", XY).degree() == 5
+
+    def test_memo_keeps_at_most_its_bound(self):
+        bound = rings._PARSE_MEMO_SIZE
+        for n in range(bound + 100):
+            parse_polynomial(f"{n + 1}*x", XY)
+        assert rings._parse.cache_info().currsize <= bound == rings._parse.cache_info().maxsize
 
 
 class TestCalculusAndSubstitution:
