@@ -19,20 +19,28 @@ mathematical answer.  Membership tests through a completed basis are
 exact in both directions.
 
 All reduction runs in one fraction-free loop, ``_reduce``, in the style
-of Monagan and Pearce's accumulator division: the polynomial under
-reduction is a mutable dict of integer coefficients over one running
-denominator, its monomials are kept in a list ordered by the ring's
-``sort_key`` (each key computed once), and each divisor is an integer
-form ``(D, a, tail)``, the divisor times ``D`` with leading integer
-``a``.  :func:`divide` runs it for membership tests and makes
+of Monagan and Pearce's accumulator division on packed exponent vectors
+("Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Inside the kernel a monomial is one ``int``
+(``rings._Packing``, one per ring): the grevlex key in the high bits
+and guarded exponent fields in the low bits, so a product is ``+``, the
+order is ``<``, and divisibility and the exponent cap are mask tests.
+:meth:`RingContext.sort_key` stays the one definition of the order; the
+packed key is an additive encoding of it, kept next to it in ``rings``
+with the cap rule.  The polynomial under reduction is a mutable dict of
+integer coefficients over one running denominator, its monomials are
+kept in an ascending list, and each divisor is an integer form
+``(D, a, tail)``, the divisor times ``D`` with leading integer ``a``
+and packed tail terms.
+
+Each polynomial's integer form is made once and kept on the
+``Polynomial`` itself (its ``_form`` slot, which only this module
+writes): the first reduction that needs it packs it, and every element
+this module builds (S-polynomials, new and reduced basis elements,
+remainders) carries its form from birth.  :func:`divide` makes
 ``Fraction`` objects only for the cofactor and remainder terms it
-returns.  :func:`buchberger` runs it for every S-pair and for the
-autoreduction: each basis element's integer form is made once, when
-the element enters the basis, :func:`s_polynomial` combines integer
-forms, and each new monic element is read off its primitive integer
-remainder with one ``Fraction`` per term.  The only ``Fraction``
-arithmetic left in a basis computation makes the input generators
-monic.
+returns; :func:`buchberger` reduces every S-pair on the held forms, and
+its input generators enter as primitive forms without being made monic.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import le
 from typing import Iterable, Sequence
 
 from .rings import (
@@ -51,8 +59,7 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
-    _check_cap,
-    _merge,
+    _packing,
     _require_count,
 )
 
@@ -118,41 +125,59 @@ def _integer_terms(terms: tuple) -> tuple[int, list]:
     return denom, [(e, c.numerator * (denom // c.denominator)) for e, c in terms]
 
 
-def _integer_form(d: Polynomial) -> tuple[int, int, list]:
-    """``(D, a, tail)``: ``D*d`` as integer terms, its leading integer ``a``
-    and the terms after the lead."""
-    denom, terms = _integer_terms(d.terms)
-    return denom, terms[0][1], terms[1:]
+def _form_of(p: Polynomial) -> tuple[int, tuple]:
+    """``(lead, (D, a, tail))`` for nonzero ``p``: its packed leading
+    monomial and its integer form, ``D*p`` in lowest integer terms with
+    leading integer ``a`` and packed ``tail``.  Made at the first call and
+    kept on ``p``."""
+    form = getattr(p, "_form", None)
+    if form is None:
+        pack = _packing(p.ring).pack
+        denom, terms = _integer_terms(p.terms)
+        tail = [(pack(e), c) for e, c in terms[1:]]
+        form = p._form = (pack(terms[0][0]), (denom, terms[0][1], tail))
+    return form
 
 
-class _Forms(dict):
-    """Integer forms of a divisor list by index, each made at first use."""
+def _lowest(scale: int, terms: list) -> tuple[int, list]:
+    """``terms / scale`` in lowest terms: ``scale`` and the coefficients
+    divided by their gcd, ``scale`` positive."""
+    content = math.gcd(scale, *(c for _, c in terms))
+    if scale < 0:
+        content = -content
+    if content == 1:
+        return scale, terms
+    return scale // content, [(m, c // content) for m, c in terms]
 
-    def __init__(self, divisors: Sequence[Polynomial]):
-        super().__init__()
-        self.divisors = divisors
 
-    def __missing__(self, i: int) -> tuple:
-        form = self[i] = _integer_form(self.divisors[i])
-        return form
+def _from_integers(ring: RingContext, scale: int, terms: list) -> Polynomial:
+    """The polynomial ``terms / scale``, from packed integer terms leading
+    first, one ``Fraction`` per term, with its integer form kept on it."""
+    if not terms:
+        return ring.zero()
+    scale, terms = _lowest(scale, terms)
+    unpack = _packing(ring).unpack
+    p = Polynomial._raw(ring, tuple((unpack(m), Fraction(c, scale)) for m, c in terms))
+    p._form = (terms[0][0], (scale, terms[0][1], terms[1:]))
+    return p
 
 
 def _reduce(
     ring: RingContext,
     scale: int,
     terms: list,
-    leading: Sequence[Monomial],
-    forms,
+    leading: Sequence[int],
+    forms: Sequence[tuple],
     steps: list[list] | None = None,
 ) -> tuple[int, list]:
-    """Fully reduce ``h = terms / scale`` by divisors given as leading
-    monomials and integer forms ``(D, a, tail)`` (``forms[i]``).
+    """Fully reduce ``h = terms / scale`` by divisors given as packed
+    leading monomials and integer forms ``(D, a, tail)`` (``forms[i]``).
 
-    ``terms`` are integer terms, leading first.  Returns ``(scale,
-    remainder)``: the remainder as integer terms over the returned scale,
-    leading first, no term divisible by a leading monomial.  When
+    ``terms`` are packed integer terms, leading first.  Returns ``(scale,
+    remainder)``: the remainder as packed integer terms over the returned
+    scale, leading first, no term divisible by a leading monomial.  When
     ``steps`` is given, ``steps[i]`` collects the cofactor terms of
-    divisor ``i`` as ``(shift, Fraction)``.
+    divisor ``i`` as ``(packed shift, Fraction)``.
 
     Each step divides the leading term of ``h`` by the first divisor
     whose leading monomial divides it, so the divisor chosen never
@@ -167,28 +192,32 @@ def _reduce(
     their gcd so the integers stay bounded.  The leading monomial of
     ``h`` only falls, so cofactor and remainder terms come out in
     canonical order.  A new monomial over the ring's exponent cap raises
-    ``ExponentOverflow``, as the product ``x^shift * d`` would.
+    ``ExponentOverflow`` as it enters, as the product ``x^shift * d``
+    would, even if a later step would cancel it.
     """
-    key = ring.sort_key
+    packing = _packing(ring)
+    guard, check_cap = packing.guard, packing.check_cap
     acc = dict(terms)
     # Ascending; a zero left in ``acc`` keeps its entry here until popped.
-    order = [(key(m), m) for m, _ in reversed(terms)]
+    order = [m for m, _ in reversed(terms)]
     rem_monos: list = []
     rem: list = []
     while order:
-        m = order.pop()[1]
+        m = order.pop()
         c = acc.pop(m)
         if not c:
             continue
-        for i, dlm in enumerate(leading):
-            if all(map(le, dlm, m)):
+        # ``_Packing.divides``, with ``m | guard`` taken once per term.
+        probe = m | guard
+        for i, lead in enumerate(leading):
+            if (probe - lead) & guard == guard:
                 break
         else:
             rem_monos.append(m)
             rem.append(c)
             continue
         denom, a, tail = forms[i]
-        shift = tuple(map(sub, m, dlm))
+        shift = m - lead
         if steps is not None:
             steps[i].append((shift, Fraction(c * denom, scale * a)))
         t = math.gcd(a, c)
@@ -199,12 +228,12 @@ def _reduce(
                 acc[mono] *= a1
             rem = [r * a1 for r in rem]
         for e, g in tail:
-            mono = tuple(map(add, e, shift))
+            mono = e + shift
             prev = acc.get(mono)
             if prev is None:
-                _check_cap(ring, (mono,))
+                check_cap(mono)
                 acc[mono] = -c1 * g
-                insort(order, (key(mono), mono))
+                insort(order, mono)
             else:
                 acc[mono] = prev - c1 * g
         if a1 != 1:
@@ -215,11 +244,6 @@ def _reduce(
                     acc[mono] //= content
                 rem = [r // content for r in rem]
     return scale, list(zip(rem_monos, rem))
-
-
-def _fractions(ring: RingContext, terms: list, scale: int) -> Polynomial:
-    """The polynomial ``terms / scale``, one ``Fraction`` per term."""
-    return Polynomial._raw(ring, tuple((m, Fraction(c, scale)) for m, c in terms))
 
 
 def divide(
@@ -234,11 +258,11 @@ def divide(
     returned in full rather than discarded.  Each step divides the
     leading term by the first divisor whose leading monomial divides it.
 
-    ``p`` is written as integer terms over the lcm of its denominators,
-    each divisor's integer form is made at its first use, and the
-    division runs in ``_reduce``; ``Fraction`` objects are made only for
-    the cofactor and remainder terms returned.  A monomial over the
-    ring's exponent cap raises ``ExponentOverflow``.
+    The division runs in ``_reduce`` on the integer forms of ``p`` and
+    of every divisor, each made once per polynomial (a basis element
+    carries its form from :func:`buchberger`); ``Fraction`` objects are
+    made only for the cofactor and remainder terms returned.  A monomial
+    over the ring's exponent cap raises ``ExponentOverflow``.
     """
     ring = p.ring
     for d in divisors:
@@ -246,58 +270,75 @@ def divide(
             raise RingError("divisors must share the dividend's ring")
         if d.is_zero:
             raise RingError("cannot divide by the zero polynomial")
+    held = [_form_of(d) for d in divisors]
+    scale, terms = 1, []
+    if p.terms:
+        lead, (scale, a, tail) = _form_of(p)
+        terms = [(lead, a), *tail]
     steps: list[list] = [[] for _ in divisors]
     scale, remainder = _reduce(
         ring,
-        *_integer_terms(p.terms),
-        [d.terms[0][0] for d in divisors],
-        _Forms(divisors),
+        scale,
+        terms,
+        [lead for lead, _ in held],
+        [form for _, form in held],
         steps,
     )
-    cofactors = [Polynomial._raw(ring, tuple(terms)) for terms in steps]
-    return cofactors, _fractions(ring, remainder, scale)
+    unpack = _packing(ring).unpack
+    cofactors = [
+        Polynomial._raw(ring, tuple((unpack(s), c) for s, c in terms))
+        for terms in steps
+    ]
+    return cofactors, _from_integers(ring, scale, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """Syzygy combination ``x^u*f/lc(f) - x^v*g/lc(g)`` cancelling the two
     leading terms, ``x^u*lm(f) == x^v*lm(g)`` their lcm.
 
-    It is built from the integer forms ``f == (a*x^lm(f) + F) / D_f`` and
-    ``g == (b*x^lm(g) + G) / D_g`` as ``(b'*x^u*F - a'*x^v*G) / (a*b')``,
-    with ``t = gcd(a, b)``, ``a' = a/t`` and ``b' = b/t``: two exponent
+    It is built from the held integer forms ``f == (a*x^lm(f) + F) / D_f``
+    and ``g == (b*x^lm(g) + G) / D_g`` as ``(b'*x^u*F - a'*x^v*G) / (a*b')``,
+    with ``t = gcd(a, b)``, ``a' = a/t`` and ``b' = b/t``: two packed
     shifts, one merge, no ``Polynomial`` arithmetic, and one ``Fraction``
-    per term of the result.  A shifted monomial over the ring's exponent
-    cap raises ``ExponentOverflow``, as the product with ``x^u`` or
-    ``x^v`` would.  ``buchberger`` calls this for every pair it reduces.
+    per term of the result, which carries its own integer form.  A
+    shifted monomial over the ring's exponent cap raises
+    ``ExponentOverflow``, as the product with ``x^u`` or ``x^v`` would.
+    ``buchberger`` calls this for every pair it reduces.
     """
     ring = f.ring
     if g.ring is not ring and g.ring != ring:
         raise RingError(f"mixed rings: {ring.variables} vs {g.ring.variables}")
-    lm_f, lm_g = f.leading_monomial(), g.leading_monomial()
-    _, a, tail_f = _integer_form(f)
-    _, b, tail_g = _integer_form(g)
-    lcm = _mono_lcm(lm_f, lm_g)
-    u = tuple(map(sub, lcm, lm_f))
-    v = tuple(map(sub, lcm, lm_g))
+    packing = _packing(ring)
+    lcm = packing.pack(_mono_lcm(f.leading_monomial(), g.leading_monomial()))
+    lead_f, (_, a, tail_f) = _form_of(f)
+    lead_g, (_, b, tail_g) = _form_of(g)
+    u, v = lcm - lead_f, lcm - lead_g
     t = math.gcd(a, b)
     mf, mg = b // t, -(a // t)
-    left = tuple((tuple(map(add, e, u)), mf * c) for e, c in tail_f)
-    right = tuple((tuple(map(add, e, v)), mg * c) for e, c in tail_g)
-    _check_cap(ring, (e for e, _ in left))
-    _check_cap(ring, (e for e, _ in right))
-    return _fractions(ring, _merge(ring, left, right), a * mf)
+    acc = {e + u: mf * c for e, c in tail_f}
+    for e, c in tail_g:
+        e += v
+        acc[e] = acc.get(e, 0) + mg * c
+    # Every shifted monomial, also one that cancels, in the order f's
+    # tail and then g's.
+    for e in acc:
+        packing.check_cap(e)
+    merged = sorted(((e, c) for e, c in acc.items() if c), reverse=True)
+    return _from_integers(ring, a * mf, merged)
 
 
 def _autoreduce(
-    ring: RingContext, leading: list[Monomial], forms: list[tuple]
+    ring: RingContext, leading: list[int], forms: list[tuple]
 ) -> list[Polynomial]:
-    """The reduced monic basis from a Groebner basis given by leading
-    monomials and integer forms, sorted ascending by leading monomial."""
-    ordered = sorted(range(len(leading)), key=lambda k: ring.sort_key(leading[k]))
+    """The reduced monic basis from a Groebner basis given by packed
+    leading monomials and the integer forms of their monic multiples,
+    sorted ascending by leading monomial."""
+    divides = _packing(ring).divides
+    ordered = sorted(range(len(leading)), key=leading.__getitem__)
     # Divisibility implies order, so one ascending pass finds the minimal set.
     minimal: list[int] = []
     for k in ordered:
-        if not any(_mono_divides(leading[j], leading[k]) for j in minimal):
+        if not any(divides(leading[j], leading[k]) for j in minimal):
             minimal.append(k)
     reduced = []
     for k in minimal:
@@ -311,7 +352,7 @@ def _autoreduce(
             [forms[j] for j in others],
         )
         # The lead is minimal, so it survives and stays the lead.
-        reduced.append(_fractions(ring, rem, rem[0][1]))
+        reduced.append(_from_integers(ring, rem[0][1], rem))
     return reduced
 
 
@@ -340,19 +381,19 @@ def buchberger(
     * the elements whose leading monomial the new one divides are paired
       with no later element.
 
-    Pairs are treated by the degree of their lcm, then by index.  Each
-    basis element's integer form is made once, when it enters the
-    basis.  Every S-pair the update keeps is formed by
-    :func:`s_polynomial` and fully reduced by ``_reduce`` on the forms
-    of all elements; a nonzero remainder is made primitive, and that is
-    both the new element's integer form and, with one ``Fraction`` per
-    term, the monic element itself.  The autoreduction runs on the same
-    forms.
+    Pairs are treated by the degree of their lcm, then by index.  A
+    generator enters as the primitive integer form of its monic multiple,
+    read off its held form, and is not made monic itself: an S-pair is
+    the same for any nonzero multiple of its elements.  Every S-pair the
+    update keeps is formed by :func:`s_polynomial` and fully reduced by
+    ``_reduce`` on the forms of all elements; a nonzero remainder becomes
+    the new monic element, whose held form is primitive.  The
+    autoreduction runs on the same forms.
     """
     if budget is None:
         budget = GroebnerBudget()
     _require_budget("budget", budget)
-    inputs = [g.monic() for g in generators if not g.is_zero]
+    inputs = [g for g in generators if not g.is_zero]
     if not inputs:
         return []
     ring = inputs[0].ring
@@ -361,6 +402,7 @@ def buchberger(
             raise RingError("generators must share one ring")
     basis: list[Polynomial] = []
     leading: list[Monomial] = []
+    packed: list[int] = []
     forms: list[tuple] = []
     # Pairs not yet treated, a heap of (degree of lcm, i, j, lcm), and the
     # elements new ones still pair with.
@@ -368,7 +410,7 @@ def buchberger(
     active: list[int] = []
     considered = 0
 
-    def enter(poly: Polynomial, form: tuple) -> None:
+    def enter(poly: Polynomial, lead: int, form: tuple) -> None:
         """Add ``poly`` to the basis and update the pairs (Gebauer–Möller)."""
         nonlocal pairs, active, considered
         considered += len(active)
@@ -405,33 +447,38 @@ def buchberger(
         active.append(h)
         basis.append(poly)
         leading.append(lm_h)
+        packed.append(lead)
         forms.append(form)
 
+    unpack = _packing(ring).unpack
     try:
         for g in inputs:
-            enter(g, _integer_form(g))
+            # The form of the monic multiple: lowest terms over the lead.
+            lead, (_, a, tail) = _form_of(g)
+            a, tail = _lowest(a, tail)
+            enter(g, lead, (a, a, tail))
         while pairs:
             _, i, j, _ = heapq.heappop(pairs)
             s = s_polynomial(basis[i], basis[j])
-            _, rem = _reduce(ring, *_integer_terms(s.terms), leading, forms)
+            if s.is_zero:
+                continue
+            lead, (denom, a, tail) = _form_of(s)
+            _, rem = _reduce(ring, denom, [(lead, a), *tail], packed, forms)
             if not rem:
                 continue
-            degree = max(sum(m) for m, _ in rem)
-            if degree > budget.max_degree:
+            # Grevlex is graded: the leading term has the largest degree.
+            top = sum(unpack(rem[0][0]))
+            if top > budget.max_degree:
                 raise BudgetExceeded(
-                    f"basis element of degree {degree} exceeds "
+                    f"basis element of degree {top} exceeds "
                     f"cap {budget.max_degree}"
                 )
-            # Primitive, with a positive lead: the new element's integer form.
-            content = math.gcd(*(c for _, c in rem))
-            if rem[0][1] < 0:
-                content = -content
-            terms = [(m, c // content) for m, c in rem]
-            a = terms[0][1]
-            enter(_fractions(ring, terms, a), (a, a, terms[1:]))
+            # Monic, so its held form is primitive with a positive lead.
+            poly = _from_integers(ring, rem[0][1], rem)
+            enter(poly, *poly._form)
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
-    return _autoreduce(ring, leading, forms)
+    return _autoreduce(ring, packed, forms)
 
 
 class Ideal:

@@ -33,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
+from operator import add, lshift, neg
 from typing import Iterable, Union
 
 __all__ = [
@@ -168,7 +168,9 @@ class RingContext:
     def sort_key(exps: Monomial):
         """Key that sorts monomials ascending in grevlex: by total degree,
         and within one degree the monomial with the smaller exponent in
-        the last variable where two differ is the larger."""
+        the last variable where two differ is the larger.  This is the
+        one definition of the order; :class:`_Packing` encodes it
+        additively for the Groebner kernel."""
         return (sum(exps), tuple(map(neg, exps[::-1])))
 
     def doubled_extension(self) -> "RingContext":
@@ -260,9 +262,15 @@ class Polynomial:
       which keep the order as they are;
     * :func:`inject_into`, one sort for the target order, cap checked;
     * ``doubling.double_of``, one sort.
+
+    Two slots hold what is derived from a polynomial once, on first use,
+    and are otherwise left unset, so ``_raw`` pays nothing for them:
+    ``_text`` the output of :func:`format_polynomial`, and ``_form`` the
+    integer form with packed monomials that ``groebner`` reduces with
+    (only ``groebner`` writes it).  Both are read with a default.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_form", "_text")
 
     def __init__(self, ring: RingContext, terms: Iterable[tuple[Monomial, Scalar]]):
         arity = ring.arity
@@ -518,6 +526,66 @@ def _check_cap(ring: RingContext, monomials: Iterable[Monomial]) -> None:
             )
 
 
+class _Packing:
+    """The monomials of ``ring`` packed into single non-negative ``int``
+    values, on which ``groebner`` reduces.
+
+    Each exponent gets a field of ``w = cap.bit_length() + 1`` bits, so
+    the top (guard) bit of a field lies above the cap; exponent ``i``
+    sits at bit ``i*w`` of ``F = sum(e[i] << i*w)``, which has
+    ``L = arity*w`` bits.  With ``B = 2**w`` and ``n = arity``, the
+    grevlex key is ``K = sum(e[i] * (B**n - B**i)) == (deg << L) - F``,
+    and the packed monomial is ``K << L | F``.  Both parts are linear in
+    the exponents, so the product of two monomials is the sum of their
+    packings, and the quotient ``m / d`` of a divisible pair is ``m - d``.
+
+    For exponents up to ``2*cap`` (a product of two monomials within the
+    cap) no field carries into the next, and ``<`` on packings is
+    :meth:`RingContext.sort_key`'s order: ``K`` compares total degrees
+    first and then the exponents from the last variable down, smaller
+    exponent larger, because every exponent difference is below ``B``.
+    For exponents within the cap, ``d`` divides ``m`` when no field of
+    ``(m | guard) - d`` borrows from its guard bit; a monomial passes the
+    cap when adding ``over`` (``2**(w-1) - 1 - cap`` in every field)
+    sets a guard bit.
+    """
+
+    __slots__ = ("ring", "low", "shifts", "field", "guard", "over")
+
+    def __init__(self, ring: RingContext):
+        cap = ring.exponent_cap
+        width = cap.bit_length() + 1
+        self.ring = ring
+        self.low = ring.arity * width
+        self.shifts = tuple(range(0, self.low, width))
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.over = sum(((1 << (width - 1)) - 1 - cap) << s for s in self.shifts)
+
+    def pack(self, exps: Monomial) -> int:
+        fields = sum(map(lshift, exps, self.shifts))
+        return (((sum(exps) << self.low) - fields) << self.low) | fields
+
+    def unpack(self, packed: int) -> Monomial:
+        """The exponents of a packed monomial, or of a packed quotient."""
+        field = self.field
+        return tuple([(packed >> s) & field for s in self.shifts])
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def check_cap(self, packed: int) -> None:
+        """Raise what :func:`_check_cap` raises for the unpacked monomial
+        when ``packed`` passes the cap."""
+        if (packed + self.over) & self.guard:
+            _check_cap(self.ring, (self.unpack(packed),))
+
+
+@functools.cache
+def _packing(ring: RingContext) -> _Packing:
+    return _Packing(ring)
+
+
 # -- formatting -------------------------------------------------------
 
 
@@ -536,7 +604,18 @@ def _format_magnitude(ring: RingContext, exps: Monomial, coeff: Scalar) -> str:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Render with the leading term first, e.g. ``y^3 - 3/2*x*y^2``."""
+    """Render with the leading term first, e.g. ``y^3 - 3/2*x*y^2``.
+
+    Polynomials are immutable, so the text is made once per object and
+    kept in its ``_text`` slot.
+    """
+    text = getattr(p, "_text", None)
+    if text is None:
+        text = p._text = _format_terms(p)
+    return text
+
+
+def _format_terms(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     pieces = []

@@ -12,10 +12,12 @@ from liptriv.groebner import (
     membership_certificate,
     s_polynomial,
 )
-from liptriv.rings import ExponentOverflow, parse_polynomial
+from liptriv.rings import ExponentOverflow, Polynomial, parse_polynomial
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
+XYZ_CAP2 = RingContext(("x", "y", "z"), exponent_cap=2)
+XYZ_CAP3 = RingContext(("x", "y", "z"), exponent_cap=3)
 
 
 def polys(*texts, ring=XY):
@@ -59,6 +61,27 @@ class TestDivision:
             s_polynomial(f, g)
         with pytest.raises(BudgetExceeded):
             buchberger([f, g])
+
+    def test_over_cap_monomial_that_would_cancel_still_overflows(self):
+        # Dividing x*z^2 - y*z^2 by x*z + z^2 enters -z^3, past the cap 2;
+        # the next step, by y*z + z^2, would cancel it.  With room for z^3
+        # the division ends exactly, every cofactor within the cap 2.
+        texts = ("x*z^2 - y*z^2", "y*z + z^2", "x*z + z^2")
+        p, *divisors = polys(*texts, ring=XYZ_CAP2)
+        with pytest.raises(ExponentOverflow, match=r"\(0, 0, 3\)"):
+            divide(p, divisors)
+        p, *divisors = polys(*texts, ring=XYZ_CAP3)
+        cofactors, remainder = divide(p, divisors)
+        assert [str(c) for c in cofactors] == ["-z", "z"]
+        assert remainder.is_zero
+
+    def test_over_cap_monomial_that_would_cancel_is_a_budget_failure(self):
+        # The one S-pair, x*z^2 - y*z^2, reduces through the same -z^3;
+        # with room for it the inputs are the reduced basis.
+        texts = ["y*z + z^2", "x*z + z^2"]
+        with pytest.raises(BudgetExceeded, match=r"\(0, 0, 3\)"):
+            buchberger(polys(*texts, ring=XYZ_CAP2))
+        assert [str(p) for p in buchberger(polys(*texts, ring=XYZ_CAP3))] == texts
 
     def test_s_polynomial_cancels_leading_terms(self):
         f, g = polys("x^2 - y", "x*y - 1")
@@ -210,6 +233,28 @@ class TestIdeal:
         ideal = Ideal(XY, polys("x^2 - y", "x*y - 1"))
         first = ideal.groebner_basis()
         assert ideal.groebner_basis() is first
+
+    def test_each_integer_form_is_made_once(self, monkeypatch):
+        # A basis element carries its form from buchberger; any other
+        # polynomial gets its form at its first division, as dividend or
+        # divisor.  Fresh objects, so no earlier test made their forms.
+        basis = Ideal(XY, polys("x^2 - y", "x*y - 1")).groebner_basis()
+        p, *divisors = (
+            Polynomial._raw(XY, q.terms)
+            for q in polys("x^3*y - 2*x*y^2 + y + 5", "x*y - 1", "y^2 - 1")
+        )
+        made = []
+        integer_terms = groebner._integer_terms
+
+        def spy(terms):
+            made.append(terms)
+            return integer_terms(terms)
+
+        monkeypatch.setattr(groebner, "_integer_terms", spy)
+        for _ in range(5):
+            divide(p, basis)
+            divide(p, divisors)
+        assert sorted(made) == sorted(q.terms for q in (p, *divisors))
 
     def test_membership_positive(self):
         ideal = Ideal(XY, polys("x^2 - y", "x*y - 1"))

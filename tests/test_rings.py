@@ -15,6 +15,7 @@ from liptriv.rings import (
     Polynomial,
     RingError,
     UnivariatePoly,
+    format_polynomial,
     format_univariate,
     parse_polynomial,
     partial_derivative,
@@ -203,6 +204,25 @@ class TestParsing:
         p = Polynomial(DOUBLED, terms)
         assert str(p) == reference_format_polynomial(p)
         assert parse_polynomial(str(p), DOUBLED) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(*(st.integers(0, 4) for _ in range(DOUBLED.arity))),
+                st.fractions(min_value=-9, max_value=9, max_denominator=7),
+            ),
+            max_size=6,
+        )
+    )
+    def test_printed_text_is_made_once(self, terms):
+        p = Polynomial(DOUBLED, terms)
+        text = str(p)
+        assert format_polynomial(p) is text
+        assert text == format_polynomial(Polynomial._raw(DOUBLED, p.terms))
+        assert parse_polynomial(text, DOUBLED) == p
+        # Derived polynomials are new objects with texts of their own.
+        assert str(-p) == reference_format_polynomial(-p)
 
     def test_decimal_literal_rejected(self):
         with pytest.raises(ParseError):
