@@ -41,6 +41,7 @@ from .analyzer import (
     reproduce_catalog_table,
 )
 from .catalog import (
+    CATALOG_INDICES,
     CatalogError,
     normal_form,
     random_direction,
@@ -90,7 +91,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             catalog_flag,
             type=int,
-            choices=range(1, 7),
+            choices=CATALOG_INDICES,
             dest="catalog",
             help=catalog_help,
         )

@@ -21,7 +21,10 @@ ideal: it takes the components and doubles them itself, so everything
 in it vanishes on the diagonal ``z = z'`` by construction.
 
 This module alone builds the unfolding's doubled structure: the family
-components and the family, direction and diagonal ideals.
+components and the family, direction and diagonal ideals.  A germ
+enters the unfolding ring ``t, x, y, ...`` through one lift, which
+prepends ``t`` at exponent 0 to every term and so keeps the terms
+canonical as they are.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .rings import (
     RingContext,
     RingError,
     _sorted_terms,
-    inject_into,
     parse_polynomial,
     partial_derivative,
 )
@@ -122,10 +124,6 @@ class MatrixGerm:
         return self.shape[0]
 
     @property
-    def ncols(self) -> int:
-        return self.shape[1]
-
-    @property
     def is_constant(self) -> bool:
         return all(c.is_constant for c in self.components)
 
@@ -145,11 +143,6 @@ class MatrixGerm:
         return MatrixGerm(
             self.shape, map(add, self.components, other.components), self.symmetric
         )
-
-    def __sub__(self, other: "MatrixGerm") -> "MatrixGerm":
-        if not isinstance(other, MatrixGerm):
-            return NotImplemented
-        return self + other.scale(-1)
 
     def scale(self, factor: Union[Polynomial, int, Fraction]) -> "MatrixGerm":
         return self.map_entries(lambda e: e * factor)
@@ -290,6 +283,18 @@ def _parameter_extension(ring: RingContext) -> RingContext:
     return RingContext((PARAMETER,) + ring.variables, False, ring.exponent_cap)
 
 
+def _lift(p: Polynomial) -> Polynomial:
+    """``p`` on :func:`_parameter_extension` of its ring, free of ``t``.
+
+    Built canonical directly: a new first exponent of 0 in every term
+    leaves each total degree, each last differing exponent and each
+    exponent's bound as they were, so the order and the cap still hold.
+    """
+    return Polynomial._raw(
+        _parameter_extension(p.ring), tuple(((0,) + e, c) for e, c in p.terms)
+    )
+
+
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
     """The family ``base + t * direction``, one scalar component at a time.
 
@@ -304,10 +309,9 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         raise RingError("germ and direction must agree on symmetry")
     if PARAMETER in base.ring.variables:
         raise RingError(f"parameter name {PARAMETER!r} collides with a ring variable")
-    extended = _parameter_extension(base.ring)
-    t = extended.variable(PARAMETER)
+    t = _parameter_extension(base.ring).variable(PARAMETER)
     components = tuple(
-        inject_into(b, extended) + t * inject_into(d, extended)
+        _lift(b) + t * _lift(d)
         for b, d in zip(base.components, direction.components)
     )
     return Unfolding(base, direction, components)
@@ -329,4 +333,4 @@ def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
     nonzero = [d for d in u.direction.components if not d.is_zero]
     if not nonzero:
         return None
-    return DoubledIdeal([inject_into(d, u.extended_ring) for d in nonzero])
+    return DoubledIdeal([_lift(d) for d in nonzero])

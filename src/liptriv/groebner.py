@@ -364,9 +364,10 @@ def buchberger(
     The result is canonical: monic, fully autoreduced, sorted ascending
     by leading monomial.  Raises :class:`BudgetExceeded` when the count
     of pairs considered or the degree of a new basis element passes the
-    budget, or when an S-pair or its reduction passes the ring's
-    exponent cap.  ``budget`` is a :class:`GroebnerBudget`, or ``None``
-    for the default one; anything else is refused with ``ValueError``.
+    budget, or when an S-pair, its reduction or the autoreduction passes
+    the ring's exponent cap.  ``budget`` is a :class:`GroebnerBudget`, or
+    ``None`` for the default one; anything else is refused with
+    ``ValueError``.
 
     The generators enter the basis one at a time, and so does each new
     element; each entry runs the Gebauer–Möller update on the pairs:
@@ -476,9 +477,9 @@ def buchberger(
             # Monic, so its held form is primitive with a positive lead.
             poly = _from_integers(ring, rem[0][1], rem)
             enter(poly, *poly._form)
+        return _autoreduce(ring, packed, forms)
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
-    return _autoreduce(ring, packed, forms)
 
 
 class Ideal:
@@ -503,10 +504,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero)
         self._basis: tuple[Polynomial, ...] | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def groebner_basis(
         self, budget: GroebnerBudget | None = None

@@ -48,7 +48,6 @@ __all__ = [
     "UnivariatePoly",
     "format_polynomial",
     "format_univariate",
-    "inject_into",
     "parse_polynomial",
     "parse_univariate",
     "partial_derivative",
@@ -260,8 +259,8 @@ class Polynomial:
       product with one term, one sort for a general product;
     * :meth:`RingContext.variable` and :func:`partial_derivative`,
       which keep the order as they are;
-    * :func:`inject_into`, one sort for the target order, cap checked;
-    * ``doubling.double_of``, one sort.
+    * ``doubling.double_of``, one sort, and ``doubling._lift``, which
+      prepends the parameter at exponent 0 and keeps the order as it is.
 
     Two slots hold what is derived from a polynomial once, on first use,
     and are otherwise left unset, so ``_raw`` pays nothing for them:
@@ -369,12 +368,6 @@ class Polynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return Polynomial._raw(
@@ -739,44 +732,6 @@ def partial_derivative(p: Polynomial, name: str) -> Polynomial:
             lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
             terms.append((lowered, coeff * e))
     return Polynomial._raw(p.ring, tuple(terms))
-
-
-def inject_into(p: Polynomial, target: RingContext) -> Polynomial:
-    """Re-express ``p`` in ``target``, matching variables by name.
-
-    Only variables that actually occur need to exist in the target, so a
-    polynomial can move into any ring that contains its support.  The
-    renaming keeps monomials distinct, so the terms are only checked
-    against the target's exponent cap and re-sorted for its order.  The
-    sort is skipped when the source variables keep their relative order
-    in the target: grevlex compares total degrees and then the last
-    exponent where two monomials differ, and the exponents inserted
-    between them are all 0, so every comparison comes out as before.
-    """
-    if p.ring == target:
-        return p
-    position: dict[int, int] = {}
-    for i, name in enumerate(p.ring.variables):
-        if name in target.variables:
-            position[i] = target.index(name)
-    indices = list(position.values())
-    in_order = indices == sorted(indices)
-    terms = []
-    for exps, coeff in p.terms:
-        new = [0] * target.arity
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            if i not in position:
-                raise RingError(
-                    f"{p.ring.variables[i]!r} does not exist in {target.variables}"
-                )
-            new[position[i]] = e
-        terms.append((tuple(new), coeff))
-    _check_cap(target, (e for e, _ in terms))
-    if not in_order:
-        terms = _sorted_terms(target, terms)
-    return Polynomial._raw(target, tuple(terms))
 
 
 # -- univariate arcs ---------------------------------------------------

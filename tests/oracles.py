@@ -337,9 +337,9 @@ def reference_buchberger(generators, budget=None):
                     f"cap {budget.max_degree}"
                 )
             enter(h.monic())
+        return _reference_autoreduce(basis)
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
-    return _reference_autoreduce(basis)
 
 
 def _reference_format_magnitude(ring, exps, coeff):

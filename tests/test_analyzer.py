@@ -61,6 +61,15 @@ class TestRoutes:
         assert data["diagonal_into_family"]
         assert verify_inclusion_certificate(verdict)
 
+    def test_diagonal_route_falls_through_when_a_difference_is_not_a_member(self):
+        # x, y cut the origin reduced, but with theta = F the family ideal
+        # is <(1 + t)(x - x'), (1 + t)(y - y')>, which misses x - x'.
+        ring = RingContext(("x", "y"))
+        F = parse_matrix_germ("gen: x, y", ring)
+        verdict = analyze(F, F, AnalyzeOptions(curve_budget=50))
+        assert verdict.route != "diagonal"
+        assert verdict.outcome != NOT_LIPSCHITZ
+
     def test_inclusion_route_with_cofactors(self):
         # family 2 with only d-coefficients: the direction ideal divides
         # into <x - x'> inside the family ideal

@@ -136,6 +136,17 @@ def test_smallest_budget_matches_reference(name, field):
         buchberger(generators, below)
 
 
+def test_exponent_cap_in_autoreduction_matches_reference():
+    # No S-pair is formed; the autoreduction alone passes the cap 2.
+    ring = RingContext(("x", "y", "z"), exponent_cap=2)
+    generators = [
+        parse_polynomial(text, ring) for text in ("y^2 - x*z", "x^2*z^2 + y^2*z^2")
+    ]
+    got = _run(buchberger, generators)
+    assert got[0] == "budget" and "(1, 0, 3)" in got[1]
+    assert got == _run(reference_buchberger, generators)
+
+
 def test_basis_forms_are_primitive(monkeypatch):
     """Every divisor form ``_reduce`` sees in ``buchberger`` is a monic
     element written over its leading integer: ``(a, a, tail)`` with

@@ -40,6 +40,20 @@ class TestAnalyze:
         assert "Lipschitz" in out
         assert "NotLipschitz" not in out
 
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (("--catalog", "2", "--k", "4", "--theta", "d1=1"), "inclusion"),
+            (("--catalog", "1", "--k", "1", "--l", "3", "--theta", "b1=1"), "diagonal"),
+        ],
+        ids=["inclusion", "diagonal"],
+    )
+    def test_membership_routes_print_their_count(self, capsys, argv, route):
+        code, out, _ = run(capsys, "analyze", *argv)
+        assert code == 0
+        assert f"Lipschitz (route: {route})" in out
+        assert "memberships shown: 1" in out.splitlines()
+
     def test_inconclusive_exits_two(self, capsys):
         code, out, _ = run(
             capsys,

@@ -26,9 +26,9 @@ from liptriv.doubling import (
     format_matrix_germ,
 )
 from liptriv.groebner import membership_certificate
-from liptriv.rings import RingError, inject_into, parse_polynomial, primed
+from liptriv.rings import RingError, parse_polynomial, primed
 from liptriv.tangent import tangent_generators
-from tests.oracles import diagonal_collapse, full_double_ideal
+from tests.oracles import diagonal_collapse, full_double_ideal, substitute
 from tests.test_golden_normal import grid as normal_grid
 from tests.test_trusted_construction import polys
 
@@ -252,9 +252,10 @@ class TestUnfolding:
 def matrix_route(base, direction):
     """``lift(base) + lift(direction).scale(t)`` by MatrixGerm arithmetic."""
     ring = RingContext(("t",) + base.ring.variables)
+    images = {name: ring.variable(name) for name in base.ring.variables}
 
     def lift(germ):
-        return germ.map_entries(lambda e: inject_into(e, ring))
+        return germ.map_entries(lambda e: substitute(e, images, ring))
 
     return lift(base) + lift(direction).scale(ring.variable("t"))
 

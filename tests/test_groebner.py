@@ -83,6 +83,17 @@ class TestDivision:
             buchberger(polys(*texts, ring=XYZ_CAP2))
         assert [str(p) for p in buchberger(polys(*texts, ring=XYZ_CAP3))] == texts
 
+    def test_exponent_cap_in_autoreduction_is_a_budget_failure(self):
+        # The leads y^2 and x^2*z^2 are coprime, so no S-pair is formed;
+        # autoreducing y^2*z^2 by y^2 - x*z enters x*z^3, past the cap 2.
+        texts = ["y^2 - x*z", "x^2*z^2 + y^2*z^2"]
+        with pytest.raises(BudgetExceeded, match=r"\(1, 0, 3\)"):
+            buchberger(polys(*texts, ring=XYZ_CAP2))
+        assert [str(p) for p in buchberger(polys(*texts, ring=XYZ_CAP3))] == [
+            "y^2 - x*z",
+            "x^2*z^2 + x*z^3",
+        ]
+
     def test_s_polynomial_cancels_leading_terms(self):
         f, g = polys("x^2 - y", "x*y - 1")
         s = s_polynomial(f, g)

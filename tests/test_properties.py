@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from liptriv import RingContext
 from liptriv.doubling import double_of
-from liptriv.rings import Polynomial, UnivariatePoly, inject_into
+from liptriv.rings import Polynomial, UnivariatePoly
 from tests.oracles import substitute
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
 UV = RingContext(("u", "v"))
 
+PLAIN = {name: DXY.variable(name) for name in XY.variables}
 PRIMED = {name: DXY.variable(name + "'") for name in XY.variables}
 
 
@@ -53,7 +54,7 @@ class TestDifferenceOperator:
     def test_product_rule(self, p, q):
         # (pq) at z minus (pq) at z' splits as p(z)*(q(z)-q(z'))
         # plus q(z')*(p(z)-p(z'))
-        p_plain = inject_into(p, DXY)
+        p_plain = substitute(p, PLAIN, DXY)
         q_primed = substitute(q, PRIMED)
         lhs = double_of(p * q)
         rhs = p_plain * double_of(q) + q_primed * double_of(p)

@@ -212,6 +212,11 @@ class TestEntriesCutReducedOrigin:
         )
         assert entries_cut_reduced_origin(F)
 
+    def test_entry_off_the_origin_is_refused(self):
+        # The linear parts x, y span every linear form, but 1 + x does
+        # not vanish at the origin.
+        assert not entries_cut_reduced_origin(germ("gen: 1 + x, y"))
+
 
 class TestQuotientImageRank:
     def test_full_basis_has_full_rank(self):

@@ -16,23 +16,17 @@ from hypothesis import strategies as st
 from liptriv import RingContext
 from liptriv.doubling import (
     MatrixGerm,
+    _lift,
     build_unfolding,
     diagonal_ideal,
     double_of,
 )
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, membership_certificate
-from liptriv.rings import (
-    ExponentOverflow,
-    Polynomial,
-    inject_into,
-    partial_derivative,
-)
+from liptriv.rings import Polynomial, partial_derivative
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
 EXTENDED = RingContext(("t", "x", "y"))  # parameter first, as in an unfolding
-PERMUTED = RingContext(("y", "z", "x"))
-XYZ = RingContext(("x", "y", "z"))
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -44,17 +38,6 @@ def term_lists(arity, max_exp=4, max_terms=6):
 
 def polys(ring, **kw):
     return term_lists(ring.arity, **kw).map(lambda ts: Polynomial(ring, ts))
-
-
-@st.composite
-def injection_targets(draw):
-    """Rings holding ``x, y, z`` and two more variables, in any order or
-    with ``x, y, z`` kept in order, so both paths of ``inject_into`` run."""
-    names = draw(st.permutations(("t", "u", "x", "y", "z")))
-    if draw(st.booleans()):
-        source = iter(XYZ.variables)
-        names = [next(source) if name in XYZ.variables else name for name in names]
-    return RingContext(tuple(names))
 
 
 def assert_canonical(p, expected_terms):
@@ -95,37 +78,11 @@ class TestTrustedBuilders:
 
     @settings(max_examples=300, deadline=None)
     @given(polys(XY))
-    def test_inject_into_parameter_first_ring(self, p):
+    def test_lift_into_parameter_first_ring(self, p):
         expected = [((0,) + e, c) for e, c in p.terms]
-        assert_canonical(inject_into(p, EXTENDED), expected)
-
-    @settings(max_examples=300, deadline=None)
-    @given(polys(XY))
-    def test_inject_into_permuted_ring(self, p):
-        expected = [((e[1], 0, e[0]), c) for e, c in p.terms]
-        assert_canonical(inject_into(p, PERMUTED), expected)
-
-    @settings(max_examples=300, deadline=None)
-    @given(polys(XYZ, max_exp=3), injection_targets())
-    def test_inject_into_terms_are_sorted(self, p, target):
-        # An order-keeping injection skips the sort; its terms must still
-        # be the ones the validating constructor sorts.
-        index = [target.index(name) for name in XYZ.variables]
-        expected = []
-        for e, c in p.terms:
-            new = [0] * target.arity
-            for i, k in enumerate(index):
-                new[k] = e[i]
-            expected.append((tuple(new), c))
-        assert_canonical(inject_into(p, target), expected)
-
-    def test_inject_into_smaller_cap_overflows(self):
-        small = RingContext(("x", "y"), exponent_cap=3)
-        p = Polynomial(XY, [((4, 0), 1), ((0, 1), 2)])
-        with pytest.raises(ExponentOverflow):
-            inject_into(p, small)
-        q = Polynomial(XY, [((3, 0), 1)])
-        assert inject_into(q, small).terms == q.terms
+        lifted = _lift(p)
+        assert lifted.ring == EXTENDED
+        assert_canonical(lifted, expected)
 
 
 class TestSharedPerRing:
