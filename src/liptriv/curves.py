@@ -11,9 +11,10 @@ one-sided by design and reports itself as such.
 
 The search walks one fixed family of curves: monomial arcs ``c * s^e``
 with ``1 <= e <= max_exponent`` and ``c`` in :data:`ARC_COEFFICIENTS`.
-On a doubled ring the parameter ``t``, which both points of a pair
-share, counts twice toward the enumeration degree: it stands for both
-points.
+On a doubled ring the arcs are *paired*: each variable has the same
+exponent as its mirror (the parameter ``t`` is its own mirror), while
+every variable, mirrors included, takes its own coefficient.  Every
+witness against a difference ideal found so far has been paired.
 
 The search reads orders only, so it builds no pullbacks.  Along
 monomial arcs ``c_i * s^e_i`` a term ``q * z^a`` lands at degree
@@ -55,12 +56,12 @@ at a time and every later block whole, so a witness at the ``n``-th
 curve is found after deciding at most ``2n`` curves.
 
 Two things are not computed again.  A stream's exponent tuples depend
-only on the variables' weights and ``max_exponent``, so every search of
-one stream reads one shared list, generated once per process and only as
-far as some search has read (see :func:`_profiles`).  And a kernel's
-degree grouping depends only on the block's exponents on the variables
-its terms use, so from its second block on a kernel keeps each grouping
-under those exponents for the rest of its search.
+only on the ring's mirror map, its arity and ``max_exponent``, so every
+search of one stream reads one shared list, generated once per process
+and only as far as some search has read (see :func:`_profiles`).  And a
+kernel's degree grouping depends only on the block's exponents on the
+variables its terms use, so from its second block on a kernel keeps each
+grouping under those exponents for the rest of its search.
 """
 
 from __future__ import annotations
@@ -270,27 +271,23 @@ ARC_COEFFICIENTS = (1, 2)
 integers, so a single term never vanishes along a searched arc."""
 
 
-def _weighted_compositions(
-    weights: Sequence[int], total: int, cap: int
-) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples with entries in [1, cap] and given weighted sum,
-    in ascending lexicographic order."""
+def _compositions(length: int, total: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of ``length`` entries in [1, cap] summing to
+    ``total``, in ascending lexicographic order."""
 
     def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(weights):
+        if idx == length:
             if remaining == 0:
                 yield ()
             return
-        tail_min = sum(weights[idx + 1 :])
+        tail_min = length - idx - 1
         tail_max = cap * tail_min
-        w = weights[idx]
         for e in range(1, cap + 1):
-            used = w * e
-            if used > remaining - tail_min:
+            if e > remaining - tail_min:
                 break
-            if remaining - used > tail_max:
+            if remaining - e > tail_max:
                 continue
-            for rest in rec(idx + 1, remaining - used):
+            for rest in rec(idx + 1, remaining - e):
                 yield (e,) + rest
 
     yield from rec(0, total)
@@ -300,17 +297,23 @@ class _Stream:
     """One stream's exponent tuples, generated on demand and kept.
 
     ``blocks`` holds the tuples generated so far, in stream order, and
-    ``patterns`` the coefficient patterns every block shares.  Only
+    ``patterns`` the coefficient patterns every block shares.  A tuple
+    is a composition over the variables of ``mirrors`` (the index of
+    each one's mirror) with its exponents copied onto the mirrors.  Only
     :meth:`reaches` generates, under :data:`_STREAMS_LOCK`.
     """
 
-    def __init__(self, weights: tuple[int, ...], max_exponent: int):
-        self.patterns = list(itertools.product(ARC_COEFFICIENTS, repeat=len(weights)))
+    def __init__(self, mirrors: tuple[int, ...], max_exponent: int, arity: int):
+        self.patterns = list(itertools.product(ARC_COEFFICIENTS, repeat=arity))
         self.blocks: list[tuple[int, ...]] = []
+        source = [0] * arity  # the variable of the composition each copies
+        for i, m in enumerate(mirrors):
+            source[i] = source[m] = i
+        n = len(mirrors)
         self._rest = (
-            exps
-            for total in range(sum(weights), max_exponent * sum(weights) + 1)
-            for exps in _weighted_compositions(weights, total, max_exponent)
+            tuple(map(half.__getitem__, source))
+            for total in range(n, max_exponent * n + 1)
+            for half in _compositions(n, total, max_exponent)
         )
 
     def reaches(self, index: int) -> bool:
@@ -338,27 +341,30 @@ def _profiles(
     """The search's curves in blocks ``(exponents, patterns)``, one entry
     per ring variable, cheapest first.
 
-    Blocks come by weighted degree, then by exponent tuple; a block is
-    one exponent tuple with every pattern of :data:`ARC_COEFFICIENTS`,
-    and all blocks share one list of patterns.  On a doubled ring a
-    variable that is its own mirror, the shared parameter, weighs 2.
+    A block is one exponent tuple with every pattern of
+    :data:`ARC_COEFFICIENTS`, and all blocks share one list of patterns.
+    On a doubled ring the search runs along paired arcs only: the
+    exponent tuples are compositions over the half variables, ``t``
+    among them, each copied onto its mirror.  Blocks come by the sum of
+    those half exponents, the degree of the arc of one point of the
+    pair, then by exponent tuple.  For a difference ideal no witness
+    found so far lies off the paired arcs; for any other ideal on a
+    doubled ring the unpaired arcs are simply not searched, which a
+    one-sided search may do.  A ring that is not doubled searches every
+    exponent tuple, by total degree, then by tuple.
 
-    The stream is shared: it depends on nothing but the weights and
-    ``max_exponent``, and every search of it in the process reads one
-    :class:`_Stream`, which holds only exponent tuples and patterns.  A
-    block is generated when a search first reads it and kept, so the
-    stream grows only as far as the furthest block read; at most
-    :data:`_STREAM_LIMIT` streams are kept.  Generation and the lookup
-    hold a lock, so threads may share the streams.
+    The stream is shared: it depends on nothing but the mirror map,
+    ``max_exponent`` and the arity, and every search of it in the process
+    reads one :class:`_Stream`, which holds only exponent tuples and
+    patterns.  A block is generated when a search first reads it and
+    kept, so the stream grows only as far as the furthest block read;
+    at most :data:`_STREAM_LIMIT` streams are kept.  Generation and the
+    lookup hold a lock, so threads may share the streams.
     """
-    weights = [1] * ring.arity
-    if ring.doubled:
-        for i, m in enumerate(ring.mirror_indices()):
-            if i == m:
-                weights[i] = 2
-    key = (tuple(weights), max_exponent)
+    mirrors = ring.mirror_indices() if ring.doubled else tuple(range(ring.arity))
+    key = (mirrors, max_exponent, ring.arity)
     with _STREAMS_LOCK:
-        stream = _STREAMS.pop(key, None) or _Stream(key[0], max_exponent)
+        stream = _STREAMS.pop(key, None) or _Stream(*key)
         _STREAMS[key] = stream
         while len(_STREAMS) > _STREAM_LIMIT:
             del _STREAMS[next(iter(_STREAMS))]
@@ -529,8 +535,13 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     Returns the first witness in enumeration order, or a
     :class:`SearchReport` when the stream or the budget runs out.  A
     report is not a membership proof; it only says this family of
-    curves showed nothing.  ``budget`` caps the curves tried; it must be
-    an ``int`` of at least 0, and ``0`` searches nothing.
+    curves showed nothing.  On a doubled ring the family is the paired
+    arcs of :func:`_profiles`: built for difference ideals, it still
+    yields genuine witnesses against any other ideal there, but a
+    report then says nothing of the unpaired arcs.
+
+    ``budget`` caps the curves tried; it must be an ``int`` of at least
+    0, and ``0`` searches nothing.
     ``max_exponent`` caps the arc exponents (see the module docstring);
     it must be an ``int`` of at least 1.  A ``bool`` is refused for
     either, with ``ValueError`` like every other invalid value.
@@ -541,8 +552,8 @@ def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: i
     are re-derived by :func:`pullback` on the unfolded polynomials.  The
     search writes nothing into its arguments.  The one thing it keeps
     between calls is the shared curve stream of :func:`_profiles`:
-    exponent tuples, which depend on no input, only on the variables'
-    weights and ``max_exponent``.
+    exponent tuples, which depend on no input, only on the ring's mirror
+    map, its arity and ``max_exponent``.
     """
     _require_count("max_exponent", max_exponent, 1)
     _require_count("budget", budget, 0)

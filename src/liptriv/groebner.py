@@ -530,12 +530,16 @@ def membership_certificate(
     Returns ``[(cofactor, basis_element), ...]`` whose products sum to
     ``p`` exactly, or ``None`` when ``p`` is not in the ideal.  The pairs
     are the replayable evidence: a verifier only needs multiplication
-    and addition to check them.
+    and addition to check them.  As in :func:`buchberger`, a division
+    that passes the ring's exponent cap raises :class:`BudgetExceeded`.
     """
     if p.ring != ideal.ring:
         raise RingError("membership test across different rings")
     basis = ideal.groebner_basis(budget)
-    cofactors, remainder = divide(p, basis)
+    try:
+        cofactors, remainder = divide(p, basis)
+    except ExponentOverflow as exc:
+        raise BudgetExceeded(str(exc)) from exc
     if not remainder.is_zero:
         return None
     return [(c, b) for c, b in zip(cofactors, basis) if not c.is_zero]

@@ -393,6 +393,19 @@ class TestAudit:
         assert verdict.audit["inclusion_shown"] is None
         assert verdict.certificate["data"]["inclusion_budget_exhausted"] is True
 
+    def test_exponent_cap_in_a_membership_degrades_to_search(self):
+        # The inclusion route's division enters y^3 past the cap 2: a
+        # budget failure, so the search decides the family, and audit
+        # records the inclusion as unknown.
+        ring = RingContext(("x", "y"), exponent_cap=2)
+        base = parse_matrix_germ("gen: 0, 0 ; x - y, 0", ring)
+        direction = parse_matrix_germ("gen: -2*x^2*y, y ; 2*x^2*y + x, -x*y", ring)
+        verdict = analyze(base, direction)
+        assert (verdict.outcome, verdict.route) == (NOT_LIPSCHITZ, "witness")
+        audited = analyze(base, direction, AnalyzeOptions(audit=True))
+        assert (audited.outcome, audited.route) == (NOT_LIPSCHITZ, "witness")
+        assert audited.audit == {"inclusion_shown": None, "witness_found": True}
+
     def test_audit_records_failed_inclusion_as_false(self):
         # a witness at the head of the stream, which the plain pipeline
         # returns before any membership; audit still runs Groebner
@@ -542,6 +555,12 @@ class TestTableReproduction:
         assert report.all_passed
         assert report.counts["failed"] == 0
         assert len(report.cells) == 45
+
+    def test_six_by_six_grid_grades_without_failures(self):
+        # Past 4x4 the deepest witnesses lie beyond the unpaired stream's
+        # 4,000 curves; along paired arcs every decided cell is found.
+        report = reproduce_catalog_table(6, 6)
+        assert report.counts == {"passed": 373, "failed": 0, "unchecked": 44}
 
     @pytest.mark.parametrize("max_k,max_l", [(-2, 1), (1, 4), (4, 1)])
     def test_limits_that_drop_a_family_rejected(self, max_k, max_l):

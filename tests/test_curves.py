@@ -139,21 +139,21 @@ class TestEnumeration:
             assert degrees == sorted(degrees)
 
     def test_tied_parameter_shares_one_arc(self):
-        # Both points of a pair share t, so t has one arc and weighs 2.
+        # Both points of a pair share t, so t has one arc; the search
+        # runs along paired arcs, so x' takes the exponent of x.
         assert DTX.variables == ("t", "x", "x'")
         blocks = list(_profiles(DTX, 2))
-        # t, x and x': 2^3 exponent tuples, 2^3 patterns each
-        assert (len(blocks), len(blocks[0][1])) == (8, 8)
-        assert [exps for exps, _ in blocks[:4]] == [
-            (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)
+        # t and x: 2^2 exponent tuples, 2^3 patterns each
+        assert (len(blocks), len(blocks[0][1])) == (4, 8)
+        assert [exps for exps, _ in blocks] == [
+            (1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 2)
         ]
-        assert blocks[4][0] == (2, 1, 1)
 
-    def test_untied_ring_ties_nothing(self):
+    def test_untied_ring_pairs_each_mirror(self):
         blocks = list(_profiles(DXY, 2))
-        assert sorted(exps for exps, _ in blocks) == sorted(
-            itertools.product((1, 2), repeat=4)
-        )
+        assert [exps for exps, _ in blocks] == [
+            (1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)
+        ]
         assert sorted(blocks[0][1]) == sorted(
             itertools.product(ARC_COEFFICIENTS, repeat=4)
         )

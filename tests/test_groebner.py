@@ -52,6 +52,12 @@ class TestDivision:
         with pytest.raises(BudgetExceeded):
             buchberger(polys("y^4 - x", "x^4*y^4 + x^3", ring=ring))
 
+    def test_exponent_cap_in_a_membership_is_a_budget_failure(self):
+        ring = RingContext(("x", "y"), exponent_cap=4)
+        p, d = polys("x^4*y^4", "y^4 - x", ring=ring)
+        with pytest.raises(BudgetExceeded):
+            membership_certificate(p, Ideal(ring, [d]))
+
     def test_exponent_cap_in_s_pair_is_a_budget_failure(self):
         # the pair's lcm x^4*y shifts the tail y^4 of the first generator
         # to y^5, past the cap, before any division step

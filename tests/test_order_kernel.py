@@ -32,6 +32,8 @@ from liptriv.rings import Polynomial, parse_polynomial
 DXY = RingContext(("x", "y")).doubled_extension()
 # t, x, x': the parameter is tied across the pair, both points share it
 DTX = RingContext(("t", "x")).doubled_extension()
+# A ring that is not doubled has no mirrors: every exponent tuple is searched.
+XY = RingContext(("x", "y"))
 # The kernel is exact for any rational arc, not only the searched ones.
 KERNEL_COEFFICIENTS = (-2, -1, 0, Fraction(1, 2), Fraction(-3, 2), 1, 2)
 
@@ -133,20 +135,39 @@ def test_kernel_sees_cancellation_of_differences(q, profile):
     assert kernel_orders(p, exps[:2] * 2, [coeffs[:2] * 2], [1]) == [math.inf]
 
 
-def reference_curves(ring, max_exponent):
-    """The searched stream from its definition, by brute force.
+def reference_exponents(ring, max_exponent):
+    """The searched exponent tuples from their definition, by brute force.
 
-    Every exponent tuple in ``1..max_exponent``, sorted by (weighted
-    degree, exponents), each with every pattern of ``ARC_COEFFICIENTS``
-    in product order.  On a doubled ring the parameter, which both
-    points of a pair share, weighs 2.
+    Every tuple in ``1..max_exponent`` over the half variables, sorted
+    by (sum, exponents) and copied onto the mirrors by name; on a ring
+    that is not doubled, every tuple over all variables.
     """
+    names = ring.half().variables if ring.doubled else ring.variables
+    for half in sorted(
+        itertools.product(range(1, max_exponent + 1), repeat=len(names)),
+        key=lambda exps: (sum(exps), exps),
+    ):
+        by_name = dict(zip(names, half))
+        by_name.update((v + "'", e) for v, e in zip(names, half) if v != PARAMETER)
+        yield tuple(by_name[v] for v in ring.variables)
+
+
+def unpaired_exponents(ring, max_exponent):
+    """Every exponent tuple over all variables, sorted by (weighted
+    degree, exponents), where on a doubled ring the parameter, which
+    both points of a pair share, weighs 2: the stream before arcs were
+    paired."""
     weights = [2 if ring.doubled and v == PARAMETER else 1 for v in ring.variables]
-    exponents = sorted(
+    return sorted(
         itertools.product(range(1, max_exponent + 1), repeat=ring.arity),
         key=lambda exps: (sum(w * e for w, e in zip(weights, exps)), exps),
     )
-    for exps in exponents:
+
+
+def reference_curves(ring, max_exponent):
+    """The searched stream: each reference exponent tuple with every
+    pattern of ``ARC_COEFFICIENTS`` in product order."""
+    for exps in reference_exponents(ring, max_exponent):
         for coeffs in itertools.product(ARC_COEFFICIENTS, repeat=ring.arity):
             yield _monomial_curve(ring, exps, coeffs)
 
@@ -306,7 +327,7 @@ def test_ideal_sweep_covers_the_block_from_the_lowest_degree():
 
 
 def test_enumeration_flattens_the_blocks():
-    for ring in (DXY, DTX):
+    for ring in (DXY, DTX, XY):
         blocks = list(_profiles(ring, 3))
         assert all(patterns is blocks[0][1] for _, patterns in blocks)
         assert len({exps for exps, _ in blocks}) == len(blocks)
@@ -316,6 +337,26 @@ def test_enumeration_flattens_the_blocks():
             for coeffs in patterns
         ]
         assert flat == [format_curve(c) for c in reference_curves(ring, 3)]
+
+
+@pytest.mark.parametrize("max_exponent", [1, 2, 3, 4])
+def test_doubled_blocks_pair_each_variable_with_its_mirror(max_exponent):
+    for ring in (DXY, DTX, RingContext(("t", "x", "y")).doubled_extension()):
+        mirrors = ring.mirror_indices()
+        blocks = [exps for exps, _ in _profiles(ring, max_exponent)]
+        assert len(blocks) == max_exponent ** len(mirrors)
+        assert all(exps[m] == exps[i] for exps in blocks for i, m in enumerate(mirrors))
+
+
+@pytest.mark.parametrize("max_exponent", [1, 2, 3])
+def test_paired_blocks_keep_the_unpaired_order(max_exponent):
+    # The paired tuples come in the order the unpaired stream gave them,
+    # so a witness that stream found first on a paired arc is still the
+    # first witness.  A ring that is not doubled keeps that stream whole.
+    for ring in (DXY, DTX, XY):
+        paired = set(reference_exponents(ring, max_exponent))
+        kept = [e for e in unpaired_exponents(ring, max_exponent) if e in paired]
+        assert kept == [exps for exps, _ in _profiles(ring, max_exponent)]
 
 
 # Whether a group of terms cancels depends on the pattern alone, so a

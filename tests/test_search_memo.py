@@ -1,6 +1,6 @@
 """The curve search's two memos give the answers of a fresh computation.
 
-Every search of one (weights, ``max_exponent``) stream reads one shared
+Every search of one (mirror map, ``max_exponent``) stream reads one shared
 list of exponent tuples, grown lazily as far as some search has read;
 and each order kernel keeps its degree groupings, from its second block
 on, under the block's exponents on the variables its terms use.  The
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv import curves, normal_form, unfolding_double_ideal
+from liptriv import RingContext, curves, normal_form, unfolding_double_ideal
 from liptriv.curves import SearchReport, _OrderKernel, _profiles, closure_test
 from liptriv.doubling import build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
@@ -26,8 +26,12 @@ from tests.test_order_kernel import (
     DXY,
     as_tuple,
     poly_strategy,
+    reference_exponents,
     reference_search,
 )
+
+# Four pairs of mirrored variables: 5^4 paired exponent tuples at cap 5.
+DWXYZ = RingContext(("w", "x", "y", "z")).doubled_extension()
 
 
 @pytest.fixture
@@ -73,7 +77,7 @@ def test_interleaved_searches_match_the_reference(cold):
         element = elements[step % len(elements)]
         got = closure_test(element, ideal, budget, max_exponent)
         assert as_tuple(got) == reference_search(element, ideal, budget, max_exponent)
-    # Three rings' weights times two caps, every stream that was searched.
+    # Three rings' mirror maps times two caps, every stream that was searched.
     assert len(cold) == 6
 
 
@@ -128,7 +132,7 @@ def test_grouping_memo_equals_a_fresh_grouping(polys, blocks):
 
 
 def test_streams_are_bounded(cold):
-    # DXY and DTX weigh their variables differently, so each cap gives
+    # DXY and DTX mirror their variables differently, so each cap gives
     # two streams: more than the bound, which keeps the latest.
     searched = []
     for max_exponent in range(1, 7):
@@ -170,7 +174,8 @@ def test_threads_share_a_stream(cold):
     # switch as often as the interpreter allows: a block generated
     # twice, lost or stored out of order would change some thread's
     # walk, and two threads generating at once would raise.
-    expected = [exps for exps, _ in _profiles(DXY, 5)]
+    expected = [exps for exps, _ in _profiles(DWXYZ, 5)]
+    assert expected == list(reference_exponents(DWXYZ, 5))
     assert len(expected) == 5**4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -182,7 +187,7 @@ def test_threads_share_a_stream(cold):
 
             def walk():
                 start.wait(timeout=60)
-                walks.append([exps for exps, _ in _profiles(DXY, 5)])
+                walks.append([exps for exps, _ in _profiles(DWXYZ, 5)])
 
             threads = [threading.Thread(target=walk) for _ in range(6)]
             for thread in threads:
