@@ -16,10 +16,11 @@ cheap certificates first:
    curve_budget)`` curves of its stream.  A witness refutes closure
    membership (the valuative criterion), hence membership too, so step
    3 would fail and step 4 would return this very witness: it walks
-   generator 0 first over the same stream.  A hit is therefore returned
-   at once; a miss changes nothing.  Later generators are left out
-   because their witness would not be the one step 4 reports, and the
-   cap keeps the prefix inside the budget the full search honours.
+   generator 0 first over the same stream.  A hit is therefore the
+   verdict's witness, and steps 3 and 4 are skipped; a miss changes
+   nothing.  Later generators are left out because their witness would
+   not be the one step 4 reports, and the cap keeps the prefix inside
+   the budget the full search honours.
    Skipped under ``audit=True``, which runs steps 3 and 4 in full.
 3. Direct inclusion of difference ideals, certified by division
    cofactors against a Groebner basis.
@@ -296,20 +297,6 @@ def analyze(
         else None
     )
 
-    def verdict(outcome, route, certificate, witness=None, searches=(), audit=None):
-        timings["total"] = time.perf_counter() - started
-        return Verdict(
-            outcome=outcome,
-            route=route,
-            certificate=certificate,
-            unfolding=u,
-            witness=witness,
-            searches=tuple(searches),
-            timings=timings,
-            coefficient_labels=labels,
-            audit=audit,
-        )
-
     def timed(key, step, *args):
         clock = time.perf_counter()
         try:
@@ -317,30 +304,82 @@ def analyze(
         finally:
             timings[key] = timings.get(key, 0.0) + time.perf_counter() - clock
 
+    proof: dict | None = None  # the first route that certified inclusion
+    witness: Witness | None = None
+    searches: tuple[SearchReport, ...] = ()
+    budget_out = False
     if direction.is_constant:
-        cert = {
-            "type": "inclusion",
-            "data": {
-                "route": "constant",
-                "reason": "constant direction has zero difference ideal",
-            },
+        proof = {
+            "route": "constant",
+            "reason": "constant direction has zero difference ideal",
         }
-        audit_info = None
-        if options.audit:
-            audit_info = {"inclusion_shown": True, "witness_found": False}
-        return verdict(LIPSCHITZ, "constant", cert, audit=audit_info)
+    else:
+        total = unfolding_double_ideal(u)
+        theta = direction_double_ideal(u)
+        assert theta is not None  # nonconstant direction has a nonzero double
+        max_exponent = options.max_exponent or max(4, base.entry_max_degree() + 2)
+        budget = options.groebner_budget
+        try:
+            proof = timed("groebner", _diagonal_route, base, total, theta, budget)
+            if proof is None and not options.audit:
+                # Step 2: a witness here is the one the full search returns.
+                witness, _ = timed(
+                    "search",
+                    _search_route,
+                    theta.generators[:1],
+                    total,
+                    max_exponent,
+                    min(PREFIX_CURVES, options.curve_budget),
+                )
+            if proof is None and witness is None:
+                memberships = timed(
+                    "groebner", _memberships, theta.generators, total, budget
+                )
+                if memberships is not None:
+                    proof = {"route": "inclusion", "memberships": memberships}
+            if proof is not None:
+                # Both routes end in memberships in the family ideal, so its
+                # basis is cached here.
+                proof["groebner_basis"] = [str(p) for p in total.groebner_basis(budget)]
+        except BudgetExceeded:
+            budget_out = True  # Inconclusive is the worst case, never a crash
+        if witness is None and (options.audit or proof is None):
+            witness, searches = timed(
+                "search",
+                _search_route,
+                theta.generators,
+                total,
+                max_exponent,
+                options.curve_budget,
+            )
 
-    total = unfolding_double_ideal(u)
-    theta = direction_double_ideal(u)
-    assert theta is not None  # nonconstant direction has a nonzero double
-    max_exponent = options.max_exponent or max(4, base.entry_max_degree() + 2)
+    audit_info = None
+    if options.audit:
+        if proof is not None and witness is not None:
+            raise AuditError(
+                "inclusion certificate and closure witness for the same "
+                "family: membership implies closure membership, so one "
+                "of the two computations is wrong"
+            )
+        audit_info = {
+            "inclusion_shown": (
+                True if proof is not None else (None if budget_out else False)
+            ),
+            "witness_found": witness is not None,
+        }
 
-    def refuted(witness: Witness, audit=None) -> Verdict:
+    if proof is not None:
+        outcome, route = LIPSCHITZ, proof["route"]
+        certificate = {"type": "inclusion", "data": proof}
+    elif witness is not None:
+        # A witness verdict reports no search, not even of the
+        # generators searched before the witness's own.
+        outcome, route, searches = NOT_LIPSCHITZ, "witness", ()
         orders = {
             str(g): _order_json(order)
             for g, order in zip(total.generators, witness.generator_orders)
         }
-        cert = {
+        certificate = {
             "type": "witness",
             "data": {
                 "curve": format_curve(witness.curve),
@@ -350,91 +389,37 @@ def analyze(
                 "generator_orders": orders,
             },
         }
-        return verdict(NOT_LIPSCHITZ, "witness", cert, witness=witness, audit=audit)
-
-    proof: dict | None = None  # the first route that certified inclusion
-    budget_out = False
-    budget = options.groebner_budget
-    try:
-        proof = timed("groebner", _diagonal_route, base, total, theta, budget)
-        if proof is None and not options.audit:
-            # Step 2: a witness here is the one the full search returns.
-            early, _ = timed(
-                "search",
-                _search_route,
-                theta.generators[:1],
-                total,
-                max_exponent,
-                min(PREFIX_CURVES, options.curve_budget),
-            )
-            if early is not None:
-                return refuted(early)
-        if proof is None:
-            memberships = timed("groebner", _memberships, theta.generators, total, budget)
-            if memberships is not None:
-                proof = {"route": "inclusion", "memberships": memberships}
-        if proof is not None:
-            # Both routes end in memberships in the family ideal, so its
-            # basis is cached here.
-            proof["groebner_basis"] = [str(p) for p in total.groebner_basis(budget)]
-    except BudgetExceeded:
-        budget_out = True  # Inconclusive is the worst case, never a crash
-
-    witness = None
-    searches: tuple[SearchReport, ...] = ()
-    if options.audit or proof is None:
-        witness, searches = timed(
-            "search",
-            _search_route,
-            theta.generators,
-            total,
-            max_exponent,
-            options.curve_budget,
-        )
-
-    audit_info = None
-    if options.audit:
-        audit_info = {
-            "inclusion_shown": (
-                True if proof is not None else (None if budget_out else False)
-            ),
-            "witness_found": witness is not None,
+    else:
+        outcome, route = INCONCLUSIVE, "search"
+        certificate = {
+            "type": "search",
+            "data": {
+                "max_exponent": max_exponent,
+                "coefficients": list(ARC_COEFFICIENTS),
+                "generators": [
+                    {
+                        "element": str(g),
+                        "curves_tried": rep.curves_tried,
+                        "budget_exhausted": rep.budget_exhausted,
+                        "best_gap": rep.best_gap,
+                    }
+                    for g, rep in zip(theta.generators, searches)
+                ],
+                "inclusion_budget_exhausted": budget_out,
+            },
         }
-        if proof is not None and witness is not None:
-            raise AuditError(
-                "inclusion certificate and closure witness for the same "
-                "family: membership implies closure membership, so one "
-                "of the two computations is wrong"
-            )
-
-    if proof is not None:
-        return verdict(
-            LIPSCHITZ,
-            proof["route"],
-            {"type": "inclusion", "data": proof},
-            searches=searches,
-            audit=audit_info,
-        )
-    if witness is not None:
-        return refuted(witness, audit_info)
-    cert = {
-        "type": "search",
-        "data": {
-            "max_exponent": max_exponent,
-            "coefficients": list(ARC_COEFFICIENTS),
-            "generators": [
-                {
-                    "element": str(g),
-                    "curves_tried": rep.curves_tried,
-                    "budget_exhausted": rep.budget_exhausted,
-                    "best_gap": rep.best_gap,
-                }
-                for g, rep in zip(theta.generators, searches)
-            ],
-            "inclusion_budget_exhausted": budget_out,
-        },
-    }
-    return verdict(INCONCLUSIVE, "search", cert, searches=searches, audit=audit_info)
+    timings["total"] = time.perf_counter() - started
+    return Verdict(
+        outcome=outcome,
+        route=route,
+        certificate=certificate,
+        unfolding=u,
+        witness=witness,
+        searches=searches,
+        timings=timings,
+        coefficient_labels=labels,
+        audit=audit_info,
+    )
 
 
 def verify_witness_dense(witness: Witness, ideal: Ideal) -> bool:

@@ -118,16 +118,23 @@ class NormalForm:
                     f"unknown coefficient {name!r} for catalog entry "
                     f"{self.index}; expected one of {sorted(known)}"
                 )
-            if isinstance(raw, float):
+            if isinstance(raw, (bool, float)):
                 raise CatalogError(
-                    "coefficients must be exact (int, Fraction, or a "
-                    "rational string), not float"
+                    f"coefficient {name!r} must be exact (int, Fraction, or "
+                    f"a rational string), not {type(raw).__name__}"
                 )
-            values[name] = Fraction(raw)
+            try:
+                values[name] = Fraction(raw)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise CatalogError(
+                    f"coefficient {name!r} is not a rational number: {raw!r}"
+                ) from exc
         return values
 
     def theta(self, coeffs: Mapping[str, object]) -> MatrixGerm:
-        """Deformation direction for named coefficients; others are 0."""
+        """Deformation direction for named coefficients; others are 0.
+        A ``bool``, a ``float`` or a value ``Fraction`` refuses is a
+        :class:`CatalogError`."""
         values = self._normalize(coeffs)
         shape, symmetric = self.matrix.shape, self.matrix.symmetric
         ring = self.matrix.ring

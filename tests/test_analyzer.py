@@ -25,7 +25,7 @@ from liptriv import (
     verify_inclusion_certificate,
     verify_witness_dense,
 )
-from liptriv.catalog import CatalogError
+from liptriv.catalog import CatalogError, random_direction
 from liptriv.curves import Witness
 from liptriv.doubling import direction_double_ideal
 from liptriv.groebner import GroebnerBudget
@@ -413,6 +413,15 @@ class TestAudit:
         assert verdict.outcome == NOT_LIPSCHITZ
         assert verdict.audit == {"inclusion_shown": False, "witness_found": True}
 
+    def test_audit_of_a_constant_direction(self):
+        verdict = run(2, {"a": 1, "b": 2}, k=3, options=AnalyzeOptions(audit=True))
+        assert verdict.audit == {"inclusion_shown": True, "witness_found": False}
+        assert verdict.certificate["data"] == {
+            "route": "constant",
+            "reason": "constant direction has zero difference ideal",
+        }
+        assert (verdict.witness, verdict.searches) == (None, ())
+
     def test_audit_off_by_default(self):
         verdict = run(2, {"d1": 1}, k=3)
         assert verdict.audit is None
@@ -512,6 +521,22 @@ class TestRefuteBeforeProving:
         assert verdict.route == "witness"
         assert len(searches.results) == 1
         assert memberships.results == []
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_witness_on_a_later_generator_reports_no_search(self, monkeypatch, audit):
+        # E6 at its seeded direction: generator 0 sweeps the whole curve
+        # budget, then generator 1 gives the witness
+        nf = normal_form(5)
+        options = AnalyzeOptions(audit=audit, max_exponent=nf.max_exponent)
+        searches = Recorder(monkeypatch, "closure_test")
+        verdict = run(5, random_direction(nf), options=options)
+        theta = direction_double_ideal(verdict.unfolding).generators
+        assert (verdict.outcome, verdict.route) == (NOT_LIPSCHITZ, "witness")
+        assert verdict.witness.element == theta[1]
+        *_, swept, found = searches.results
+        assert (swept.curves_tried, swept.budget_exhausted) == (4000, True)
+        assert found is verdict.witness
+        assert verdict.searches == ()
 
     def test_no_search_for_constant_or_diagonal_directions(self, monkeypatch):
         searches = Recorder(monkeypatch, "closure_test")

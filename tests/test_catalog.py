@@ -101,6 +101,14 @@ class TestTheta:
         with pytest.raises(CatalogError):
             nf.theta({"a3": 0.5})
 
+    @pytest.mark.parametrize("raw", ["1/0", "abc", None, True, False, 1j])
+    def test_values_fraction_refuses_are_catalog_errors(self, raw):
+        nf = normal_form(5)
+        with pytest.raises(CatalogError, match="a3"):
+            nf.theta({"a3": raw})
+        with pytest.raises(CatalogError, match="a3"):
+            nf.expected_verdict({"a3": raw})
+
     def test_string_fractions_accepted(self):
         nf = normal_form(5)
         theta = nf.theta({"a3": "2/3"})

@@ -326,6 +326,27 @@ class TestReproduceTable:
         assert payload["all_passed"] is True
 
 
+class TestJsonOutput:
+    """A ``--json`` path that cannot be written is a usage error with a
+    one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--catalog", "2", "--k", "2", "--theta", "c=1"),
+            ("normal-space", "--catalog", "1", "--k", "1", "--l", "2"),
+            ("reproduce-table", "--max-k", "2", "--max-l", "2"),
+        ],
+    )
+    def test_unwritable_path_exits_one(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing_dir" / "out.json"
+        code, _, err = run(capsys, *argv, "--json", str(target))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
