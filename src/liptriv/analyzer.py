@@ -53,6 +53,7 @@ from .catalog import (
     LIPSCHITZ,
     NOT_LIPSCHITZ,
     catalog_parameters,
+    coefficient_value,
     normal_form,
     random_direction,
 )
@@ -273,10 +274,11 @@ def analyze(
 ) -> Verdict:
     """Run the verdict pipeline on the family ``base + t*direction``.
 
-    ``coefficient_labels`` is carried into the report verbatim; it does
-    not influence the computation.  Budget exhaustion in the inclusion
-    route is not an error: the pipeline falls through to the curve
-    search and, at worst, returns Inconclusive.
+    ``coefficient_labels`` is carried into the report, its values read
+    by :func:`~liptriv.catalog.coefficient_value`; it does not influence
+    the computation.  Budget exhaustion in the inclusion route is not an
+    error: the pipeline falls through to the curve search and, at
+    worst, returns Inconclusive.
 
     ``options.curve_budget`` caps the prefix search of the first
     direction generator (step 2 of the module docstring) as well as
@@ -291,11 +293,9 @@ def analyze(
     started = time.perf_counter()
     timings: dict = {}
     u = build_unfolding(base, direction)
-    labels = (
-        {k: Fraction(v) for k, v in coefficient_labels.items()}
-        if coefficient_labels is not None
-        else None
-    )
+    labels = None
+    if coefficient_labels is not None:
+        labels = {k: coefficient_value(k, v) for k, v in coefficient_labels.items()}
 
     def timed(key, step, *args):
         clock = time.perf_counter()

@@ -7,15 +7,18 @@ catalog entry bundles, for one family at concrete parameters:
 * the named coefficients parameterizing a first-order deformation
   direction, written exactly the way the classification lemmas write
   them (one named scalar per monomial slot of the matrix);
-* the machine-checkable rule mapping those coefficients to the known
-  triviality verdict of the deformation in that direction;
+* the known triviality verdicts, as two sets of slot names: the
+  moving slots, whose nonzero coefficient makes the deformation not
+  Lipschitz trivial, and the open slots, on which the classification
+  states no verdict;
 * a hand-picked monomial curve on the doubled unfolding space that
   separates the failing directions, with its expected contact order
   when every coefficient is set to 1.
 
-The verdict rule returns ``None`` for directions the classification
-leaves open: family 1 with unequal exponents states only a necessity
-condition, so coefficients past the threshold index carry no expected
+One rule, :meth:`NormalForm.expected_verdict`, reads the two sets for
+every family.  Only family 1 with unequal exponents has open slots: the
+classification states only a necessity condition there, so its
+nonconstant coefficients past the threshold index carry no expected
 verdict.
 """
 
@@ -24,9 +27,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .curves import TestCurve, parse_curve
 from .doubling import (
@@ -46,6 +48,7 @@ __all__ = [
     "SOURCE_RING",
     "CatalogError",
     "catalog_parameters",
+    "coefficient_value",
     "family_parameters",
     "normal_form",
     "random_direction",
@@ -90,6 +93,11 @@ class NormalForm:
     is k+l-1, the Milnor number of the smaller label.  Both are kept,
     the second as ``alternate_discriminant``, so reports can flag the
     mismatch instead of silently picking a side.
+
+    ``moving_slots`` names the slots whose nonzero coefficient makes the
+    direction NotLipschitz; ``open_slots`` names those on which the
+    classification states no verdict.  The two are disjoint, and
+    :meth:`expected_verdict` is the one rule that reads them.
     """
 
     index: int
@@ -101,9 +109,8 @@ class NormalForm:
     curve_text: str
     curve_order: int
     max_exponent: int
-    verdict_rule: Callable[[dict[str, Fraction]], str | None] = field(
-        repr=False, compare=False
-    )
+    moving_slots: frozenset[str]
+    open_slots: frozenset[str] = frozenset()
     alternate_discriminant: str | None = None
 
     def coefficient_names(self) -> tuple[str, ...]:
@@ -111,30 +118,17 @@ class NormalForm:
 
     def _normalize(self, coeffs: Mapping[str, object]) -> dict[str, Fraction]:
         known = {slot.name for slot in self.slots}
-        values: dict[str, Fraction] = {}
-        for name, raw in coeffs.items():
+        for name in coeffs:
             if name not in known:
                 raise CatalogError(
                     f"unknown coefficient {name!r} for catalog entry "
                     f"{self.index}; expected one of {sorted(known)}"
                 )
-            if isinstance(raw, (bool, float)):
-                raise CatalogError(
-                    f"coefficient {name!r} must be exact (int, Fraction, or "
-                    f"a rational string), not {type(raw).__name__}"
-                )
-            try:
-                values[name] = Fraction(raw)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise CatalogError(
-                    f"coefficient {name!r} is not a rational number: {raw!r}"
-                ) from exc
-        return values
+        return {name: coefficient_value(name, raw) for name, raw in coeffs.items()}
 
     def theta(self, coeffs: Mapping[str, object]) -> MatrixGerm:
         """Deformation direction for named coefficients; others are 0.
-        A ``bool``, a ``float`` or a value ``Fraction`` refuses is a
-        :class:`CatalogError`."""
+        Values are read by :func:`coefficient_value`."""
         values = self._normalize(coeffs)
         shape, symmetric = self.matrix.shape, self.matrix.symmetric
         ring = self.matrix.ring
@@ -146,13 +140,42 @@ class NormalForm:
         return MatrixGerm(shape, components.values(), symmetric)
 
     def expected_verdict(self, coeffs: Mapping[str, object]) -> str | None:
-        """Classification verdict for the direction, ``None`` if open."""
-        return self.verdict_rule(self._normalize(coeffs))
+        """NotLipschitz if a nonzero coefficient sits on a moving slot,
+        else ``None`` (open) if one sits on an open slot, else Lipschitz."""
+        nonzero = {name for name, value in self._normalize(coeffs).items() if value}
+        if nonzero & self.moving_slots:
+            return NOT_LIPSCHITZ
+        if nonzero & self.open_slots:
+            return None
+        return LIPSCHITZ
 
     def probe_curve(self) -> TestCurve:
         """The family's separating curve, on the doubled unfolding space."""
         ring = _parameter_extension(SOURCE_RING).doubled_extension()
         return parse_curve(self.curve_text, ring)
+
+
+def coefficient_value(name: str, raw: object) -> Fraction:
+    """The exact value of coefficient ``name``: an ``int``, a ``Fraction``
+    or a rational string.  A ``bool``, a ``float`` or a value ``Fraction``
+    refuses is a :class:`CatalogError`."""
+    if isinstance(raw, (bool, float)):
+        raise CatalogError(
+            f"coefficient {name!r} must be exact (int, Fraction, or "
+            f"a rational string), not {type(raw).__name__}"
+        )
+    try:
+        return Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CatalogError(
+            f"coefficient {name!r} is not a rational number: {raw!r}"
+        ) from exc
+
+
+def _check_ints(**values: object) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CatalogError(f"parameter {name} must be an int, not {value!r}")
 
 
 def family_parameters(index: int) -> tuple[str, ...]:
@@ -174,8 +197,9 @@ def catalog_parameters(max_k: int, max_l: int) -> list[tuple]:
     its minimum up to ``max_k`` or ``max_l``, ``k`` in the outer loop.
     Parameters a family does not take are ``None``.  A limit that leaves
     some family without cells is a :class:`CatalogError`, raised before
-    any cell is returned.
+    any cell is returned, and so is a limit that is not an ``int``.
     """
+    _check_ints(max_k=max_k, max_l=max_l)
     limits = {"k": max_k, "l": max_l}
     cells = []
     for index, minimums in _MINIMUMS.items():
@@ -200,24 +224,18 @@ def _diag(name: str, i: int, power_of: str, exp: int) -> CoefficientSlot:
     return CoefficientSlot(name, (i, i), exps)
 
 
+def _names(prefix: str, start: int, stop: int) -> frozenset[str]:
+    return frozenset(f"{prefix}{i}" for i in range(start, stop))
+
+
 def _row1(k: int, l: int) -> NormalForm:
     slots = [_diag(f"a{i}", 0, "y", i) for i in range(k)]
     slots += [_diag(f"b{j}", 1, "y", j) for j in range(l - 1)]
     r = min(k, l)
-
-    def rule(c: dict[str, Fraction]) -> str | None:
-        nonconstant = [f"a{i}" for i in range(1, k) if c.get(f"a{i}")]
-        nonconstant += [f"b{j}" for j in range(1, l - 1) if c.get(f"b{j}")]
-        if not nonconstant:
-            return LIPSCHITZ
-        if l == k:
-            return NOT_LIPSCHITZ
-        if any(c.get(f"a{i}") for i in range(1, min(r, k))) or any(
-            c.get(f"b{j}") for j in range(1, min(r, l - 1))
-        ):
-            return NOT_LIPSCHITZ
-        return None
-
+    # The nonconstant slots below the threshold move; the classification
+    # leaves the rest open.  When k = l no slot lies past the threshold.
+    nonconstant = _names("a", 1, k) | _names("b", 1, l - 1)
+    moving = _names("a", 1, r) | _names("b", 1, min(r, l - 1))
     e = k + l
     return NormalForm(
         index=1,
@@ -229,7 +247,8 @@ def _row1(k: int, l: int) -> NormalForm:
         curve_text=f"s^{e}, 2s^{e}, 2s, s^{e}, s",
         curve_order=r,
         max_exponent=k + l + 2,
-        verdict_rule=rule,
+        moving_slots=moving,
+        open_slots=nonconstant - moving,
         alternate_discriminant=f"A{k + l - 1}",
     )
 
@@ -242,9 +261,6 @@ def _row2(k: int) -> NormalForm:
     ]
     slots += [_diag(f"d{i}", 1, "x", i) for i in range(k - 1)]
 
-    def rule(c: dict[str, Fraction]) -> str | None:
-        return NOT_LIPSCHITZ if c.get("c") else LIPSCHITZ
-
     return NormalForm(
         index=2,
         k=k,
@@ -255,7 +271,7 @@ def _row2(k: int) -> NormalForm:
         curve_text="s, 2s^2, 2s, s^2, s",
         curve_order=2,
         max_exponent=2 * k + 2,
-        verdict_rule=rule,
+        moving_slots=frozenset({"c"}),
     )
 
 
@@ -263,12 +279,6 @@ def _row3(k: int) -> NormalForm:
     slots = [CoefficientSlot("a", (0, 1), (0, 0))]
     slots += [_diag(f"a{i}", 0, "y", i) for i in range(k - 1)]
     slots += [_diag(f"b{j}", 1, "y", j) for j in range(k)]
-
-    def rule(c: dict[str, Fraction]) -> str | None:
-        moving = any(c.get(f"a{i}") for i in range(1, k - 1)) or any(
-            c.get(f"b{j}") for j in range(1, k)
-        )
-        return NOT_LIPSCHITZ if moving else LIPSCHITZ
 
     return NormalForm(
         index=3,
@@ -280,7 +290,7 @@ def _row3(k: int) -> NormalForm:
         curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s",
         curve_order=k,
         max_exponent=2 * k + 2,
-        verdict_rule=rule,
+        moving_slots=_names("a", 1, k - 1) | _names("b", 1, k),
     )
 
 
@@ -289,10 +299,6 @@ def _row4(k: int) -> NormalForm:
     slots += [_diag(f"a{i}", 0, "y", i) for i in range(1, k)]
     slots += [CoefficientSlot("b", (0, 1), (0, 0))]
     slots += [_diag(f"b{j}", 1, "x", j) for j in range(k)]
-
-    def rule(c: dict[str, Fraction]) -> str | None:
-        moving = any(c.get(f"a{i}") for i in range(1, k))
-        return NOT_LIPSCHITZ if moving else LIPSCHITZ
 
     return NormalForm(
         index=4,
@@ -304,7 +310,7 @@ def _row4(k: int) -> NormalForm:
         curve_text=f"s^{k}, 2s^{k}, 2s, s^{k}, s",
         curve_order=k,
         max_exponent=2 * k + 2,
-        verdict_rule=rule,
+        moving_slots=_names("a", 1, k),
     )
 
 
@@ -318,9 +324,6 @@ def _row5() -> NormalForm:
         CoefficientSlot("a6", (1, 1), (0, 2)),
     )
 
-    def rule(c: dict[str, Fraction]) -> str | None:
-        return NOT_LIPSCHITZ if c.get("a3") or c.get("a5") else LIPSCHITZ
-
     return NormalForm(
         index=5,
         k=None,
@@ -331,7 +334,7 @@ def _row5() -> NormalForm:
         curve_text="s, 2s^3, 2s^2, s^3, s^2",
         curve_order=3,
         max_exponent=6,
-        verdict_rule=rule,
+        moving_slots=frozenset({"a3", "a5"}),
     )
 
 
@@ -346,10 +349,6 @@ def _row6() -> NormalForm:
         CoefficientSlot("a7", (0, 1), (0, 2)),
     )
 
-    def rule(c: dict[str, Fraction]) -> str | None:
-        moving = any(c.get(name) for name in ("a4", "a5", "a6", "a7"))
-        return NOT_LIPSCHITZ if moving else LIPSCHITZ
-
     return NormalForm(
         index=6,
         k=None,
@@ -360,7 +359,7 @@ def _row6() -> NormalForm:
         curve_text="s^2, 2s^3, 2s, s^3, s",
         curve_order=3,
         max_exponent=6,
-        verdict_rule=rule,
+        moving_slots=_names("a", 4, 8),
     )
 
 
@@ -372,18 +371,17 @@ def normal_form(index: int, k: int | None = None, l: int | None = None) -> Norma
 
     Families 5 and 6 take no parameters, families 2 to 4 take ``k``
     only, family 1 takes both.  Supplying a parameter the family does
-    not use, or omitting one it needs, is an error.
+    not use, omitting one it needs, or giving one that is not an
+    ``int``, is a :class:`CatalogError`.
     """
     wanted = family_parameters(index)
     given = {"k": k, "l": l}
-    for name in ("k", "l"):
-        if name in wanted and given[name] is None:
-            raise CatalogError(f"catalog entry {index} needs parameter {name}")
-        if name not in wanted and given[name] is not None:
-            raise CatalogError(
-                f"catalog entry {index} takes no parameter {name}"
-            )
+    for name, value in given.items():
+        if (name in wanted) != (value is not None):
+            need = "needs" if name in wanted else "takes no"
+            raise CatalogError(f"catalog entry {index} {need} parameter {name}")
     params = {name: given[name] for name in wanted}
+    _check_ints(**params)
     if any(params[n] < low for n, low in _MINIMUMS[index].items()):
         raise CatalogError(_requirement(index))
     return _ROWS[index](**params)

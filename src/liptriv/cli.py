@@ -28,9 +28,10 @@ variables, then a matrix in the usual text form, e.g.::
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .analyzer import (
@@ -158,8 +159,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_theta_text(text: str) -> dict[str, Fraction]:
-    coeffs: dict[str, Fraction] = {}
+def _parse_theta_text(text: str) -> dict[str, str]:
+    """Names and value texts; :meth:`NormalForm.theta` reads the values."""
+    coeffs: dict[str, str] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -167,10 +169,7 @@ def _parse_theta_text(text: str) -> dict[str, Fraction]:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise _UsageError(f"--theta entries look like name=value: {chunk!r}")
-        try:
-            coeffs[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"bad coefficient {chunk!r}: {exc}") from exc
+        coeffs[name.strip()] = value.strip()
     return coeffs
 
 
@@ -234,6 +233,20 @@ def _resolve_inputs(args, need_direction=True):
         labels = {}
         direction = base.map_entries(lambda p: p.ring.zero())
     return base, direction, nf, labels
+
+
+def _check_writable(path: Path) -> None:
+    """Refuse an unwritable ``--json`` path before any work, without
+    creating or truncating it; :func:`_write_json` reports the rest."""
+    if path.is_dir():
+        problem = errno.EISDIR
+    elif not path.parent.is_dir():
+        problem = errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        problem = errno.EACCES
+    else:
+        return
+    raise _UsageError(f"cannot write {path}: {os.strerror(problem)}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -390,6 +403,8 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "json", None) is not None:
+            _check_writable(args.json)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,6 +172,7 @@ class RingContext:
         additively for the Groebner kernel."""
         return (sum(exps), tuple(map(neg, exps[::-1])))
 
+    @functools.cache
     def doubled_extension(self) -> "RingContext":
         """The ring with a primed mirror appended for every variable but
         :data:`PARAMETER`, which both points of a pair share.
@@ -181,21 +182,32 @@ class RingContext:
         """
         if self.doubled:
             raise RingError("ring is already doubled")
-        return _doubled_extension(self)
+        mirrored = tuple(filter(_has_mirror, self.variables))
+        for v in mirrored:
+            if primed(v) in self.variables:
+                raise RingError(f"cannot double: the mirror {primed(v)!r} of {v!r} is already a variable")
+        mirror = tuple(map(primed, mirrored))
+        return RingContext(self.variables + mirror, True, self.exponent_cap)
 
+    @functools.cache
     def half(self) -> "RingContext":
         """The original ring a doubled ring was built from; equal doubled
         rings share one."""
-        if not self.doubled:
-            raise RingError("ring is not doubled")
-        return _half(self)
+        n = len(self.mirror_indices())
+        return RingContext(self.variables[:n], False, self.exponent_cap)
 
+    @functools.cache
     def mirror_indices(self) -> tuple[int, ...]:
         """On a doubled ring, the index of the mirror of each variable of
         :meth:`half`, in order; :data:`PARAMETER` is its own mirror."""
         if not self.doubled:
             raise RingError("ring is not doubled")
-        return _mirror_indices(self)
+        # A half of n variables, s of them shared, doubles to n + (n - s)
+        # names of which 2 * (n - s) have mirrors: n = arity - that count / 2.
+        names = self.variables
+        n = len(names) - sum(map(_has_mirror, names)) // 2
+        mirrors = iter(range(n, len(names)))
+        return tuple(next(mirrors) if _has_mirror(v) else i for i, v in enumerate(names[:n]))
 
     # -- convenience constructors ------------------------------------
 
@@ -215,32 +227,6 @@ class RingContext:
 
     def monomial(self, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial(self, [(tuple(exps), coeff)])
-
-
-@functools.cache
-def _doubled_extension(ring: RingContext) -> RingContext:
-    mirrored = tuple(filter(_has_mirror, ring.variables))
-    for v in mirrored:
-        if primed(v) in ring.variables:
-            raise RingError(f"cannot double: the mirror {primed(v)!r} of {v!r} is already a variable")
-    mirror = tuple(map(primed, mirrored))
-    return RingContext(ring.variables + mirror, True, ring.exponent_cap)
-
-
-@functools.cache
-def _mirror_indices(ring: RingContext) -> tuple[int, ...]:
-    # A half of n variables, s of them shared, doubles to n + (n - s)
-    # names of which 2 * (n - s) have mirrors: n = arity - that count / 2.
-    names = ring.variables
-    n = len(names) - sum(map(_has_mirror, names)) // 2
-    mirrors = iter(range(n, len(names)))
-    return tuple(next(mirrors) if _has_mirror(v) else i for i, v in enumerate(names[:n]))
-
-
-@functools.cache
-def _half(ring: RingContext) -> RingContext:
-    n = len(_mirror_indices(ring))
-    return RingContext(ring.variables[:n], False, ring.exponent_cap)
 
 
 class Polynomial:

@@ -570,8 +570,15 @@ class TestReportShape:
         assert report["parameters"]["deformation_parameter"] == "t"
 
     def test_coefficients_serialized_as_strings(self):
-        verdict = run(5, {"a3": Fraction(2, 3)})
-        assert verdict.to_report()["theta_coefficients"] == {"a3": "2/3"}
+        for value in (Fraction(2, 3), "4/6"):
+            verdict = run(5, {"a3": value})
+            assert verdict.to_report()["theta_coefficients"] == {"a3": "2/3"}
+
+    @pytest.mark.parametrize("raw", ["1/0", 0.1, True, "abc", None])
+    def test_label_values_refused_like_theta_values(self, raw):
+        nf = normal_form(5)
+        with pytest.raises(CatalogError, match="a3"):
+            analyze(nf.matrix, nf.theta({}), coefficient_labels={"a3": raw})
 
 
 class TestTableReproduction:

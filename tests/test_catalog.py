@@ -51,6 +51,20 @@ class TestConstruction:
         with pytest.raises(CatalogError):
             normal_form(5, k=3)
 
+    @pytest.mark.parametrize(
+        "index,params,name",
+        [
+            (1, {"k": 2.0, "l": 3}, "k"),
+            (1, {"k": "3", "l": 3}, "k"),
+            (1, {"k": True, "l": 2}, "k"),
+            (1, {"k": 2, "l": 3.0}, "l"),
+            (3, {"k": False}, "k"),
+        ],
+    )
+    def test_non_int_parameter_rejected(self, index, params, name):
+        with pytest.raises(CatalogError, match=f"parameter {name} must be an int"):
+            normal_form(index, **params)
+
     def test_row1_constraints(self):
         with pytest.raises(CatalogError):
             normal_form(1, k=0, l=2)
@@ -162,6 +176,43 @@ class TestVerdictRules:
         assert nf.expected_verdict({"a1": 1, "a2": 2, "a3": 3}) == LIPSCHITZ
 
 
+class TestSlotSets:
+    """``moving_slots`` and ``open_slots`` are the classification's data;
+    ``expected_verdict`` is the one rule that reads them."""
+
+    def test_disjoint_subsets_of_the_coefficients(self):
+        for index, k, l in catalog_parameters(8, 8):
+            nf = normal_form(index, k=k, l=l)
+            names = set(nf.coefficient_names())
+            assert nf.moving_slots <= names
+            assert nf.open_slots <= names
+            assert not nf.moving_slots & nf.open_slots
+            if index != 1 or k == l:
+                assert nf.open_slots == frozenset()
+
+    @pytest.mark.parametrize(
+        "index,params,moving,open_",
+        [
+            (1, {"k": 2, "l": 4}, {"a1", "b1"}, {"b2"}),
+            (1, {"k": 4, "l": 2}, {"a1"}, {"a2", "a3"}),
+            (1, {"k": 3, "l": 3}, {"a1", "a2", "b1"}, set()),
+            (3, {"k": 3}, {"a1", "b1", "b2"}, set()),
+            (5, {}, {"a3", "a5"}, set()),
+            (6, {}, {"a4", "a5", "a6", "a7"}, set()),
+        ],
+    )
+    def test_pinned_sets(self, index, params, moving, open_):
+        nf = normal_form(index, **params)
+        assert nf.moving_slots == moving
+        assert nf.open_slots == open_
+
+    def test_moving_slot_outranks_open_slot(self):
+        nf = normal_form(1, k=2, l=4)
+        assert nf.expected_verdict({"b2": 1}) is None
+        assert nf.expected_verdict({"b1": 1, "b2": 1}) == NOT_LIPSCHITZ
+        assert nf.expected_verdict({"b1": 0, "b2": 1}) is None
+
+
 class TestProbeCurves:
     def test_components_cover_doubled_extended_ring(self):
         nf = normal_form(5)
@@ -216,4 +267,12 @@ class TestGrid:
     )
     def test_limit_below_a_minimum_rejected(self, max_k, max_l, family):
         with pytest.raises(CatalogError, match=f"family {family} needs"):
+            catalog_parameters(max_k, max_l)
+
+    @pytest.mark.parametrize(
+        "max_k,max_l,name",
+        [(2.5, 3, "max_k"), (3, "4", "max_l"), (True, 2, "max_k"), (4, None, "max_l")],
+    )
+    def test_non_int_limit_rejected(self, max_k, max_l, name):
+        with pytest.raises(CatalogError, match=f"parameter {name} must be an int"):
             catalog_parameters(max_k, max_l)

@@ -134,6 +134,7 @@ class TestUsageErrors:
             # reports state both fields, so there is no field to choose
             ("analyze", "--catalog", "3", "--k", "2", "--theta", "b1=1",
              "--field", "complex"),
+            ("analyze", "--catalog", "3", "--k", "2", "--theta", "b1=1/0"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):
@@ -340,11 +341,32 @@ class TestJsonOutput:
     )
     def test_unwritable_path_exits_one(self, capsys, tmp_path, argv):
         target = tmp_path / "missing_dir" / "out.json"
-        code, _, err = run(capsys, *argv, "--json", str(target))
+        code, out, err = run(capsys, *argv, "--json", str(target))
         assert code == 1
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
         assert not target.exists()
+        if argv[0] == "reproduce-table":
+            # the path is checked before any cell is graded
+            assert out == ""
+
+    def test_directory_path_exits_one_before_any_work(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "reproduce-table", "--max-k", "2", "--max-l", "2",
+            "--json", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+    def test_existing_file_kept_until_written(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+        code, _, _ = run(
+            capsys, "analyze", "--catalog", "3", "--k", "2", "--theta", "b1=1/0",
+            "--json", str(target),
+        )
+        assert code == 1
+        assert target.read_text() == "old"
 
 
 class TestEntryPoints:
