@@ -35,12 +35,16 @@ and packed tail terms.
 
 Each polynomial's integer form is made once and kept on the
 ``Polynomial`` itself (its ``_form`` slot, which only this module
-writes): the first reduction that needs it packs it, and every element
-this module builds (S-polynomials, new and reduced basis elements,
+writes): the first reduction that needs it packs it, and every
+``Polynomial`` this module builds (new and reduced basis elements,
 remainders) carries its form from birth.  :func:`divide` makes
 ``Fraction`` objects only for the cofactor and remainder terms it
-returns; :func:`buchberger` reduces every S-pair on the held forms, and
-its input generators enter as primitive forms without being made monic.
+returns.  In :func:`buchberger` the path from S-pair to remainder stays
+in packed integers: :func:`s_polynomial` returns the S-pair as packed
+integer terms, the form ``_reduce`` takes, and the pair update compares
+the exponent fields of packed leading monomials (``_Packing.lcm``,
+``coprime`` and ``divides``) instead of exponent tuples.  Its input
+generators enter as primitive forms without being made monic.
 """
 
 from __future__ import annotations
@@ -50,12 +54,10 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
 from typing import Iterable, Sequence
 
 from .rings import (
     ExponentOverflow,
-    Monomial,
     Polynomial,
     RingContext,
     RingError,
@@ -104,18 +106,6 @@ def _require_budget(name: str, value) -> None:
 
 class BudgetExceeded(RuntimeError):
     """The computation outgrew its budget; no partial answer is usable."""
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def _mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def _integer_terms(terms: tuple) -> tuple[int, list]:
@@ -262,10 +252,15 @@ def divide(
     of every divisor, each made once per polynomial (a basis element
     carries its form from :func:`buchberger`); ``Fraction`` objects are
     made only for the cofactor and remainder terms returned.  A monomial
-    over the ring's exponent cap raises ``ExponentOverflow``.
+    over the ring's exponent cap raises ``ExponentOverflow``; a dividend
+    or divisor that is not a ``Polynomial`` raises ``RingError``.
     """
+    if not isinstance(p, Polynomial):
+        raise RingError(f"the dividend must be a Polynomial, not {p!r}")
     ring = p.ring
     for d in divisors:
+        if not isinstance(d, Polynomial):
+            raise RingError(f"every divisor must be a Polynomial, not {d!r}")
         if d.ring is not ring and d.ring != ring:
             raise RingError("divisors must share the dividend's ring")
         if d.is_zero:
@@ -292,26 +287,35 @@ def divide(
     return cofactors, _from_integers(ring, scale, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> tuple[int, list]:
     """Syzygy combination ``x^u*f/lc(f) - x^v*g/lc(g)`` cancelling the two
-    leading terms, ``x^u*lm(f) == x^v*lm(g)`` their lcm.
+    leading terms, ``x^u*lm(f) == x^v*lm(g)`` their lcm, as ``(scale,
+    terms)``: the polynomial ``terms / scale`` in lowest integer terms,
+    with packed monomials leading first, the input ``_reduce`` takes.
+    The zero S-polynomial has no terms.
 
     It is built from the held integer forms ``f == (a*x^lm(f) + F) / D_f``
     and ``g == (b*x^lm(g) + G) / D_g`` as ``(b'*x^u*F - a'*x^v*G) / (a*b')``,
-    with ``t = gcd(a, b)``, ``a' = a/t`` and ``b' = b/t``: two packed
-    shifts, one merge, no ``Polynomial`` arithmetic, and one ``Fraction``
-    per term of the result, which carries its own integer form.  A
-    shifted monomial over the ring's exponent cap raises
+    with ``t = gcd(a, b)``, ``a' = a/t`` and ``b' = b/t``: the lcm is the
+    field-wise max of the packed leading monomials, then two packed
+    shifts and one merge, with no ``Polynomial`` arithmetic and no
+    ``Fraction``.  A shifted monomial over the ring's exponent cap raises
     ``ExponentOverflow``, as the product with ``x^u`` or ``x^v`` would.
-    ``buchberger`` calls this for every pair it reduces.
+    ``buchberger`` calls this for every pair it reduces.  An argument
+    that is not a nonzero ``Polynomial`` raises ``RingError``.
     """
+    for p in (f, g):
+        if not isinstance(p, Polynomial):
+            raise RingError(f"an S-polynomial needs two Polynomials, not {p!r}")
+        if not p.terms:
+            raise RingError("zero polynomial has no leading monomial")
     ring = f.ring
     if g.ring is not ring and g.ring != ring:
         raise RingError(f"mixed rings: {ring.variables} vs {g.ring.variables}")
     packing = _packing(ring)
-    lcm = packing.pack(_mono_lcm(f.leading_monomial(), g.leading_monomial()))
     lead_f, (_, a, tail_f) = _form_of(f)
     lead_g, (_, b, tail_g) = _form_of(g)
+    lcm = packing.keyed(packing.lcm(lead_f, lead_g))
     u, v = lcm - lead_f, lcm - lead_g
     t = math.gcd(a, b)
     mf, mg = b // t, -(a // t)
@@ -324,7 +328,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     for e in acc:
         packing.check_cap(e)
     merged = sorted(((e, c) for e, c in acc.items() if c), reverse=True)
-    return _from_integers(ring, a * mf, merged)
+    return _lowest(a * mf, merged)
 
 
 def _autoreduce(
@@ -385,15 +389,23 @@ def buchberger(
     Pairs are treated by the degree of their lcm, then by index.  A
     generator enters as the primitive integer form of its monic multiple,
     read off its held form, and is not made monic itself: an S-pair is
-    the same for any nonzero multiple of its elements.  Every S-pair the
-    update keeps is formed by :func:`s_polynomial` and fully reduced by
+    the same for any nonzero multiple of its elements.  The update reads
+    only packed leading monomials: each lcm is the field-wise max of two
+    of them, and a pair's degree is read off its lcm only when the pair
+    is kept.  Every S-pair the update keeps is formed by
+    :func:`s_polynomial` as packed integer terms and fully reduced by
     ``_reduce`` on the forms of all elements; a nonzero remainder becomes
-    the new monic element, whose held form is primitive.  The
-    autoreduction runs on the same forms.
+    the new monic element, a ``Polynomial`` whose held form is primitive.
+    The autoreduction runs on the same forms.  A generator that is not a
+    ``Polynomial`` is refused with ``RingError``.
     """
     if budget is None:
         budget = GroebnerBudget()
     _require_budget("budget", budget)
+    generators = tuple(generators)
+    for g in generators:
+        if not isinstance(g, Polynomial):
+            raise RingError(f"every generator must be a Polynomial, not {g!r}")
     inputs = [g for g in generators if not g.is_zero]
     if not inputs:
         return []
@@ -401,12 +413,13 @@ def buchberger(
     for g in inputs:
         if g.ring != ring:
             raise RingError("generators must share one ring")
+    packing = _packing(ring)
+    lcm_of, divides, coprime = packing.lcm, packing.divides, packing.coprime
     basis: list[Polynomial] = []
-    leading: list[Monomial] = []
-    packed: list[int] = []
+    leading: list[int] = []
     forms: list[tuple] = []
-    # Pairs not yet treated, a heap of (degree of lcm, i, j, lcm), and the
-    # elements new ones still pair with.
+    # Pairs not yet treated, a heap of (degree of lcm, i, j, lcm fields),
+    # and the elements new ones still pair with.
     pairs: list[tuple] = []
     active: list[int] = []
     considered = 0
@@ -418,40 +431,37 @@ def buchberger(
         if considered > budget.max_pairs:
             raise BudgetExceeded(f"considered more than {budget.max_pairs} S-pairs")
         h = len(leading)
-        lm_h = poly.terms[0][0]
-        # Criterion B: an old pair goes when lm_h divides its lcm strictly,
-        # i.e. unless lm_h shares that lcm with one of the pair's leads.
+        # Criterion B: an old pair goes when lead divides its lcm strictly,
+        # i.e. unless lead shares that lcm with one of the pair's leads.
         kept = [
             pair
             for pair in pairs
-            if not _mono_divides(lm_h, pair[3])
-            or _mono_lcm(leading[pair[1]], lm_h) == pair[3]
-            or _mono_lcm(leading[pair[2]], lm_h) == pair[3]
+            if not divides(lead, pair[3])
+            or lcm_of(leading[pair[1]], lead) == pair[3]
+            or lcm_of(leading[pair[2]], lead) == pair[3]
         ]
         # New pairs, grouped by lcm: the first member of a class stands for
         # it; a class with a coprime member, or whose lcm is a proper multiple
         # of another class's, goes whole.
-        classes: dict[Monomial, tuple[int, bool]] = {}
+        classes: dict[int, tuple[int, bool]] = {}
         for i in active:
-            lcm = _mono_lcm(leading[i], lm_h)
-            first, coprime = classes.get(lcm, (i, False))
-            classes[lcm] = (first, coprime or _mono_coprime(leading[i], lm_h))
-        for lcm, (i, coprime) in classes.items():
-            if coprime or any(
-                other != lcm and _mono_divides(other, lcm) for other in classes
+            lcm = lcm_of(leading[i], lead)
+            first, has_coprime = classes.get(lcm, (i, False))
+            classes[lcm] = (first, has_coprime or coprime(leading[i], lead))
+        for lcm, (i, has_coprime) in classes.items():
+            if has_coprime or any(
+                other != lcm and divides(other, lcm) for other in classes
             ):
                 continue
-            kept.append((sum(lcm), i, h, lcm))
+            kept.append((packing.degree(lcm), i, h, lcm))
         heapq.heapify(kept)
         pairs = kept
-        active = [i for i in active if not _mono_divides(lm_h, leading[i])]
+        active = [i for i in active if not divides(lead, leading[i])]
         active.append(h)
         basis.append(poly)
-        leading.append(lm_h)
-        packed.append(lead)
+        leading.append(lead)
         forms.append(form)
 
-    unpack = _packing(ring).unpack
     try:
         for g in inputs:
             # The form of the monic multiple: lowest terms over the lead.
@@ -460,15 +470,14 @@ def buchberger(
             enter(g, lead, (a, a, tail))
         while pairs:
             _, i, j, _ = heapq.heappop(pairs)
-            s = s_polynomial(basis[i], basis[j])
-            if s.is_zero:
+            scale, terms = s_polynomial(basis[i], basis[j])
+            if not terms:
                 continue
-            lead, (denom, a, tail) = _form_of(s)
-            _, rem = _reduce(ring, denom, [(lead, a), *tail], packed, forms)
+            _, rem = _reduce(ring, scale, terms, leading, forms)
             if not rem:
                 continue
             # Grevlex is graded: the leading term has the largest degree.
-            top = sum(unpack(rem[0][0]))
+            top = packing.degree(rem[0][0])
             if top > budget.max_degree:
                 raise BudgetExceeded(
                     f"basis element of degree {top} exceeds "
@@ -477,7 +486,7 @@ def buchberger(
             # Monic, so its held form is primitive with a positive lead.
             poly = _from_integers(ring, rem[0][1], rem)
             enter(poly, *poly._form)
-        return _autoreduce(ring, packed, forms)
+        return _autoreduce(ring, leading, forms)
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
 

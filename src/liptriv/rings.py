@@ -527,19 +527,30 @@ class _Packing:
     ``(m | guard) - d`` borrows from its guard bit; a monomial passes the
     cap when adding ``over`` (``2**(w-1) - 1 - cap`` in every field)
     sets a guard bit.
+
+    The pair update of ``groebner`` works on the fields ``F`` alone,
+    and its operations, too, hold only for exponents within the cap:
+    :meth:`lcm` is the field-wise max, chosen by the same borrow test as
+    :meth:`divides`, and :meth:`coprime` compares the masks of the
+    nonzero fields, a field being nonzero when adding ``2**(w-1) - 1``
+    sets its guard bit.  All of them and :meth:`degree` read fields and
+    whole packings alike; :meth:`keyed` puts the key back on fields.
     """
 
-    __slots__ = ("ring", "low", "shifts", "field", "guard", "over")
+    __slots__ = ("ring", "width", "low", "shifts", "field", "guard", "over", "fields", "nonzero")
 
     def __init__(self, ring: RingContext):
         cap = ring.exponent_cap
         width = cap.bit_length() + 1
         self.ring = ring
+        self.width = width
         self.low = ring.arity * width
         self.shifts = tuple(range(0, self.low, width))
         self.field = (1 << width) - 1
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
         self.over = sum(((1 << (width - 1)) - 1 - cap) << s for s in self.shifts)
+        self.fields = (1 << self.low) - 1
+        self.nonzero = self.guard - sum(1 << s for s in self.shifts)
 
     def pack(self, exps: Monomial) -> int:
         fields = sum(map(lshift, exps, self.shifts))
@@ -550,8 +561,34 @@ class _Packing:
         field = self.field
         return tuple([(packed >> s) & field for s in self.shifts])
 
+    def degree(self, packed: int) -> int:
+        """The total degree of a packed monomial, or of its fields."""
+        return sum(self.unpack(packed))
+
+    def keyed(self, fields: int) -> int:
+        """The packed monomial whose exponent fields are ``fields``."""
+        low = self.low
+        return (((self.degree(fields) << low) - fields) << low) | fields
+
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The exponent fields of the lcm of ``a`` and ``b``, packed
+        monomials or fields: the larger field of the two in each place."""
+        guard = self.guard
+        a &= self.fields
+        b &= self.fields
+        # A field keeps its guard bit where a >= b; spread it down the field.
+        ge = ((a | guard) - b) & guard
+        ge -= ge >> (self.width - 1)
+        return (a & ge) | (b & ~ge)
+
+    def coprime(self, a: int, b: int) -> bool:
+        """Whether ``a`` and ``b``, packed monomials or fields, share no
+        variable."""
+        nonzero = self.nonzero
+        return not ((a + nonzero) & (b + nonzero) & self.guard)
 
     def check_cap(self, packed: int) -> None:
         """Raise what :func:`_check_cap` raises for the unpacked monomial

@@ -6,11 +6,14 @@ and budget checks with ``Polynomial`` arithmetic and the textbook
 division.  On the doubled family ideal of every catalog cell at k, l <= 4
 and on random ideals with non-monic rational generators, both must
 return the same reduced basis, or both must raise ``BudgetExceeded``
-with the same message.  On five ideals, the smallest ``max_pairs`` and
-the smallest ``max_degree`` the oracle needs must be the engine's too.
+with the same message.  On the random ideals both must also form the
+same S-pairs in the same order.  On five ideals, the smallest
+``max_pairs`` and the smallest ``max_degree`` the oracle needs must be
+the engine's too.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from liptriv.catalog import catalog_parameters
 from liptriv.doubling import build_unfolding, unfolding_double_ideal
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, buchberger
 from liptriv.rings import Polynomial, parse_polynomial
+from tests import oracles
 from tests.oracles import reference_buchberger
 
 XYZ = RingContext(("x", "y", "z"))
@@ -69,11 +73,32 @@ def ideals(draw):
     return gens
 
 
+@contextmanager
+def pairs_formed(module, name):
+    """The leading monomials of both elements of each pair that
+    ``module.name`` forms while the block runs, in order."""
+    formed = []
+    original = getattr(module, name)
+
+    def spy(f, g):
+        formed.append((f.leading_monomial(), g.leading_monomial()))
+        return original(f, g)
+
+    setattr(module, name, spy)
+    try:
+        yield formed
+    finally:
+        setattr(module, name, original)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ideals())
 def test_random_ideal_matches_reference(generators):
-    got = _run(buchberger, generators, BUDGET)
-    assert got == _run(reference_buchberger, generators, BUDGET)
+    with pairs_formed(groebner, "s_polynomial") as engine_pairs:
+        got = _run(buchberger, generators, BUDGET)
+    with pairs_formed(oracles, "reference_s_polynomial") as reference_pairs:
+        assert got == _run(reference_buchberger, generators, BUDGET)
+    assert engine_pairs == reference_pairs
     if got[0] != "budget":
         for terms in got:
             assert terms[0][1] == 1

@@ -12,7 +12,7 @@ from liptriv.groebner import (
     membership_certificate,
     s_polynomial,
 )
-from liptriv.rings import ExponentOverflow, Polynomial, parse_polynomial
+from liptriv.rings import ExponentOverflow, Polynomial, RingError, parse_polynomial
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -102,11 +102,36 @@ class TestDivision:
 
     def test_s_polynomial_cancels_leading_terms(self):
         f, g = polys("x^2 - y", "x*y - 1")
-        s = s_polynomial(f, g)
+        s = groebner._from_integers(XY, *s_polynomial(f, g))
         assert s == parse_polynomial("x - y^2", XY)
+
+    def test_s_polynomial_refuses_zero_and_non_polynomials(self):
+        (f,) = polys("x^2 - y")
+        with pytest.raises(RingError, match="zero polynomial"):
+            s_polynomial(XY.zero(), f)
+        with pytest.raises(RingError, match="zero polynomial"):
+            s_polynomial(f, XY.zero())
+        with pytest.raises(RingError, match="Polynomials"):
+            s_polynomial(f, 3)
+
+    def test_non_polynomial_divisor_or_dividend_is_refused(self):
+        p, d = polys("x^2 - y", "x*y - 1")
+        with pytest.raises(RingError, match="divisor"):
+            divide(p, [2])
+        with pytest.raises(RingError, match="divisor"):
+            divide(p, [d, "y"])
+        with pytest.raises(RingError, match="dividend"):
+            divide(3, [d])
 
 
 class TestBuchberger:
+    def test_non_polynomial_generator_is_refused(self):
+        (p,) = polys("x^2 - y")
+        with pytest.raises(RingError, match="generator"):
+            buchberger([p, 3])
+        with pytest.raises(RingError, match="generator"):
+            buchberger([0, p])
+
     def test_textbook_basis(self):
         # closing <x^2 - y, x*y - 1> under S-pairs adds y^2 - x
         basis = buchberger(polys("x^2 - y", "x*y - 1"))

@@ -6,10 +6,13 @@ divisibility and the exponent cap are mask tests.  Each of these must
 agree with the tuple operation it stands for: ``RingContext.sort_key``
 for the order, ``map(add)`` for the product, ``_mono_divides`` for
 divisibility, ``_check_cap`` for the cap, and unpacking must give the
-tuple back.  Rings of arity 1 to 7, doubled and not, are drawn with the
-caps below; exponents run up to ``2*cap``, the largest a product of two
-monomials within the cap reaches, and the cap and its neighbours are
-drawn often.
+tuple back.  The pair update's field operations must agree with theirs
+too: ``_mono_lcm`` for the field-wise lcm (with ``keyed`` putting the
+packing back together) and ``_mono_coprime`` for coprimality.  Rings of
+arity 1 to 7, doubled and not, are drawn with the caps below; exponents
+run up to ``2*cap``, the largest a product of two monomials within the
+cap reaches, or up to the cap for divisibility, lcm and coprimality, and
+the cap and its neighbours are drawn often.
 """
 
 from operator import add, sub
@@ -19,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptriv import RingContext
-from liptriv.groebner import _mono_divides
 from liptriv.rings import ExponentOverflow, _check_cap, _packing
+from tests.oracles import _mono_coprime, _mono_divides, _mono_lcm
 
 CAPS = (1, 2, 63, 64, 65, 1000)
 NAMES = ("a", "b", "c", "d", "e", "f", "g")
@@ -113,6 +116,35 @@ def test_product_divisibility_and_quotient(data):
         assert packing.unpack(quotient) == tuple(map(sub, f, e))
 
 
+def assert_lcm_and_coprime(ring: RingContext, e: tuple, f: tuple) -> None:
+    """The field lcm and the coprimality test on ``e`` and ``f``, given
+    as whole packings and as their fields, against the tuple ones."""
+    packing = _packing(ring)
+    a, b = packing.pack(e), packing.pack(f)
+    lcm = _mono_lcm(e, f)
+    for x, y in ((a, b), (a & packing.fields, b & packing.fields)):
+        fields = packing.lcm(x, y)
+        assert fields == packing.pack(lcm) & packing.fields
+        assert packing.unpack(fields) == lcm
+        assert packing.degree(fields) == sum(lcm)
+        assert packing.keyed(fields) == packing.pack(lcm)
+        assert packing.coprime(x, y) == _mono_coprime(e, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lcm_and_coprime(data):
+    ring = data.draw(rings())
+    cap = ring.exponent_cap
+    e, f = data.draw(exponents(ring, cap)), data.draw(exponents(ring, cap))
+    assert_lcm_and_coprime(ring, e, f)
+    # Supports drawn apart, so coprime pairs come up often.
+    mask = data.draw(st.tuples(*(st.booleans() for _ in range(ring.arity))))
+    apart = tuple(x if keep else 0 for x, keep in zip(e, mask))
+    other = tuple(0 if keep else y for y, keep in zip(f, mask))
+    assert_lcm_and_coprime(ring, apart, other)
+
+
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
 @pytest.mark.parametrize("arity", range(1, 8))
@@ -135,4 +167,5 @@ def test_boundary_exponents(arity, cap, doubled):
             assert (packed < packing.pack(f)) == (ring.sort_key(e) < ring.sort_key(f))
             if max(e) <= cap and max(f) <= cap:
                 assert packing.divides(packed, packing.pack(f)) == _mono_divides(e, f)
+                assert_lcm_and_coprime(ring, e, f)
                 assert packed + packing.pack(f) == packing.pack(tuple(map(add, e, f)))
