@@ -74,7 +74,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .groebner import Ideal, _integer_terms
+from .groebner import Ideal
 from .rings import (
     ParseError,
     Polynomial,
@@ -384,8 +384,8 @@ def _monomial_curve(ring: RingContext, exps: Sequence[int], coeffs: Sequence) ->
 class _OrderKernel:
     """Orders of one polynomial along monomial arcs, in plain ints.
 
-    Coefficients are scaled to integers once (by the lcm of their
-    denominators, which leaves every order unchanged).  A term's degree
+    Coefficients are the integers of ``p``'s stored form, ``p`` times
+    its denominator, which leaves every order unchanged.  A term's degree
     depends only on the arc exponents and its value only on the arc
     coefficients.  So :meth:`enter` groups the terms by degree once per
     block, and whether a group cancels depends on the pattern alone:
@@ -406,7 +406,8 @@ class _OrderKernel:
     """
 
     def __init__(self, p: Polynomial, patterns: Sequence[tuple], plain: int):
-        _, self.terms = _integer_terms(p.terms)
+        unpack = p.ring._packing.unpack
+        self.terms = [(unpack(m), c) for m, c in p.packed]
         self.patterns = patterns
         self._plain = plain
         self._values: list[list[int] | None] = [None] * len(patterns)

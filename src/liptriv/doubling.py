@@ -42,7 +42,7 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
-    _sorted_terms,
+    _from_integers,
     parse_polynomial,
     partial_derivative,
 )
@@ -192,7 +192,7 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 def double_of(p: Polynomial) -> Polynomial:
     """``h(t, z) - h(t, z')`` on the doubled extension of ``p``'s ring.
 
-    Built canonical directly on exponent vectors: each term moves its
+    Built canonical directly on the integer form: each term moves its
     mirrored exponents onto the mirrors
     (:meth:`RingContext.mirror_indices`).  A term in the shared
     :data:`PARAMETER` alone, a constant among them, is the same at both
@@ -205,16 +205,19 @@ def double_of(p: Polynomial) -> Polynomial:
     doubled = ring.doubled_extension()
     mirrors = doubled.mirror_indices()
     pad = (0,) * (doubled.arity - ring.arity)
+    source, target = ring._packing, doubled._packing
     terms = []
-    for exps, coeff in p.terms:
+    for m, c in p.packed:
+        exps = source.unpack(m)
         mirrored = [0] * doubled.arity
-        for e, m in zip(exps, mirrors):
-            mirrored[m] = e
+        for e, i in zip(exps, mirrors):
+            mirrored[i] = e
         mirrored = tuple(mirrored)
         if mirrored != exps + pad:
-            terms.append((exps + pad, coeff))
-            terms.append((mirrored, -coeff))
-    return Polynomial._raw(doubled, _sorted_terms(doubled, terms))
+            terms.append((target.moved(m, source), c))
+            terms.append((target.pack(mirrored), -c))
+    terms.sort(reverse=True)
+    return _from_integers(doubled, p.denominator, terms)
 
 
 class DoubledIdeal(Ideal):
@@ -288,10 +291,13 @@ def _lift(p: Polynomial) -> Polynomial:
 
     Built canonical directly: a new first exponent of 0 in every term
     leaves each total degree, each last differing exponent and each
-    exponent's bound as they were, so the order and the cap still hold.
+    exponent's bound as they were, so the order and the cap still hold,
+    and the coefficients are kept as they are.
     """
+    ring = _parameter_extension(p.ring)
+    source, moved = p.ring._packing, ring._packing.moved
     return Polynomial._raw(
-        _parameter_extension(p.ring), tuple(((0,) + e, c) for e, c in p.terms)
+        ring, p.denominator, tuple((moved(m, source, 1), c) for m, c in p.packed)
     )
 
 

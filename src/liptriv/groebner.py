@@ -21,30 +21,23 @@ exact in both directions.
 All reduction runs in one fraction-free loop, ``_reduce``, in the style
 of Monagan and Pearce's accumulator division on packed exponent vectors
 ("Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).  Inside the kernel a monomial is one ``int``
-(``rings._Packing``, one per ring): the grevlex key in the high bits
-and guarded exponent fields in the low bits, so a product is ``+``, the
-order is ``<``, and divisibility and the exponent cap are mask tests.
-:meth:`RingContext.sort_key` stays the one definition of the order; the
-packed key is an additive encoding of it, kept next to it in ``rings``
-with the cap rule.  The polynomial under reduction is a mutable dict of
-integer coefficients over one running denominator, its monomials are
-kept in an ascending list, and each divisor is an integer form
-``(D, a, tail)``, the divisor times ``D`` with leading integer ``a``
-and packed tail terms.
-
-Each polynomial's integer form is made once and kept on the
-``Polynomial`` itself (its ``_form`` slot, which only this module
-writes): the first reduction that needs it packs it, and every
-``Polynomial`` this module builds (new and reduced basis elements,
-remainders) carries its form from birth.  :func:`divide` makes
-``Fraction`` objects only for the cofactor and remainder terms it
-returns.  In :func:`buchberger` the path from S-pair to remainder stays
-in packed integers: :func:`s_polynomial` returns the S-pair as packed
-integer terms, the form ``_reduce`` takes, and the pair update compares
-the exponent fields of packed leading monomials (``_Packing.lcm``,
-``coprime`` and ``divides``) instead of exponent tuples.  Its input
-generators enter as primitive forms without being made monic.
+vectors", CASC 2007).  It reads each ``Polynomial``'s own stored form,
+``packed / denominator`` with packed monomials (``rings._Packing``), so
+a product is ``+``, the order is ``<``, and divisibility and the
+exponent cap are mask tests.  The polynomial under reduction is a
+mutable dict of integer coefficients over one running denominator, its
+monomials are kept in an ascending list, and each divisor is read as
+``(D, a, tail)``, the divisor times ``D`` with leading integer ``a`` and
+packed tail terms.  Remainders and new basis elements are built from
+their integer terms by ``rings._from_integers``, so nothing is packed
+or unpacked on the way in or out.  :func:`divide` makes ``Fraction``
+objects only for the cofactor terms it returns.  In :func:`buchberger`
+the path from S-pair to remainder stays in packed integers:
+:func:`s_polynomial` returns the S-pair as packed integer terms, the
+form ``_reduce`` takes, and the pair update compares the exponent fields
+of packed leading monomials (``_Packing.lcm``, ``coprime`` and
+``divides``) instead of exponent tuples.  Its input generators enter as
+primitive forms without being made monic.
 """
 
 from __future__ import annotations
@@ -61,7 +54,9 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
-    _packing,
+    _from_integers,
+    _lowest,
+    _over_lcm,
     _require_count,
 )
 
@@ -108,48 +103,10 @@ class BudgetExceeded(RuntimeError):
     """The computation outgrew its budget; no partial answer is usable."""
 
 
-def _integer_terms(terms: tuple) -> tuple[int, list]:
-    """``(D, [(exponents, int)])`` with ``terms == [(e, n / D)]``, ``D`` the lcm
-    of the denominators."""
-    denom = math.lcm(*(c.denominator for _, c in terms))
-    return denom, [(e, c.numerator * (denom // c.denominator)) for e, c in terms]
-
-
-def _form_of(p: Polynomial) -> tuple[int, tuple]:
-    """``(lead, (D, a, tail))`` for nonzero ``p``: its packed leading
-    monomial and its integer form, ``D*p`` in lowest integer terms with
-    leading integer ``a`` and packed ``tail``.  Made at the first call and
-    kept on ``p``."""
-    form = getattr(p, "_form", None)
-    if form is None:
-        pack = _packing(p.ring).pack
-        denom, terms = _integer_terms(p.terms)
-        tail = [(pack(e), c) for e, c in terms[1:]]
-        form = p._form = (pack(terms[0][0]), (denom, terms[0][1], tail))
-    return form
-
-
-def _lowest(scale: int, terms: list) -> tuple[int, list]:
-    """``terms / scale`` in lowest terms: ``scale`` and the coefficients
-    divided by their gcd, ``scale`` positive."""
-    content = math.gcd(scale, *(c for _, c in terms))
-    if scale < 0:
-        content = -content
-    if content == 1:
-        return scale, terms
-    return scale // content, [(m, c // content) for m, c in terms]
-
-
-def _from_integers(ring: RingContext, scale: int, terms: list) -> Polynomial:
-    """The polynomial ``terms / scale``, from packed integer terms leading
-    first, one ``Fraction`` per term, with its integer form kept on it."""
-    if not terms:
-        return ring.zero()
-    scale, terms = _lowest(scale, terms)
-    unpack = _packing(ring).unpack
-    p = Polynomial._raw(ring, tuple((unpack(m), Fraction(c, scale)) for m, c in terms))
-    p._form = (terms[0][0], (scale, terms[0][1], terms[1:]))
-    return p
+def _divisor(p: Polynomial) -> tuple:
+    """``(D, a, tail)`` for nonzero ``p``: ``D*p`` with leading integer
+    ``a`` and packed tail terms, read off its stored form."""
+    return p.denominator, p.packed[0][1], p.packed[1:]
 
 
 def _reduce(
@@ -185,7 +142,7 @@ def _reduce(
     ``ExponentOverflow`` as it enters, as the product ``x^shift * d``
     would, even if a later step would cancel it.
     """
-    packing = _packing(ring)
+    packing = ring._packing
     guard, check_cap = packing.guard, packing.check_cap
     acc = dict(terms)
     # Ascending; a zero left in ``acc`` keeps its entry here until popped.
@@ -248,12 +205,12 @@ def divide(
     returned in full rather than discarded.  Each step divides the
     leading term by the first divisor whose leading monomial divides it.
 
-    The division runs in ``_reduce`` on the integer forms of ``p`` and
-    of every divisor, each made once per polynomial (a basis element
-    carries its form from :func:`buchberger`); ``Fraction`` objects are
-    made only for the cofactor and remainder terms returned.  A monomial
-    over the ring's exponent cap raises ``ExponentOverflow``; a dividend
-    or divisor that is not a ``Polynomial`` raises ``RingError``.
+    The division runs in ``_reduce`` on the stored forms of ``p`` and of
+    every divisor; ``Fraction`` objects are made only for the cofactor
+    terms returned, and the remainder is built from its integer terms.
+    A monomial over the ring's exponent cap raises ``ExponentOverflow``;
+    a dividend or divisor that is not a ``Polynomial`` raises
+    ``RingError``.
     """
     if not isinstance(p, Polynomial):
         raise RingError(f"the dividend must be a Polynomial, not {p!r}")
@@ -265,25 +222,16 @@ def divide(
             raise RingError("divisors must share the dividend's ring")
         if d.is_zero:
             raise RingError("cannot divide by the zero polynomial")
-    held = [_form_of(d) for d in divisors]
-    scale, terms = 1, []
-    if p.terms:
-        lead, (scale, a, tail) = _form_of(p)
-        terms = [(lead, a), *tail]
     steps: list[list] = [[] for _ in divisors]
     scale, remainder = _reduce(
         ring,
-        scale,
-        terms,
-        [lead for lead, _ in held],
-        [form for _, form in held],
+        p.denominator,
+        p.packed,
+        [d.packed[0][0] for d in divisors],
+        [_divisor(d) for d in divisors],
         steps,
     )
-    unpack = _packing(ring).unpack
-    cofactors = [
-        Polynomial._raw(ring, tuple((unpack(s), c) for s, c in terms))
-        for terms in steps
-    ]
+    cofactors = [Polynomial._raw(ring, *_over_lcm(terms)) for terms in steps]
     return cofactors, _from_integers(ring, scale, remainder)
 
 
@@ -294,7 +242,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> tuple[int, list]:
     with packed monomials leading first, the input ``_reduce`` takes.
     The zero S-polynomial has no terms.
 
-    It is built from the held integer forms ``f == (a*x^lm(f) + F) / D_f``
+    It is built from the stored forms ``f == (a*x^lm(f) + F) / D_f``
     and ``g == (b*x^lm(g) + G) / D_g`` as ``(b'*x^u*F - a'*x^v*G) / (a*b')``,
     with ``t = gcd(a, b)``, ``a' = a/t`` and ``b' = b/t``: the lcm is the
     field-wise max of the packed leading monomials, then two packed
@@ -307,14 +255,14 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> tuple[int, list]:
     for p in (f, g):
         if not isinstance(p, Polynomial):
             raise RingError(f"an S-polynomial needs two Polynomials, not {p!r}")
-        if not p.terms:
+        if not p.packed:
             raise RingError("zero polynomial has no leading monomial")
     ring = f.ring
     if g.ring is not ring and g.ring != ring:
         raise RingError(f"mixed rings: {ring.variables} vs {g.ring.variables}")
-    packing = _packing(ring)
-    lead_f, (_, a, tail_f) = _form_of(f)
-    lead_g, (_, b, tail_g) = _form_of(g)
+    packing = ring._packing
+    (lead_f, a), tail_f = f.packed[0], f.packed[1:]
+    (lead_g, b), tail_g = g.packed[0], g.packed[1:]
     lcm = packing.keyed(packing.lcm(lead_f, lead_g))
     u, v = lcm - lead_f, lcm - lead_g
     t = math.gcd(a, b)
@@ -337,7 +285,7 @@ def _autoreduce(
     """The reduced monic basis from a Groebner basis given by packed
     leading monomials and the integer forms of their monic multiples,
     sorted ascending by leading monomial."""
-    divides = _packing(ring).divides
+    divides = ring._packing.divides
     ordered = sorted(range(len(leading)), key=leading.__getitem__)
     # Divisibility implies order, so one ascending pass finds the minimal set.
     minimal: list[int] = []
@@ -351,7 +299,7 @@ def _autoreduce(
         _, rem = _reduce(
             ring,
             denom,
-            [(leading[k], a)] + tail,
+            [(leading[k], a), *tail],
             [leading[j] for j in others],
             [forms[j] for j in others],
         )
@@ -388,14 +336,14 @@ def buchberger(
 
     Pairs are treated by the degree of their lcm, then by index.  A
     generator enters as the primitive integer form of its monic multiple,
-    read off its held form, and is not made monic itself: an S-pair is
+    read off its stored form, and is not made monic itself: an S-pair is
     the same for any nonzero multiple of its elements.  The update reads
     only packed leading monomials: each lcm is the field-wise max of two
     of them, and a pair's degree is read off its lcm only when the pair
     is kept.  Every S-pair the update keeps is formed by
     :func:`s_polynomial` as packed integer terms and fully reduced by
     ``_reduce`` on the forms of all elements; a nonzero remainder becomes
-    the new monic element, a ``Polynomial`` whose held form is primitive.
+    the new monic element, a ``Polynomial`` whose stored form is primitive.
     The autoreduction runs on the same forms.  A generator that is not a
     ``Polynomial`` is refused with ``RingError``.
     """
@@ -413,7 +361,7 @@ def buchberger(
     for g in inputs:
         if g.ring != ring:
             raise RingError("generators must share one ring")
-    packing = _packing(ring)
+    packing = ring._packing
     lcm_of, divides, coprime = packing.lcm, packing.divides, packing.coprime
     basis: list[Polynomial] = []
     leading: list[int] = []
@@ -465,7 +413,7 @@ def buchberger(
     try:
         for g in inputs:
             # The form of the monic multiple: lowest terms over the lead.
-            lead, (_, a, tail) = _form_of(g)
+            (lead, a), tail = g.packed[0], g.packed[1:]
             a, tail = _lowest(a, tail)
             enter(g, lead, (a, a, tail))
         while pairs:
@@ -483,9 +431,9 @@ def buchberger(
                     f"basis element of degree {top} exceeds "
                     f"cap {budget.max_degree}"
                 )
-            # Monic, so its held form is primitive with a positive lead.
+            # Monic, so its stored form is primitive with a positive lead.
             poly = _from_integers(ring, rem[0][1], rem)
-            enter(poly, *poly._form)
+            enter(poly, rem[0][0], _divisor(poly))
         return _autoreduce(ring, leading, forms)
     except ExponentOverflow as exc:
         raise BudgetExceeded(str(exc)) from exc
@@ -541,7 +489,13 @@ def membership_certificate(
     are the replayable evidence: a verifier only needs multiplication
     and addition to check them.  As in :func:`buchberger`, a division
     that passes the ring's exponent cap raises :class:`BudgetExceeded`.
+    A ``p`` that is not a ``Polynomial``, or an ``ideal`` that is not an
+    :class:`Ideal`, raises ``RingError``.
     """
+    if not isinstance(p, Polynomial):
+        raise RingError(f"membership needs a Polynomial, not {p!r}")
+    if not isinstance(ideal, Ideal):
+        raise RingError(f"membership needs an Ideal, not {ideal!r}")
     if p.ring != ideal.ring:
         raise RingError("membership test across different rings")
     basis = ideal.groebner_basis(budget)

@@ -8,18 +8,21 @@ jet-space linear algebra) rests on the two classes here:
   lexicographic order (Cox–Little–O'Shea, *Ideals, Varieties, and
   Algorithms*, §2.2).  A ring is the unit of compatibility: polynomials
   interact only when they carry equal contexts.
-* :class:`Polynomial` is an immutable sparse polynomial with
-  :class:`fractions.Fraction` coefficients.  Terms are kept sorted with
-  the leading term first, so leading-term queries are O(1) and equal
-  polynomials have equal term tuples.
+* :class:`Polynomial` is an immutable sparse polynomial with rational
+  coefficients, stored as one integer form: ``packed`` integer terms
+  over a positive ``denominator``, in lowest terms, leading term first.
+  Each monomial is packed into one ``int`` (:class:`_Packing`, one per
+  ring, after Monagan and Pearce, "Polynomial division using dynamic
+  arrays, heaps, and packed exponent vectors", CASC 2007), so a product
+  of monomials is ``+``, the order is ``<``, and divisibility and the
+  exponent cap are mask tests.  Equal polynomials have equal forms.
 
 The :class:`Polynomial` constructor is for outside input: it validates,
-merges and sorts whatever term stream it is given.  Arithmetic never
-goes back through it.  Its operands are already canonical, so a sum or
-difference is a linear merge of two sorted term tuples, a product with
-a single term is an exponent shift that keeps the order (grevlex is a
-monomial order), and only a general product sorts, once.  The one check
-left on these paths is the ring's exponent cap.
+merges, packs and sorts whatever term stream it is given.  Arithmetic
+never goes back through it: a sum is one pass over both forms, a
+product with a single term shifts packed monomials, which keeps the
+order (grevlex is a monomial order), and only a general product sorts,
+once.  The one check left on these paths is the ring's exponent cap.
 
 Coefficients are exact by construction; float inputs are rejected rather
 than coerced.  A small univariate companion type (:class:`UnivariatePoly`)
@@ -31,9 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lshift, neg
+from operator import lshift, neg
 from typing import Iterable, Union
 
 __all__ = [
@@ -115,7 +119,8 @@ class RingContext:
     the first variable is the largest.  ``doubled`` marks rings produced
     by :meth:`doubled_extension`, which appends a primed mirror of every
     variable but :data:`PARAMETER`; doubling twice is an error.
-    ``exponent_cap``, a positive ``int``, bounds every exponent that can
+    ``exponent_cap``, a positive ``int`` below ``2**63`` (the widest
+    packed field holds 64 bits), bounds every exponent that can
     appear in the ring, so runaway computations fail loudly instead of
     silently growing.
     """
@@ -136,8 +141,8 @@ class RingContext:
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise RingError(f"bad variable name {name!r}")
         cap = self.exponent_cap
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise RingError(f"exponent cap must be a positive int, not {cap!r}")
+        if isinstance(cap, bool) or not isinstance(cap, int) or not 0 < cap < 1 << 63:
+            raise RingError(f"exponent cap must be a positive int below 2**63, not {cap!r}")
 
     def __eq__(self, other):
         # Shared rings meet themselves far more often than an equal copy,
@@ -169,8 +174,13 @@ class RingContext:
         and within one degree the monomial with the smaller exponent in
         the last variable where two differ is the larger.  This is the
         one definition of the order; :class:`_Packing` encodes it
-        additively for the Groebner kernel."""
+        additively for every stored :class:`Polynomial`."""
         return (sum(exps), tuple(map(neg, exps[::-1])))
+
+    @functools.cached_property
+    def _packing(self) -> "_Packing":
+        """The packing of this ring's monomials, made once per ring."""
+        return _Packing(self)
 
     @functools.cache
     def doubled_extension(self) -> "RingContext":
@@ -212,7 +222,7 @@ class RingContext:
     # -- convenience constructors ------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial._raw(self, ())
+        return Polynomial._raw(self, 1, ())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -223,7 +233,7 @@ class RingContext:
     def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.arity
         exps[self.index(name)] = 1
-        return Polynomial._raw(self, ((tuple(exps), Fraction(1)),))
+        return Polynomial._raw(self, 1, ((self._packing.pack(exps), 1),))
 
     def monomial(self, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial(self, [(tuple(exps), coeff)])
@@ -232,30 +242,26 @@ class RingContext:
 class Polynomial:
     """Immutable sparse polynomial attached to a :class:`RingContext`.
 
-    ``terms`` is a tuple of ``(exponents, coefficient)`` pairs sorted so
-    the leading term (largest in the ring's monomial order) comes first.
-    The constructor is the entry point for outside input (the parser
-    among it): it merges duplicate monomials, drops zero coefficients,
-    validates every exponent vector against the ring and sorts.
-    Results computed from canonical polynomials are built canonical
-    directly through ``_raw`` and checked only against the exponent cap
-    where an exponent can grow:
+    Its one stored form is ``packed / denominator``: ``packed`` holds
+    ``(packed monomial, int)`` pairs, the leading term (largest in the
+    ring's monomial order) first, and ``denominator`` is a positive
+    ``int`` sharing no factor with all of them.  The constructor is the
+    entry point for outside input (the parser among it): it merges
+    duplicate monomials, drops zero coefficients, validates every
+    exponent vector against the ring, packs and sorts.  Results computed
+    from canonical polynomials are built directly through ``_raw`` or
+    :func:`_from_integers`, and checked only against the exponent cap
+    where an exponent can grow: arithmetic, :meth:`RingContext.variable`,
+    :func:`partial_derivative`, ``doubling.double_of`` and
+    ``doubling._lift``.
 
-    * arithmetic: a merge for ``+``/``-``, an exponent shift for a
-      product with one term, one sort for a general product;
-    * :meth:`RingContext.variable` and :func:`partial_derivative`,
-      which keep the order as they are;
-    * ``doubling.double_of``, one sort, and ``doubling._lift``, which
-      prepends the parameter at exponent 0 and keeps the order as it is.
-
-    Two slots hold what is derived from a polynomial once, on first use,
-    and are otherwise left unset, so ``_raw`` pays nothing for them:
-    ``_text`` the output of :func:`format_polynomial`, and ``_form`` the
-    integer form with packed monomials that ``groebner`` reduces with
-    (only ``groebner`` writes it).  Both are read with a default.
+    Two slots hold what is derived once, on first use, and are otherwise
+    left unset, so ``_raw`` pays nothing for them: ``_terms`` the
+    :attr:`terms` view, and ``_text`` the output of
+    :func:`format_polynomial`.
     """
 
-    __slots__ = ("ring", "terms", "_form", "_text")
+    __slots__ = ("ring", "denominator", "packed", "_terms", "_text")
 
     def __init__(self, ring: RingContext, terms: Iterable[tuple[Monomial, Scalar]]):
         arity = ring.arity
@@ -281,42 +287,61 @@ class Polynomial:
                     acc[exps] = total
                 elif prev is not None:
                     del acc[exps]
+        pack = ring._packing.pack
         self.ring = ring
-        self.terms = _sorted_terms(ring, acc.items())
+        self.denominator, self.packed = _over_lcm(
+            sorted(((pack(e), c) for e, c in acc.items()), reverse=True)
+        )
 
     @classmethod
-    def _raw(cls, ring: RingContext, terms: tuple) -> "Polynomial":
-        # Trusted path: terms must already be canonical.
+    def _raw(cls, ring: RingContext, denominator: int, packed: tuple) -> "Polynomial":
+        # Trusted path: the form must already be canonical and lowest.
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p.denominator = denominator
+        p.packed = packed
         return p
 
     # -- queries ------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """``(exponents, Fraction)`` pairs, leading first: a view of the
+        form, made on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            unpack, d = self.ring._packing.unpack, self.denominator
+            terms = self._terms = tuple(
+                (unpack(m), Fraction(c) if d == 1 else Fraction(c, d)) for m, c in self.packed
+            )
+            return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps, _ in self.terms)
+        # The constant monomial packs to 0, the least of all.
+        return not self.packed or not self.packed[0][0]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(sum(exps) for exps, _ in self.terms)
+        # Grevlex is graded: the leading term has the largest degree.
+        return self.ring._packing.degree(self.packed[0][0])
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.packed:
             raise RingError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring._packing.unpack(self.packed[0][0])
 
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.packed:
             raise RingError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return Fraction(self.packed[0][1], self.denominator)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         exps = tuple(exps)
@@ -326,7 +351,9 @@ class Polynomial:
         return Fraction(0)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.ring.arity)
+        if self.packed and not self.packed[-1][0]:
+            return Fraction(self.packed[-1][1], self.denominator)
+        return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -345,7 +372,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(self.ring, _merge(self.ring, self.terms, other.terms))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -353,42 +380,41 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __neg__(self):
         return Polynomial._raw(
-            self.ring, tuple((e, -c) for e, c in self.terms)
+            self.ring, self.denominator, tuple((m, -c) for m, c in self.packed)
         )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_scalar(other)
-            if not c:
-                return self.ring.zero()
-            return Polynomial._raw(
-                self.ring, tuple((e, k * c) for e, k in self.terms)
-            )
+            terms = [(m, k * c.numerator) for m, k in self.packed] if c else []
+            return _from_integers(self.ring, self.denominator * c.denominator, terms)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ring = self.ring
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            return Polynomial._raw(ring, _shift(ring, a, *b[0]))
+        a, b = self.packed, other.packed
         if len(a) == 1:
-            return Polynomial._raw(ring, _shift(ring, b, *a[0]))
-        acc: dict[Monomial, Fraction] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                exps = tuple(map(add, e1, e2))
-                prev = acc.get(exps)
-                total = c1 * c2 if prev is None else prev + c1 * c2
-                if total:
-                    acc[exps] = total
-                elif prev is not None:
-                    del acc[exps]
-        _check_cap(ring, acc)
-        return Polynomial._raw(ring, _sorted_terms(ring, acc.items()))
+            a, b = b, a
+        if len(b) == 1:
+            # A shift keeps the order; nonzero coefficients stay nonzero.
+            ((shift, factor),) = b
+            terms = [(m + shift, c * factor) for m, c in a]
+        else:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for m1, c1 in a:
+                for m2, c2 in b:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+            terms = sorted(((m, c) for m, c in acc.items() if c), reverse=True)
+        check_cap = ring._packing.check_cap
+        for m, _ in terms:
+            check_cap(m)
+        return _from_integers(ring, self.denominator * other.denominator, terms)
 
     __rmul__ = __mul__
 
@@ -407,26 +433,30 @@ class Polynomial:
         return result
 
     def monic(self) -> "Polynomial":
-        lc = self.leading_coefficient()
-        if lc == 1:
+        if not self.packed:
+            raise RingError("zero polynomial has no leading coefficient")
+        lead = self.packed[0][1]
+        if lead == self.denominator:
             return self
-        inv = 1 / lc
-        return Polynomial._raw(
-            self.ring, tuple((e, c * inv) for e, c in self.terms)
-        )
+        # ``packed / lead``: the lead over itself is 1.
+        return _from_integers(self.ring, lead, self.packed)
 
     # -- protocol -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self.denominator == other.denominator
+            and self.packed == other.packed
+        )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self.denominator, self.packed))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __str__(self):
         return format_polynomial(self)
@@ -435,58 +465,48 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _merge(ring: RingContext, a: tuple, b: tuple) -> tuple:
-    """Canonical terms of the sum of two canonical term tuples.
-
-    One linear pass in the ring's order, each term's key computed once;
-    coefficients that cancel are dropped.
-    """
-    if not a or not b:
-        return a or b
-    key = ring.sort_key
-    out = []
-    i = j = 0
-    ka, kb = key(a[0][0]), key(b[0][0])
-    while True:
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-            if i == len(a):
-                break
-            ka = key(a[i][0])
-        elif ka < kb:
-            out.append(b[j])
-            j += 1
-            if j == len(b):
-                break
-            kb = key(b[j][0])
-        else:
-            c = a[i][1] + b[j][1]
-            if c:
-                out.append((a[i][0], c))
-            i += 1
-            j += 1
-            if i == len(a) or j == len(b):
-                break
-            ka, kb = key(a[i][0]), key(b[j][0])
-    return tuple(out) + a[i:] + b[j:]
+def _over_lcm(terms: list) -> tuple[int, tuple]:
+    """``(D, ((m, n), ...))`` with ``terms == [(m, n / D)]`` for terms with
+    ``Fraction`` coefficients, ``D`` the lcm of their denominators.  No
+    factor is common to ``D`` and every ``n``, so the form is lowest."""
+    denominator = math.lcm(*(c.denominator for _, c in terms))
+    return denominator, tuple((m, c.numerator * (denominator // c.denominator)) for m, c in terms)
 
 
-def _sorted_terms(ring: RingContext, items: Iterable) -> tuple:
-    """Distinct-monomial terms sorted leading first."""
-    key = ring.sort_key
-    return tuple(sorted(items, key=lambda item: key(item[0]), reverse=True))
+def _lowest(scale: int, terms):
+    """``terms / scale`` in lowest terms: ``scale`` and the integer
+    coefficients divided by their gcd, ``scale`` positive."""
+    if scale == 1:
+        return scale, terms
+    content = math.gcd(scale, *(c for _, c in terms))
+    if scale < 0:
+        content = -content
+    if content == 1:
+        return scale, terms
+    return scale // content, [(m, c // content) for m, c in terms]
 
 
-def _shift(ring: RingContext, terms: tuple, exps: Monomial, coeff: Fraction) -> tuple:
-    """Canonical terms of ``terms`` times the single term ``coeff * exps``.
+def _from_integers(ring: RingContext, scale: int, terms) -> Polynomial:
+    """The polynomial ``terms / scale``, from nonzero packed integer
+    terms leading first and a nonzero ``scale``, made lowest."""
+    if not terms:
+        return ring.zero()
+    scale, terms = _lowest(scale, terms)
+    return Polynomial._raw(ring, scale, tuple(terms))
 
-    Multiplying by a monomial keeps a monomial order, so the terms stay
-    sorted; nonzero coefficients stay nonzero.
-    """
-    shifted = tuple((tuple(map(add, e, exps)), c * coeff) for e, c in terms)
-    _check_cap(ring, (e for e, _ in shifted))
-    return shifted
+
+def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """``a + sign*b`` on the common denominator: ``a``'s terms in a dict,
+    ``b``'s added in, cancelled terms dropped, one sort."""
+    da, db = a.denominator, b.denominator
+    denominator = math.lcm(da, db)
+    fa, fb = denominator // da, sign * (denominator // db)
+    acc = dict(a.packed) if fa == 1 else {m: c * fa for m, c in a.packed}
+    get = acc.get
+    for m, c in b.packed:
+        acc[m] = get(m, 0) + c * fb
+    terms = sorted(((m, c) for m, c in acc.items() if c), reverse=True)
+    return _from_integers(a.ring, denominator, terms)
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -505,12 +525,19 @@ def _check_cap(ring: RingContext, monomials: Iterable[Monomial]) -> None:
             )
 
 
+#: The field widths in bits, narrowest first, each with the ``struct``
+#: code that reads one field.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 class _Packing:
     """The monomials of ``ring`` packed into single non-negative ``int``
-    values, on which ``groebner`` reduces.
+    values, the form every :class:`Polynomial` stores.
 
-    Each exponent gets a field of ``w = cap.bit_length() + 1`` bits, so
-    the top (guard) bit of a field lies above the cap; exponent ``i``
+    Each exponent gets a field of ``w`` bits, the narrowest width of
+    :data:`_FIELD_CODES` above ``cap.bit_length()``, so the top (guard)
+    bit of a field lies above the cap and :meth:`unpack` is one
+    ``struct`` call on the bytes of the fields; exponent ``i``
     sits at bit ``i*w`` of ``F = sum(e[i] << i*w)``, which has
     ``L = arity*w`` bits.  With ``B = 2**w`` and ``n = arity``, the
     grevlex key is ``K = sum(e[i] * (B**n - B**i)) == (deg << L) - F``,
@@ -537,20 +564,20 @@ class _Packing:
     whole packings alike; :meth:`keyed` puts the key back on fields.
     """
 
-    __slots__ = ("ring", "width", "low", "shifts", "field", "guard", "over", "fields", "nonzero")
+    __slots__ = ("ring", "width", "low", "shifts", "guard", "over", "fields", "nonzero", "decode")
 
     def __init__(self, ring: RingContext):
         cap = ring.exponent_cap
-        width = cap.bit_length() + 1
+        width = next(w for w in _FIELD_CODES if w > cap.bit_length())
         self.ring = ring
         self.width = width
         self.low = ring.arity * width
         self.shifts = tuple(range(0, self.low, width))
-        self.field = (1 << width) - 1
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
         self.over = sum(((1 << (width - 1)) - 1 - cap) << s for s in self.shifts)
         self.fields = (1 << self.low) - 1
         self.nonzero = self.guard - sum(1 << s for s in self.shifts)
+        self.decode = struct.Struct(f"<{ring.arity}{_FIELD_CODES[width]}").unpack
 
     def pack(self, exps: Monomial) -> int:
         fields = sum(map(lshift, exps, self.shifts))
@@ -558,8 +585,7 @@ class _Packing:
 
     def unpack(self, packed: int) -> Monomial:
         """The exponents of a packed monomial, or of a packed quotient."""
-        field = self.field
-        return tuple([(packed >> s) & field for s in self.shifts])
+        return self.decode((packed & self.fields).to_bytes(self.low >> 3, "little"))
 
     def degree(self, packed: int) -> int:
         """The total degree of a packed monomial, or of its fields."""
@@ -569,6 +595,18 @@ class _Packing:
         """The packed monomial whose exponent fields are ``fields``."""
         low = self.low
         return (((self.degree(fields) << low) - fields) << low) | fields
+
+    def moved(self, packed: int, source: "_Packing", offset: int = 0) -> int:
+        """The packed monomial with the exponents of ``packed``, a monomial
+        of ``source``'s ring, moved up ``offset`` variables and every other
+        exponent 0.  The rings share the cap; the key is read off
+        ``packed`` without unpacking, since ``K + F`` is the degree times
+        ``2**source.low``."""
+        fields = packed & source.fields
+        moved = fields << offset * self.width
+        low = self.low
+        key = (((packed >> source.low) + fields) << (low - source.low)) - moved
+        return (key << low) | moved
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
@@ -597,51 +635,41 @@ class _Packing:
             _check_cap(self.ring, (self.unpack(packed),))
 
 
-@functools.cache
-def _packing(ring: RingContext) -> _Packing:
-    return _Packing(ring)
-
-
 # -- formatting -------------------------------------------------------
-
-
-def _format_magnitude(ring: RingContext, exps: Monomial, coeff: Scalar) -> str:
-    """``|coeff|`` times the monomial, read off the coefficient's integers."""
-    numerator, denominator = abs(coeff.numerator), coeff.denominator
-    mag = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-    if not any(exps):
-        return mag
-    parts = [] if mag == "1" else [mag]
-    for name, e in zip(ring.variables, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
 
 
 def format_polynomial(p: Polynomial) -> str:
     """Render with the leading term first, e.g. ``y^3 - 3/2*x*y^2``.
 
-    Polynomials are immutable, so the text is made once per object and
-    kept in its ``_text`` slot.
+    The text is read off the integer form.  Polynomials are immutable,
+    so it is made once per object and kept in its ``_text`` slot.
     """
     text = getattr(p, "_text", None)
     if text is None:
-        text = p._text = _format_terms(p)
+        unpack, d = p.ring._packing.unpack, p.denominator
+        text = p._text = _format_terms(p.ring, ((unpack(m), c, d) for m, c in p.packed))
     return text
 
 
-def _format_terms(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
+def _format_terms(ring: RingContext, terms: Iterable) -> str:
+    """The text of ``(exponents, numerator, denominator)`` terms, leading
+    first, with positive denominators."""
     pieces = []
-    for i, (exps, coeff) in enumerate(p.terms):
-        body = _format_magnitude(p.ring, exps, coeff)
-        if i == 0:
-            pieces.append(f"-{body}" if coeff.numerator < 0 else body)
+    for exps, numerator, denominator in terms:
+        content = math.gcd(numerator, denominator)
+        magnitude, denominator = abs(numerator) // content, denominator // content
+        mag = str(magnitude) if denominator == 1 else f"{magnitude}/{denominator}"
+        if any(exps):
+            parts = [] if mag == "1" else [mag]
+            for name, e in zip(ring.variables, exps):
+                if e:
+                    parts.append(name if e == 1 else f"{name}^{e}")
+            mag = "*".join(parts)
+        if pieces:
+            pieces.append(f" - {mag}" if numerator < 0 else f" + {mag}")
         else:
-            pieces.append(f" - {body}" if coeff.numerator < 0 else f" + {body}")
-    return "".join(pieces)
+            pieces.append(f"-{mag}" if numerator < 0 else mag)
+    return "".join(pieces) or "0"
 
 
 # -- parsing ----------------------------------------------------------
@@ -743,18 +771,20 @@ def _parse(text: str, ring: RingContext) -> Polynomial:
 def partial_derivative(p: Polynomial, name: str) -> Polynomial:
     """Formal partial derivative with respect to the named variable.
 
-    Built canonical directly: lowering one exponent of every surviving
-    term keeps a monomial order and keeps the monomials distinct, and
-    ``coeff * e`` is nonzero over the rationals.
+    Built on the integer form directly: lowering one exponent of every
+    surviving term keeps a monomial order and keeps the monomials
+    distinct, and a packed monomial lowers by subtracting the packed
+    variable.
     """
-    idx = p.ring.index(name)
+    ring = p.ring
+    idx, unpack = ring.index(name), ring._packing.unpack
+    unit = ring.variable(name).packed[0][0]
     terms = []
-    for exps, coeff in p.terms:
-        e = exps[idx]
+    for m, c in p.packed:
+        e = unpack(m)[idx]
         if e:
-            lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            terms.append((lowered, coeff * e))
-    return Polynomial._raw(p.ring, tuple(terms))
+            terms.append((m - unit, c * e))
+    return _from_integers(ring, p.denominator, terms)
 
 
 # -- univariate arcs ---------------------------------------------------
@@ -875,8 +905,7 @@ def parse_univariate(text: str) -> UnivariatePoly:
 
 
 def format_univariate(u: UnivariatePoly) -> str:
-    # Highest degree first is the arc ring's term order; the exponent
-    # cap only bounds parsing, so a longer arc still prints.
-    terms = tuple(((i,), c) for i, c in reversed(tuple(enumerate(u.coeffs))) if c)
-    return format_polynomial(Polynomial._raw(_ARC_RING, terms))
-
+    # Highest degree first is the arc ring's term order.  The exponent
+    # cap only bounds parsing and packing, so a longer arc still prints.
+    terms = reversed([((i,), c.numerator, c.denominator) for i, c in enumerate(u.coeffs) if c])
+    return _format_terms(_ARC_RING, terms)

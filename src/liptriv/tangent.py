@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .doubling import MatrixGerm, component_positions
-from .groebner import _integer_terms
-from .rings import Monomial, RingContext, RingError
+from .rings import Monomial, Polynomial, RingContext, RingError
 
 __all__ = [
     "TangentSpaceResult",
@@ -149,10 +148,15 @@ def _insert_row(pivots: dict, row: dict) -> bool:
     return False
 
 
-def _integer_row(row: dict) -> dict:
-    """``row`` times the lcm of its denominators: an integer row with
-    the same span."""
-    return dict(_integer_terms(row.items())[1])
+def _scaled_terms(components: Sequence[Polynomial]) -> list[list]:
+    """Per component, its ``(exponents, int)`` terms, all scaled by the
+    lcm of the components' denominators: a vector with the same span."""
+    scale = math.lcm(*(c.denominator for c in components))
+    unpack = components[0].ring._packing.unpack
+    return [
+        [(unpack(m), c * (scale // component.denominator)) for m, c in component.packed]
+        for component in components
+    ]
 
 
 def _columns(F: MatrixGerm, degree: int):
@@ -192,8 +196,9 @@ def _eliminate(F: MatrixGerm, degree: int):
     numbering of :func:`_columns`.  Each row is a jet monomial times a
     tangent generator, built by adding exponent vectors; terms above the
     jet degree are skipped.  A generator's coefficients are scaled to
-    integers once, by the lcm of their denominators, which changes none
-    of the spans its rows contribute.
+    integers once, by the lcm of its components' denominators
+    (:func:`_scaled_terms`), which changes none of the spans its rows
+    contribute.
 
     Rows stream from the largest monomial down, every generator's row
     for one monomial before the next.  The largest shifts keep the
@@ -205,16 +210,13 @@ def _eliminate(F: MatrixGerm, degree: int):
     monos, positions, column = _columns(F, degree)
     generators = []
     for g in tangent_generators(F):
-        coeffs = _integer_row(
-            {
-                (p, exps): c
-                for p, component in enumerate(g.components)
-                for exps, c in component.terms
-            }
-        )
-        if not coeffs:
+        terms = [
+            (column[p], exps, sum(exps), c)
+            for p, component in enumerate(_scaled_terms(g.components))
+            for exps, c in component
+        ]
+        if not terms:
             continue
-        terms = [(column[p], exps, sum(exps), c) for (p, exps), c in coeffs.items()]
         generators.append((min(d for _, _, d, _ in terms), terms))
     pivots: dict = {}
     for mono in reversed(monos):
@@ -235,12 +237,12 @@ def _eliminate(F: MatrixGerm, degree: int):
 
 def _germ_jet_row(g: MatrixGerm, column: list) -> dict:
     row = {}
-    for cols, component in zip(column, g.components):
-        for exps, coeff in component.terms:
+    for cols, component in zip(column, _scaled_terms(g.components)):
+        for exps, coeff in component:
             col = cols.get(exps)
             if col is not None:
                 row[col] = coeff
-    return _integer_row(row)
+    return row
 
 
 def _jet_degree(F: MatrixGerm, jet_degree: int | None) -> int:
@@ -362,10 +364,9 @@ def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
     """
     pivots: dict = {}
     rank = 0
-    for component in F.components:
+    for component, terms in zip(F.components, _scaled_terms(F.components)):
         if component.constant_term():
             return False
         # Column i holds the coefficient of the i-th variable.
-        linear = {e.index(1): c for e, c in component.terms if sum(e) == 1}
-        rank += _insert_row(pivots, _integer_row(linear))
+        rank += _insert_row(pivots, {e.index(1): c for e, c in terms if sum(e) == 1})
     return rank == F.ring.arity

@@ -1,6 +1,12 @@
 """Brute-force ideal-membership oracle used to cross-check the basis
 engine.
 
+:func:`reference_terms`, :func:`reference_sum`, :func:`reference_scale`
+and :func:`reference_product` are polynomial arithmetic on plain
+``{exponents: Fraction}`` dicts, zero coefficients dropped.  They share
+no code with ``Polynomial``, whose arithmetic runs on packed integer
+forms, so ``Polynomial`` results must agree with them.
+
 The oracle shares nothing with the division or Buchberger code: it
 answers "is p = sum q_i * g_i solvable with deg q_i <= cap" by writing
 the cofactors with unknown coefficients and solving the resulting
@@ -78,6 +84,32 @@ from liptriv.rings import (
     UnivariatePoly,
 )
 from liptriv.tangent import tangent_generators
+
+
+def reference_terms(terms) -> dict:
+    """The ``{exponents: Fraction}`` dict of a stream of ``(exponents,
+    coefficient)`` terms: equal monomials summed, zeros dropped."""
+    out: dict = {}
+    for exps, coeff in terms:
+        exps = tuple(exps)
+        out[exps] = out.get(exps, 0) + Fraction(coeff)
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+def reference_sum(a: dict, b: dict) -> dict:
+    return reference_terms([*a.items(), *b.items()])
+
+
+def reference_scale(a: dict, scalar) -> dict:
+    return reference_terms((exps, coeff * scalar) for exps, coeff in a.items())
+
+
+def reference_product(a: dict, b: dict) -> dict:
+    return reference_terms(
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+        for e1, c1 in a.items()
+        for e2, c2 in b.items()
+    )
 
 
 def monomials_up_to(arity: int, degree: int) -> list[tuple[int, ...]]:
@@ -217,7 +249,7 @@ def reference_divide(p, divisors):
                 break
         else:
             remainder_terms.append((lm, lc))
-            h = Polynomial._raw(ring, h.terms[1:])
+            h = Polynomial(ring, h.terms[1:])
     return cofactors, Polynomial(ring, remainder_terms)
 
 

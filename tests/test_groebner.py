@@ -12,7 +12,13 @@ from liptriv.groebner import (
     membership_certificate,
     s_polynomial,
 )
-from liptriv.rings import ExponentOverflow, Polynomial, RingError, parse_polynomial
+from liptriv.rings import (
+    ExponentOverflow,
+    RingError,
+    _from_integers,
+    _Packing,
+    parse_polynomial,
+)
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -102,7 +108,7 @@ class TestDivision:
 
     def test_s_polynomial_cancels_leading_terms(self):
         f, g = polys("x^2 - y", "x*y - 1")
-        s = groebner._from_integers(XY, *s_polynomial(f, g))
+        s = _from_integers(XY, *s_polynomial(f, g))
         assert s == parse_polynomial("x - y^2", XY)
 
     def test_s_polynomial_refuses_zero_and_non_polynomials(self):
@@ -276,27 +282,36 @@ class TestIdeal:
         first = ideal.groebner_basis()
         assert ideal.groebner_basis() is first
 
-    def test_each_integer_form_is_made_once(self, monkeypatch):
-        # A basis element carries its form from buchberger; any other
-        # polynomial gets its form at its first division, as dividend or
-        # divisor.  Fresh objects, so no earlier test made their forms.
+    def test_divide_packs_and_unpacks_nothing(self, monkeypatch):
+        # Division reads the stored forms of the dividend and the divisors
+        # and builds its cofactors and remainder from packed integer
+        # terms, so no monomial is packed or unpacked on the way in or out.
         basis = Ideal(XY, polys("x^2 - y", "x*y - 1")).groebner_basis()
-        p, *divisors = (
-            Polynomial._raw(XY, q.terms)
-            for q in polys("x^3*y - 2*x*y^2 + y + 5", "x*y - 1", "y^2 - 1")
-        )
-        made = []
-        integer_terms = groebner._integer_terms
+        p, *divisors = polys("x^3*y - 2*x*y^2 + y + 5", "x*y - 1", "y^2 - 1")
+        calls = []
+        for name in ("pack", "unpack"):
+            original = getattr(_Packing, name)
 
-        def spy(terms):
-            made.append(terms)
-            return integer_terms(terms)
+            def spy(packing, value, original=original, name=name):
+                calls.append(name)
+                return original(packing, value)
 
-        monkeypatch.setattr(groebner, "_integer_terms", spy)
-        for _ in range(5):
-            divide(p, basis)
-            divide(p, divisors)
-        assert sorted(made) == sorted(q.terms for q in (p, *divisors))
+            monkeypatch.setattr(_Packing, name, spy)
+        results = [(divide(p, basis), basis), (divide(p, divisors), divisors)]
+        assert calls == []
+        monkeypatch.undo()
+        for (cofactors, remainder), divs in results:
+            assert not remainder.is_zero
+            assert sum((c * d for c, d in zip(cofactors, divs)), remainder) == p
+
+    def test_membership_refuses_non_polynomials_and_non_ideals(self):
+        ideal = Ideal(XY, polys("x^2 - y"))
+        (p,) = polys("x^2 - y")
+        with pytest.raises(RingError, match="Polynomial"):
+            membership_certificate(3, ideal)
+        with pytest.raises(RingError, match="Ideal"):
+            membership_certificate(p, [p])
+        assert membership_certificate(p, ideal) is not None
 
     def test_membership_positive(self):
         ideal = Ideal(XY, polys("x^2 - y", "x*y - 1"))

@@ -1,6 +1,6 @@
 """Packed monomials against the tuple operations they replace.
 
-``groebner`` reduces on monomials packed into single ints
+Every ``Polynomial`` stores its monomials packed into single ints
 (``rings._Packing``): a product is ``+``, the order is ``<``, and
 divisibility and the exponent cap are mask tests.  Each of these must
 agree with the tuple operation it stands for: ``RingContext.sort_key``
@@ -8,11 +8,13 @@ for the order, ``map(add)`` for the product, ``_mono_divides`` for
 divisibility, ``_check_cap`` for the cap, and unpacking must give the
 tuple back.  The pair update's field operations must agree with theirs
 too: ``_mono_lcm`` for the field-wise lcm (with ``keyed`` putting the
-packing back together) and ``_mono_coprime`` for coprimality.  Rings of
-arity 1 to 7, doubled and not, are drawn with the caps below; exponents
-run up to ``2*cap``, the largest a product of two monomials within the
-cap reaches, or up to the cap for divisibility, lcm and coprimality, and
-the cap and its neighbours are drawn often.
+packing back together) and ``_mono_coprime`` for coprimality.  ``moved``
+must give the packing of the exponents padded with zeros in a wider ring
+of the same cap.  Rings of arity 1 to 7, doubled and not, are drawn with
+the caps below; exponents run up to ``2*cap``, the largest a product of
+two monomials within the cap reaches, or up to the cap for
+divisibility, lcm and coprimality, and the cap and its neighbours are
+drawn often.
 """
 
 from operator import add, sub
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptriv import RingContext
-from liptriv.rings import ExponentOverflow, _check_cap, _packing
+from liptriv.rings import ExponentOverflow, _check_cap
 from tests.oracles import _mono_coprime, _mono_divides, _mono_lcm
 
 CAPS = (1, 2, 63, 64, 65, 1000)
@@ -65,7 +67,7 @@ def exponents(ring: RingContext, top: int):
 @given(st.data())
 def test_round_trip_and_cap(data):
     ring = data.draw(rings())
-    packing = _packing(ring)
+    packing = ring._packing
     e = data.draw(exponents(ring, 2 * ring.exponent_cap))
     packed = packing.pack(e)
     assert packed >= 0
@@ -81,17 +83,17 @@ def assert_same_refusal(ring: RingContext, packed: int, e: tuple) -> None:
         _check_cap(ring, (e,))
     except ExponentOverflow as exc:
         with pytest.raises(ExponentOverflow) as caught:
-            _packing(ring).check_cap(packed)
+            ring._packing.check_cap(packed)
         assert str(caught.value) == str(exc)
     else:
-        _packing(ring).check_cap(packed)
+        ring._packing.check_cap(packed)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_order_is_sort_key(data):
     ring = data.draw(rings())
-    pack = _packing(ring).pack
+    pack = ring._packing.pack
     top = 2 * ring.exponent_cap
     e, f = data.draw(exponents(ring, top)), data.draw(exponents(ring, top))
     key = ring.sort_key
@@ -103,7 +105,7 @@ def test_order_is_sort_key(data):
 @given(st.data())
 def test_product_divisibility_and_quotient(data):
     ring = data.draw(rings())
-    packing = _packing(ring)
+    packing = ring._packing
     cap = ring.exponent_cap
     e, f = data.draw(exponents(ring, cap)), data.draw(exponents(ring, cap))
     product = tuple(map(add, e, f))
@@ -119,7 +121,7 @@ def test_product_divisibility_and_quotient(data):
 def assert_lcm_and_coprime(ring: RingContext, e: tuple, f: tuple) -> None:
     """The field lcm and the coprimality test on ``e`` and ``f``, given
     as whole packings and as their fields, against the tuple ones."""
-    packing = _packing(ring)
+    packing = ring._packing
     a, b = packing.pack(e), packing.pack(f)
     lcm = _mono_lcm(e, f)
     for x, y in ((a, b), (a & packing.fields, b & packing.fields)):
@@ -152,7 +154,7 @@ def test_boundary_exponents(arity, cap, doubled):
     """Every variable at ``cap``, ``cap + 1`` and ``2*cap``, alone and on
     top of every other variable at ``cap``."""
     ring = ring_of(arity, cap, doubled)
-    packing = _packing(ring)
+    packing = ring._packing
     full = (cap,) * arity
     vectors = [full, (0,) * arity]
     for i in range(arity):
@@ -169,3 +171,17 @@ def test_boundary_exponents(arity, cap, doubled):
                 assert packing.divides(packed, packing.pack(f)) == _mono_divides(e, f)
                 assert_lcm_and_coprime(ring, e, f)
                 assert packed + packing.pack(f) == packing.pack(tuple(map(add, e, f)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_moved_is_the_padded_monomial(data):
+    source = data.draw(rings())
+    extra = data.draw(st.integers(0, 3))
+    offset = data.draw(st.integers(0, extra))
+    names = tuple(f"v{i}" for i in range(source.arity + extra))
+    target = RingContext(names, exponent_cap=source.exponent_cap)
+    e = data.draw(exponents(source, source.exponent_cap))
+    padded = (0,) * offset + e + (0,) * (extra - offset)
+    moved = target._packing.moved(source._packing.pack(e), source._packing, offset)
+    assert moved == target._packing.pack(padded)

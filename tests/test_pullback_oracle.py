@@ -118,8 +118,13 @@ def test_arc_past_the_cap_prints_but_does_not_parse():
 
 
 def test_dense_replay_names_none_of_the_code_it_replays():
+    # Nor does it read the packed form the order kernel reads: only the
+    # polynomial's ``terms`` view.
     tree = ast.parse(inspect.getsource(pullback_dense))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    replayed = {"pullback", "pullback_ideal", "_OrderKernel", "_integer_terms"}
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    replayed = {"pullback", "pullback_ideal", "_OrderKernel"}
     assert all(hasattr(curves_module, name) for name in replayed)
     assert not names & replayed
+    assert "terms" in attributes
+    assert not attributes & {"packed", "_packing"}

@@ -1,11 +1,14 @@
-"""Arithmetic builds canonical terms without the validating constructor.
+"""Arithmetic on packed integer forms agrees with plain dict arithmetic.
 
-``+`` and ``-`` merge two sorted term tuples, a product with a single
-term shifts exponents, and a general product sorts once.  Each must give
-exactly the ``terms`` tuple the validating constructor gives for the
-same data, in plain and doubled rings alike; and the exponent cap must
-still be enforced on every product, since ``buchberger`` turns an
-overflow into ``BudgetExceeded``.
+``+`` and ``-`` combine two forms on their common denominator, a product
+with a single term shifts packed monomials, and a general product sorts
+once.  Each result must hold exactly the terms that the ``Fraction``
+arithmetic of ``tests/oracles.py`` (on plain ``{exponents: Fraction}``
+dicts, sharing no code with ``Polynomial``) gives for the same data, in
+canonical order, and be equal, with an equal hash, to what the
+validating constructor builds from those terms, in plain and doubled
+rings alike.  The exponent cap must still be enforced on every product,
+since ``buchberger`` turns an overflow into ``BudgetExceeded``.
 """
 
 from fractions import Fraction
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from liptriv import RingContext
 from liptriv.groebner import BudgetExceeded, buchberger
 from liptriv.rings import ExponentOverflow, Polynomial, parse_polynomial
+from tests.oracles import reference_product, reference_scale, reference_sum, reference_terms
 
 RINGS = [
     RingContext(("x", "y", "z")),
@@ -26,16 +30,16 @@ RINGS = [
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def polys(ring, max_terms=6, max_exp=3):
-    term = st.tuples(
-        st.tuples(*(st.integers(0, max_exp) for _ in range(ring.arity))),
-        coefficients,
+def polys(ring, max_terms=6, exponents=st.integers(0, 3)):
+    """A polynomial with the reference dict of the terms it was built from."""
+    term = st.tuples(st.tuples(*(exponents for _ in range(ring.arity))), coefficients)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: (Polynomial(ring, ts), reference_terms(ts))
     )
-    return st.lists(term, max_size=max_terms).map(lambda ts: Polynomial(ring, ts))
 
 
 def single_terms(ring):
-    return polys(ring, max_terms=1).filter(lambda p: not p.is_zero)
+    return polys(ring, max_terms=1).filter(lambda pair: not pair[0].is_zero)
 
 
 def ring_and(strategy_of_ring, count):
@@ -44,41 +48,45 @@ def ring_and(strategy_of_ring, count):
     )
 
 
-def reference_product(a: Polynomial, b: Polynomial) -> Polynomial:
-    acc = {}
-    for e1, c1 in a.terms:
-        for e2, c2 in b.terms:
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            acc[exps] = acc.get(exps, 0) + c1 * c2
-    return Polynomial(a.ring, acc.items())
+def assert_agrees(p: Polynomial, reference: dict) -> None:
+    """``p`` holds the terms of ``reference`` in canonical order and equals,
+    hash included, the constructor's polynomial of them."""
+    keys = [p.ring.sort_key(e) for e, _ in p.terms]
+    assert keys == sorted(set(keys), reverse=True)
+    assert all(type(c) is Fraction and c for _, c in p.terms)
+    assert dict(p.terms) == reference
+    expected = Polynomial(p.ring, reference.items())
+    assert p == expected
+    assert hash(p) == hash(expected)
 
 
-def negated(p: Polynomial) -> tuple:
-    return tuple((e, -c) for e, c in p.terms)
+def negated(reference: dict) -> dict:
+    return reference_scale(reference, -1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ring_and(polys, 2))
 def test_merge_sum_matches_constructor(pair):
-    a, b = pair
-    assert (a + b).terms == Polynomial(a.ring, a.terms + b.terms).terms
-    assert (a - b).terms == Polynomial(a.ring, a.terms + negated(b)).terms
+    (a, ra), (b, rb) = pair
+    assert_agrees(a + b, reference_sum(ra, rb))
+    assert_agrees(a - b, reference_sum(ra, negated(rb)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ring_and(polys, 2))
 def test_merge_with_shared_monomials(pair):
-    # b reuses a's monomials, so the merge meets equal keys and cancellations.
-    a, b = pair
-    c = Polynomial(a.ring, [(e, k * 2) for e, k in a.terms] + list(b.terms))
-    assert (a - c).terms == Polynomial(a.ring, a.terms + negated(c)).terms
-    assert (c + a).terms == Polynomial(a.ring, c.terms + a.terms).terms
+    # c reuses a's monomials, so the merge meets equal keys and cancellations.
+    (a, ra), (b, rb) = pair
+    rc = reference_sum(reference_scale(ra, 2), rb)
+    c = Polynomial(a.ring, rc.items())
+    assert_agrees(a - c, reference_sum(ra, negated(rc)))
+    assert_agrees(c + a, reference_sum(rc, ra))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ring_and(polys, 1))
 def test_full_cancellation_is_zero(single):
-    (a,) = single
+    ((a, _),) = single
     assert (a - a).terms == ()
     assert (a + (-a)).terms == ()
     assert (-a + a).is_zero
@@ -95,18 +103,56 @@ def test_x_minus_x(ring):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(RINGS).flatmap(lambda r: st.tuples(polys(r), single_terms(r))))
 def test_single_term_shift_matches_constructor(pair):
-    a, m = pair
-    expected = reference_product(a, m).terms
-    assert (a * m).terms == expected
-    assert (m * a).terms == expected
+    (a, ra), (m, rm) = pair
+    assert_agrees(a * m, reference_product(ra, rm))
+    assert_agrees(m * a, reference_product(ra, rm))
 
 
 @settings(max_examples=300, deadline=None)
 @given(ring_and(polys, 2))
 def test_general_product_matches_constructor(pair):
-    a, b = pair
-    assert (a * b).terms == reference_product(a, b).terms
-    assert (b * a).terms == reference_product(a, b).terms
+    (a, ra), (b, rb) = pair
+    assert_agrees(a * b, reference_product(ra, rb))
+    assert_agrees(b * a, reference_product(ra, rb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and(polys, 1), st.one_of(coefficients, st.integers(-4, 4)))
+def test_scalar_product_matches_reference(single, scalar):
+    ((a, ra),) = single
+    assert_agrees(a * scalar, reference_scale(ra, scalar))
+    assert_agrees(scalar * a, reference_scale(ra, scalar))
+
+
+#: Plain and doubled rings at a small cap and at the default one.
+CAP_RINGS = [
+    RingContext(("x", "y", "z"), exponent_cap=4),
+    RingContext(("x", "y"), exponent_cap=4).doubled_extension(),
+    RingContext(("x", "y")),
+    RingContext(("t", "x")).doubled_extension(),
+]
+
+
+def at_the_cap(ring):
+    cap = ring.exponent_cap
+    return polys(ring, max_terms=4, exponents=st.sampled_from((0, 1, cap // 2, cap - 1, cap)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CAP_RINGS).flatmap(lambda r: st.tuples(at_the_cap(r), at_the_cap(r))))
+def test_product_at_the_cap_matches_reference(pair):
+    # Exponents at the cap and just below it: the product either agrees
+    # with the reference or, when a surviving exponent passes the cap,
+    # overflows.
+    (a, ra), (b, rb) = pair
+    expected = reference_product(ra, rb)
+    cap = a.ring.exponent_cap
+    for left, right in ((a, b), (b, a)):
+        if any(max(exps) > cap for exps in expected):
+            with pytest.raises(ExponentOverflow):
+                left * right
+        else:
+            assert_agrees(left * right, expected)
 
 
 CAPPED = RingContext(("x", "y"), exponent_cap=4)

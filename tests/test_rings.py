@@ -50,7 +50,7 @@ class TestRingContext:
         with pytest.raises(RingError):
             RingContext(("x", name))
 
-    @pytest.mark.parametrize("cap", [True, False, 2.5, "3", 0, -1, None])
+    @pytest.mark.parametrize("cap", [True, False, 2.5, "3", 0, -1, None, 1 << 63])
     def test_exponent_cap_must_be_a_positive_int(self, cap):
         with pytest.raises(RingError):
             RingContext(("x",), exponent_cap=cap)
@@ -219,7 +219,7 @@ class TestParsing:
         p = Polynomial(DOUBLED, terms)
         text = str(p)
         assert format_polynomial(p) is text
-        assert text == format_polynomial(Polynomial._raw(DOUBLED, p.terms))
+        assert text == format_polynomial(Polynomial._raw(DOUBLED, p.denominator, p.packed))
         assert parse_polynomial(text, DOUBLED) == p
         # Derived polynomials are new objects with texts of their own.
         assert str(-p) == reference_format_polynomial(-p)
@@ -235,6 +235,13 @@ class TestParsing:
         # A product arc may carry plain ints; they print like Fractions.
         assert format_univariate(UnivariatePoly._raw((3, 0, -1, 1))) == "s^3 - s^2 + 3"
         assert format_univariate(UnivariatePoly._raw((-1,))) == "-1"
+
+    def test_arc_far_past_the_cap_prints(self):
+        # Printing an arc packs nothing: a degree past what the arc ring's
+        # exponent fields hold still prints, however far it goes.
+        assert format_univariate(UnivariatePoly.monomial(1, 200)) == "s^200"
+        arc = UnivariatePoly((Fraction(-1, 2),) + (0,) * 999 + (3,))
+        assert format_univariate(arc) == "3*s^1000 - 1/2"
 
 
 class TestParseMemo:

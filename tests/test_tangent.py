@@ -1,5 +1,6 @@
 """Tangent modules, normal space bases, and span ranks in the quotient."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from liptriv import (
 from liptriv.rings import RingError
 from liptriv.tangent import (
     _insert_row,
-    _integer_row,
     entries_cut_reduced_origin,
     quotient_image_rank,
     tangent_generators,
@@ -25,6 +25,13 @@ from tests.oracles import reference_insert_row, reference_normal_space
 from tests.test_golden_normal import grid as golden_grid
 
 XY = RingContext(("x", "y"))
+
+
+def integer_row(row: dict) -> dict:
+    """``row`` times the lcm of its denominators: an integer row with
+    the same span, the form ``_insert_row`` takes."""
+    scale = math.lcm(*(Fraction(v).denominator for v in row.values()))
+    return {c: int(v * scale) for c, v in row.items()}
 
 
 def germ(text, ring=XY):
@@ -353,7 +360,7 @@ class TestIntegerElimination:
         pivots: dict = {}
         reference: dict = {}
         for row in stream:
-            added = _insert_row(pivots, _integer_row(dict(row)))
+            added = _insert_row(pivots, integer_row(dict(row)))
             assert added == reference_insert_row(reference, dict(row))
             assert pivots.keys() == reference.keys()
         for pivot in pivots.values():
@@ -365,15 +372,15 @@ class TestIntegerElimination:
             {1: Fraction(-3), 3: Fraction(2, 5)},
         ]
         pivots: dict = {}
-        assert all(_insert_row(pivots, _integer_row(dict(r))) for r in rows)
+        assert all(_insert_row(pivots, integer_row(dict(r))) for r in rows)
         span = combine([Fraction(-4, 3), Fraction(5, 2)], rows)
-        assert not _insert_row(pivots, _integer_row(span))
-        assert not _insert_row(pivots, _integer_row(dict(rows[0])))
+        assert not _insert_row(pivots, integer_row(span))
+        assert not _insert_row(pivots, integer_row(dict(rows[0])))
         assert sorted(pivots) == [0, 1]
 
     def test_pivot_rows_are_primitive(self):
         pivots: dict = {}
-        _insert_row(pivots, _integer_row({2: Fraction(-4, 3), 5: Fraction(2, 9)}))
+        _insert_row(pivots, integer_row({2: Fraction(-4, 3), 5: Fraction(2, 9)}))
         assert pivots == {2: {2: 6, 5: -1}}
 
 
