@@ -68,7 +68,6 @@ from .curves import (
 )
 from .doubling import (
     PARAMETER,
-    DoubledIdeal,
     MatrixGerm,
     Unfolding,
     build_unfolding,
@@ -76,6 +75,7 @@ from .doubling import (
     direction_double_ideal,
     format_matrix_germ,
     unfolding_double_ideal,
+    unfolding_ring,
 )
 from .groebner import (
     BudgetExceeded,
@@ -212,8 +212,8 @@ def _memberships(generators, ideal: Ideal, budget: GroebnerBudget) -> list | Non
 
 def _diagonal_route(
     base: MatrixGerm,
-    total: DoubledIdeal,
-    theta: DoubledIdeal,
+    total: Ideal,
+    theta: Ideal,
     budget: GroebnerBudget,
 ) -> dict | None:
     """Membership blocks for the chain through the diagonal ideal, or None.
@@ -243,7 +243,7 @@ def _diagonal_route(
 
 def _search_route(
     generators,
-    total: DoubledIdeal,
+    total: Ideal,
     max_exponent: int,
     budget: int,
 ):
@@ -470,7 +470,7 @@ def verify_inclusion_certificate(verdict: Verdict) -> bool:
     if not isinstance(certificate, Mapping) or certificate.get("type") != "inclusion":
         return False
     u = verdict.unfolding
-    ring = u.extended_ring.doubled_extension()
+    ring = unfolding_ring(u.base.ring)
 
     def parse(text) -> Polynomial:
         return parse_polynomial(text, ring)

@@ -33,9 +33,9 @@ from fractions import Fraction
 from .curves import TestCurve, parse_curve
 from .doubling import (
     MatrixGerm,
-    _parameter_extension,
     component_positions,
     parse_matrix_germ,
+    unfolding_ring,
 )
 from .rings import RingContext
 
@@ -151,8 +151,7 @@ class NormalForm:
 
     def probe_curve(self) -> TestCurve:
         """The family's separating curve, on the doubled unfolding space."""
-        ring = _parameter_extension(SOURCE_RING).doubled_extension()
-        return parse_curve(self.curve_text, ring)
+        return parse_curve(self.curve_text, unfolding_ring(SOURCE_RING))
 
 
 def coefficient_value(name: str, raw: object) -> Fraction:

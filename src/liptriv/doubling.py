@@ -8,23 +8,24 @@ is the one place that checks that they mirror.
 
 A one-parameter deformation adjoins a parameter ``t`` and moves the germ
 along a direction matrix.  The central construction here takes each
-scalar component ``h`` of such a family to the difference
+scalar component ``h`` of such a family to its double, the difference
 
-    h(t, z) - h(t, z')
+    D(h) = h(t, z) - h(t, z')
 
 on the ring doubled with a primed mirror of every variable but ``t``,
 which both points of a pair share (:meth:`RingContext.doubled_extension`).
 The ideal generated by these differences controls how the family
 separates pairs of points, which is the quantity the analysis pipeline
-interrogates.  :class:`DoubledIdeal` is the one way to build such an
-ideal: it takes the components and doubles them itself, so everything
-in it vanishes on the diagonal ``z = z'`` by construction.
+interrogates.  :class:`DoubledIdeal` builds such an ideal from any
+components: it doubles them itself with :func:`double_of`.
 
-This module alone builds the unfolding's doubled structure: the family
-components and the family, direction and diagonal ideals.  A germ
-enters the unfolding ring ``t, x, y, ...`` through one lift, which
-prepends ``t`` at exponent 0 to every term and so keeps the terms
-canonical as they are.
+This module alone builds the unfolding's family, direction and diagonal
+ideals.  As ``t`` is shared, ``D(b + t*d) = D(b) + t*D(d)``, so no
+family component is formed: each component of the germ and direction is
+doubled from the source ring into :func:`unfolding_ring` by ``_double``.
+It and :func:`double_of` alone build doubled terms, each non-constant
+term beside its mirror with the opposite sign, so every generator of
+the three ideals vanishes on the diagonal ``z = z'`` by construction.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "format_matrix_germ",
     "parse_matrix_germ",
     "unfolding_double_ideal",
+    "unfolding_ring",
 ]
 
 
@@ -192,17 +194,18 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 def double_of(p: Polynomial) -> Polynomial:
     """``h(t, z) - h(t, z')`` on the doubled extension of ``p``'s ring.
 
-    Built canonical directly on the integer form: each term moves its
-    mirrored exponents onto the mirrors
-    (:meth:`RingContext.mirror_indices`).  A term in the shared
-    :data:`PARAMETER` alone, a constant among them, is the same at both
-    points and cancels; every other term gives two distinct monomials,
-    and the terms are sorted once.
+    Built canonical directly, with one sort: a term in the shared
+    :data:`PARAMETER` alone, a constant among them, cancels, and every
+    other term gives two monomials.  Without the parameter the mirrors
+    follow the variables, as ``_double`` takes them; with it, each term
+    moves its exponents onto :meth:`RingContext.mirror_indices`.
     """
     ring = p.ring
     if ring.doubled:
         raise RingError("polynomial already lives in a doubled ring")
     doubled = ring.doubled_extension()
+    if PARAMETER not in ring.variables:
+        return _double(p, doubled, 0)
     mirrors = doubled.mirror_indices()
     pad = (0,) * (doubled.arity - ring.arity)
     source, target = ring._packing, doubled._packing
@@ -218,6 +221,25 @@ def double_of(p: Polynomial) -> Polynomial:
             terms.append((target.pack(mirrored), -c))
     terms.sort(reverse=True)
     return _from_integers(doubled, p.denominator, terms)
+
+
+def _double(p: Polynomial, ring: RingContext, offset: int) -> Polynomial:
+    """``p(z) - p(z')`` on the doubled ``ring``, which holds the variables
+    ``z`` of ``p``'s ring from index ``offset`` and their mirrors ``z'``
+    right after them.  Nothing is unpacked: each non-constant term's
+    fields move up ``offset`` and ``offset + arity`` places
+    (:meth:`_Packing.moved`), with one sort; the constant cancels.  The
+    rings share the cap and no exponent grows, so none is checked.
+    """
+    source, moved = p.ring._packing, ring._packing.moved
+    mirror = offset + p.ring.arity
+    terms = []
+    for m, c in p.packed:
+        if m:
+            terms.append((moved(m, source, offset), c))
+            terms.append((moved(m, source, mirror), -c))
+    terms.sort(reverse=True)
+    return _from_integers(ring, p.denominator, terms)
 
 
 class DoubledIdeal(Ideal):
@@ -260,53 +282,34 @@ def _diagonal_ideal(ring: RingContext) -> DoubledIdeal:
     return DoubledIdeal([half.variable(v) for v in half.variables])
 
 
+@functools.cache
+def unfolding_ring(ring: RingContext) -> RingContext:
+    """The doubled unfolding ring of a source ``ring``: :data:`PARAMETER`
+    first, then the variables and their mirrors, ``t, x, y, ..., x',
+    y', ...``.  Every unfolding ideal lives here; one per ring."""
+    extended = RingContext((PARAMETER,) + ring.variables, False, ring.exponent_cap)
+    return extended.doubled_extension()
+
+
 @dataclass(frozen=True)
 class Unfolding:
-    """A germ moving along a direction with one extra parameter.
-
-    ``base`` and ``direction`` live in the source ring.  ``components``
-    are the family's independent scalar components, ``b + t * d`` for
-    the components ``b`` of ``base`` and ``d`` of ``direction`` (at
-    :func:`component_positions`), on the ring extended by
-    :data:`PARAMETER`, which comes first in the variable order.
+    """The family ``base + t * direction``, held as ``base`` and
+    ``direction`` on the source ring; no family component is formed.
+    Its ideals live on :func:`unfolding_ring`, whose half is
+    :attr:`extended_ring`, the source ring with :data:`PARAMETER` first.
     """
 
     base: MatrixGerm
     direction: MatrixGerm
-    components: tuple[Polynomial, ...]
 
     @property
     def extended_ring(self) -> RingContext:
-        return self.components[0].ring
-
-
-@functools.cache
-def _parameter_extension(ring: RingContext) -> RingContext:
-    """``ring`` with :data:`PARAMETER` adjoined first; one per ring."""
-    return RingContext((PARAMETER,) + ring.variables, False, ring.exponent_cap)
-
-
-def _lift(p: Polynomial) -> Polynomial:
-    """``p`` on :func:`_parameter_extension` of its ring, free of ``t``.
-
-    Built canonical directly: a new first exponent of 0 in every term
-    leaves each total degree, each last differing exponent and each
-    exponent's bound as they were, so the order and the cap still hold,
-    and the coefficients are kept as they are.
-    """
-    ring = _parameter_extension(p.ring)
-    source, moved = p.ring._packing, ring._packing.moved
-    return Polynomial._raw(
-        ring, p.denominator, tuple((moved(m, source, 1), c) for m, c in p.packed)
-    )
+        return unfolding_ring(self.base.ring).half()
 
 
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
-    """The family ``base + t * direction``, one scalar component at a time.
-
-    Each component is built once, as ``b + t * d`` on the shared ring
-    extended by :data:`PARAMETER`; no matrix is formed.
-    """
+    """The family ``base + t * direction``, checked: one ring, one shape,
+    one symmetry, and no source variable named :data:`PARAMETER`."""
     if base.ring != direction.ring:
         raise RingError("germ and direction must share a ring")
     if base.shape != direction.shape:
@@ -315,28 +318,28 @@ def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:
         raise RingError("germ and direction must agree on symmetry")
     if PARAMETER in base.ring.variables:
         raise RingError(f"parameter name {PARAMETER!r} collides with a ring variable")
-    t = _parameter_extension(base.ring).variable(PARAMETER)
-    components = tuple(
-        _lift(b) + t * _lift(d)
-        for b, d in zip(base.components, direction.components)
-    )
-    return Unfolding(base, direction, components)
+    return Unfolding(base, direction)
 
 
-def unfolding_double_ideal(u: Unfolding) -> DoubledIdeal:
-    """Difference ideal of the family: the doubles of its components.
+def unfolding_double_ideal(u: Unfolding) -> Ideal:
+    """Difference ideal of the family: ``D(b) + t*D(d)`` for the
+    components ``b`` of the germ and ``d`` of the direction, in order.
 
     Both points of a pair share the parameter, so each generator
     compares the family at two points for one value of ``t``.
     """
-    return DoubledIdeal(u.components)
+    ring = unfolding_ring(u.base.ring)
+    t = ring.variable(PARAMETER)
+    pairs = zip(u.base.components, u.direction.components)
+    return Ideal(ring, [_double(b, ring, 1) + t * _double(d, ring, 1) for b, d in pairs])
 
 
-def direction_double_ideal(u: Unfolding) -> DoubledIdeal | None:
-    """Doubles of the nonzero direction components ``d`` (the family's
-    ``t``-derivatives), lifted to the unfolding ring; ``None`` when the
-    direction is zero."""
+def direction_double_ideal(u: Unfolding) -> Ideal | None:
+    """Doubles ``D(d)`` of the nonzero direction components ``d`` (the
+    family's ``t``-derivatives), on :func:`unfolding_ring`; ``None`` when
+    the direction is zero."""
     nonzero = [d for d in u.direction.components if not d.is_zero]
     if not nonzero:
         return None
-    return DoubledIdeal([_lift(d) for d in nonzero])
+    ring = unfolding_ring(u.base.ring)
+    return Ideal(ring, [_double(d, ring, 1) for d in nonzero])

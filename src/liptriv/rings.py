@@ -250,10 +250,9 @@ class Polynomial:
     duplicate monomials, drops zero coefficients, validates every
     exponent vector against the ring, packs and sorts.  Results computed
     from canonical polynomials are built directly through ``_raw`` or
-    :func:`_from_integers`, and checked only against the exponent cap
-    where an exponent can grow: arithmetic, :meth:`RingContext.variable`,
-    :func:`partial_derivative`, ``doubling.double_of`` and
-    ``doubling._lift``.
+    :func:`_from_integers` (arithmetic, :meth:`RingContext.variable`,
+    :func:`partial_derivative`, the doubles of ``doubling``), and checked
+    only against the exponent cap where an exponent can grow.
 
     Two slots hold what is derived once, on first use, and are otherwise
     left unset, so ``_raw`` pays nothing for them: ``_terms`` the
@@ -342,13 +341,6 @@ class Polynomial:
         if not self.packed:
             raise RingError("zero polynomial has no leading coefficient")
         return Fraction(self.packed[0][1], self.denominator)
-
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        exps = tuple(exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
 
     def constant_term(self) -> Fraction:
         if self.packed and not self.packed[-1][0]:

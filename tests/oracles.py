@@ -51,6 +51,12 @@ the diagonal ``z = z'``.  Every generator of a difference ideal must
 collapse to zero; the engine guarantees that by construction and no
 longer checks it, so the tests check it here.
 
+:func:`matrix_route` is the family ``base + t*direction`` as a matrix,
+built by :func:`substitute` and ``MatrixGerm`` arithmetic.  The engine
+never forms it: it doubles the germ and the direction and combines the
+doubles, so the family ideal must equal the difference ideal of these
+components.
+
 :func:`full_double_ideal` is the family ideal as the engine built it
 before both points of a pair shared the parameter: the parameter gets a
 mirror ``t'`` too, and ``t - t'`` ties the two copies back together.
@@ -65,9 +71,9 @@ at a time, by :func:`reference_univariate_mul`, the schoolbook
 ``Fraction`` product ``UnivariatePoly`` used before its trusted path.
 
 :func:`substitute` applies a general ring map by plain ``Polynomial``
-arithmetic.  The engine never needs one, since it doubles through
-``doubling.double_of`` and pulls back along arcs through ``curves``; the
-tests use it to state the identities those must satisfy.
+arithmetic.  The engine never needs one, since it doubles by moving
+packed exponents in ``doubling`` and pulls back along arcs through
+``curves``; the tests use it to state the identities those must satisfy.
 """
 
 from fractions import Fraction
@@ -508,7 +514,8 @@ def full_double_ideal(u):
     the unfolding ``u``, on the ring ``t, z, t', z'`` that mirrors every
     variable, parameter included; built with the validating
     ``Polynomial`` constructor."""
-    source = u.extended_ring
+    family = matrix_route(u.base, u.direction)
+    source = family.ring
     ring = RingContext(source.variables + tuple(v + "'" for v in source.variables))
     zeros = (0,) * source.arity
 
@@ -518,7 +525,19 @@ def full_double_ideal(u):
             [(e + zeros, c) for e, c in h.terms] + [(zeros + e, -c) for e, c in h.terms],
         )
 
-    return Ideal(ring, [double(source.variable("t")), *map(double, u.components)])
+    return Ideal(ring, [double(source.variable("t")), *map(double, family.components)])
+
+
+def matrix_route(base: MatrixGerm, direction: MatrixGerm) -> MatrixGerm:
+    """``lift(base) + lift(direction).scale(t)`` by ``MatrixGerm``
+    arithmetic, on the ring ``t, x, y, ...``."""
+    ring = RingContext(("t",) + base.ring.variables, exponent_cap=base.ring.exponent_cap)
+    images = {name: ring.variable(name) for name in base.ring.variables}
+
+    def lift(germ):
+        return germ.map_entries(lambda e: substitute(e, images, ring))
+
+    return lift(base) + lift(direction).scale(ring.variable("t"))
 
 
 def reference_univariate_mul(a, b):

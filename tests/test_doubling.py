@@ -20,15 +20,16 @@ from liptriv.doubling import (
     DoubledIdeal,
     MatrixGerm,
     build_unfolding,
+    component_positions,
     diagonal_ideal,
     direction_double_ideal,
     double_of,
     format_matrix_germ,
 )
 from liptriv.groebner import membership_certificate
-from liptriv.rings import RingError, parse_polynomial, primed
+from liptriv.rings import Polynomial, RingError, parse_polynomial, primed
 from liptriv.tangent import tangent_generators
-from tests.oracles import diagonal_collapse, full_double_ideal, substitute
+from tests.oracles import diagonal_collapse, full_double_ideal, matrix_route
 from tests.test_golden_normal import grid as normal_grid
 from tests.test_trusted_construction import polys
 
@@ -218,7 +219,11 @@ class TestUnfolding:
         direction = parse_matrix_germ("sym: y, 0 ; 0, 0", XY)
         u = build_unfolding(base, direction)
         assert u.extended_ring.variables == ("t", "x", "y")
-        assert [str(c) for c in u.components] == ["t*y + y^2", "x", "y^3"]
+        family = matrix_route(base, direction)
+        assert [str(c) for c in family.components] == ["t*y + y^2", "x", "y^3"]
+        ideal = unfolding_double_ideal(u)
+        assert ideal.ring == u.extended_ring.doubled_extension()
+        assert ideal.generators == DoubledIdeal(family.components).generators
 
     def test_parameter_collision_rejected(self):
         ring = RingContext(("t", "x"))
@@ -243,33 +248,27 @@ class TestUnfolding:
         ]
 
 
-# build_unfolding makes each family component once, as b + t*d, and
-# direction_double_ideal doubles the lifted direction components.  Both
-# must agree with the matrix route they replace: lift both germs, add
-# t times the direction, and differentiate the sum by t.
-
-
-def matrix_route(base, direction):
-    """``lift(base) + lift(direction).scale(t)`` by MatrixGerm arithmetic."""
-    ring = RingContext(("t",) + base.ring.variables)
-    images = {name: ring.variable(name) for name in base.ring.variables}
-
-    def lift(germ):
-        return germ.map_entries(lambda e: substitute(e, images, ring))
-
-    return lift(base) + lift(direction).scale(ring.variable("t"))
+# No family component is formed: the family ideal is D(b) + t*D(d) per
+# component, and the direction ideal D(d) per nonzero component, each
+# double built straight from the source ring.  Both must agree with the
+# difference ideals of the matrix route: lift both germs, add t times
+# the direction, and differentiate the sum by t.
 
 
 def assert_matches_matrix_route(base, direction):
     u = build_unfolding(base, direction)
     total = matrix_route(base, direction)
-    assert u.components == total.components
+    family = unfolding_double_ideal(u)
+    expected = DoubledIdeal(total.components)
+    assert family.ring == expected.ring
+    assert family.generators == expected.generators
     theta = [c for c in total.derivative("t").components if not c.is_zero]
     got = direction_double_ideal(u)
     if not theta:
         assert got is None
     else:
         assert got is not None
+        assert got.ring == expected.ring
         assert got.generators == DoubledIdeal(theta).generators
 
 
@@ -301,6 +300,44 @@ def test_components_match_matrix_route_on_general_germ():
     direction = parse_matrix_germ("gen: y, 0, 3 ; x*y, 0, x^2 - y", XY)
     assert_matches_matrix_route(base, direction)
     assert_matches_matrix_route(base, base.map_entries(lambda e: XY.zero()))
+
+
+# Random germs: general and symmetric shapes, zero and constant entries,
+# base and direction coefficients over different denominators (powers of
+# 2 against powers of 3), and, on the cap-2 ring, exponents up to the cap.
+
+CAPPED = RingContext(("x", "y", "z"), exponent_cap=2)
+
+
+def entries(ring, max_exp, denominators):
+    coefficient = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(denominators))
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in ring.variables))
+    return st.one_of(
+        st.just(ring.zero()),
+        coefficient.map(ring.constant),
+        st.lists(st.tuples(exps, coefficient), max_size=4).map(
+            lambda terms: Polynomial(ring, terms)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "ring,max_exp", [(XY, 3), (CAPPED, CAPPED.exponent_cap)], ids=["xy", "cap-2"]
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_components_match_matrix_route_on_random_germs(ring, max_exp, data):
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    rows = data.draw(st.integers(1, 3), label="rows")
+    shape = (rows, rows if symmetric else data.draw(st.integers(1, 3), label="columns"))
+    size = len(component_positions(shape, symmetric))
+
+    def germ(denominators):
+        cells = entries(ring, max_exp, denominators)
+        components = data.draw(st.lists(cells, min_size=size, max_size=size))
+        return MatrixGerm(shape, components, symmetric)
+
+    assert_matches_matrix_route(germ((1, 2, 4)), germ((3, 9)))
 
 
 # Both points of a pair share the parameter.  The old formulation gave

@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from liptriv import RingContext
 from liptriv.doubling import (
     MatrixGerm,
-    _lift,
+    _double,
     build_unfolding,
     diagonal_ideal,
     double_of,
+    unfolding_ring,
 )
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, membership_certificate
 from liptriv.rings import Polynomial, partial_derivative
+from tests.oracles import substitute
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
@@ -77,12 +79,15 @@ class TestTrustedBuilders:
         assert double_of(XY.constant(Fraction(7, 2))).is_zero
 
     @settings(max_examples=300, deadline=None)
-    @given(polys(XY))
-    def test_lift_into_parameter_first_ring(self, p):
-        expected = [((0,) + e, c) for e, c in p.terms]
-        lifted = _lift(p)
-        assert lifted.ring == EXTENDED
-        assert_canonical(lifted, expected)
+    @given(polys(XY), coefficients)
+    def test_lift_into_parameter_first_ring(self, p, constant):
+        # The unfolding double: the matrix route's lift, then double_of.
+        p = p + constant
+        images = {name: EXTENDED.variable(name) for name in XY.variables}
+        expected = double_of(substitute(p, images, EXTENDED))
+        double = _double(p, unfolding_ring(XY), 1)
+        assert double.ring is unfolding_ring(XY) == EXTENDED.doubled_extension()
+        assert_canonical(double, expected.terms)
 
 
 class TestSharedPerRing:
