@@ -22,7 +22,8 @@ components: it doubles them itself with :func:`double_of`.
 This module alone builds the unfolding's family, direction and diagonal
 ideals.  As ``t`` is shared, ``D(b + t*d) = D(b) + t*D(d)``, so no
 family component is formed: each component of the germ and direction is
-doubled from the source ring into :func:`unfolding_ring` by ``_double``.
+doubled from the source ring into :func:`unfolding_ring` by ``_double``,
+once per :class:`MatrixGerm`, and every unfolding of it reads that double.
 It and :func:`double_of` alone build doubled terms, each non-constant
 term beside its mirror with the opposite sign, so every generator of
 the three ideals vanishes on the diagonal ``z = z'`` by construction.
@@ -129,6 +130,12 @@ class MatrixGerm:
     def is_constant(self) -> bool:
         return all(c.is_constant for c in self.components)
 
+    @functools.cached_property
+    def _doubles(self) -> tuple[Polynomial, ...]:
+        """``D(c)`` of each component on :func:`unfolding_ring`, made once
+        per germ and read by every unfolding that holds it."""
+        return tuple(map(_double, self.components))
+
     def entry_max_degree(self) -> int:
         return max(c.degree() for c in self.components)
 
@@ -194,18 +201,17 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 def double_of(p: Polynomial) -> Polynomial:
     """``h(t, z) - h(t, z')`` on the doubled extension of ``p``'s ring.
 
-    Built canonical directly, with one sort: a term in the shared
-    :data:`PARAMETER` alone, a constant among them, cancels, and every
-    other term gives two monomials.  Without the parameter the mirrors
-    follow the variables, as ``_double`` takes them; with it, each term
-    moves its exponents onto :meth:`RingContext.mirror_indices`.
+    Built canonical directly on the integer form: each term moves its
+    mirrored exponents onto the mirrors
+    (:meth:`RingContext.mirror_indices`).  A term in the shared
+    :data:`PARAMETER` alone, a constant among them, is the same at both
+    points and cancels; every other term gives two distinct monomials,
+    and the terms are sorted once.
     """
     ring = p.ring
     if ring.doubled:
         raise RingError("polynomial already lives in a doubled ring")
     doubled = ring.doubled_extension()
-    if PARAMETER not in ring.variables:
-        return _double(p, doubled, 0)
     mirrors = doubled.mirror_indices()
     pad = (0,) * (doubled.arity - ring.arity)
     source, target = ring._packing, doubled._packing
@@ -223,20 +229,18 @@ def double_of(p: Polynomial) -> Polynomial:
     return _from_integers(doubled, p.denominator, terms)
 
 
-def _double(p: Polynomial, ring: RingContext, offset: int) -> Polynomial:
-    """``p(z) - p(z')`` on the doubled ``ring``, which holds the variables
-    ``z`` of ``p``'s ring from index ``offset`` and their mirrors ``z'``
-    right after them.  Nothing is unpacked: each non-constant term's
-    fields move up ``offset`` and ``offset + arity`` places
-    (:meth:`_Packing.moved`), with one sort; the constant cancels.  The
-    rings share the cap and no exponent grows, so none is checked.
-    """
+def _double(p: Polynomial) -> Polynomial:
+    """``p(z) - p(z')`` on :func:`unfolding_ring`, ``t, z, z'``, with
+    nothing unpacked: each non-constant term's fields move up 1 and
+    ``1 + arity`` places (:meth:`_Packing.moved`), with one sort; the
+    constant cancels.  No exponent grows, so no cap is checked."""
+    ring = unfolding_ring(p.ring)
     source, moved = p.ring._packing, ring._packing.moved
-    mirror = offset + p.ring.arity
+    mirror = 1 + p.ring.arity
     terms = []
     for m, c in p.packed:
         if m:
-            terms.append((moved(m, source, offset), c))
+            terms.append((moved(m, source, 1), c))
             terms.append((moved(m, source, mirror), -c))
     terms.sort(reverse=True)
     return _from_integers(ring, p.denominator, terms)
@@ -330,16 +334,16 @@ def unfolding_double_ideal(u: Unfolding) -> Ideal:
     """
     ring = unfolding_ring(u.base.ring)
     t = ring.variable(PARAMETER)
-    pairs = zip(u.base.components, u.direction.components)
-    return Ideal(ring, [_double(b, ring, 1) + t * _double(d, ring, 1) for b, d in pairs])
+    pairs = zip(u.base._doubles, u.direction._doubles)
+    return Ideal(ring, [db + t * dd for db, dd in pairs])
 
 
 def direction_double_ideal(u: Unfolding) -> Ideal | None:
     """Doubles ``D(d)`` of the nonzero direction components ``d`` (the
     family's ``t``-derivatives), on :func:`unfolding_ring`; ``None`` when
     the direction is zero."""
-    nonzero = [d for d in u.direction.components if not d.is_zero]
+    pairs = zip(u.direction.components, u.direction._doubles)
+    nonzero = [dd for d, dd in pairs if not d.is_zero]
     if not nonzero:
         return None
-    ring = unfolding_ring(u.base.ring)
-    return Ideal(ring, [_double(d, ring, 1) for d in nonzero])
+    return Ideal(unfolding_ring(u.base.ring), nonzero)

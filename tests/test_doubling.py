@@ -247,6 +247,20 @@ class TestUnfolding:
             "y^2 - y'^2",
         ]
 
+    def test_each_component_is_doubled_once_per_germ(self, monkeypatch):
+        # Two directions against one germ: the germ's three components
+        # and each direction's three are doubled once, though the family
+        # and direction ideals both read every direction double.
+        from liptriv import doubling
+
+        doubled = []
+        double = doubling._double
+        monkeypatch.setattr(doubling, "_double", lambda p: doubled.append(p) or double(p))
+        base = parse_matrix_germ("sym: y^2, x ; x, y^3", XY)
+        for text in ("sym: y, 0 ; 0, x", "sym: 0, y ; y, 1"):
+            assert_matches_matrix_route(base, parse_matrix_germ(text, XY))
+        assert len(doubled) == 9
+
 
 # No family component is formed: the family ideal is D(b) + t*D(d) per
 # component, and the direction ideal D(d) per nonzero component, each

@@ -85,7 +85,7 @@ class TestTrustedBuilders:
         p = p + constant
         images = {name: EXTENDED.variable(name) for name in XY.variables}
         expected = double_of(substitute(p, images, EXTENDED))
-        double = _double(p, unfolding_ring(XY), 1)
+        double = _double(p)
         assert double.ring is unfolding_ring(XY) == EXTENDED.doubled_extension()
         assert_canonical(double, expected.terms)
 
