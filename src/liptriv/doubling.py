@@ -16,17 +16,18 @@ on the ring doubled with a primed mirror of every variable but ``t``,
 which both points of a pair share (:meth:`RingContext.doubled_extension`).
 The ideal generated by these differences controls how the family
 separates pairs of points, which is the quantity the analysis pipeline
-interrogates.  :class:`DoubledIdeal` builds such an ideal from any
-components: it doubles them itself with :func:`double_of`.
+interrogates.
 
 This module alone builds the unfolding's family, direction and diagonal
 ideals.  As ``t`` is shared, ``D(b + t*d) = D(b) + t*D(d)``, so no
 family component is formed: each component of the germ and direction is
-doubled from the source ring into :func:`unfolding_ring` by ``_double``,
-once per :class:`MatrixGerm`, and every unfolding of it reads that double.
-It and :func:`double_of` alone build doubled terms, each non-constant
-term beside its mirror with the opposite sign, so every generator of
-the three ideals vanishes on the diagonal ``z = z'`` by construction.
+doubled from the source ring into :func:`unfolding_ring` by
+:func:`double_of`, once per :class:`MatrixGerm`, and every unfolding of
+it reads that double.  :func:`double_of` alone builds doubled terms,
+each non-constant term beside its mirror with the opposite sign, so
+every generator of the family and direction ideals vanishes on the
+diagonal ``z = z'`` by construction, as do the differences ``v - v'``
+that generate the diagonal ideal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .groebner import Ideal
 from .rings import (
@@ -50,7 +51,6 @@ from .rings import (
 )
 
 __all__ = [
-    "DoubledIdeal",
     "MatrixGerm",
     "PARAMETER",
     "Unfolding",
@@ -134,7 +134,7 @@ class MatrixGerm:
     def _doubles(self) -> tuple[Polynomial, ...]:
         """``D(c)`` of each component on :func:`unfolding_ring`, made once
         per germ and read by every unfolding that holds it."""
-        return tuple(map(_double, self.components))
+        return tuple(map(double_of, self.components))
 
     def entry_max_degree(self) -> int:
         return max(c.degree() for c in self.components)
@@ -199,41 +199,12 @@ def format_matrix_germ(germ: MatrixGerm) -> str:
 
 
 def double_of(p: Polynomial) -> Polynomial:
-    """``h(t, z) - h(t, z')`` on the doubled extension of ``p``'s ring.
-
-    Built canonical directly on the integer form: each term moves its
-    mirrored exponents onto the mirrors
-    (:meth:`RingContext.mirror_indices`).  A term in the shared
-    :data:`PARAMETER` alone, a constant among them, is the same at both
-    points and cancels; every other term gives two distinct monomials,
-    and the terms are sorted once.
-    """
-    ring = p.ring
-    if ring.doubled:
-        raise RingError("polynomial already lives in a doubled ring")
-    doubled = ring.doubled_extension()
-    mirrors = doubled.mirror_indices()
-    pad = (0,) * (doubled.arity - ring.arity)
-    source, target = ring._packing, doubled._packing
-    terms = []
-    for m, c in p.packed:
-        exps = source.unpack(m)
-        mirrored = [0] * doubled.arity
-        for e, i in zip(exps, mirrors):
-            mirrored[i] = e
-        mirrored = tuple(mirrored)
-        if mirrored != exps + pad:
-            terms.append((target.moved(m, source), c))
-            terms.append((target.pack(mirrored), -c))
-    terms.sort(reverse=True)
-    return _from_integers(doubled, p.denominator, terms)
-
-
-def _double(p: Polynomial) -> Polynomial:
     """``p(z) - p(z')`` on :func:`unfolding_ring`, ``t, z, z'``, with
     nothing unpacked: each non-constant term's fields move up 1 and
     ``1 + arity`` places (:meth:`_Packing.moved`), with one sort; the
-    constant cancels.  No exponent grows, so no cap is checked."""
+    constant cancels.  No exponent grows, so no cap is checked.  A ring
+    that is doubled or holds :data:`PARAMETER` has no unfolding ring and
+    is refused with :class:`RingError`."""
     ring = unfolding_ring(p.ring)
     source, moved = p.ring._packing, ring._packing.moved
     mirror = 1 + p.ring.arity
@@ -246,31 +217,10 @@ def _double(p: Polynomial) -> Polynomial:
     return _from_integers(ring, p.denominator, terms)
 
 
-class DoubledIdeal(Ideal):
-    """The difference ideal of ``components``: the ideal generated by
-    their doubles ``h(z) - h(z')``, in the given order.
-
-    The components must share one undoubled ring, ``ring.half()``; the
-    ideal lives on its doubled extension.  Every generator is a
-    :func:`double_of`, so it vanishes on the diagonal by construction.
-    Constant components double to zero and are dropped.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, components: Sequence[Polynomial]):
-        if not components:
-            raise RingError("need at least one component to double")
-        source = components[0].ring
-        if any(c.ring != source for c in components):
-            raise RingError("components must share the source ring")
-        super().__init__(source.doubled_extension(), map(double_of, components))
-
-
-def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
-    """The ideal of the diagonal: the difference ideal of the variables,
-    generated by ``v - v'`` per mirrored variable of ``ring.half()``
-    (the shared :data:`PARAMETER` doubles to zero and drops out).
+def diagonal_ideal(ring: RingContext) -> Ideal:
+    """The ideal of the diagonal, generated by ``v - v'`` for each
+    variable ``v`` with a mirror, in ring order (the shared
+    :data:`PARAMETER` is its own mirror and drops out).
 
     Equal rings share one ideal, so its reduced basis is computed once
     per process; a budget failure leaves it unset, like any ideal's.
@@ -281,9 +231,10 @@ def diagonal_ideal(ring: RingContext) -> DoubledIdeal:
 
 
 @functools.cache
-def _diagonal_ideal(ring: RingContext) -> DoubledIdeal:
-    half = ring.half()
-    return DoubledIdeal([half.variable(v) for v in half.variables])
+def _diagonal_ideal(ring: RingContext) -> Ideal:
+    names = ring.variables
+    pairs = enumerate(ring.mirror_indices())
+    return Ideal(ring, [ring.variable(names[i]) - ring.variable(names[j]) for i, j in pairs if i != j])
 
 
 @functools.cache
@@ -299,16 +250,11 @@ def unfolding_ring(ring: RingContext) -> RingContext:
 class Unfolding:
     """The family ``base + t * direction``, held as ``base`` and
     ``direction`` on the source ring; no family component is formed.
-    Its ideals live on :func:`unfolding_ring`, whose half is
-    :attr:`extended_ring`, the source ring with :data:`PARAMETER` first.
+    Its ideals live on :func:`unfolding_ring`.
     """
 
     base: MatrixGerm
     direction: MatrixGerm
-
-    @property
-    def extended_ring(self) -> RingContext:
-        return unfolding_ring(self.base.ring).half()
 
 
 def build_unfolding(base: MatrixGerm, direction: MatrixGerm) -> Unfolding:

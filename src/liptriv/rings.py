@@ -200,16 +200,10 @@ class RingContext:
         return RingContext(self.variables + mirror, True, self.exponent_cap)
 
     @functools.cache
-    def half(self) -> "RingContext":
-        """The original ring a doubled ring was built from; equal doubled
-        rings share one."""
-        n = len(self.mirror_indices())
-        return RingContext(self.variables[:n], False, self.exponent_cap)
-
-    @functools.cache
     def mirror_indices(self) -> tuple[int, ...]:
         """On a doubled ring, the index of the mirror of each variable of
-        :meth:`half`, in order; :data:`PARAMETER` is its own mirror."""
+        the ring it was doubled from, in order; :data:`PARAMETER` is its
+        own mirror."""
         if not self.doubled:
             raise RingError("ring is not doubled")
         # A half of n variables, s of them shared, doubles to n + (n - s)
@@ -588,7 +582,7 @@ class _Packing:
         low = self.low
         return (((self.degree(fields) << low) - fields) << low) | fields
 
-    def moved(self, packed: int, source: "_Packing", offset: int = 0) -> int:
+    def moved(self, packed: int, source: "_Packing", offset: int) -> int:
         """The packed monomial with the exponents of ``packed``, a monomial
         of ``source``'s ring, moved up ``offset`` variables and every other
         exponent 0.  The rings share the cap; the key is read off

@@ -47,9 +47,17 @@ higher, each with the class-group column order alone, and ``stable``
 says their representatives agree.
 
 :func:`diagonal_collapse` restricts a polynomial on a doubled ring to
-the diagonal ``z = z'``.  Every generator of a difference ideal must
-collapse to zero; the engine guarantees that by construction and no
-longer checks it, so the tests check it here.
+the diagonal ``z = z'``, folding it onto :func:`half_ring`.  Every
+generator of a difference ideal must collapse to zero; the engine
+guarantees that by construction and no longer checks it, so the tests
+check it here.
+
+:func:`difference_ideal` doubles any components on the doubled
+extension of their ring, the parameter ``t`` among them, term by term
+through the validating constructor.  It replays the engine's
+``double_of``, which doubles only from a source ring into the unfolding
+ring by moving packed exponents, on the family components of
+:func:`matrix_route`.
 
 :func:`matrix_route` is the family ``base + t*direction`` as a matrix,
 built by :func:`substitute` and ``MatrixGerm`` arithmetic.  The engine
@@ -489,14 +497,47 @@ def reference_normal_space(F, degree):
     }
 
 
+def half_ring(ring):
+    """The ring a doubled ``ring`` was doubled from: its first variables.
+    The parameter ``t`` is shared and every other variable has a primed
+    mirror, so the half holds ``(arity + 1) // 2`` variables with ``t``
+    and ``arity // 2`` without."""
+    if not ring.doubled:
+        raise RingError("only a doubled ring has a half")
+    n = (ring.arity + ("t" in ring.variables)) // 2
+    return RingContext(ring.variables[:n], False, ring.exponent_cap)
+
+
+def difference_ideal(components):
+    """The ideal of the doubles ``h(z) - h(z')`` of ``components``, in
+    order, on the doubled extension of their one ring: each term beside
+    its copy on the mirrors (``v'``, found by name, and ``t`` for ``t``)
+    with the opposite sign, through the validating ``Polynomial``
+    constructor, which cancels constants and terms in ``t`` alone.
+    Zero doubles drop out."""
+    source = components[0].ring
+    ring = source.doubled_extension()
+    mirrors = [ring.index(v if v == "t" else v + "'") for v in source.variables]
+    pad = (0,) * (ring.arity - source.arity)
+
+    def double(h):
+        terms = []
+        for e, c in h.terms:
+            mirrored = [0] * ring.arity
+            for i, a in zip(mirrors, e):
+                mirrored[i] = a
+            terms += [(e + pad, c), (tuple(mirrored), -c)]
+        return Polynomial(ring, terms)
+
+    return Ideal(ring, map(double, components))
+
+
 def diagonal_collapse(p):
     """Substitute every primed variable by its original, folding back
     to the source ring through the validating ``Polynomial``
     constructor.  Differences of doubles collapse to zero."""
     ring = p.ring
-    if not ring.doubled:
-        raise RingError("diagonal collapse needs a doubled ring")
-    half = ring.half()
+    half = half_ring(ring)
     n = half.arity
     # the mirror v' of a source variable v, past the source variables
     source = list(range(n)) + [half.index(v[:-1]) for v in ring.variables[n:]]

@@ -28,7 +28,7 @@ from liptriv import (
     verify_witness_dense,
 )
 from liptriv.curves import pullback_ideal
-from liptriv.doubling import build_unfolding, double_of
+from liptriv.doubling import build_unfolding, double_of, unfolding_ring
 from liptriv.rings import Polynomial, UnivariatePoly
 from liptriv.tangent import entries_cut_reduced_origin, quotient_image_rank
 
@@ -302,7 +302,7 @@ def test_criterion_6_identities_and_audit(audited_table):
     assert report.all_passed  # audited rerun raised no contradiction
 
     xy = RingContext(("x", "y"))
-    dxy = xy.doubled_extension()
+    dxy = unfolding_ring(xy)
     uv = RingContext(("u", "v"))
     plain = {name: dxy.variable(name) for name in xy.variables}
     primed = {name: dxy.variable(name + "'") for name in xy.variables}

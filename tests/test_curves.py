@@ -17,7 +17,7 @@ from liptriv.curves import (
     pullback_ideal,
 )
 from liptriv.curves import _monomial_curve, _profiles
-from liptriv.doubling import DoubledIdeal
+from liptriv.groebner import Ideal
 from liptriv.rings import RingError, parse_polynomial
 
 DXY = RingContext(("x", "y")).doubled_extension()
@@ -62,20 +62,14 @@ class TestParseAndPullback:
 
 class TestPullbackIdeal:
     def test_ideal_order_is_min_generator_order(self):
-        gens = [poly("x - x'"), poly("y^2 - y'^2")]
-        ideal = DoubledIdeal(
-            [parse_polynomial("x", RingContext(("x", "y"))),
-             parse_polynomial("y^2", RingContext(("x", "y")))],
-        )
+        ideal = Ideal(DXY, [poly("x - x'"), poly("y^2 - y'^2")])
         curve = parse_curve("s^3,2s,s^3,s", DXY)
         summary = pullback_ideal(curve, ideal)
         assert summary.generator_orders == (math.inf, 2)
         assert summary.ideal_order == 2
 
     def test_all_infinite_orders(self):
-        ideal = DoubledIdeal(
-            [parse_polynomial("x", RingContext(("x", "y")))]
-        )
+        ideal = Ideal(DXY, [poly("x - x'")])
         curve = parse_curve("s,s,s,s", DXY)
         assert pullback_ideal(curve, ideal).ideal_order is math.inf
 
@@ -83,10 +77,7 @@ class TestPullbackIdeal:
 class TestWitness:
     def test_obstruction_found(self):
         # y - y' drops to order 1 while the family ideal sits at order 2
-        ideal = DoubledIdeal(
-            [parse_polynomial(t, RingContext(("x", "y")))
-             for t in ("x", "y^2")]
-        )
+        ideal = Ideal(DXY, [poly("x - x'"), poly("y^2 - y'^2")])
         curve = parse_curve("s,2s,s,s", DXY)
         element = poly("y - y'")
         witness = Witness(
@@ -100,9 +91,7 @@ class TestWitness:
         assert witness.ideal_order == 2
 
     def test_no_obstruction_when_orders_respect_ideal(self):
-        ideal = DoubledIdeal(
-            [parse_polynomial("y", RingContext(("x", "y")))]
-        )
+        ideal = Ideal(DXY, [poly("y - y'")])
         curve = parse_curve("s,2s,s,s", DXY)
         element_order = pullback(poly("y - y'"), curve).order_of_vanishing()
         assert not element_order < pullback_ideal(curve, ideal).ideal_order
@@ -159,7 +148,7 @@ class TestEnumeration:
         )
 
     def test_max_exponent_validated(self):
-        ideal = DoubledIdeal([parse_polynomial("x", RingContext(("x", "y")))])
+        ideal = Ideal(DXY, [poly("x - x'")])
         for bad in (0, 2.0, True):
             with pytest.raises(ValueError, match="max_exponent"):
                 closure_test(poly("y - y'"), ideal, 10, bad)
@@ -168,7 +157,7 @@ class TestEnumeration:
 
     def test_budget_validated(self):
         # a float, a string or a bool budget is refused like a negative one
-        ideal = DoubledIdeal([parse_polynomial("x", RingContext(("x", "y")))])
+        ideal = Ideal(DXY, [poly("x - x'")])
         for bad in (-1, 2.5, "3", True):
             with pytest.raises(ValueError, match="budget"):
                 closure_test(poly("y - y'"), ideal, bad, 3)
@@ -189,9 +178,7 @@ class TestEnumeration:
     def test_closure_test_zero_element_trivial(self):
         from liptriv.curves import SearchReport
 
-        ideal = DoubledIdeal(
-            [parse_polynomial("x", RingContext(("x", "y")))]
-        )
+        ideal = Ideal(DXY, [poly("x - x'")])
         report = closure_test(ideal.ring.zero(), ideal, 1000, 4)
         assert isinstance(report, SearchReport)
         assert report.curves_tried == 0
@@ -212,9 +199,7 @@ class TestEnumeration:
         assert report.curves_tried == 5
 
     def test_negative_budget_rejected(self):
-        ideal = DoubledIdeal(
-            [parse_polynomial(t, RingContext(("x", "y"))) for t in ("x", "y^3")]
-        )
+        ideal = Ideal(DXY, [poly("x - x'"), poly("y^3 - y'^3")])
         element = poly("y^2 - y'^2")
         # the second curve is a witness, so a negative budget sliced from
         # the end of the block would still find it

@@ -1,12 +1,15 @@
 """Doubles, diagonal ideals, unfoldings, and the printed generator
 displays for the bundled catalog families."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liptriv
 from liptriv import (
     RingContext,
     normal_form,
@@ -17,7 +20,6 @@ from liptriv import (
 from liptriv.analyzer import _cell_directions
 from liptriv.catalog import catalog_parameters
 from liptriv.doubling import (
-    DoubledIdeal,
     MatrixGerm,
     build_unfolding,
     component_positions,
@@ -25,16 +27,24 @@ from liptriv.doubling import (
     direction_double_ideal,
     double_of,
     format_matrix_germ,
+    unfolding_ring,
 )
 from liptriv.groebner import membership_certificate
 from liptriv.rings import Polynomial, RingError, parse_polynomial, primed
 from liptriv.tangent import tangent_generators
-from tests.oracles import diagonal_collapse, full_double_ideal, matrix_route
+from tests.oracles import (
+    diagonal_collapse,
+    difference_ideal,
+    full_double_ideal,
+    half_ring,
+    matrix_route,
+)
 from tests.test_golden_normal import grid as normal_grid
 from tests.test_trusted_construction import polys
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
+UXY = unfolding_ring(XY)
 
 
 def poly(text, ring=XY):
@@ -44,7 +54,7 @@ def poly(text, ring=XY):
 class TestDoubleOf:
     def test_monomial(self):
         assert double_of(poly("x*y^2")) == parse_polynomial(
-            "x*y^2 - x'*y'^2", DXY
+            "x*y^2 - x'*y'^2", UXY
         )
 
     def test_constants_cancel(self):
@@ -61,6 +71,31 @@ class TestDoubleOf:
     def test_already_doubled_rejected(self):
         with pytest.raises(RingError):
             double_of(parse_polynomial("x - x'", DXY))
+
+    def test_ring_holding_the_parameter_rejected(self):
+        # t is shared by both points, so a source ring cannot hold it
+        with pytest.raises(RingError):
+            double_of(parse_polynomial("t*x", RingContext(("t", "x"))))
+
+
+def test_only_double_of_moves_packed_exponents():
+    # Each term is moved beside its mirror with the opposite sign in one
+    # place, which is what makes every double vanish on the diagonal by
+    # construction: no other code of the package reads _Packing.moved.
+    readers = set()
+    for path in sorted(pathlib.Path(liptriv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth first, so a nested function labels last
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        readers.update(
+            (path.stem, owner.get(id(n)))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "moved"
+        )
+    assert readers == {("doubling", "double_of")}
 
 
 class TestDiagonalIdeal:
@@ -79,61 +114,51 @@ class TestDiagonalIdeal:
     def test_every_double_is_a_member(self):
         from liptriv.groebner import membership_certificate
 
-        ideal = diagonal_ideal(DXY)
+        ideal = diagonal_ideal(UXY)
         assert membership_certificate(double_of(poly("x^2*y + y^3 - 4*x")), ideal) is not None
 
-    def test_non_diagonal_generator_rejected(self):
-        # x + x' cannot enter a difference ideal: its ring is already doubled
-        with pytest.raises(RingError):
-            DoubledIdeal([parse_polynomial("x + x'", DXY)])
+
+# Every generator of the family and direction ideals vanishes on the
+# diagonal because double_of builds each of them; nothing checks it at
+# run time, so the tests check it against the oracle: the doubles of
+# components on x, y, and both ideals of an unfolding of a 1 x n germ.
 
 
-class TestDoubledIdeal:
-    def test_generators_are_the_doubles_in_order(self):
-        components = [poly("y^2"), poly("3"), poly("x - y"), poly("x*y")]
-        ideal = DoubledIdeal(components)
-        assert ideal.ring is DXY
-        # the constant doubles to zero and is dropped
-        assert ideal.generators == tuple(
-            double_of(c) for c in components if not c.is_constant
-        )
-
-    def test_empty_components_rejected(self):
-        with pytest.raises(RingError):
-            DoubledIdeal([])
-
-    def test_components_on_different_rings_rejected(self):
-        with pytest.raises(RingError):
-            DoubledIdeal([poly("x"), parse_polynomial("u", RingContext(("u", "v")))])
+def component_doubles(base, direction):
+    return list(map(double_of, base))
 
 
-# Every generator of a difference ideal vanishes on the diagonal because
-# DoubledIdeal doubles its components itself; nothing checks it at run
-# time, so the tests check it against the oracle.
+def unfolding_generators(base, direction):
+    shape = (1, len(base))
+    u = build_unfolding(MatrixGerm(shape, base), MatrixGerm(shape, direction))
+    ideals = [unfolding_double_ideal(u), direction_double_ideal(u)]
+    return [g for ideal in ideals if ideal is not None for g in ideal.generators]
 
-TXY = RingContext(("t", "x", "y"))
 
-
-@pytest.mark.parametrize("ring", [XY, TXY], ids=["xy", "unfolding"])
+@pytest.mark.parametrize(
+    "generators",
+    [component_doubles, unfolding_generators],
+    ids=["xy", "unfolding"],
+)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_difference_ideal_vanishes_on_diagonal(ring, data):
-    components = data.draw(st.lists(polys(ring, max_exp=3), min_size=1, max_size=4))
-    ideal = DoubledIdeal(components)
-    doubles = [double_of(c) for c in components]
-    assert ideal.generators == tuple(d for d in doubles if not d.is_zero)
-    for g in ideal.generators:
+def test_difference_ideal_vanishes_on_diagonal(generators, data):
+    components = st.lists(polys(XY, max_exp=3), min_size=1, max_size=4)
+    base = data.draw(components)
+    direction = data.draw(st.lists(polys(XY, max_exp=3), min_size=len(base), max_size=len(base)))
+    for g in generators(base, direction):
+        assert g.ring is UXY
         assert diagonal_collapse(g).is_zero
 
 
-@pytest.mark.parametrize("ring", [DXY, TXY.doubled_extension()], ids=["xy", "unfolding"])
+@pytest.mark.parametrize("ring", [DXY, UXY], ids=["xy", "unfolding"])
 def test_diagonal_ideal_generators_are_variable_differences(ring):
     ideal = diagonal_ideal(ring)
     assert ideal.ring == ring
     # the shared parameter t has no mirror and no difference
     expected = tuple(
         ring.variable(v) - ring.variable(primed(v))
-        for v in ring.half().variables
+        for v in half_ring(ring).variables
         if v != "t"
     )
     assert ideal.generators == expected
@@ -218,12 +243,12 @@ class TestUnfolding:
         base = parse_matrix_germ("sym: y^2, x ; x, y^3", XY)
         direction = parse_matrix_germ("sym: y, 0 ; 0, 0", XY)
         u = build_unfolding(base, direction)
-        assert u.extended_ring.variables == ("t", "x", "y")
+        assert UXY.variables == ("t", "x", "y", "x'", "y'")
         family = matrix_route(base, direction)
         assert [str(c) for c in family.components] == ["t*y + y^2", "x", "y^3"]
         ideal = unfolding_double_ideal(u)
-        assert ideal.ring == u.extended_ring.doubled_extension()
-        assert ideal.generators == DoubledIdeal(family.components).generators
+        assert ideal.ring is UXY
+        assert ideal.generators == difference_ideal(family.components).generators
 
     def test_parameter_collision_rejected(self):
         ring = RingContext(("t", "x"))
@@ -254,8 +279,8 @@ class TestUnfolding:
         from liptriv import doubling
 
         doubled = []
-        double = doubling._double
-        monkeypatch.setattr(doubling, "_double", lambda p: doubled.append(p) or double(p))
+        double = doubling.double_of
+        monkeypatch.setattr(doubling, "double_of", lambda p: doubled.append(p) or double(p))
         base = parse_matrix_germ("sym: y^2, x ; x, y^3", XY)
         for text in ("sym: y, 0 ; 0, x", "sym: 0, y ; y, 1"):
             assert_matches_matrix_route(base, parse_matrix_germ(text, XY))
@@ -273,7 +298,7 @@ def assert_matches_matrix_route(base, direction):
     u = build_unfolding(base, direction)
     total = matrix_route(base, direction)
     family = unfolding_double_ideal(u)
-    expected = DoubledIdeal(total.components)
+    expected = difference_ideal(total.components)
     assert family.ring == expected.ring
     assert family.generators == expected.generators
     theta = [c for c in total.derivative("t").components if not c.is_zero]
@@ -283,7 +308,7 @@ def assert_matches_matrix_route(base, direction):
     else:
         assert got is not None
         assert got.ring == expected.ring
-        assert got.generators == DoubledIdeal(theta).generators
+        assert got.generators == difference_ideal(theta).generators
 
 
 def test_components_match_matrix_route_on_table_grid():

@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from liptriv import RingContext
-from liptriv.doubling import double_of
+from liptriv.doubling import double_of, unfolding_ring
 from liptriv.groebner import Ideal, membership_certificate
 from liptriv.rings import ExponentOverflow, Polynomial
 from tests.oracles import (
@@ -109,7 +109,9 @@ class TestDiagonalCollapse:
         x, xp, yp = self.DXY.variable("x"), self.DXY.variable("x'"), self.DXY.variable("y'")
         p = (x - xp) * (x - xp) * yp  # three monomials that all fold to x^2*y
         assert diagonal_collapse(p).is_zero
-        assert diagonal_collapse(double_of(Polynomial(self.XY, [((2, 3), 5), ((0, 1), -1)]))).is_zero
+        double = double_of(Polynomial(self.XY, [((2, 3), 5), ((0, 1), -1)]))
+        assert double.ring is unfolding_ring(self.XY)
+        assert diagonal_collapse(double).is_zero
 
     def test_keeps_the_cap(self):
         ring = RingContext(("x",), exponent_cap=3).doubled_extension()

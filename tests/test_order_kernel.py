@@ -28,6 +28,7 @@ from liptriv.curves import _levels, _monomial_curve, _OrderKernel, _profiles
 from liptriv.doubling import PARAMETER, build_unfolding, direction_double_ideal
 from liptriv.groebner import Ideal
 from liptriv.rings import Polynomial, parse_polynomial
+from tests.oracles import half_ring
 
 DXY = RingContext(("x", "y")).doubled_extension()
 # t, x, x': the parameter is tied across the pair, both points share it
@@ -142,7 +143,7 @@ def reference_exponents(ring, max_exponent):
     by (sum, exponents) and copied onto the mirrors by name; on a ring
     that is not doubled, every tuple over all variables.
     """
-    names = ring.half().variables if ring.doubled else ring.variables
+    names = half_ring(ring).variables if ring.doubled else ring.variables
     for half in sorted(
         itertools.product(range(1, max_exponent + 1), repeat=len(names)),
         key=lambda exps: (sum(exps), exps),

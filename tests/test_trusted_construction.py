@@ -16,19 +16,19 @@ from hypothesis import strategies as st
 from liptriv import RingContext
 from liptriv.doubling import (
     MatrixGerm,
-    _double,
     build_unfolding,
     diagonal_ideal,
     double_of,
+    unfolding_double_ideal,
     unfolding_ring,
 )
 from liptriv.groebner import BudgetExceeded, GroebnerBudget, membership_certificate
 from liptriv.rings import Polynomial, partial_derivative
-from tests.oracles import substitute
+from tests.oracles import half_ring
 
 XY = RingContext(("x", "y"))
 DXY = XY.doubled_extension()
-EXTENDED = RingContext(("t", "x", "y"))  # parameter first, as in an unfolding
+UXY = unfolding_ring(XY)  # t, x, y, x', y'
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -66,28 +66,19 @@ class TestTrustedBuilders:
     @settings(max_examples=300, deadline=None)
     @given(polys(XY), coefficients)
     def test_double_of_with_constant_terms(self, p, constant):
+        # Each term at z in the slots after t, and at z' past them; the
+        # constant cancels.
         p = p + constant
         zeros = (0,) * XY.arity
-        expected = [(e + zeros, c) for e, c in p.terms]
-        expected += [(zeros + e, -c) for e, c in p.terms]
+        expected = [((0,) + e + zeros, c) for e, c in p.terms]
+        expected += [((0,) + zeros + e, -c) for e, c in p.terms]
         double = double_of(p)
-        assert double.ring is DXY
+        assert double.ring is UXY == RingContext(("t", "x", "y")).doubled_extension()
         assert_canonical(double, expected)
         assert all(any(e) for e, _ in double.terms)
 
     def test_double_of_constant_is_zero(self):
         assert double_of(XY.constant(Fraction(7, 2))).is_zero
-
-    @settings(max_examples=300, deadline=None)
-    @given(polys(XY), coefficients)
-    def test_lift_into_parameter_first_ring(self, p, constant):
-        # The unfolding double: the matrix route's lift, then double_of.
-        p = p + constant
-        images = {name: EXTENDED.variable(name) for name in XY.variables}
-        expected = double_of(substitute(p, images, EXTENDED))
-        double = _double(p)
-        assert double.ring is unfolding_ring(XY) == EXTENDED.doubled_extension()
-        assert_canonical(double, expected.terms)
 
 
 class TestSharedPerRing:
@@ -96,18 +87,20 @@ class TestSharedPerRing:
         assert RingContext(("u", "v")).doubled_extension() is RingContext(("u", "v")).doubled_extension()
 
     def test_half_is_shared(self):
+        # An equal half doubles back to the very same ring.
         doubled = RingContext(("u", "w")).doubled_extension()
-        assert doubled.half() is doubled.half()
-        assert doubled.half() == RingContext(("u", "w"))
+        assert half_ring(doubled) == RingContext(("u", "w"))
+        assert half_ring(doubled).doubled_extension() is doubled
+        assert doubled.mirror_indices() is doubled.mirror_indices()
 
     def test_unfolding_ring_is_shared(self):
         germ = MatrixGerm((1, 2), (XY.variable("x"), XY.variable("y")))
-        first = build_unfolding(germ, germ).extended_ring
-        again = build_unfolding(germ, germ.scale(2)).extended_ring
-        assert first is again
-        assert first == EXTENDED
+        first = unfolding_double_ideal(build_unfolding(germ, germ)).ring
+        again = unfolding_double_ideal(build_unfolding(germ, germ.scale(2))).ring
+        assert first is again is UXY
+        assert half_ring(first) == RingContext(("t", "x", "y"))
         copy = MatrixGerm((1, 1), (RingContext(("x", "y")).variable("x"),))
-        assert build_unfolding(copy, copy).extended_ring is first
+        assert unfolding_double_ideal(build_unfolding(copy, copy)).ring is first
 
     def test_equal_distinct_rings_compare_and_hash_equal(self):
         a = RingContext(("u", "v"), exponent_cap=99)
