@@ -182,6 +182,12 @@ class RingContext:
         """The packing of this ring's monomials, made once per ring."""
         return _Packing(self)
 
+    @functools.cached_property
+    def _monomial_texts(self) -> dict[int, str]:
+        """The text of every packed monomial :func:`format_polynomial`
+        has printed on this ring, made once per monomial."""
+        return {}
+
     @functools.cache
     def doubled_extension(self) -> "RingContext":
         """The ring with a primed mirror appended for every variable but
@@ -628,29 +634,41 @@ def format_polynomial(p: Polynomial) -> str:
     """Render with the leading term first, e.g. ``y^3 - 3/2*x*y^2``.
 
     The text is read off the integer form.  Polynomials are immutable,
-    so it is made once per object and kept in its ``_text`` slot.
+    so it is made once per object and kept in its ``_text`` slot; the
+    text of each packed monomial is made once per ring and kept in
+    :attr:`RingContext._monomial_texts`.
     """
     text = getattr(p, "_text", None)
     if text is None:
-        unpack, d = p.ring._packing.unpack, p.denominator
-        text = p._text = _format_terms(p.ring, ((unpack(m), c, d) for m, c in p.packed))
+        ring, d = p.ring, p.denominator
+        texts, unpack = ring._monomial_texts, ring._packing.unpack
+        terms = []
+        for m, c in p.packed:
+            mono = texts.get(m)
+            if mono is None:
+                mono = texts[m] = _monomial_text(ring, unpack(m))
+            terms.append((mono, c, d))
+        text = p._text = _format_terms(terms)
     return text
 
 
-def _format_terms(ring: RingContext, terms: Iterable) -> str:
-    """The text of ``(exponents, numerator, denominator)`` terms, leading
-    first, with positive denominators."""
+def _monomial_text(ring: RingContext, exps: Monomial) -> str:
+    """``x*y^2`` for the exponents ``(1, 2)``; the empty text for 1."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(ring.variables, exps) if e
+    )
+
+
+def _format_terms(terms: Iterable) -> str:
+    """The text of ``(monomial text, numerator, denominator)`` terms,
+    leading first, with positive denominators."""
     pieces = []
-    for exps, numerator, denominator in terms:
+    for mono, numerator, denominator in terms:
         content = math.gcd(numerator, denominator)
         magnitude, denominator = abs(numerator) // content, denominator // content
         mag = str(magnitude) if denominator == 1 else f"{magnitude}/{denominator}"
-        if any(exps):
-            parts = [] if mag == "1" else [mag]
-            for name, e in zip(ring.variables, exps):
-                if e:
-                    parts.append(name if e == 1 else f"{name}^{e}")
-            mag = "*".join(parts)
+        if mono:
+            mag = mono if mag == "1" else f"{mag}*{mono}"
         if pieces:
             pieces.append(f" - {mag}" if numerator < 0 else f" + {mag}")
         else:
@@ -893,5 +911,9 @@ def parse_univariate(text: str) -> UnivariatePoly:
 def format_univariate(u: UnivariatePoly) -> str:
     # Highest degree first is the arc ring's term order.  The exponent
     # cap only bounds parsing and packing, so a longer arc still prints.
-    terms = reversed([((i,), c.numerator, c.denominator) for i, c in enumerate(u.coeffs) if c])
-    return _format_terms(_ARC_RING, terms)
+    terms = [
+        (_monomial_text(_ARC_RING, (i,)), c.numerator, c.denominator)
+        for i, c in enumerate(u.coeffs)
+        if c
+    ]
+    return _format_terms(reversed(terms))

@@ -18,10 +18,20 @@ survive are the low-degree monomials in the late positions, which is
 the shape normal-form tables are written in.  The columns of the jet's
 top degree come after all others, so one elimination a degree higher
 gives both the normal space and its stability check.
+
+The numbering depends only on the ring, the shape, the symmetry and
+the jet degree, so it is made once for each and shared by every germ
+that has them.  Inside a jet of degree ``d`` a monomial is keyed by
+the integer ``sum(e[i] * (d + 1)**i)``; no exponent of the jet reaches
+``d + 1``, so a monomial times a jet monomial is the sum of their keys
+as long as the product stays in the jet.  Terms above the jet degree
+are dropped before they are keyed, since their keys can be those of
+jet monomials.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -72,8 +82,25 @@ def tangent_generators(F: MatrixGerm) -> list[MatrixGerm]:
     return gens + [MatrixGerm(F.shape, right(a, b)) for a in range(m) for b in range(m)]
 
 
+def _check_germ(F) -> None:
+    if not isinstance(F, MatrixGerm):
+        raise RingError(f"expected a MatrixGerm, not {F!r}")
+
+
+def _check_int(degree) -> None:
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise RingError(f"jet degree must be an int, not {degree!r}")
+
+
 def jet_monomials(ring: RingContext, degree: int) -> list[Monomial]:
-    """Exponent vectors of total degree at most ``degree``, ascending."""
+    """Exponent vectors of total degree at most ``degree``, ascending.
+
+    ``degree`` is a non-negative ``int`` (not a ``bool``); anything else
+    raises :class:`RingError`.  Each call returns a new list.
+    """
+    _check_int(degree)
+    if degree < 0:
+        raise RingError("jet degree must not be negative")
     monos = [
         exps
         for exps in itertools.product(range(degree + 1), repeat=ring.arity)
@@ -117,7 +144,8 @@ def _insert_row(pivots: dict, row: dict) -> bool:
     free: against a pivot row with leading ``a``, a row with leading
     ``b`` becomes ``a'·row - b'·pivot`` with ``a' = a/g``, ``b' = b/g``
     and ``g = gcd(a, b)``, and a new pivot row is stored primitive
-    (divided by the gcd of its entries, leading entry positive).  Each
+    (divided by the gcd of its entries, leading entry positive; a row
+    that is already primitive is stored as it is).  Each
     step multiplies the row by a nonzero scalar and subtracts a multiple
     of a row already in the span, so the row space, and with it every
     pivot column, is exactly that of the rational elimination.  The
@@ -131,7 +159,7 @@ def _insert_row(pivots: dict, row: dict) -> bool:
             content = math.gcd(*row.values())
             if row[lead] < 0:
                 content = -content
-            pivots[lead] = {c: v // content for c, v in row.items()}
+            pivots[lead] = row if content == 1 else {c: v // content for c, v in row.items()}
             return True
         a, b = pivot[lead], row[lead]
         g = math.gcd(a, b)
@@ -148,18 +176,43 @@ def _insert_row(pivots: dict, row: dict) -> bool:
     return False
 
 
-def _scaled_terms(components: Sequence[Polynomial]) -> list[list]:
-    """Per component, its ``(exponents, int)`` terms, all scaled by the
-    lcm of the components' denominators: a vector with the same span."""
+def _code(exps: Monomial, radix: int) -> int:
+    """``sum(e[i] * radix**i)``: the key of a monomial in a jet of
+    degree ``radix - 1``."""
+    code = 0
+    for e in reversed(exps):
+        code = code * radix + e
+    return code
+
+
+def _scaled_terms(components: Sequence[Polynomial], degree: int) -> list[list]:
+    """Per component, its terms of total degree at most ``degree`` as
+    ``(key, total degree, int)``, keyed by :func:`_code` in the jet of
+    ``degree``.  The coefficients are all scaled by the lcm of the
+    components' denominators: a vector with the same span."""
     scale = math.lcm(*(c.denominator for c in components))
-    unpack = components[0].ring._packing.unpack
-    return [
-        [(unpack(m), c * (scale // component.denominator)) for m, c in component.packed]
-        for component in components
-    ]
+    unpack, radix = components[0].ring._packing.unpack, degree + 1
+    scaled = []
+    for component in components:
+        factor = scale // component.denominator
+        terms = []
+        for m, c in component.packed:
+            exps = unpack(m)
+            d = sum(exps)
+            # Above the jet a key can equal a jet monomial's: skip first.
+            if d <= degree:
+                terms.append((_code(exps, radix), d, c * factor))
+        scaled.append(terms)
+    return scaled
 
 
-def _columns(F: MatrixGerm, degree: int):
+_COLUMNS_LIMIT = 16
+"""How many column numberings :func:`_columns` keeps; the least
+recently used is dropped first."""
+
+
+@functools.lru_cache(maxsize=_COLUMNS_LIMIT)
+def _columns(ring: RingContext, shape: tuple[int, int], symmetric: bool, degree: int):
     """Number the jet's columns once, in elimination order.
 
     A column is a matrix position together with a jet monomial.  The
@@ -167,38 +220,42 @@ def _columns(F: MatrixGerm, degree: int):
     all the others; inside each part, columns are numbered by ``(class
     group, -monomial rank, position rank)``, a total order, so the
     smallest number is the column pivots eat first.  Returns the
-    monomial list, the position list and, per position, a map from
-    monomial to column number.
+    monomials, their :func:`_code` keys, the positions and, per
+    position, a map from monomial key to column number.
+
+    The numbering depends on nothing but the arguments, so the
+    :data:`_COLUMNS_LIMIT` most recently used ones are kept and shared
+    by every caller; callers only read them.
     """
-    monos = jet_monomials(F.ring, degree)
-    positions = component_positions(F.shape, F.symmetric)
-    n = F.nrows
+    monos = tuple(jet_monomials(ring, degree))
+    codes = tuple(_code(mono, degree + 1) for mono in monos)
+    positions = component_positions(shape, symmetric)
     order = sorted(
         ((p, mi) for p in range(len(positions)) for mi in range(len(monos))),
         key=lambda col: (
             sum(monos[col[1]]) == degree,
-            _class_group(positions[col[0]], n),
+            _class_group(positions[col[0]], shape[0]),
             -col[1],
             col[0],
         ),
     )
-    column = [{} for _ in positions]
+    column = tuple({} for _ in positions)
     for number, (p, mi) in enumerate(order):
-        column[p][monos[mi]] = number
-    return monos, positions, column
+        column[p][codes[mi]] = number
+    return monos, codes, positions, column
 
 
 def _eliminate(F: MatrixGerm, degree: int):
     """Echelonize the tangent module inside the jet.
 
     Returns the pivot table (integer column number to primitive integer
-    row, see :func:`_insert_row`; its size is the rank) and the column
-    numbering of :func:`_columns`.  Each row is a jet monomial times a
-    tangent generator, built by adding exponent vectors; terms above the
-    jet degree are skipped.  A generator's coefficients are scaled to
-    integers once, by the lcm of its components' denominators
-    (:func:`_scaled_terms`), which changes none of the spans its rows
-    contribute.
+    row, see :func:`_insert_row`; its size is the rank) and the shared
+    column numbering of :func:`_columns`.  Each row is a jet monomial
+    times a tangent generator: a term's key plus the monomial's key is
+    the product's key, and terms that would leave the jet are skipped.
+    A generator's coefficients are scaled to integers once, by the lcm
+    of its components' denominators (:func:`_scaled_terms`), which
+    changes none of the spans its rows contribute.
 
     Rows stream from the largest monomial down, every generator's row
     for one monomial before the next.  The largest shifts keep the
@@ -207,42 +264,37 @@ def _eliminate(F: MatrixGerm, degree: int):
     reduce against cheaply; the pivot columns do not depend on the
     order.
     """
-    monos, positions, column = _columns(F, degree)
+    monos, codes, positions, column = _columns(F.ring, F.shape, F.symmetric, degree)
     generators = []
     for g in tangent_generators(F):
         terms = [
-            (column[p], exps, sum(exps), c)
-            for p, component in enumerate(_scaled_terms(g.components))
-            for exps, c in component
+            (column[p], code, d, c)
+            for p, component in enumerate(_scaled_terms(g.components, degree))
+            for code, d, c in component
         ]
         if not terms:
             continue
         generators.append((min(d for _, _, d, _ in terms), terms))
     pivots: dict = {}
-    for mono in reversed(monos):
+    for mono, shift in zip(reversed(monos), reversed(codes)):
         room = degree - sum(mono)
         for g_order, terms in generators:
             if g_order > room:
                 continue
             # One contribution per column: positions differ, and a shift
             # keeps the monomials of one entry distinct.
-            row = {
-                cols[tuple(map(add, exps, mono))]: c
-                for cols, exps, d, c in terms
-                if d <= room
-            }
+            row = {cols[code + shift]: c for cols, code, d, c in terms if d <= room}
             _insert_row(pivots, row)
-    return pivots, monos, positions, column
+    return pivots, monos, codes, positions, column
 
 
-def _germ_jet_row(g: MatrixGerm, column: list) -> dict:
-    row = {}
-    for cols, component in zip(column, _scaled_terms(g.components)):
-        for exps, coeff in component:
-            col = cols.get(exps)
-            if col is not None:
-                row[col] = coeff
-    return row
+def _germ_jet_row(g: MatrixGerm, column: Sequence[dict], degree: int) -> dict:
+    """The jet row of ``g``; its terms above ``degree`` are dropped."""
+    return {
+        cols[code]: c
+        for cols, terms in zip(column, _scaled_terms(g.components, degree))
+        for code, _, c in terms
+    }
 
 
 def _jet_degree(F: MatrixGerm, jet_degree: int | None) -> int:
@@ -250,8 +302,7 @@ def _jet_degree(F: MatrixGerm, jet_degree: int | None) -> int:
     ``bool``), never below 1."""
     if jet_degree is None:
         return 2 * max(F.entry_max_degree(), 1) + 2
-    if isinstance(jet_degree, bool) or not isinstance(jet_degree, int):
-        raise RingError(f"jet degree must be an int, not {jet_degree!r}")
+    _check_int(jet_degree)
     if jet_degree < 1:
         raise RingError("jet degree must be positive")
     return jet_degree
@@ -271,12 +322,15 @@ def quotient_image_rank(
     basis check for a proposed list of representatives; a single germ
     gives 0 or 1 according to whether its class vanishes.
     """
-    pivots, _, _, column = _eliminate(F, _jet_degree(F, jet_degree))
+    _check_germ(F)
+    degree = _jet_degree(F, jet_degree)
+    pivots, _, _, _, column = _eliminate(F, degree)
     added = 0
     for g in germs:
+        _check_germ(g)
         if g.ring != F.ring or g.shape != F.shape or g.symmetric != F.symmetric:
             raise RingError("direction does not match the germ")
-        if _insert_row(pivots, _germ_jet_row(g, column)):
+        if _insert_row(pivots, _germ_jet_row(g, column, degree)):
             added += 1
     return added
 
@@ -315,8 +369,10 @@ def normal_space_basis(
       every top-degree column is a pivot.  Otherwise the codimension
       grows with the degree and the two lists differ.
     """
+    _check_germ(F)
     jet_degree = _jet_degree(F, jet_degree)
-    pivots, monos, positions, column = _eliminate(F, jet_degree + 1)
+    pivots, monos, codes, positions, column = _eliminate(F, jet_degree + 1)
+    # Grevlex is graded, so ``low`` is a prefix of ``monos`` and of ``codes``.
     low = [mono for mono in monos if sum(mono) <= jet_degree]
     # The top-degree columns are numbered from ncols on.
     ncols = len(positions) * len(low)
@@ -325,8 +381,8 @@ def normal_space_basis(
     reps = [
         (p, mi)
         for p in range(len(positions))
-        for mi, mono in enumerate(low)
-        if column[p][mono] not in pivots
+        for mi in range(len(low))
+        if column[p][codes[mi]] not in pivots
     ]
     reps.sort(key=lambda col: (sum(low[col[1]]), col[0], col[1]))
     ring = F.ring
@@ -360,13 +416,23 @@ def entries_cut_reduced_origin(F: MatrixGerm) -> bool:
     Equivalently: every entry vanishes at the origin and the linear
     parts of the entries span all linear forms.  This is the geometric
     precondition for treating the family's separation behaviour through
-    the diagonal alone.
+    the diagonal alone.  The answer is made once per germ object and
+    kept on it, as its doubles are.
     """
+    _check_germ(F)
+    memo = vars(F)
+    cut = memo.get("_cut_reduced_origin")
+    if cut is None:
+        cut = memo["_cut_reduced_origin"] = _cut_reduced_origin(F)
+    return cut
+
+
+def _cut_reduced_origin(F: MatrixGerm) -> bool:
     pivots: dict = {}
     rank = 0
-    for component, terms in zip(F.components, _scaled_terms(F.components)):
+    for component, terms in zip(F.components, _scaled_terms(F.components, 1)):
         if component.constant_term():
             return False
-        # Column i holds the coefficient of the i-th variable.
-        rank += _insert_row(pivots, {e.index(1): c for e, c in terms if sum(e) == 1})
+        # A linear term's key is its column: 1, 2, 4, ... by variable.
+        rank += _insert_row(pivots, {code: c for code, d, c in terms if d == 1})
     return rank == F.ring.arity

@@ -488,6 +488,25 @@ def report_without_timings(verdict):
     return report
 
 
+class TestDiagonalPrecondition:
+    """``analyze`` asks whether the base's entries cut out the reduced
+    origin on every non-constant direction; the answer is kept per germ."""
+
+    def test_asked_once_per_nonconstant_direction(self, monkeypatch):
+        asked = Recorder(monkeypatch, "entries_cut_reduced_origin")
+        ring = RingContext(("x", "y", "z"))
+        germ = parse_matrix_germ("sym: x, y, z ; y, z, x^2 ; z, x^2, y^2", ring)
+        basis = normal_space_basis(germ).basis
+        directions = list(basis) + [germ.map_entries(lambda p: ring.zero()), basis[0] + basis[-1]]
+        nonconstant = [d for d in directions if not d.is_constant]
+        assert 0 < len(nonconstant) < len(directions)
+        verdicts = [analyze(germ, d) for d in directions]
+        assert asked.results == [True] * len(nonconstant)
+        assert [v.route for v in verdicts] == [
+            "constant" if d.is_constant else "diagonal" for d in directions
+        ]
+
+
 class TestRefuteBeforeProving:
     """The prefix search of the first direction generator, run before the
     general membership, changes no verdict and no certificate."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptriv import RingContext, rings
+from liptriv.doubling import unfolding_ring
 from liptriv.rings import (
     DEFAULT_EXPONENT_CAP,
     ExponentOverflow,
@@ -223,6 +224,29 @@ class TestParsing:
         assert parse_polynomial(text, DOUBLED) == p
         # Derived polynomials are new objects with texts of their own.
         assert str(-p) == reference_format_polynomial(-p)
+
+    @pytest.mark.parametrize(
+        "ring", [XY.doubled_extension(), unfolding_ring(XY)], ids=["doubled", "unfolding"]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fresh_equal_polynomials_print_alike(self, ring, data):
+        # The second polynomial has no text of its own yet, so its text
+        # is made from the monomial texts the first one left on the ring.
+        terms = data.draw(
+            st.lists(
+                st.tuples(
+                    st.tuples(*(st.integers(0, 4) for _ in range(ring.arity))),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                ),
+                max_size=6,
+            )
+        )
+        first, fresh = Polynomial(ring, terms), Polynomial(ring, terms)
+        assert fresh == first and fresh is not first
+        assert str(first) == reference_format_polynomial(first)
+        assert str(fresh) == reference_format_polynomial(fresh) == str(first)
+        assert str(-fresh) == reference_format_polynomial(-fresh)
 
     def test_decimal_literal_rejected(self):
         with pytest.raises(ParseError):

@@ -14,10 +14,12 @@ from liptriv import (
     normal_space_basis,
     parse_matrix_germ,
 )
+from liptriv import tangent
 from liptriv.rings import RingError
 from liptriv.tangent import (
     _insert_row,
     entries_cut_reduced_origin,
+    jet_monomials,
     quotient_image_rank,
     tangent_generators,
 )
@@ -224,6 +226,34 @@ class TestEntriesCutReducedOrigin:
         # not vanish at the origin.
         assert not entries_cut_reduced_origin(germ("gen: 1 + x, y"))
 
+    @pytest.mark.parametrize("text,expected", [("sym: x, y ; y, x^2", True), ("gen: x^2, y", False)])
+    def test_answer_kept_per_germ_object(self, monkeypatch, text, expected):
+        rows = []
+        insert = tangent._insert_row
+
+        def counting(pivots, row):
+            rows.append(row)
+            return insert(pivots, row)
+
+        monkeypatch.setattr(tangent, "_insert_row", counting)
+        F = germ(text)
+        assert entries_cut_reduced_origin(F) is expected
+        eliminated = len(rows)
+        assert eliminated
+        # The second call on the same object reads the kept answer.
+        assert entries_cut_reduced_origin(F) is expected
+        assert len(rows) == eliminated
+        # An equal but distinct germ works out its own, equal answer.
+        G = germ(text)
+        assert G == F and G is not F
+        assert entries_cut_reduced_origin(G) is expected
+        assert len(rows) == 2 * eliminated
+
+    @pytest.mark.parametrize("value", [3, None, "sym: x, y ; y, x^2"])
+    def test_non_germ_rejected(self, value):
+        with pytest.raises(RingError, match="expected a MatrixGerm"):
+            entries_cut_reduced_origin(value)
+
 
 class TestQuotientImageRank:
     def test_full_basis_has_full_rank(self):
@@ -286,6 +316,16 @@ class TestQuotientImageRank:
                 nf.matrix, [parse_matrix_germ("sym: u, 0 ; 0, 0", other)]
             )
 
+    @pytest.mark.parametrize("value", ["x", 0, None])
+    def test_non_germ_rejected(self, value):
+        F = normal_form(3, k=3).matrix
+        with pytest.raises(RingError, match="expected a MatrixGerm"):
+            quotient_image_rank(F, [value])
+        with pytest.raises(RingError, match="expected a MatrixGerm"):
+            quotient_image_rank(value, [F])
+        with pytest.raises(RingError, match="expected a MatrixGerm"):
+            normal_space_basis(value)
+
 
 class TestJetDegree:
     """Both entry points share one jet-degree check."""
@@ -315,6 +355,59 @@ class TestJetDegree:
     def test_smallest_jet_accepted(self):
         result = normal_space_basis(self.F, jet_degree=1)
         assert quotient_image_rank(self.F, result.basis, jet_degree=1) == result.codimension
+
+    @pytest.mark.parametrize("degree", [True, False, 2.5, 3.0, "3", None])
+    def test_jet_monomials_rejects_non_int(self, degree):
+        with pytest.raises(RingError, match="jet degree must be an int"):
+            jet_monomials(XY, degree)
+
+    def test_jet_monomials_rejects_negative(self):
+        with pytest.raises(RingError, match="jet degree must not be negative"):
+            jet_monomials(XY, -1)
+
+    def test_jet_monomials_of_small_degrees(self):
+        assert jet_monomials(XY, 0) == [(0, 0)]
+        assert jet_monomials(XY, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+class TestSharedJets:
+    """The column numbering of a jet is shared by every germ with its
+    ring, shape and degree, and keys monomials by integers."""
+
+    F = normal_form(1, k=2, l=3).matrix  # its normal space holds y*E(1,1)
+
+    def test_term_above_the_jet_counts_as_its_truncation(self):
+        degree = normal_space_basis(self.F).jet_degree
+        assert quotient_image_rank(self.F, [germ("sym: y, 0 ; 0, 0")]) == 1
+        # In the jet of degree d, x^(d+1) has the integer key of y and
+        # x^(d+1)*y that of y^2: each must be dropped, not read as those.
+        cases = [
+            (f"sym: x^{degree + 1}, 0 ; 0, 0", "sym: 0, 0 ; 0, 0"),
+            (f"sym: y + x^{degree + 1}*y, 0 ; 0, x^{degree + 2}", "sym: y, 0 ; 0, 0"),
+            (f"sym: 1, y^{degree + 1} ; y^{degree + 1}, x*y", "sym: 1, 0 ; 0, x*y"),
+        ]
+        for text, truncated in cases:
+            ranks = {quotient_image_rank(self.F, [germ(g)], jet_degree=degree) for g in (text, truncated)}
+            assert len(ranks) == 1, text
+        assert quotient_image_rank(self.F, [germ(cases[0][0])], jet_degree=degree) == 0
+
+    def test_mutating_jet_monomials_changes_no_later_normal_space(self):
+        before = normal_space_basis(self.F)
+        for degree in (before.jet_degree, before.jet_degree + 1):
+            monos = jet_monomials(self.F.ring, degree)
+            assert monos is not jet_monomials(self.F.ring, degree)
+            monos.reverse()
+            monos.append((9, 9))
+            del monos[:3]
+        assert normal_space_basis(self.F) == before
+        assert normal_space_basis(germ(str(self.F))) == before
+
+    def test_germs_sharing_a_jet_match_the_reference(self):
+        germs = [germ("sym: y^2, x ; x, y^3"), germ("sym: x^2 + y^3, y ; y, x")]
+        for F in germs + germs[::-1]:
+            result = normal_space_basis(F, jet_degree=5)
+            expected = reference_normal_space(F, 5)
+            assert {key: getattr(result, key) for key in expected} == expected
 
 
 COLUMNS = 8
