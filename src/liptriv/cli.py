@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -326,10 +327,10 @@ def _unfolding_ideal(args):
 def _cmd_pullback(args) -> int:
     ideal = _unfolding_ideal(args)
     curve = parse_curve(args.curve, ideal.ring)
-    summary = pullback_ideal(curve, ideal)
-    for generator, order in zip(ideal.generators, summary.generator_orders):
+    orders = pullback_ideal(curve, ideal)
+    for generator, order in zip(ideal.generators, orders):
         print(f"generator: {generator} -> order {_order_json(order)}")
-    print(f"ideal order: {_order_json(summary.ideal_order)}")
+    print(f"ideal order: {_order_json(min(orders, default=math.inf))}")
     return _EXIT_OK
 
 

@@ -88,7 +88,6 @@ from .rings import (
 
 __all__ = [
     "ARC_COEFFICIENTS",
-    "PullbackSummary",
     "SearchReport",
     "TestCurve",
     "Witness",
@@ -224,39 +223,32 @@ def pullback_dense(p: Polynomial, curve: TestCurve) -> UnivariatePoly:
     return UnivariatePoly(total)
 
 
+def pullback_ideal(curve: TestCurve, ideal: Ideal) -> tuple:
+    """Each generator's order of vanishing along ``curve``, in generator
+    order; ``math.inf`` for a generator that vanishes along it."""
+    return tuple(pullback(g, curve).order_of_vanishing() for g in ideal.generators)
+
+
 @dataclass(frozen=True)
-class PullbackSummary:
-    """Orders of vanishing of an ideal's generators along one curve."""
+class Witness:
+    """A curve's generator orders plus an ``element`` that drops below them.
+
+    This is the whole evidence of the valuative criterion: every
+    generator's order along ``curve``, in generator order, and the
+    element's.  ``ideal_order`` is their minimum, never stored.
+    Construction enforces the strict drop: ``element_order`` must be
+    finite and smaller than ``ideal_order``.
+    """
 
     curve: TestCurve
     generator_orders: tuple
+    element: Polynomial
+    element_order: int
 
     @property
     def ideal_order(self):
         """Smallest generator order; ``math.inf`` when nothing survives."""
         return min(self.generator_orders, default=math.inf)
-
-
-def pullback_ideal(curve: TestCurve, ideal: Ideal) -> PullbackSummary:
-    return PullbackSummary(
-        curve,
-        tuple(pullback(g, curve).order_of_vanishing() for g in ideal.generators),
-    )
-
-
-@dataclass(frozen=True)
-class Witness(PullbackSummary):
-    """A curve's generator orders plus an ``element`` that drops below them.
-
-    This is the whole evidence of the valuative criterion: every
-    generator's order along ``curve``, in generator order, and the
-    element's.  ``ideal_order`` is the inherited minimum, never stored.
-    Construction enforces the strict drop: ``element_order`` must be
-    finite and smaller than ``ideal_order``.
-    """
-
-    element: Polynomial
-    element_order: int
 
     def __post_init__(self) -> None:
         if self.element_order is math.inf or not self.element_order < self.ideal_order:
@@ -361,7 +353,7 @@ def _profiles(
     at most :data:`_STREAM_LIMIT` streams are kept.  Generation and the
     lookup hold a lock, so threads may share the streams.
     """
-    mirrors = ring.mirror_indices() if ring.doubled else tuple(range(ring.arity))
+    mirrors = ring.mirrors or tuple(range(ring.arity))
     key = (mirrors, max_exponent, ring.arity)
     with _STREAMS_LOCK:
         stream = _STREAMS.pop(key, None) or _Stream(*key)
@@ -519,15 +511,16 @@ def _confirmed_witness(
     curve: TestCurve, element: Polynomial, ideal: Ideal, element_order, ideal_order
 ) -> Witness:
     """The kernel's witness, with every order re-derived by :func:`pullback`."""
-    summary = pullback_ideal(curve, ideal)
+    orders = pullback_ideal(curve, ideal)
     pulled = pullback(element, curve).order_of_vanishing()
-    if (pulled, summary.ideal_order) != (element_order, ideal_order):
+    pulled_ideal = min(orders, default=math.inf)
+    if (pulled, pulled_ideal) != (element_order, ideal_order):
         raise AuditError(
             f"order kernel and pullback disagree along {format_curve(curve)}: "
             f"kernel {element_order} < {ideal_order}, "
-            f"pullback {pulled} vs {summary.ideal_order}"
+            f"pullback {pulled} vs {pulled_ideal}"
         )
-    return Witness(curve, summary.generator_orders, element, pulled)
+    return Witness(curve, orders, element, pulled)
 
 
 def closure_test(element: Polynomial, ideal: Ideal, budget: int, max_exponent: int):

@@ -233,7 +233,7 @@ def diagonal_ideal(ring: RingContext) -> Ideal:
 @functools.cache
 def _diagonal_ideal(ring: RingContext) -> Ideal:
     names = ring.variables
-    pairs = enumerate(ring.mirror_indices())
+    pairs = enumerate(ring.mirrors)
     return Ideal(ring, [ring.variable(names[i]) - ring.variable(names[j]) for i, j in pairs if i != j])
 
 
@@ -242,7 +242,7 @@ def unfolding_ring(ring: RingContext) -> RingContext:
     """The doubled unfolding ring of a source ``ring``: :data:`PARAMETER`
     first, then the variables and their mirrors, ``t, x, y, ..., x',
     y', ...``.  Every unfolding ideal lives here; one per ring."""
-    extended = RingContext((PARAMETER,) + ring.variables, False, ring.exponent_cap)
+    extended = RingContext((PARAMETER,) + ring.variables, ring.exponent_cap)
     return extended.doubled_extension()
 
 

@@ -35,7 +35,7 @@ import functools
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lshift, neg
 from typing import Iterable, Union
@@ -68,7 +68,7 @@ DEFAULT_EXPONENT_CAP = 64
 PRIME_SUFFIX = "'"
 
 #: Name of the deformation parameter.  Doubling gives it no mirror: the
-#: two points of a pair share it (see :func:`_has_mirror`).
+#: two points of a pair share it (see :meth:`RingContext.doubled_extension`).
 PARAMETER = "t"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
@@ -95,12 +95,6 @@ def primed(name: str) -> str:
     return name + PRIME_SUFFIX
 
 
-def _has_mirror(name: str) -> bool:
-    """The doubling rule: every variable gets a primed mirror except
-    :data:`PARAMETER`, which both points of a pair share."""
-    return name != PARAMETER
-
-
 def _as_scalar(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -116,18 +110,20 @@ class RingContext:
     """A polynomial ring over the rationals, ordered by grevlex.
 
     ``variables`` is a sequence of distinct names (not one string);
-    the first variable is the largest.  ``doubled`` marks rings produced
-    by :meth:`doubled_extension`, which appends a primed mirror of every
-    variable but :data:`PARAMETER`; doubling twice is an error.
-    ``exponent_cap``, a positive ``int`` below ``2**63`` (the widest
-    packed field holds 64 bits), bounds every exponent that can
-    appear in the ring, so runaway computations fail loudly instead of
-    silently growing.
+    the first variable is the largest.  ``exponent_cap``, a positive
+    ``int`` below ``2**63`` (the widest packed field holds 64 bits),
+    bounds every exponent that can appear in the ring, so runaway
+    computations fail loudly instead of silently growing.
+
+    ``mirrors`` is set by :meth:`doubled_extension` alone and is empty on
+    every other ring: on a doubled ring, the index of the mirror of each
+    variable of the ring it was doubled from, in order, with
+    :data:`PARAMETER` its own mirror.
     """
 
     variables: tuple[str, ...]
-    doubled: bool = False
     exponent_cap: int = DEFAULT_EXPONENT_CAP
+    mirrors: tuple[int, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.variables, str):
@@ -154,9 +150,14 @@ class RingContext:
             return NotImplemented
         return (
             self.variables == other.variables
-            and self.doubled == other.doubled
+            and self.mirrors == other.mirrors
             and self.exponent_cap == other.exponent_cap
         )
+
+    @property
+    def doubled(self) -> bool:
+        """Whether the ring came from :meth:`doubled_extension`."""
+        return bool(self.mirrors)
 
     @property
     def arity(self) -> int:
@@ -191,38 +192,38 @@ class RingContext:
     @functools.cache
     def doubled_extension(self) -> "RingContext":
         """The ring with a primed mirror appended for every variable but
-        :data:`PARAMETER`, which both points of a pair share.
+        :data:`PARAMETER`, which both points of a pair share; the map is
+        recorded in ``mirrors`` as each name is appended.  Doubling twice
+        is an error.
 
         Equal rings share one doubled extension, so the ring checks
         downstream meet identical objects.
         """
         if self.doubled:
             raise RingError("ring is already doubled")
-        mirrored = tuple(filter(_has_mirror, self.variables))
-        for v in mirrored:
+        names = list(self.variables)
+        mirrors = []
+        for i, v in enumerate(self.variables):
+            if v == PARAMETER:
+                mirrors.append(i)
+                continue
             if primed(v) in self.variables:
                 raise RingError(f"cannot double: the mirror {primed(v)!r} of {v!r} is already a variable")
-        mirror = tuple(map(primed, mirrored))
-        return RingContext(self.variables + mirror, True, self.exponent_cap)
-
-    @functools.cache
-    def mirror_indices(self) -> tuple[int, ...]:
-        """On a doubled ring, the index of the mirror of each variable of
-        the ring it was doubled from, in order; :data:`PARAMETER` is its
-        own mirror."""
-        if not self.doubled:
-            raise RingError("ring is not doubled")
-        # A half of n variables, s of them shared, doubles to n + (n - s)
-        # names of which 2 * (n - s) have mirrors: n = arity - that count / 2.
-        names = self.variables
-        n = len(names) - sum(map(_has_mirror, names)) // 2
-        mirrors = iter(range(n, len(names)))
-        return tuple(next(mirrors) if _has_mirror(v) else i for i, v in enumerate(names[:n]))
+            mirrors.append(len(names))
+            names.append(primed(v))
+        ring = RingContext(tuple(names), self.exponent_cap)
+        object.__setattr__(ring, "mirrors", tuple(mirrors))
+        return ring
 
     # -- convenience constructors ------------------------------------
 
-    def zero(self) -> "Polynomial":
+    @functools.cached_property
+    def _zero(self) -> "Polynomial":
+        """The ring's one zero polynomial, made once per ring."""
         return Polynomial._raw(self, 1, ())
+
+    def zero(self) -> "Polynomial":
+        return self._zero
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -264,7 +265,6 @@ class Polynomial:
 
     def __init__(self, ring: RingContext, terms: Iterable[tuple[Monomial, Scalar]]):
         arity = ring.arity
-        cap = ring.exponent_cap
         acc: dict[Monomial, Fraction] = {}
         for exps, coeff in terms:
             exps = tuple(exps)
@@ -272,12 +272,9 @@ class Polynomial:
                 raise RingError(
                     f"exponent vector {exps} does not match arity {arity}"
                 )
-            if exps and min(exps) < 0:
+            if min(exps) < 0:
                 raise RingError(f"negative exponents in {exps}")
-            if exps and max(exps) > cap:
-                raise ExponentOverflow(
-                    f"exponents {exps} exceed cap {cap} in ring {ring.variables}"
-                )
+            _check_cap(ring, (exps,))
             c = _as_scalar(coeff)
             if c:
                 prev = acc.get(exps)

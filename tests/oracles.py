@@ -498,14 +498,11 @@ def reference_normal_space(F, degree):
 
 
 def half_ring(ring):
-    """The ring a doubled ``ring`` was doubled from: its first variables.
-    The parameter ``t`` is shared and every other variable has a primed
-    mirror, so the half holds ``(arity + 1) // 2`` variables with ``t``
-    and ``arity // 2`` without."""
+    """The ring a doubled ``ring`` was doubled from: its first variables,
+    one for each entry of its mirror map."""
     if not ring.doubled:
         raise RingError("only a doubled ring has a half")
-    n = (ring.arity + ("t" in ring.variables)) // 2
-    return RingContext(ring.variables[:n], False, ring.exponent_cap)
+    return RingContext(ring.variables[: len(ring.mirrors)], ring.exponent_cap)
 
 
 def difference_ideal(components):

@@ -234,8 +234,8 @@ def test_criterion_3_probe_curve_orders():
         direction = nf.theta({name: 1 for name in nf.coefficient_names()})
         unfolding = build_unfolding(nf.matrix, direction)
         ideal = unfolding_double_ideal(unfolding)
-        summary = pullback_ideal(nf.probe_curve(), ideal)
-        assert summary.ideal_order == expected, (index, params, summary)
+        orders = pullback_ideal(nf.probe_curve(), ideal)
+        assert min(orders, default=math.inf) == expected, (index, params, orders)
         checked += 1
     assert checked == 34
     print("criterion 3: PASS - probe curve ideal orders exact on all "

@@ -19,6 +19,7 @@ from liptriv import (
 )
 from liptriv.analyzer import _cell_directions
 from liptriv.catalog import catalog_parameters
+from liptriv.curves import _profiles
 from liptriv.doubling import (
     MatrixGerm,
     build_unfolding,
@@ -186,10 +187,25 @@ class TestPrimedNames:
             RingContext(("x", "x'")).doubled_extension()
 
     def test_tie_needs_a_doubled_ring(self):
-        # The pair shares t: on a doubled ring t is its own mirror.
-        with pytest.raises(RingError, match="not doubled"):
-            RingContext(("t", "x", "t'")).mirror_indices()
-        assert RingContext(("t", "x")).doubled_extension().mirror_indices() == (0, 2)
+        # The pair shares t: on a doubled ring t is its own mirror.  A
+        # ring named like a doubled one holds no map, and has no diagonal.
+        ring = RingContext(("t", "x", "t'"))
+        assert ring.mirrors == () and not ring.doubled
+        with pytest.raises(RingError, match="doubled ring"):
+            diagonal_ideal(ring)
+        assert RingContext(("t", "x")).doubled_extension().mirrors == (0, 2)
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("t", "x", "y", "x'")])
+    def test_no_ring_contradicts_its_mirror_map(self, names):
+        # Only doubled_extension sets the map: a ring cannot be declared
+        # doubled, so none pairs x with y or leaves a variable unmirrored.
+        with pytest.raises(TypeError):
+            RingContext(names, doubled=True)
+        ring = RingContext(names)
+        assert ring.mirrors == () and not ring.doubled
+        with pytest.raises(RingError, match="doubled ring"):
+            diagonal_ideal(ring)
+        assert len(list(_profiles(ring, 1))) == 1
 
 
 class TestGermValidation:

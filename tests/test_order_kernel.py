@@ -343,7 +343,7 @@ def test_enumeration_flattens_the_blocks():
 @pytest.mark.parametrize("max_exponent", [1, 2, 3, 4])
 def test_doubled_blocks_pair_each_variable_with_its_mirror(max_exponent):
     for ring in (DXY, DTX, RingContext(("t", "x", "y")).doubled_extension()):
-        mirrors = ring.mirror_indices()
+        mirrors = ring.mirrors
         blocks = [exps for exps, _ in _profiles(ring, max_exponent)]
         assert len(blocks) == max_exponent ** len(mirrors)
         assert all(exps[m] == exps[i] for exps in blocks for i, m in enumerate(mirrors))

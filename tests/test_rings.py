@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liptriv import RingContext, rings
@@ -62,6 +62,30 @@ class TestRingContext:
         assert doubled.doubled
         assert half_ring(doubled) == XY
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abuvwxyz"), unique=True, max_size=5),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_mirrors_name_each_variables_primed_copy(self, names, t_at):
+        # t anywhere or nowhere: t is its own mirror, every other
+        # variable is mirrored by its primed name.
+        if t_at is not None:
+            names.insert(min(t_at, len(names)), "t")
+        assume(names)
+        ring = RingContext(names)
+        doubled = ring.doubled_extension()
+        assert ring.mirrors == () and not ring.doubled and doubled.doubled
+        assert len(doubled.mirrors) == len(names)
+        for i, v in enumerate(names):
+            assert doubled.variables[i] == v
+            target = v if v == "t" else primed(v)
+            assert doubled.mirrors[i] == doubled.variables.index(target)
+        assert doubled.arity == 2 * len(names) - ("t" in names)
+        assert doubled != RingContext(doubled.variables)
+        with pytest.raises(RingError, match="already doubled"):
+            doubled.doubled_extension()
+
     def test_primed_name(self):
         assert primed("x") == "x'"
 
@@ -99,6 +123,17 @@ class TestArithmetic:
 
     def test_zero_annihilates(self):
         assert (poly("x") - poly("x")).is_zero
+
+    def test_one_zero_per_ring(self):
+        # Parses are shared between equal rings, so x's ring may be an
+        # equal copy of XY; each ring object keeps its own zero.
+        x = poly("x")
+        zero = x.ring.zero()
+        assert zero is x.ring.zero()
+        assert x - x is zero
+        assert x * 0 is zero
+        assert str(zero) == "0" and zero.terms == ()
+        assert DOUBLED.zero() is not zero and DOUBLED.zero().ring is DOUBLED
 
     def test_power(self):
         assert poly("x + 1") ** 2 == poly("x^2 + 2*x + 1")

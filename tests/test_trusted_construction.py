@@ -91,7 +91,8 @@ class TestSharedPerRing:
         doubled = RingContext(("u", "w")).doubled_extension()
         assert half_ring(doubled) == RingContext(("u", "w"))
         assert half_ring(doubled).doubled_extension() is doubled
-        assert doubled.mirror_indices() is doubled.mirror_indices()
+        assert doubled.mirrors == (2, 3)
+        assert RingContext(("u", "w")).doubled_extension().mirrors is doubled.mirrors
 
     def test_unfolding_ring_is_shared(self):
         germ = MatrixGerm((1, 2), (XY.variable("x"), XY.variable("y")))
