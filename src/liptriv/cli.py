@@ -10,9 +10,11 @@ Subcommands map one-to-one onto library calls:
 * ``reproduce-table``  grade the whole catalog against its rules
 
 Exit codes: 0 for a completed run (including a NotLipschitz verdict),
-1 for usage errors, 2 when the answer is "not shown" (Inconclusive
-verdicts, a failed inclusion check, a table with failing cells), and
-3 when a resource budget stopped a computation that was asked for
+1 for usage errors (an output that cannot be written among them, a
+closed pipe on standard output too), 2 when the answer is "not shown"
+(Inconclusive verdicts, a failed inclusion check, a table with failing
+cells, a normal space whose basis is not stable at its jet degree),
+and 3 when a resource budget stopped a computation that was asked for
 directly.
 
 Standard output is deterministic for a fixed command line and input
@@ -299,7 +301,7 @@ def _cmd_normal_space(args) -> int:
     print(f"normal space dimension: {result.codimension}")
     for label, germ in zip(result.basis_labels, result.basis):
         print(f"{label}: {format_matrix_germ(germ)}")
-    if result.stable is False:
+    if not result.stable:
         print(
             f"warning: basis not stable at jet degree {result.jet_degree}",
             file=sys.stderr,
@@ -316,7 +318,7 @@ def _cmd_normal_space(args) -> int:
                 "stable": result.stable,
             },
         )
-    return _EXIT_OK
+    return _EXIT_OK if result.stable else _EXIT_NOT_SHOWN
 
 
 def _unfolding_ideal(args):
@@ -419,4 +421,12 @@ def run_command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_command(sys.argv[1:] if argv is None else list(argv))
+    try:
+        code = run_command(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; let that go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write standard output: broken pipe", file=sys.stderr)
+        return _EXIT_USAGE

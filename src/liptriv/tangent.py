@@ -19,6 +19,13 @@ the shape normal-form tables are written in.  The columns of the jet's
 top degree come after all others, so one elimination a degree higher
 gives both the normal space and its stability check.
 
+Most pivots need no elimination at all.  A row with one entry puts a
+unit vector in the row space, so its column is a pivot column of every
+echelon form; striking that column from the other rows is a row
+operation, which changes no pivot column.  These unit columns are
+peeled off first, rows left with one entry becoming units in turn, and
+only the rows that remain go through the fraction-free reduction.
+
 The numbering depends only on the ring, the shape, the symmetry and
 the jet degree, so it is made once for each and shared by every germ
 that has them.  Inside a jet of degree ``d`` a monomial is keyed by
@@ -150,7 +157,9 @@ def _insert_row(pivots: dict, row: dict) -> bool:
     of a row already in the span, so the row space, and with it every
     pivot column, is exactly that of the rational elimination.  The
     pivot column set depends only on the row space and the column
-    order, never on the order rows arrive in, so streaming is safe.
+    order, never on the order rows arrive in, so the rows that remain
+    after :func:`_eliminate` peels its unit columns can stream in any
+    order; a unit column's pivot row is ``{c: 1}``, primitive already.
     """
     while row:
         lead = min(row)
@@ -257,35 +266,86 @@ def _eliminate(F: MatrixGerm, degree: int):
     of its components' denominators (:func:`_scaled_terms`), which
     changes none of the spans its rows contribute.
 
-    Rows stream from the largest monomial down, every generator's row
-    for one monomial before the next.  The largest shifts keep the
-    fewest terms, and their monomials come early in each class group,
-    so they become short pivot rows that the longer rows after them
-    reduce against cheaply; the pivot columns do not depend on the
-    order.
+    Most pivots are *unit columns*, found before any fraction-free step:
+
+    * A row with one entry puts the unit vector ``e_c`` in the row
+      space, so ``c`` is a pivot column of every echelon form, and
+      ``{c: 1}`` is its pivot row.  A generator with one term in the
+      jet gives such a row at every shift, so its rows are never built.
+    * Striking a unit column from another row subtracts a multiple of
+      ``e_c``: a row operation, so the row space and its pivot columns
+      stay the same.  A row left with one entry is a new unit, and rows
+      are struck again until no new unit appears; a row left empty was
+      in the span already.
+
+    Only the rows that remain go through :func:`_insert_row`.  They
+    have no entry in a unit column, and neither has any combination of
+    them, so they never meet a unit pivot row.  They stream from the
+    largest monomial down, every generator's row for one monomial
+    before the next.  The largest shifts keep the fewest terms, and
+    their monomials come early in each class group, so they become short
+    pivot rows that the longer rows after them reduce against cheaply;
+    the pivot columns do not depend on the order.
     """
     monos, codes, positions, column = _columns(F.ring, F.shape, F.symmetric, degree)
-    generators = []
+    singles, generators = [], []
     for g in tangent_generators(F):
         terms = [
             (column[p], code, d, c)
             for p, component in enumerate(_scaled_terms(g.components, degree))
             for code, d, c in component
         ]
-        if not terms:
-            continue
-        generators.append((min(d for _, _, d, _ in terms), terms))
-    pivots: dict = {}
+        if len(terms) == 1:
+            singles.append(terms[0][:3])
+        elif terms:
+            generators.append((min(d for _, _, d, _ in terms), terms))
+    units = set()
+    rows = []
     for mono, shift in zip(reversed(monos), reversed(codes)):
         room = degree - sum(mono)
+        for cols, code, d in singles:
+            if d <= room:
+                units.add(cols[code + shift])
         for g_order, terms in generators:
             if g_order > room:
                 continue
             # One contribution per column: positions differ, and a shift
             # keeps the monomials of one entry distinct.
             row = {cols[code + shift]: c for cols, code, d, c in terms if d <= room}
-            _insert_row(pivots, row)
+            if len(row) == 1:
+                units.update(row)
+            else:
+                rows.append(row)
+    rows = _peel_units(units, rows)
+    pivots = {c: {c: 1} for c in units}
+    for row in rows:
+        _insert_row(pivots, row)
     return pivots, monos, codes, positions, column
+
+
+def _peel_units(units: set, rows: list[dict]) -> list[dict]:
+    """Strike the unit columns ``units`` from ``rows`` until no new one
+    appears, and return the rows that remain, in their order.
+
+    A row left with one entry adds its column to ``units``; a row left
+    empty is dropped.  The rows are struck in place, and a pass that
+    finds a new unit is followed by another, so every row that remains
+    has at least two entries and none of them in a unit column.
+    """
+    grew = True
+    while grew:
+        grew = False
+        remaining = []
+        for row in rows:
+            for c in units.intersection(row):
+                del row[c]
+            if len(row) == 1:
+                units.update(row)
+                grew = True
+            elif row:
+                remaining.append(row)
+        rows = remaining
+    return rows
 
 
 def _germ_jet_row(g: MatrixGerm, column: Sequence[dict], degree: int) -> dict:

@@ -46,6 +46,11 @@ check: two ``Fraction`` eliminations through
 higher, each with the class-group column order alone, and ``stable``
 says their representatives agree.
 
+:func:`reference_streaming_pivots` is the loop ``tangent._eliminate``
+ran before it peeled unit columns: every tangent row of the jet, one
+entry or many, streams through ``tangent._insert_row`` in the same
+order.  The pivot columns of ``_eliminate`` must be the same.
+
 :func:`diagonal_collapse` restricts a polynomial on a doubled ring to
 the diagonal ``z = z'``, folding it onto :func:`half_ring`.  Every
 generator of a difference ideal must collapse to zero; the engine
@@ -97,7 +102,7 @@ from liptriv.rings import (
     RingError,
     UnivariatePoly,
 )
-from liptriv.tangent import tangent_generators
+from liptriv.tangent import _columns, _insert_row, _scaled_terms, tangent_generators
 
 
 def reference_terms(terms) -> dict:
@@ -495,6 +500,31 @@ def reference_normal_space(F, degree):
         "basis": tuple(basis),
         "stable": reps == reps_next,
     }
+
+
+def reference_streaming_pivots(F, degree):
+    """The pivot table of the tangent rows of ``F`` in the jet at
+    ``degree``, every row streamed through ``_insert_row`` from the
+    largest monomial down, every generator's row for one monomial before
+    the next."""
+    monos, codes, _, column = _columns(F.ring, F.shape, F.symmetric, degree)
+    generators = []
+    for g in tangent_generators(F):
+        terms = [
+            (column[p], code, d, c)
+            for p, component in enumerate(_scaled_terms(g.components, degree))
+            for code, d, c in component
+        ]
+        if terms:
+            generators.append((min(d for _, _, d, _ in terms), terms))
+    pivots: dict = {}
+    for mono, shift in zip(reversed(monos), reversed(codes)):
+        room = degree - sum(mono)
+        for g_order, terms in generators:
+            if g_order <= room:
+                row = {cols[code + shift]: c for cols, code, d, c in terms if d <= room}
+                _insert_row(pivots, row)
+    return pivots
 
 
 def half_ring(ring):

@@ -204,6 +204,19 @@ class TestNormalSpace:
         assert "E(2,1): gen: 0, 0 ; 1, 0" in out
         assert err == ""
 
+    def test_unstable_basis_is_not_shown(self, capsys, tmp_path):
+        germ = tmp_path / "germ.txt"
+        germ.write_text("vars: x, y\ngen: 0\n")
+        out_path = tmp_path / "ns.json"
+        code, out, err = run(
+            capsys, "normal-space", "--germ-file", str(germ), "--jet-degree", "2",
+            "--json", str(out_path),
+        )
+        assert code == 2
+        assert "normal space dimension: 6" in out
+        assert err == "warning: basis not stable at jet degree 2\n"
+        assert json.loads(out_path.read_text())["stable"] is False
+
     def test_json_payload(self, capsys, tmp_path):
         out_path = tmp_path / "ns.json"
         code, _, _ = run(
@@ -378,6 +391,22 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "dimension: 2" in proc.stdout
+
+    def test_closed_pipe_exits_one_without_traceback(self, tmp_path):
+        # About 300 kB of basis lines, more than a pipe holds, so the
+        # command is still writing when the reader goes away.
+        germ = tmp_path / "germ.txt"
+        germ.write_text("vars: x, y, z\ngen: 0, 0 ; 0, 0\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liptriv", "normal-space",
+             "--germ-file", str(germ), "--jet-degree", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "germ: gen: 0, 0 ; 0, 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert err == "error: cannot write standard output: broken pipe\n"
 
     def test_module_usage_error(self):
         proc = subprocess.run(

@@ -15,15 +15,22 @@ from liptriv import (
     parse_matrix_germ,
 )
 from liptriv import tangent
-from liptriv.rings import RingError
+from liptriv.doubling import MatrixGerm, component_positions
+from liptriv.rings import Polynomial, RingError
 from liptriv.tangent import (
+    _eliminate,
     _insert_row,
+    _peel_units,
     entries_cut_reduced_origin,
     jet_monomials,
     quotient_image_rank,
     tangent_generators,
 )
-from tests.oracles import reference_insert_row, reference_normal_space
+from tests.oracles import (
+    reference_insert_row,
+    reference_normal_space,
+    reference_streaming_pivots,
+)
 from tests.test_golden_normal import grid as golden_grid
 
 XY = RingContext(("x", "y"))
@@ -202,6 +209,83 @@ class TestAgainstTwoEliminations:
             expected = reference_normal_space(F, degree)
             assert result.jet_degree == degree
             assert {key: getattr(result, key) for key in expected} == expected
+
+
+RINGS = [RingContext(names) for names in (("x",), ("x", "y"), ("x", "y", "z"))]
+rationals = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 6),
+)
+
+
+@st.composite
+def random_germs(draw):
+    """A germ, general or symmetric, in 1 to 3 variables, whose entries
+    are zero, one rational term or several, and a jet degree 1 to 6."""
+    ring = draw(st.sampled_from(RINGS))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        shape = (draw(st.integers(1, 2)),) * 2
+    else:
+        shape = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    monomials = st.lists(st.integers(0, 3), min_size=ring.arity, max_size=ring.arity)
+    terms = st.lists(st.tuples(monomials, rationals), max_size=3)
+    components = [
+        Polynomial(ring, draw(terms)) for _ in component_positions(shape, symmetric)
+    ]
+    return MatrixGerm(shape, components, symmetric), draw(st.integers(1, 6))
+
+
+class TestPeeledElimination:
+    """Unit columns peeled before the fraction-free step leave every
+    pivot column, and so every normal space, as streaming gave them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_germs())
+    def test_random_germs_match_the_references(self, case):
+        F, degree = case
+        result = normal_space_basis(F, jet_degree=degree)
+        expected = reference_normal_space(F, degree)
+        assert {key: getattr(result, key) for key in expected} == expected
+        for d in (degree, degree + 1):
+            pivots = _eliminate(F, d)[0]
+            assert pivots.keys() == reference_streaming_pivots(F, d).keys()
+            assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+    def test_cascade_through_a_later_unit(self):
+        # Column 6 is a unit.  Striking it leaves the last row with one
+        # entry, a unit at column 3; only then does the first row, which
+        # came earlier, shrink to the unit at column 1.
+        rows = [{1: 2, 3: -5}, {0: 1, 2: 4, 3: 3, 5: -2}, {3: 4, 6: 7}]
+        units = {6}
+        remaining = _peel_units(units, [dict(row) for row in rows])
+        assert units == {1, 3, 6}
+        assert remaining == [{0: 1, 2: 4, 5: -2}]
+        streamed: dict = {}
+        for row in [{6: 1}] + rows:
+            _insert_row(streamed, dict(row))
+        peeled = {c: {c: 1} for c in units}
+        for row in remaining:
+            _insert_row(peeled, row)
+        assert peeled.keys() == streamed.keys() == {0, 1, 3, 6}
+
+    def test_rows_of_units_alone_are_dropped(self):
+        units = {0, 2}
+        assert _peel_units(units, [{0: 3, 2: -1}, {2: 5}]) == []
+        assert units == {0, 2}
+
+    @pytest.mark.parametrize("F", [matrix for _, matrix in golden_grid()], ids=str)
+    def test_quotient_image_rank_of_basis_and_tangent_multiples(self, F):
+        for b in normal_space_basis(F).basis:
+            assert quotient_image_rank(F, [b]) == 1
+        ring = F.ring
+        multiples = [
+            g.map_entries(lambda e: e * ring.monomial(mono))
+            for g in tangent_generators(F)
+            for mono in jet_monomials(ring, 2)
+        ]
+        assert quotient_image_rank(F, multiples) == 0
 
 
 class TestEntriesCutReducedOrigin:
@@ -412,11 +496,6 @@ class TestSharedJets:
 
 COLUMNS = 8
 
-rationals = st.builds(
-    Fraction,
-    st.integers(-6, 6).filter(bool),
-    st.integers(1, 6),
-)
 sparse_rows = st.dictionaries(st.integers(0, COLUMNS - 1), rationals, max_size=COLUMNS)
 
 
